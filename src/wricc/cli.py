@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Commands: decide, witness, class, verify.  Exit codes: 0 success/PASS,
-1 a verification check failed, 2 Unknown verdict, 3 usage/parse error.
+1 a verification check failed, 2 Unknown verdict, 3 usage/parse error or
+a certificate over its size budget.
 `--json` switches to line-delimited machine-readable records; the human
 format is derived from the same record.
 """
@@ -163,7 +164,9 @@ def cmd_class(args) -> int:
 def cmd_verify(args) -> int:
     spec = _load(args.instance)
     G = spec.group
-    seed = args.seed
+    # a flag overrides the instance file, which overrides the default
+    seed = args.seed if args.seed is not None else spec.budgets.get("seed", 0)
+    samples = args.samples if args.samples is not None else spec.budgets.get("samples", 500)
     checks = []
 
     def check(name, ok, detail=""):
@@ -184,7 +187,7 @@ def cmd_verify(args) -> int:
     if v.answer is Tri.NO:
         cert = witness(G, v)
         res = verify_finite_certificate(
-            G, cert, sample_radius=3, sample_count=args.samples, seed=seed
+            G, cert, sample_radius=3, sample_count=samples, seed=seed
         )
         check("finite-certificate", res, f"size {len(cert.elements)}; {res.reason}")
         rep = enumerate_class(G, cert.base, 16, len(cert.elements) + 1)
@@ -223,7 +226,7 @@ def cmd_verify(args) -> int:
         "instance_hash": spec.instance_hash(),
         "answer": str(v.answer),
         "seed": seed,
-        "samples": args.samples,
+        "samples": samples,
         "checks": [
             f"{'PASS' if ok else 'FAIL'} {name}: {detail}" for name, ok, detail in checks
         ],
@@ -264,8 +267,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="full decide/certify/cross-check run")
     common(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=500, help="sampled conjugators")
+    p.add_argument("--seed", type=int, default=None, help="random seed (default 0)")
+    p.add_argument(
+        "--samples", type=int, default=None, help="sampled conjugators (default 500)"
+    )
     p.add_argument("--elements", type=int, default=5, help="sampled elements (Yes verdicts)")
     p.add_argument("--prefix", type=int, default=100, help="verified family prefix")
     p.add_argument(

@@ -634,11 +634,12 @@ class DirectProductGroup(Group):
     def identity(self):
         return tuple(f.identity() for f in self.factors)
 
+    # validate() has checked every component, so the factors skip it
     def _multiply(self, a, b):
-        return tuple(f.multiply(x, y) for f, x, y in zip(self.factors, a, b))
+        return tuple(f._multiply(x, y) for f, x, y in zip(self.factors, a, b))
 
     def _inverse(self, a):
-        return tuple(f.inverse(x) for f, x in zip(self.factors, a))
+        return tuple(f._inverse(x) for f, x in zip(self.factors, a))
 
     def validate(self, x):
         if not isinstance(x, tuple) or len(x) != len(self.factors):

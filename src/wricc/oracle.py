@@ -30,13 +30,18 @@ _MAX_RADIUS = 512
 class WreathClassReport:
     """`exact-finite-under-gens` proves closure only under the listed
     generators; for an infinite group with a finite generator window this
-    is not a claim about all of G, hence the retained window."""
+    is not a claim about all of G, hence the retained window.
+
+    `stopped_by` says why the enumeration ended: "closed" (no new
+    conjugates), "radius" (the round budget ran out with the class still
+    open) or "max_size" (the size budget filled)."""
 
     status: str
     elements: tuple | None
     count: int
     rounds_used: int
     window: tuple
+    stopped_by: str
 
 
 def enumerate_class(
@@ -83,9 +88,10 @@ def enumerate_class(
                 raise WriccError("oracle bookkeeping error: bad conjugator")
         elems = tuple(sorted(found, key=G.sort_key))
         return WreathClassReport(
-            EXACT_FINITE_UNDER_GENS, elems, len(found), rounds, G.window
+            EXACT_FINITE_UNDER_GENS, elems, len(found), rounds, G.window, "closed"
         )
-    return WreathClassReport(AT_LEAST, None, len(found), rounds, G.window)
+    stopped_by = "max_size" if truncated else "radius"
+    return WreathClassReport(AT_LEAST, None, len(found), rounds, G.window, stopped_by)
 
 
 def class_lower_bound(

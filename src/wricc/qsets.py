@@ -160,7 +160,7 @@ class RegularQSet(QSet):
     def act(self, q, x):
         self.Q.validate(q)
         self.Q.validate(x)
-        return self.Q.multiply(q, x)
+        return self.Q._multiply(q, x)
 
     def validate_point(self, x):
         self.Q.validate(x)

@@ -9,6 +9,7 @@ mirrors the case analysis of the criterion's proof.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 
@@ -163,9 +164,18 @@ def cert_finite_orbit(G: WreathProduct, xi=None, orbit=None) -> FiniteClassCerti
         for y in orbit:
             if G.omega.act(s, y) not in pts:
                 raise PreconditionError("orbit is not closed under the action")
+    # the size can have more digits than Python will convert to a string:
+    # a logarithm test rejects huge sizes before the number is built, and
+    # the exact test decides the cases near the cap
+    too_big = CertificateBudget(
+        f"certificate would have ({len(xi)}+1)^{len(orbit)} - 1 elements, "
+        f"more than {_FINITE_SET_CAP}"
+    )
+    if len(orbit) * math.log2(len(xi) + 1) > math.log2(_FINITE_SET_CAP + 1) + 1:
+        raise too_big
     size = (len(xi) + 1) ** len(orbit) - 1
     if size > _FINITE_SET_CAP:
-        raise CertificateBudget(f"certificate would have {size} elements")
+        raise too_big
     one = G.Q.identity()
     values = [None] + sorted(xi, key=G.D.sort_key)
     members = []

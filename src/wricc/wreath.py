@@ -52,13 +52,16 @@ class WreathProduct(Group):
             omega.validate_point(y)
         self.window = tuple(window)
         self.kind = f"wreath({D.kind}; {Q.kind}; {omega.carrier_kind})"
+        self._e = D.identity()
+        point_key = omega.point_key
+        self._item_key = lambda yd: point_key(yd[0])
 
     # ---- canonical maps ---------------------------------------------------
 
     def _canon(self, items) -> tuple:
-        e = self.D.identity()
+        e = self._e
         kept = [(y, d) for y, d in items if d != e]
-        kept.sort(key=lambda yd: self.omega.point_key(yd[0]))
+        kept.sort(key=self._item_key)
         for (a, _), (b, _) in zip(kept, kept[1:]):
             if a == b:
                 raise KindMismatch(f"duplicate support point {a!r}")
@@ -101,8 +104,34 @@ class WreathProduct(Group):
         return WreathElement((), self.Q.identity())
 
     def _multiply(self, g1: WreathElement, g2: WreathElement) -> WreathElement:
-        phi = self.pointwise_mul(g1.phi, self.lambda_act(g1.q, g2.phi))
-        return WreathElement(phi, self.Q.multiply(g1.q, g2.q))
+        """(phi1, q1)(phi2, q2) = (phi1 * lambda(q1) phi2, q1 q2), with one
+        canonicalisation: move phi2's support into a copy of phi1 and
+        multiply the values at shared points.  Operands are canonical, so an
+        empty map on either side needs no merge."""
+        q1, q2 = g1.q, g2.q
+        Q = self.Q
+        Q.validate(q1)
+        Q.validate(q2)
+        q = Q._multiply(q1, q2)
+        if not g2.phi:
+            return WreathElement(g1.phi, q)
+        act = self.omega.act
+        moved = {act(q1, y): d for y, d in g2.phi}
+        if len(moved) != len(g2.phi):
+            raise KindMismatch("duplicate support point: the action is not injective")
+        if not g1.phi:
+            return WreathElement(tuple(sorted(moved.items(), key=self._item_key)), q)
+        acc = dict(g1.phi)
+        e = self._e
+        mul = self.D.multiply
+        for y, d in moved.items():
+            if y in acc:
+                d = mul(acc[y], d)
+                if d == e:
+                    del acc[y]
+                    continue
+            acc[y] = d
+        return WreathElement(tuple(sorted(acc.items(), key=self._item_key)), q)
 
     def _inverse(self, g: WreathElement) -> WreathElement:
         qinv = self.Q.inverse(g.q)

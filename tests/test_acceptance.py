@@ -209,8 +209,9 @@ def test_criterion_7_oracle_cross_check():
     t0 = time.perf_counter()
     problems = []
     # growth on the icc instances, checked as `wricc verify` checks it:
-    # (a) at radius 8 the class stays open: all 8 rounds run, or the
-    #     enumeration fills max_size first;
+    # (a) at radius 8 the class stays open: the enumeration stops because
+    #     all 8 rounds ran or because it filled max_size 10000, never because
+    #     the class closed;
     # (b) escalating the round budget (x4, up to 512) reaches >= 200
     #     distinct verified conjugates;
     # (c) on the lamplighter, the radius-8 count equals the number of
@@ -229,12 +230,14 @@ def test_criterion_7_oracle_cross_check():
             first = (
                 grown if radius == 8 else enumerate_class(G, g, radius=8, max_size=10000)
             )
-            if first.status != AT_LEAST or (
-                first.rounds_used != 8 and first.count < 10000
-            ):
+            open_at_8 = first.status == AT_LEAST and (
+                (first.stopped_by == "radius" and first.rounds_used == 8)
+                or (first.stopped_by == "max_size" and first.count >= 10000)
+            )
+            if not open_at_8:
                 problems.append(
                     f"{where}: {first.status} count {first.count} after "
-                    f"{first.rounds_used} of 8 rounds"
+                    f"{first.rounds_used} of 8 rounds, stopped by {first.stopped_by}"
                 )
             if grown.status != AT_LEAST or grown.count < 200:
                 problems.append(

@@ -124,6 +124,19 @@ class TestWitnessCommand:
         path = write_instance(tmp_path, "lamplighter")
         assert main(["witness", "-i", path, "-g", "{0:1@"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("n", [20, 100000])
+    def test_finite_orbit_over_budget(self, tmp_path, capsys, n):
+        # 2^20 - 1 is just over the cap and is rejected by the exact test;
+        # 2^100000 - 1 has more digits than Python converts to a string and
+        # is rejected by the logarithm test before it is built
+        text = f"{{D: cyclic 2; Q: cyclic {n}; omega: regular}}"
+        path = write_instance(tmp_path, "huge-orbit", text)
+        assert main(["witness", "-i", path]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error [certificate-budget]: ")
+        assert f"(1+1)^{n} - 1 elements" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+
 
 class TestClassCommand:
     def test_lamp_class_at_least(self, tmp_path, capsys):
@@ -181,6 +194,17 @@ class TestVerifyCommand:
         assert checks[3].startswith("PASS oracle-growth[1]: ")
         assert checks[3].endswith("distinct conjugates within radius 32")
 
+    def test_seed_and_samples_from_file(self, tmp_path, capsys):
+        text = instance_text("lamplighter") + "samples: 3\nseed: 7\n"
+        path = write_instance(tmp_path, "lamp-seeded", text)
+        quick = ["--elements", "1", "--prefix", "10", "--oracle-target", "50"]
+        assert main(["verify", "--json", "-i", path, *quick]) == EXIT_OK
+        assert '"samples": 3, "seed": 7' in capsys.readouterr().out
+        # flags override the file
+        argv = ["verify", "--json", "-i", path, "--seed", "0", "--samples", "9", *quick]
+        assert main(argv) == EXIT_OK
+        assert '"samples": 9, "seed": 0' in capsys.readouterr().out
+
     def test_deterministic_for_seed(self, tmp_path, capsys):
         path = write_instance(tmp_path, "mixed-union")
         main(["verify", "--json", "-i", path, "--seed", "7"])
@@ -196,3 +220,29 @@ def test_decide_all_bundled_instances(tmp_path, capsys):
         path = write_instance(tmp_path, name)
         assert main(["decide", "--json", "-i", path]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["answer"] == answer
+
+
+# `wricc verify --json --seed 42` on the four instances whose run is quick,
+# recorded before the wreath arithmetic was rewritten: the records must not
+# change by a byte.
+PINNED_VERIFY_RECORDS = {
+    "trivial-omega": (
+        '{"answer": "no", "checks": ["PASS finite-certificate: size 1; ok", "PASS oracle-containment: oracle exact-finite-under-gens count 1 within certificate"], "command": "verify", "instance_hash": "3db49deb7ef5", "result": "PASS", "samples": 500, "seed": 42}'
+    ),
+    "intmod-cond-i": (
+        '{"answer": "no", "checks": ["PASS finite-certificate: size 1; ok", "PASS oracle-containment: oracle exact-finite-under-gens count 1 within certificate"], "command": "verify", "instance_hash": "115d3c8701e0", "result": "PASS", "samples": 500, "seed": 42}'
+    ),
+    "z2-wr-s3": (
+        '{"answer": "no", "checks": ["PASS finite-certificate: size 7; ok", "PASS oracle-containment: oracle exact-finite-under-gens count 3 within certificate"], "command": "verify", "instance_hash": "84e95be3335d", "result": "PASS", "samples": 500, "seed": 42}'
+    ),
+    "mixed-union": (
+        '{"answer": "no", "checks": ["PASS finite-certificate: size 7; ok", "PASS oracle-containment: oracle exact-finite-under-gens count 3 within certificate"], "command": "verify", "instance_hash": "bdca7cf4935d", "result": "PASS", "samples": 500, "seed": 42}'
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_VERIFY_RECORDS))
+def test_verify_record_pinned(tmp_path, capsys, name):
+    path = write_instance(tmp_path, name)
+    assert main(["verify", "--json", "-i", path, "--seed", "42"]) == EXIT_OK
+    assert capsys.readouterr().out == PINNED_VERIFY_RECORDS[name] + "\n"

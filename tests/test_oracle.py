@@ -52,7 +52,7 @@ class TestInfiniteClasses:
         G = f2_wr_z2
         g = WreathElement(G.zeta((1,), 0), 0)
         rep = enumerate_class(G, g, radius=6, max_size=50)
-        assert rep.status == AT_LEAST
+        assert rep.status == AT_LEAST and rep.stopped_by == "max_size"
         assert rep.count >= 50
 
     def test_monotone_in_radius(self, lamplighter):
@@ -89,6 +89,7 @@ class TestLamplighterRadius8:
         assert len(direct) == count
         rep = enumerate_class(G, g, radius=8, max_size=10000)
         assert rep.status == AT_LEAST and rep.rounds_used == 8
+        assert rep.stopped_by == "radius"
         assert rep.count == count
 
 
@@ -123,6 +124,7 @@ class TestClassLowerBound:
         rep, radius = class_lower_bound(G, g, 200)
         assert radii == [8] and radius == 8
         assert rep.status == EXACT_FINITE_UNDER_GENS and rep.count < 200
+        assert rep.stopped_by == "closed"
 
     @pytest.mark.parametrize(
         "start, expected", [(8, [8, 32, 128, 512]), (10, [10, 40, 160, 512])]

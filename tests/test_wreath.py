@@ -6,6 +6,7 @@ from wricc import (
     CyclicGroup,
     FreeGroup,
     IntegersGroup,
+    IntModQSet,
     KindMismatch,
     RegularQSet,
     SymmetricGroup,
@@ -13,10 +14,29 @@ from wricc import (
     WreathProduct,
     support,
 )
-from wricc.instances import build_wreath
+from wricc.instances import build_wreath, parse_group
+
+from conftest import CORPUS, EXTRA, load_instance
 
 Z = IntegersGroup()
 Z2 = CyclicGroup(2)
+
+SHIPPED = [name for name, *_ in CORPUS + EXTRA]
+# (D, Q, omega) of carriers beyond the shipped instances
+BUILT = {
+    "z2-wr-free2": ("cyclic 2", "free 2", "regular"),
+    "z3-wr-product": ("cyclic 3", "product(integers, cyclic 2)", "regular"),
+    "s3-wr-free2-union": ("symmetric 3", "free 2", "union(regular, trivial 2)"),
+    "s3-wr-s3-union": ("symmetric 3", "symmetric 3", "union(natural, regular, trivial 2)"),
+    "z2-wr-free-product": ("cyclic 2", "product(free 1, cyclic 2)", "regular"),
+}
+
+
+def _group(name):
+    if name in BUILT:
+        d, q, omega = BUILT[name]
+        return build_wreath(parse_group(d), parse_group(q), omega)
+    return load_instance(name).group
 
 
 @pytest.fixture
@@ -176,3 +196,46 @@ def test_nested_wreath_as_base():
         a, b = outer.random_element(rng), outer.random_element(rng)
         assert outer.multiply(outer.multiply(a, b), outer.inverse(outer.multiply(a, b))) == e
         assert outer.multiply(a, outer.inverse(a)) == e
+
+
+class TestFusedMultiply:
+    """`multiply` moves g2's support and multiplies values in one pass; it
+    must agree with the two-step product it replaced."""
+
+    @staticmethod
+    def two_step(G, g1, g2):
+        phi = G.pointwise_mul(g1.phi, G.lambda_act(g1.q, g2.phi))
+        return WreathElement(phi, G.Q.multiply(g1.q, g2.q))
+
+    @staticmethod
+    def assert_canonical(G, g):
+        keys = [G.omega.point_key(y) for y in support(g.phi)]
+        assert all(a < b for a, b in zip(keys, keys[1:])), g
+        G.validate(g)
+
+    @pytest.mark.parametrize("name", SHIPPED + list(BUILT))
+    def test_matches_two_step_product(self, name):
+        G = _group(name)
+        rng = random.Random(name)
+        for _ in range(80):
+            a, b = G.random_element(rng), G.random_element(rng)
+            # shared support points, cancelling values and an empty side
+            for x, y in ((a, b), (b, a), (a, a), (a, G.inverse(a)), (a, G.identity())):
+                out = G.multiply(x, y)
+                assert out == self.two_step(G, x, y)
+                self.assert_canonical(G, out)
+                self.assert_canonical(G, G.inverse(out))
+
+    def test_non_injective_action_rejected(self):
+        class Collapsing(IntModQSet):
+            """Sends every point to 0, so it is not an action of Z."""
+
+            def act(self, q, x):
+                self.validate_point(x)
+                return 0
+
+        G = WreathProduct(Z2, Z, Collapsing(Z, 3))
+        two_points = WreathElement(((0, 1), (1, 1)), 0)
+        for g1 in (G.identity(), WreathElement(((2, 1),), 1)):
+            with pytest.raises(KindMismatch):
+                G.multiply(g1, two_points)
