@@ -16,9 +16,7 @@ from .errors import (
 )
 from .groups import (
     AT_LEAST,
-    BUDGET_EXHAUSTED,
     EXACT_FINITE,
-    CayleyTableGroup,
     ClassReport,
     CyclicGroup,
     DirectProductGroup,
@@ -30,14 +28,11 @@ from .groups import (
     class_enum_bounded,
 )
 from .instances import InstanceSpec, build_wreath, parse_group, parse_instance, parse_omega
-from .oracle import WreathClassReport, class_lower_bound, enumerate_class
+from .oracle import class_lower_bound, enumerate_class
 from .qsets import (
-    ORBIT_EXACT,
-    ORBIT_EXCEEDS,
     DisjointUnionQSet,
     FiniteExplicitQSet,
     IntModQSet,
-    OrbitReport,
     QSet,
     RegularQSet,
     TrivialQSet,

@@ -140,8 +140,12 @@ def cmd_class(args) -> int:
     spec = _load(args.instance)
     G = spec.group
     g = G.parse_element(args.element)
-    radius = args.radius or spec.budgets.get("radius", 8)
-    max_size = args.max_size or spec.budgets.get("max_size", 10000)
+    # a flag overrides the instance file, which overrides the default; a
+    # zero flag reaches enumerate_class, which rejects it
+    radius = args.radius if args.radius is not None else spec.budgets.get("radius", 8)
+    max_size = (
+        args.max_size if args.max_size is not None else spec.budgets.get("max_size", 10000)
+    )
     rep = enumerate_class(G, g, radius, max_size)
     record = {
         "command": "class",
@@ -151,7 +155,7 @@ def cmd_class(args) -> int:
         "count": rep.count,
         "radius": radius,
         "max_size": max_size,
-        "window": [G.omega.format_point(y) for y in rep.window],
+        "window": [G.omega.format_point(y) for y in G.window],
     }
     if rep.elements is not None:
         record["elements"] = [G.format_element(e) for e in rep.elements[:20]]

@@ -9,6 +9,10 @@ Equality of elements is structural equality of canonical payloads.
 Property oracles (finiteness, FC membership, icc status) are declared per
 kind rather than computed from presentations; each declared fact carries a
 one-line justification.
+
+`Closure` is the one breadth-first search of the package: generator balls,
+conjugacy classes (`class_closure`), orbits and permutation tables all run
+through it, and a bounded closure is summed up by one `ClassReport`.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from .tri import Tri
 
 EXACT_FINITE = "exact-finite"
 AT_LEAST = "at-least"
-BUDGET_EXHAUSTED = "budget-exhausted"
 
 
 @dataclass(frozen=True)
@@ -37,19 +40,86 @@ class IccStatus:
 
 @dataclass(frozen=True)
 class ClassReport:
-    """Result of a bounded conjugacy-class closure.
+    """Result of a bounded closure: a conjugacy class or an orbit.
 
-    `exact-finite` means the closure under conjugation by the listed
-    generators stabilized; for an infinite ambient group this proves
-    invariance only under the generated subgroup, flagged by
-    `generated_subgroup_only`.
-    """
+    `exact-finite` means a round added nothing, and `elements` holds the
+    closure, sorted.  For an infinite group that proves invariance only
+    under the subgroup the generators span.  `at-least` means the budget
+    ran out first: `count` elements were found and `elements` is None.
+    `stopped_by` says why the closure ended: "closed", "radius" (the round
+    budget ran out) or "max_size" (the size budget filled)."""
 
-    status: str  # EXACT_FINITE | AT_LEAST | BUDGET_EXHAUSTED
+    status: str  # EXACT_FINITE | AT_LEAST
     elements: tuple | None
     count: int
     rounds_used: int
-    generated_subgroup_only: bool
+    stopped_by: str
+
+
+class Closure:
+    """Breadth-first closure of {start} under x -> step(x, s), where the
+    moves s are `gens` followed by each inverse not already listed.
+
+    Iterating yields each round's new elements sorted by `key`, the order
+    in which the next round expands them.  It ends when a round adds
+    nothing (`stopped_by` "closed"), after `radius` rounds ("radius"), or
+    as soon as `max_size` elements are known ("max_size"; that unfinished
+    round is not yielded).  `reached` maps each element to the
+    (element, move) pair that first reached it, and `start` to None.
+
+    A move may carry what the step needs besides the generator, as long
+    as `inverse` maps it to its inverse move: `class_closure` pairs each
+    generator with its inverse so that a conjugation inverts nothing.
+    """
+
+    def __init__(self, start, gens, inverse, step, key, radius=math.inf, max_size=math.inf):
+        if radius <= 0 or max_size <= 0:
+            raise PreconditionError("closure budgets must be positive")
+        self.moves = list(gens)
+        for s in gens:
+            inv = inverse(s)
+            if inv not in self.moves:
+                self.moves.append(inv)
+        self._start = start
+        self.reached = {start: None}
+        self.rounds = 0
+        self.stopped_by = None
+        self._key = key
+        self._step = step
+        self._radius = radius
+        self._max_size = max_size
+
+    def __iter__(self):
+        reached, step, moves, max_size = self.reached, self._step, self.moves, self._max_size
+        frontier = [self._start]
+        while self.rounds < self._radius:
+            self.rounds += 1
+            fresh = []
+            for x in frontier:
+                for s in moves:
+                    y = step(x, s)
+                    if y not in reached:
+                        reached[y] = (x, s)
+                        fresh.append(y)
+                        if len(reached) >= max_size:
+                            self.stopped_by = "max_size"
+                            return
+            if not fresh:
+                self.stopped_by = "closed"
+                return
+            frontier = sorted(fresh, key=self._key)
+            yield frontier
+        self.stopped_by = "radius"
+
+    def report(self) -> ClassReport:
+        """Run the closure to its end and sum it up."""
+        for _ in self:
+            pass
+        count = len(self.reached)
+        if self.stopped_by == "closed":
+            elems = tuple(sorted(self.reached, key=self._key))
+            return ClassReport(EXACT_FINITE, elems, count, self.rounds, "closed")
+        return ClassReport(AT_LEAST, None, count, self.rounds, self.stopped_by)
 
 
 class Group(ABC):
@@ -100,7 +170,8 @@ class Group(ABC):
         raise Unsupported(f"{self.kind}: infinite group has no order")
 
     def elements(self):
-        """All elements in canonical enumeration order (finite kinds only)."""
+        """All elements (finite kinds only); the catalog kinds yield them
+        in sort_key order, which RegularQSet.finite_orbit_example uses."""
         raise Unsupported(f"{self.kind}: cannot enumerate an infinite group")
 
     @abstractmethod
@@ -147,25 +218,9 @@ class Group(ABC):
         graph from the identity, each round sorted by sort_key.  Infinite
         for infinite groups, exhaustive for finite ones."""
         e = self.identity()
-        conjs = list(self.generators)
-        for s in self.generators:
-            inv = self.inverse(s)
-            if inv not in conjs:
-                conjs.append(inv)
-        seen = {e}
         yield e
-        frontier = [e]
-        while frontier:
-            fresh = []
-            for x in frontier:
-                for s in conjs:
-                    y = self.multiply(x, s)
-                    if y not in seen:
-                        seen.add(y)
-                        fresh.append(y)
-            fresh.sort(key=self.sort_key)
+        for fresh in Closure(e, self.generators, self.inverse, self.multiply, self.sort_key):
             yield from fresh
-            frontier = fresh
 
     def first_nontrivial(self):
         e = self.identity()
@@ -186,37 +241,27 @@ class Group(ABC):
         raise Unsupported(f"{self.kind}: no element parser")
 
 
+def class_closure(G: Group, x, radius=math.inf, max_size=math.inf) -> Closure:
+    """The closure of {x} under conjugation by the generators and their
+    inverses, not yet run.  Each move is a pair (s, s^-1), and
+    `reached[y] = (z, (s, s^-1))` says that y = s^-1 z s."""
+    G.validate(x)
+    mul = G.multiply
+    return Closure(
+        x,
+        [(s, G.inverse(s)) for s in G.generators],
+        lambda move: (move[1], move[0]),
+        lambda y, move: mul(mul(move[1], y), move[0]),
+        G.sort_key,
+        radius,
+        max_size,
+    )
+
+
 def class_enum_bounded(G: Group, x, radius: int, max_size: int) -> ClassReport:
     """BFS closure of {x} under conjugation by generators and their
     inverses, up to `radius` rounds and `max_size` elements."""
-    if radius <= 0 or max_size <= 0:
-        raise PreconditionError("class_enum_bounded: budgets must be positive")
-    G.validate(x)
-    caveat = not G.is_finite
-    conjs = list(G.generators)
-    for s in G.generators:
-        inv = G.inverse(s)
-        if inv not in conjs:
-            conjs.append(inv)
-    seen = {x}
-    frontier = [x]
-    rounds = 0
-    while frontier and rounds < radius:
-        rounds += 1
-        fresh = []
-        for e in sorted(frontier, key=G.sort_key):
-            for s in conjs:
-                c = G.conjugate(e, s)
-                if c not in seen:
-                    seen.add(c)
-                    fresh.append(c)
-                    if len(seen) >= max_size:
-                        return ClassReport(AT_LEAST, None, len(seen), rounds, caveat)
-        frontier = fresh
-    if not frontier:
-        elems = tuple(sorted(seen, key=G.sort_key))
-        return ClassReport(EXACT_FINITE, elems, len(seen), rounds, caveat)
-    return ClassReport(BUDGET_EXHAUSTED, None, len(seen), rounds, caveat)
+    return class_closure(G, x, radius, max_size).report()
 
 
 class _FiniteGroupMixin:
@@ -242,9 +287,7 @@ class _FiniteGroupMixin:
             raise PreconditionError("trivial group: no nontrivial invariant set")
         e = self.identity()
         x = next(a for a in self.elements() if a != e)
-        rep = class_enum_bounded(self, x, radius=self.order() + 1, max_size=self.order() + 1)
-        assert rep.status == EXACT_FINITE
-        return frozenset(rep.elements)
+        return frozenset(class_closure(self, x).report().elements)
 
 
 class IntegersGroup(Group):
@@ -428,78 +471,6 @@ class SymmetricGroup(_FiniteGroupMixin, Group):
             x = tuple(int(t) for t in inner.split(",")) if inner else ()
         except ValueError:
             raise ParseError(f"symmetric({self.n}): bad literal {text!r}")
-        self.validate(x)
-        return x
-
-
-class CayleyTableGroup(_FiniteGroupMixin, Group):
-    """Finite group given by an explicit Cayley table; elements are stored
-    as the permutations of {0..n-1} induced by left multiplication (the
-    regular representation), so equality stays structural."""
-
-    def __init__(self, perms: frozenset, gens: tuple, name: str = "finite-cayley"):
-        self._perms = perms
-        self._gens = gens
-        self.kind = name
-        self._sorted = tuple(sorted(perms))
-
-    @classmethod
-    def from_table(cls, table, generator_indices, name="finite-cayley"):
-        n = len(table)
-        perms = frozenset(tuple(row) for row in table)
-        if len(perms) != n:
-            raise PreconditionError("cayley table has repeated rows")
-        for row in table:
-            if sorted(row) != list(range(n)):
-                raise PreconditionError("cayley table row is not a permutation")
-        gens = tuple(tuple(table[i]) for i in generator_indices)
-        return cls(perms, gens, name)
-
-    @property
-    def is_trivial(self):
-        return len(self._perms) == 1
-
-    def identity(self):
-        return tuple(range(len(self._sorted[0])))
-
-    def _multiply(self, a, b):
-        return _perm_mul(a, b)
-
-    def _inverse(self, a):
-        return _perm_inv(a)
-
-    def validate(self, x):
-        if x not in self._perms:
-            raise KindMismatch(f"{self.kind}: bad payload {x!r}")
-
-    @property
-    def generators(self):
-        return self._gens
-
-    def order(self):
-        return len(self._perms)
-
-    def elements(self):
-        return iter(self._sorted)
-
-    def sort_key(self, x):
-        return x
-
-    def descriptor(self):
-        return ("finite-cayley", self._sorted, self._gens)
-
-    def random_element(self, rng):
-        return rng.choice(self._sorted)
-
-    def format_element(self, x):
-        return "[" + ",".join(str(i) for i in x) + "]"
-
-    def parse_element(self, text):
-        inner = strip_outer(text, "[", "]")
-        try:
-            x = tuple(int(t) for t in inner.split(",")) if inner else ()
-        except ValueError:
-            raise ParseError(f"{self.kind}: bad literal {text!r}")
         self.validate(x)
         return x
 

@@ -127,7 +127,8 @@ class InstanceSpec:
         return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
-_BUDGET_KEYS = {"radius", "max-size", "max_size", "samples", "seed"}
+# a tuple, so that budgets are read in a fixed order
+_BUDGET_KEYS = ("radius", "max_size", "samples", "seed")
 
 
 def parse_instance(text: str) -> InstanceSpec:
@@ -147,6 +148,8 @@ def parse_instance(text: str) -> InstanceSpec:
             raise ParseError(f"expected 'key: value', got {entry!r}")
         key, value = entry.split(":", 1)
         key = key.strip().lower()
+        if key == "max-size":  # both spellings name one budget: giving both is a duplicate
+            key = "max_size"
         value = value.strip()
         if key in fields:
             raise ParseError(f"duplicate key {key!r}")
@@ -154,16 +157,14 @@ def parse_instance(text: str) -> InstanceSpec:
     for required in ("d", "q", "omega"):
         if required not in fields:
             raise ParseError(f"missing required key {required!r}")
-    known = {"d", "q", "omega", "window"} | _BUDGET_KEYS
+    known = {"d", "q", "omega", "window", *_BUDGET_KEYS}
     for key in fields:
         if key not in known:
             raise ParseError(f"unknown key {key!r}")
     Q = parse_group(fields["q"])
     D = parse_group(fields["d"])
     group = build_wreath(D, Q, fields["omega"], fields.get("window"))
-    budgets = {}
-    for key in _BUDGET_KEYS & fields.keys():
-        budgets[key.replace("-", "_")] = _int_arg(key, fields[key])
+    budgets = {key: _int_arg(key, fields[key]) for key in _BUDGET_KEYS if key in fields}
     return InstanceSpec(
         group=group,
         d_text=fields["d"],

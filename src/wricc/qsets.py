@@ -1,16 +1,17 @@
 """Countable Q-sets with action evaluation and the structural oracles the
 wreath-product icc criterion consumes.
 
-Orbit infinitude, action freeness and the kernel/FC overlap are answered
-per carrier kind by a structural rule, never by search; bounded search
-(orbit_bounded) only produces evidence, not verdicts.
+Orbit infinitude, action freeness and the kernel are answered per carrier
+kind by a structural rule, never by search; `kernel_meets_fc` is derived
+from the kernel description once for all kinds.  Bounded search
+(orbit_bounded, a `ClassReport` from the shared breadth-first closure)
+only produces evidence, not verdicts.
 """
 
 from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 
 from ._parsing import split_top, strip_outer
 from .errors import (
@@ -20,20 +21,10 @@ from .errors import (
     PreconditionError,
     Unsupported,
 )
-from .groups import Group, SymmetricGroup
+from .groups import ClassReport, Closure, Group, SymmetricGroup, _perm_inv
 from .tri import Tri, tri_and
 
-ORBIT_EXACT = "exact-finite"
-ORBIT_EXCEEDS = "exceeds-budget"
-
 # kernel descriptions: ("trivial",) | ("full",) | ("nZ", n) | ("explicit", frozenset)
-
-
-@dataclass(frozen=True)
-class OrbitReport:
-    status: str  # ORBIT_EXACT | ORBIT_EXCEEDS
-    points: tuple
-    budget: int
 
 
 class QSet(ABC):
@@ -72,17 +63,38 @@ class QSet(ABC):
         """A finite orbit as a tuple of points, or None."""
         return None
 
-    @abstractmethod
     def kernel_meets_fc(self) -> tuple:
         """(Tri, q0): YES comes with a concrete q0 != 1 lying in FC(Q) and
-        fixing the carrier pointwise; NO asserts condition (i) holds."""
-        ...
+        fixing the carrier pointwise; NO asserts condition (i) holds.
+        Read off `kernel_description`."""
+        desc = self.kernel_description()
+        if desc is None:
+            return (Tri.UNKNOWN, None)
+        if desc[0] == "trivial":
+            return (Tri.NO, None)
+        if desc[0] == "full":
+            try:
+                w = self.Q.fc_nontrivial_element()
+            except Unsupported:
+                return (Tri.UNKNOWN, None)
+            return (Tri.YES, w) if w is not None else (Tri.NO, None)
+        if desc[0] == "nZ":
+            return (Tri.YES, desc[1])
+        nontriv = sorted(
+            (q for q in desc[1] if q != self.Q.identity()), key=self.Q.sort_key
+        )
+        # FC(Q) = Q for the finite Q an explicit kernel comes from
+        if nontriv:
+            return (Tri.YES, nontriv[0])
+        return (Tri.NO, None)
 
     @abstractmethod
     def is_free_action(self) -> Tri:
         ...
 
     def kernel_description(self):
+        """The kernel of the action, as a tuple described above, or None
+        when no rule knows it."""
         return None
 
     @abstractmethod
@@ -108,46 +120,32 @@ class QSet(ABC):
     def describe(self) -> str:
         return self.carrier_kind
 
+    @abstractmethod
     def default_window_point(self):
         ...
 
+    @abstractmethod
     def random_point(self, rng):
         ...
 
+    @abstractmethod
     def format_point(self, x) -> str:
         ...
 
+    @abstractmethod
     def parse_point(self, text: str):
         ...
 
 
-def orbit_bounded(S: QSet, x, budget: int) -> OrbitReport:
-    """BFS over generator actions; ExactFinite iff the closure stabilizes
-    within `budget` points."""
-    if budget <= 0:
-        raise PreconditionError("orbit_bounded: budget must be positive")
+def orbit_bounded(S: QSet, x, budget: int) -> ClassReport:
+    """BFS over generator actions, with the class budget rule: the report
+    is `exact-finite` iff the orbit closes with fewer than `budget`
+    points."""
     S.validate_point(x)
-    movers = list(S.Q.generators)
-    for s in S.Q.generators:
-        inv = S.Q.inverse(s)
-        if inv not in movers:
-            movers.append(inv)
-    seen = {x}
-    frontier = [x]
-    while frontier:
-        fresh = []
-        for p in sorted(frontier, key=S.point_key):
-            for s in movers:
-                y = S.act(s, p)
-                if y not in seen:
-                    if len(seen) >= budget:
-                        return OrbitReport(
-                            ORBIT_EXCEEDS, tuple(sorted(seen, key=S.point_key)), budget
-                        )
-                    seen.add(y)
-                    fresh.append(y)
-        frontier = fresh
-    return OrbitReport(ORBIT_EXACT, tuple(sorted(seen, key=S.point_key)), budget)
+    Q = S.Q
+    return Closure(
+        x, Q.generators, Q.inverse, lambda p, s: S.act(s, p), S.point_key, max_size=budget
+    ).report()
 
 
 class RegularQSet(QSet):
@@ -183,11 +181,8 @@ class RegularQSet(QSet):
 
     def finite_orbit_example(self):
         if self.Q.is_finite:
-            return tuple(sorted(self.Q.elements(), key=self.Q.sort_key))
+            return tuple(self.Q.elements())
         return None
-
-    def kernel_meets_fc(self):
-        return (Tri.NO, None)
 
     def kernel_description(self):
         return ("trivial",)
@@ -217,209 +212,12 @@ class RegularQSet(QSet):
         return self.Q.parse_element(text)
 
 
-class IntModQSet(QSet):
-    """Omega = Z/n with Q = Z acting by translation; kernel = nZ."""
+class _IntPointQSet(QSet):
+    """A finite carrier whose points are the integers 0..size-1: what the
+    trivial, int-mod and finite-explicit carriers share."""
 
-    def __init__(self, Q: Group, n: int):
-        if Q.descriptor() != ("integers",):
-            raise PreconditionError("int-mod carrier requires Q = integers")
-        if n < 1:
-            raise EmptyOmega("int-mod carrier must have n >= 1")
-        self.Q = Q
-        self.n = n
-        self.carrier_kind = f"int-mod({n})"
-
-    def act(self, q, x):
-        self.Q.validate(q)
-        self.validate_point(x)
-        return (x + q) % self.n
-
-    def validate_point(self, x):
-        if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < self.n:
-            raise KindMismatch(f"int-mod({self.n}): bad point {x!r}")
-
-    def point_key(self, x):
-        return x
-
-    def points_stream(self):
-        return iter(range(self.n))
-
+    size: int
     is_finite_carrier = True
-
-    def points(self):
-        return iter(range(self.n))
-
-    def all_orbits_infinite(self):
-        return Tri.NO
-
-    def finite_orbit_example(self):
-        return tuple(range(self.n))
-
-    def kernel_meets_fc(self):
-        return (Tri.YES, self.n)
-
-    def kernel_description(self):
-        return ("nZ", self.n)
-
-    def is_free_action(self):
-        return Tri.NO  # q = n fixes every residue
-
-    def fixes_all_points(self, q):
-        return Tri.YES if q % self.n == 0 else Tri.NO
-
-    def orbit_infinite(self, x):
-        return Tri.NO
-
-    def descriptor(self):
-        return ("int-mod", self.n)
-
-    def default_window_point(self):
-        return 0
-
-    def random_point(self, rng):
-        return rng.randrange(self.n)
-
-    def format_point(self, x):
-        return str(x)
-
-    def parse_point(self, text):
-        try:
-            v = int(text.strip())
-        except ValueError:
-            raise ParseError(f"int-mod({self.n}): bad point literal {text!r}")
-        self.validate_point(v)
-        return v
-
-
-class TrivialQSet(QSet):
-    """Q fixes every one of `size` points; the kernel is all of Q."""
-
-    def __init__(self, Q: Group, size: int):
-        if size < 1:
-            raise EmptyOmega("trivial carrier must be nonempty")
-        self.Q = Q
-        self.size = size
-        self.carrier_kind = f"trivial({size})"
-
-    def act(self, q, x):
-        self.Q.validate(q)
-        self.validate_point(x)
-        return x
-
-    def validate_point(self, x):
-        if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < self.size:
-            raise KindMismatch(f"trivial({self.size}): bad point {x!r}")
-
-    def point_key(self, x):
-        return x
-
-    def points_stream(self):
-        return iter(range(self.size))
-
-    is_finite_carrier = True
-
-    def points(self):
-        return iter(range(self.size))
-
-    def all_orbits_infinite(self):
-        return Tri.NO
-
-    def finite_orbit_example(self):
-        return (0,)
-
-    def kernel_meets_fc(self):
-        try:
-            w = self.Q.fc_nontrivial_element()
-        except Unsupported:
-            return (Tri.UNKNOWN, None)
-        if w is None:
-            return (Tri.NO, None)
-        return (Tri.YES, w)
-
-    def kernel_description(self):
-        return ("full",)
-
-    def is_free_action(self):
-        return Tri.YES if self.Q.is_trivial else Tri.NO
-
-    def fixes_all_points(self, q):
-        return Tri.YES
-
-    def orbit_infinite(self, x):
-        return Tri.NO
-
-    def descriptor(self):
-        return ("trivial", self.size, self.Q.descriptor())
-
-    def default_window_point(self):
-        return 0
-
-    def random_point(self, rng):
-        return rng.randrange(self.size)
-
-    def format_point(self, x):
-        return str(x)
-
-    def parse_point(self, text):
-        try:
-            v = int(text.strip())
-        except ValueError:
-            raise ParseError(f"trivial({self.size}): bad point literal {text!r}")
-        self.validate_point(v)
-        return v
-
-
-class FiniteExplicitQSet(QSet):
-    """Finite Q acting on {0..size-1} via per-generator image tables; the
-    full element-to-permutation map is closed off at construction, so the
-    kernel stays exactly computable."""
-
-    def __init__(self, Q: Group, size: int, gen_action: dict, label: str = "finite-explicit"):
-        if not Q.is_finite:
-            raise PreconditionError("finite-explicit carriers require finite Q")
-        if size < 1:
-            raise EmptyOmega("finite-explicit carrier must be nonempty")
-        self.Q = Q
-        self.size = size
-        self.carrier_kind = f"{label}({size})"
-        self._label = label
-        ident = tuple(range(size))
-        for s in Q.generators:
-            tab = gen_action.get(s)
-            if tab is None or sorted(tab) != list(range(size)):
-                raise PreconditionError("finite-explicit: missing/invalid generator table")
-        perms = {Q.identity(): ident}
-        frontier = [Q.identity()]
-        while frontier:
-            fresh = []
-            for e in frontier:
-                pe = perms[e]
-                for s in Q.generators:
-                    es = Q.multiply(e, s)
-                    if es not in perms:
-                        ps = gen_action[s]
-                        # act(e*s, i) = act(e, act(s, i))
-                        perms[es] = tuple(pe[ps[i]] for i in range(size))
-                        fresh.append(es)
-            frontier = fresh
-        if len(perms) != Q.order():
-            raise PreconditionError("finite-explicit: generators do not generate Q")
-        self._perms = perms
-        self._gen_action = {s: tuple(gen_action[s]) for s in Q.generators}
-
-    @classmethod
-    def natural(cls, Q: SymmetricGroup):
-        """The natural action of symmetric(n) on {0..n-1}."""
-        if not isinstance(Q, SymmetricGroup):
-            raise PreconditionError("natural action requires a symmetric group")
-        return cls(Q, Q.n, {s: s for s in Q.generators}, label="natural")
-
-    def act(self, q, x):
-        self.validate_point(x)
-        try:
-            return self._perms[q][x]
-        except KeyError:
-            raise KindMismatch(f"{self.carrier_kind}: bad acting element {q!r}")
 
     def validate_point(self, x):
         if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < self.size:
@@ -431,56 +229,14 @@ class FiniteExplicitQSet(QSet):
     def points_stream(self):
         return iter(range(self.size))
 
-    is_finite_carrier = True
-
     def points(self):
         return iter(range(self.size))
 
     def all_orbits_infinite(self):
         return Tri.NO
 
-    def finite_orbit_example(self):
-        return orbit_bounded(self, 0, self.size + 1).points
-
-    def _kernel(self):
-        ident = tuple(range(self.size))
-        ker = [q for q, p in self._perms.items() if p == ident]
-        return sorted(ker, key=self.Q.sort_key)
-
-    def kernel_meets_fc(self):
-        # FC(Q) = Q for finite Q, so this is just kernel nontriviality.
-        ker = self._kernel()
-        nontriv = [q for q in ker if q != self.Q.identity()]
-        if nontriv:
-            return (Tri.YES, nontriv[0])
-        return (Tri.NO, None)
-
-    def kernel_description(self):
-        return ("explicit", frozenset(self._kernel()))
-
-    def is_free_action(self):
-        e = self.Q.identity()
-        for q, p in self._perms.items():
-            if q == e:
-                continue
-            if any(p[i] == i for i in range(self.size)):
-                return Tri.NO
-        return Tri.YES
-
-    def fixes_all_points(self, q):
-        ident = tuple(range(self.size))
-        return Tri.YES if self._perms.get(q) == ident else Tri.NO
-
     def orbit_infinite(self, x):
         return Tri.NO
-
-    def descriptor(self):
-        return (
-            "finite-explicit",
-            self.size,
-            self.Q.descriptor(),
-            tuple(sorted(self._gen_action.items())),
-        )
 
     def default_window_point(self):
         return 0
@@ -498,6 +254,149 @@ class FiniteExplicitQSet(QSet):
             raise ParseError(f"{self.carrier_kind}: bad point literal {text!r}")
         self.validate_point(v)
         return v
+
+
+class IntModQSet(_IntPointQSet):
+    """Omega = Z/n with Q = Z acting by translation; kernel = nZ."""
+
+    def __init__(self, Q: Group, n: int):
+        if Q.descriptor() != ("integers",):
+            raise PreconditionError("int-mod carrier requires Q = integers")
+        if n < 1:
+            raise EmptyOmega("int-mod carrier must have n >= 1")
+        self.Q = Q
+        self.size = n
+        self.carrier_kind = f"int-mod({n})"
+
+    def act(self, q, x):
+        self.Q.validate(q)
+        self.validate_point(x)
+        return (x + q) % self.size
+
+    def finite_orbit_example(self):
+        return tuple(range(self.size))
+
+    def kernel_description(self):
+        return ("nZ", self.size)
+
+    def is_free_action(self):
+        return Tri.NO  # q = n fixes every residue
+
+    def fixes_all_points(self, q):
+        return Tri.YES if q % self.size == 0 else Tri.NO
+
+    def descriptor(self):
+        return ("int-mod", self.size)
+
+
+class TrivialQSet(_IntPointQSet):
+    """Q fixes every one of `size` points; the kernel is all of Q."""
+
+    def __init__(self, Q: Group, size: int):
+        if size < 1:
+            raise EmptyOmega("trivial carrier must be nonempty")
+        self.Q = Q
+        self.size = size
+        self.carrier_kind = f"trivial({size})"
+
+    def act(self, q, x):
+        self.Q.validate(q)
+        self.validate_point(x)
+        return x
+
+    def finite_orbit_example(self):
+        return (0,)
+
+    def kernel_description(self):
+        return ("full",)
+
+    def is_free_action(self):
+        return Tri.YES if self.Q.is_trivial else Tri.NO
+
+    def fixes_all_points(self, q):
+        return Tri.YES
+
+    def descriptor(self):
+        return ("trivial", self.size, self.Q.descriptor())
+
+
+class FiniteExplicitQSet(_IntPointQSet):
+    """Finite Q acting on {0..size-1} via per-generator image tables; the
+    full element-to-permutation map is closed off at construction, so the
+    kernel stays exactly computable."""
+
+    def __init__(self, Q: Group, size: int, gen_action: dict, label: str = "finite-explicit"):
+        if not Q.is_finite:
+            raise PreconditionError("finite-explicit carriers require finite Q")
+        if size < 1:
+            raise EmptyOmega("finite-explicit carrier must be nonempty")
+        self.Q = Q
+        self.size = size
+        self.carrier_kind = f"{label}({size})"
+        for s in Q.generators:
+            tab = gen_action.get(s)
+            if tab is None or sorted(tab) != list(range(size)):
+                raise PreconditionError("finite-explicit: missing/invalid generator table")
+        self._gen_action = {s: tuple(gen_action[s]) for s in Q.generators}
+        # a move is a generator or its inverse, paired with its table
+        bfs = Closure(
+            Q.identity(),
+            list(self._gen_action.items()),
+            lambda move: (Q.inverse(move[0]), _perm_inv(move[1])),
+            lambda e, move: Q.multiply(e, move[0]),
+            Q.sort_key,
+        )
+        perms = {Q.identity(): tuple(range(size))}
+        for fresh in bfs:
+            for es in fresh:
+                e, (_, table) = bfs.reached[es]
+                # act(e*s, i) = act(e, act(s, i))
+                perms[es] = tuple(perms[e][j] for j in table)
+        if len(perms) != Q.order():
+            raise PreconditionError("finite-explicit: generators do not generate Q")
+        self._perms = perms
+
+    @classmethod
+    def natural(cls, Q: SymmetricGroup):
+        """The natural action of symmetric(n) on {0..n-1}."""
+        if not isinstance(Q, SymmetricGroup):
+            raise PreconditionError("natural action requires a symmetric group")
+        return cls(Q, Q.n, {s: s for s in Q.generators}, label="natural")
+
+    def act(self, q, x):
+        self.validate_point(x)
+        try:
+            return self._perms[q][x]
+        except KeyError:
+            raise KindMismatch(f"{self.carrier_kind}: bad acting element {q!r}")
+
+    def finite_orbit_example(self):
+        return orbit_bounded(self, 0, self.size + 1).elements
+
+    def kernel_description(self):
+        ident = tuple(range(self.size))
+        return ("explicit", frozenset(q for q, p in self._perms.items() if p == ident))
+
+    def is_free_action(self):
+        e = self.Q.identity()
+        for q, p in self._perms.items():
+            if q == e:
+                continue
+            if any(p[i] == i for i in range(self.size)):
+                return Tri.NO
+        return Tri.YES
+
+    def fixes_all_points(self, q):
+        ident = tuple(range(self.size))
+        return Tri.YES if self._perms.get(q) == ident else Tri.NO
+
+    def descriptor(self):
+        return (
+            "finite-explicit",
+            self.size,
+            self.Q.descriptor(),
+            tuple(sorted(self._gen_action.items())),
+        )
 
 
 def _interleave(streams):
@@ -593,28 +492,6 @@ class DisjointUnionQSet(QSet):
             if orb is not None:
                 return tuple((i, p) for p in orb)
         return None
-
-    def kernel_meets_fc(self):
-        desc = self.kernel_description()
-        if desc is None:
-            return (Tri.UNKNOWN, None)
-        if desc[0] == "trivial":
-            return (Tri.NO, None)
-        if desc[0] == "full":
-            try:
-                w = self.Q.fc_nontrivial_element()
-            except Unsupported:
-                return (Tri.UNKNOWN, None)
-            return (Tri.YES, w) if w is not None else (Tri.NO, None)
-        if desc[0] == "nZ":
-            return (Tri.YES, desc[1])
-        nontriv = sorted(
-            (q for q in desc[1] if q != self.Q.identity()), key=self.Q.sort_key
-        )
-        # FC(Q) = Q for the finite Q an explicit kernel comes from
-        if nontriv:
-            return (Tri.YES, nontriv[0])
-        return (Tri.NO, None)
 
     def kernel_description(self):
         desc = self.parts[0].kernel_description()

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import CertificateBudget, PreconditionError, WriccError
-from .groups import EXACT_FINITE, class_enum_bounded
+from .groups import EXACT_FINITE, class_closure, class_enum_bounded
 from .tri import Tri
 from .wreath import WreathElement, WreathProduct, support
 
@@ -141,6 +141,21 @@ def cert_condition_i(
     )
 
 
+def _maps_over(G: WreathProduct, pts: tuple, values) -> list:
+    """Every (phi, 1) with phi != eps supported inside `pts` and taking
+    values in `values`, in a fixed order: the choice for the first point
+    varies slowest, and "no value" comes before the values in sort_key
+    order."""
+    one = G.Q.identity()
+    choices = [None] + sorted(values, key=G.D.sort_key)
+    maps = []
+    for choice in itertools.product(choices, repeat=len(pts)):
+        items = [(y, d) for y, d in zip(pts, choice) if d is not None]
+        if items:
+            maps.append(WreathElement(G._canon(items), one))
+    return maps
+
+
 def cert_finite_orbit(G: WreathProduct, xi=None, orbit=None) -> FiniteClassCertificate:
     """All maps with nonempty support inside a finite orbit and values in a
     finite invariant subset of the base; size (|xi|+1)^|O| - 1."""
@@ -153,20 +168,11 @@ def cert_finite_orbit(G: WreathProduct, xi=None, orbit=None) -> FiniteClassCerti
     xi = frozenset(xi)
     if not xi or G.D.identity() in xi:
         raise PreconditionError("xi must be a nonempty set of nontrivial elements")
-    for x in xi:
-        G.D.validate(x)
     orbit = tuple(orbit)
-    for y in orbit:
-        G.omega.validate_point(y)
-    # the set must be closed under every generator's action
-    pts = set(orbit)
-    for s in G.Q.generators:
-        for y in orbit:
-            if G.omega.act(s, y) not in pts:
-                raise PreconditionError("orbit is not closed under the action")
-    # the size can have more digits than Python will convert to a string:
-    # a logarithm test rejects huge sizes before the number is built, and
-    # the exact test decides the cases near the cap
+    # the size tests need only |xi| and |O|, so they come before any check
+    # that touches every point.  The size can have more digits than Python
+    # will convert to a string: a logarithm test rejects huge sizes before
+    # the number is built, and the exact test decides the cases near the cap
     too_big = CertificateBudget(
         f"certificate would have ({len(xi)}+1)^{len(orbit)} - 1 elements, "
         f"more than {_FINITE_SET_CAP}"
@@ -176,13 +182,17 @@ def cert_finite_orbit(G: WreathProduct, xi=None, orbit=None) -> FiniteClassCerti
     size = (len(xi) + 1) ** len(orbit) - 1
     if size > _FINITE_SET_CAP:
         raise too_big
-    one = G.Q.identity()
-    values = [None] + sorted(xi, key=G.D.sort_key)
-    members = []
-    for choice in itertools.product(values, repeat=len(orbit)):
-        items = [(y, d) for y, d in zip(orbit, choice) if d is not None]
-        if items:
-            members.append(WreathElement(G._canon(items), one))
+    for x in xi:
+        G.D.validate(x)
+    for y in orbit:
+        G.omega.validate_point(y)
+    # the set must be closed under every generator's action
+    pts = set(orbit)
+    for s in G.Q.generators:
+        for y in orbit:
+            if G.omega.act(s, y) not in pts:
+                raise PreconditionError("orbit is not closed under the action")
+    members = _maps_over(G, orbit, xi)
     assert len(members) == size
     return FiniteClassCertificate(
         base=members[0],
@@ -374,24 +384,16 @@ def predicted_invariant_sets(G: WreathProduct):
     """
     if not G.is_finite:
         raise PreconditionError("predicted invariant sets require a finite group")
-    xi = frozenset(d for d in G.D.elements() if d != G.D.identity())
+    xi = [d for d in G.D.elements() if d != G.D.identity()]
     pts = tuple(sorted(G.omega.points(), key=G.omega.point_key))
-    sets = []
-    one = G.Q.identity()
-    values = [None] + sorted(xi, key=G.D.sort_key)
-    base_slab = []
-    for choice in itertools.product(values, repeat=len(pts)):
-        items = [(y, d) for y, d in zip(pts, choice) if d is not None]
-        if items:
-            base_slab.append(WreathElement(G._canon(items), one))
-    sets.append(frozenset(base_slab))
+    base_slab = _maps_over(G, pts, xi)
+    sets = [frozenset(base_slab)]
     all_phis = [g.phi for g in base_slab] + [()]
+    one = G.Q.identity()
     remaining = {q for q in G.Q.elements() if q != one}
     while remaining:
         q = min(remaining, key=G.Q.sort_key)
-        rep = class_enum_bounded(G.Q, q, G.Q.order() + 1, G.Q.order() + 1)
-        assert rep.status == EXACT_FINITE
-        cls = set(rep.elements)
+        cls = set(class_closure(G.Q, q).report().elements)
         remaining -= cls
         sets.append(
             frozenset(

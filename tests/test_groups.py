@@ -4,15 +4,14 @@ import pytest
 
 from wricc import (
     AT_LEAST,
-    BUDGET_EXHAUSTED,
     EXACT_FINITE,
-    CayleyTableGroup,
     CyclicGroup,
     DirectProductGroup,
     FreeGroup,
     IntegersGroup,
     KindMismatch,
     PreconditionError,
+    RegularQSet,
     SymmetricGroup,
     Tri,
     class_enum_bounded,
@@ -88,13 +87,14 @@ class TestClassEnum:
         rep = class_enum_bounded(Z, 3, 5, 100)
         assert rep.status == EXACT_FINITE
         assert rep.elements == (3,)
-        assert rep.generated_subgroup_only
+        # one round that added nothing closes the class
+        assert rep.stopped_by == "closed" and rep.rounds_used == 1
 
     def test_s3_transpositions(self):
         rep = class_enum_bounded(S3, P12, 3, 100)
         assert rep.status == EXACT_FINITE
         assert set(rep.elements) == {P12, P13, P23}
-        assert not rep.generated_subgroup_only
+        assert rep.stopped_by == "closed" and rep.count == 3
 
     def test_free_at_least(self):
         rep = class_enum_bounded(F2, A, 6, 50)
@@ -103,7 +103,8 @@ class TestClassEnum:
 
     def test_free_radius_exhausted(self):
         rep = class_enum_bounded(F2, A, 1, 1000)
-        assert rep.status == BUDGET_EXHAUSTED
+        assert rep.status == AT_LEAST and rep.elements is None
+        assert rep.stopped_by == "radius" and rep.rounds_used == 1
         assert rep.count > 1
 
     def test_exact_closure_is_closed(self):
@@ -213,19 +214,23 @@ def test_ball_stream_deterministic_and_fresh(G):
     assert first[0] == G.identity()
 
 
-def test_cayley_table_group():
-    # Z4 as an explicit table
-    table = [[(i + j) % 4 for j in range(4)] for i in range(4)]
-    G = CayleyTableGroup.from_table(table, [1])
-    assert G.order() == 4
-    assert not G.is_trivial
-    e = G.identity()
-    g = G.generators[0]
-    assert G.multiply(g, G.multiply(g, G.multiply(g, g))) == e
-    assert G.icc_status().answer is Tri.NO
-    assert G.fc_contains(g)
-    xi = G.finite_invariant_set_example()
-    assert e not in xi and xi
+FINITE_GROUPS = [
+    CyclicGroup(1),
+    Z3,
+    S3,
+    SymmetricGroup(4),
+    DirectProductGroup((Z2, S3)),
+    DirectProductGroup((S3, DirectProductGroup((Z3, Z2)))),
+]
+
+
+@pytest.mark.parametrize("G", FINITE_GROUPS, ids=lambda g: g.kind)
+def test_elements_in_sort_key_order(G):
+    # RegularQSet.finite_orbit_example returns elements() unsorted
+    elems = list(G.elements())
+    assert elems == sorted(elems, key=G.sort_key)
+    assert len(set(elems)) == G.order()
+    assert RegularQSet(G).finite_orbit_example() == tuple(elems)
 
 
 def test_free_literals_roundtrip():

@@ -66,6 +66,16 @@ class TestParseInstance:
         assert isinstance(spec.group.Q, SymmetricGroup)
         assert spec.group.order() == 48
 
+    def test_both_max_size_spellings_rejected(self, tmp_path, capsys):
+        # the two spellings name one budget; which one won used to depend on
+        # the hash seed, so the pair is a duplicate key
+        text = instance_text("lamplighter") + "max-size: 5\nmax_size: 7\n"
+        with pytest.raises(ParseError, match="duplicate key 'max_size'"):
+            parse_instance(text)
+        path = write_instance(tmp_path, "two-max-sizes", text)
+        assert main(["class", "-i", path, "-g", "{0:1}@0"]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error [parse-error]: ")
+
     def test_hash_is_stable(self):
         a = parse_instance(instance_text("lamplighter")).instance_hash()
         b = parse_instance(instance_text("lamplighter")).instance_hash()
@@ -155,6 +165,16 @@ class TestClassCommand:
         assert rec["status"] == "exact-finite-under-gens"
         assert rec["count"] == 1
 
+    @pytest.mark.parametrize("flag", ["--radius", "--max-size"])
+    def test_zero_budget_flag_rejected(self, tmp_path, capsys, flag):
+        # a zero flag must not fall back to the file or default budget
+        path = write_instance(tmp_path, "lamplighter")
+        code = main(["class", "--json", "-i", path, "-g", "{0:1}@0", flag, "0"])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error [precondition]: ")
+
     def test_budgets_from_file(self, tmp_path, capsys):
         text = instance_text("lamplighter") + "radius: 3\nmax-size: 50\n"
         path = write_instance(tmp_path, "lamp-budget", text)
@@ -222,9 +242,10 @@ def test_decide_all_bundled_instances(tmp_path, capsys):
         assert json.loads(capsys.readouterr().out)["answer"] == answer
 
 
-# `wricc verify --json --seed 42` on the four instances whose run is quick,
-# recorded before the wreath arithmetic was rewritten: the records must not
-# change by a byte.
+# `wricc verify --json --seed 42` on all eight shipped instances: the
+# records must not change by a byte.  The first four were recorded before
+# the wreath arithmetic was rewritten, the last four before the class
+# enumerations were merged into one breadth-first closure.
 PINNED_VERIFY_RECORDS = {
     "trivial-omega": (
         '{"answer": "no", "checks": ["PASS finite-certificate: size 1; ok", "PASS oracle-containment: oracle exact-finite-under-gens count 1 within certificate"], "command": "verify", "instance_hash": "3db49deb7ef5", "result": "PASS", "samples": 500, "seed": 42}'
@@ -237,6 +258,18 @@ PINNED_VERIFY_RECORDS = {
     ),
     "mixed-union": (
         '{"answer": "no", "checks": ["PASS finite-certificate: size 7; ok", "PASS oracle-containment: oracle exact-finite-under-gens count 3 within certificate"], "command": "verify", "instance_hash": "bdca7cf4935d", "result": "PASS", "samples": 500, "seed": 42}'
+    ),
+    "s3-wr-s3": (
+        '{"answer": "no", "checks": ["PASS finite-certificate: size 63; ok", "PASS oracle-containment: oracle exact-finite-under-gens count 9 within certificate"], "command": "verify", "instance_hash": "42ff38fc4b91", "result": "PASS", "samples": 500, "seed": 42}'
+    ),
+    "lamplighter": (
+        '{"answer": "yes", "checks": ["PASS infinite-family[0]: lambda-translation on {-13:1, -5:1}@-18; ok", "PASS oracle-growth[0]: 490 distinct conjugates within radius 8", "PASS infinite-family[1]: lambda-translation on {}@-15; ok", "PASS oracle-growth[1]: 10000 distinct conjugates within radius 32", "PASS infinite-family[2]: lambda-translation on {}@-6; ok", "PASS oracle-growth[2]: 10000 distinct conjugates within radius 32", "PASS infinite-family[3]: lambda-translation on {-6:1, 18:1}@17; ok", "PASS oracle-growth[3]: 490 distinct conjugates within radius 8", "PASS infinite-family[4]: lambda-translation on {-20:1}@1; ok", "PASS oracle-growth[4]: 490 distinct conjugates within radius 8"], "command": "verify", "instance_hash": "ebe001051010", "result": "PASS", "samples": 500, "seed": 42}'
+    ),
+    "f2-wr-z2": (
+        '{"answer": "yes", "checks": ["PASS infinite-family[0]: value-conjugation on {0:b^-1*a^2*b^-2}@0; ok", "PASS oracle-growth[0]: 10000 distinct conjugates within radius 8", "PASS infinite-family[1]: g_d on {0:a^-1*b^3, 1:b}@1; ok", "PASS oracle-growth[1]: 10000 distinct conjugates within radius 8", "PASS infinite-family[2]: g_d on {0:a*b^-2*a^-1*b^-1*a^-1, 1:a*b^-1}@1; ok", "PASS oracle-growth[2]: 10000 distinct conjugates within radius 8", "PASS infinite-family[3]: value-conjugation on {0:a*b^2*a, 1:b^-1*a^2*b*a^-2}@0; ok", "PASS oracle-growth[3]: 10000 distinct conjugates within radius 8", "PASS infinite-family[4]: g_d on {0:a^-2*b^-3, 1:b^2}@1; ok", "PASS oracle-growth[4]: 10000 distinct conjugates within radius 8"], "command": "verify", "instance_hash": "9c86736cd8db", "result": "PASS", "samples": 500, "seed": 42}'
+    ),
+    "mixed-union-icc-base": (
+        '{"answer": "yes", "checks": ["PASS infinite-family[0]: g_d on {(0; -19):a*b^-3*a, (0; 14):b*a^-1*b^-2}@-7; ok", "PASS oracle-growth[0]: 10000 distinct conjugates within radius 8", "PASS infinite-family[1]: g_d on {}@12; ok", "PASS oracle-growth[1]: 10000 distinct conjugates within radius 8", "PASS infinite-family[2]: g_d on {(0; 8):a*b^-2*a, (0; 15):b}@7; ok", "PASS oracle-growth[2]: 10000 distinct conjugates within radius 8", "PASS infinite-family[3]: g_d on {(1; 0):a}@-14; ok", "PASS oracle-growth[3]: 10000 distinct conjugates within radius 8", "PASS infinite-family[4]: g_d on {}@4; ok", "PASS oracle-growth[4]: 10000 distinct conjugates within radius 8"], "command": "verify", "instance_hash": "b4881c0ab799", "result": "PASS", "samples": 500, "seed": 42}'
     ),
 }
 

@@ -2,7 +2,17 @@ import random
 
 import pytest
 
-from wricc import PreconditionError, WreathElement, witness, decide_icc
+from wricc import (
+    EXACT_FINITE,
+    FiniteExplicitQSet,
+    PreconditionError,
+    SymmetricGroup,
+    WreathElement,
+    class_enum_bounded,
+    decide_icc,
+    orbit_bounded,
+    witness,
+)
 import wricc.oracle as oracle
 from wricc.oracle import (
     AT_LEAST,
@@ -37,6 +47,52 @@ class TestFiniteClasses:
             rep = enumerate_class(G, G.identity(), radius=5, max_size=10)
             assert rep.status == EXACT_FINITE_UNDER_GENS
             assert rep.elements == (G.identity(),)
+
+
+S3 = SymmetricGroup(3)
+
+
+def _class(max_size, radius=100):
+    return class_enum_bounded(S3, (1, 0, 2), radius, max_size)
+
+
+def _oracle(max_size, radius=100):
+    G = load_instance("z2-wr-s3").group
+    return enumerate_class(G, G.parse_element("{0:1}@[0,1,2]"), radius, max_size)
+
+
+def _orbit(max_size, radius=None):
+    assert radius is None  # an orbit has no round budget
+    return orbit_bounded(FiniteExplicitQSet.natural(S3), 0, max_size)
+
+
+@pytest.mark.parametrize(
+    "run, closed_status, has_radius",
+    [
+        (_class, EXACT_FINITE, True),
+        (_oracle, EXACT_FINITE_UNDER_GENS, True),
+        (_orbit, EXACT_FINITE, False),
+    ],
+    ids=["class_enum_bounded", "enumerate_class", "orbit_bounded"],
+)
+def test_one_budget_rule(run, closed_status, has_radius):
+    full = run(max_size=1000)
+    n = full.count
+    assert n == 3 and full.status == closed_status and full.stopped_by == "closed"
+    assert full.rounds_used >= 2  # the last round adds nothing
+    # a closure of exactly max_size elements is not known to be closed
+    cut = run(max_size=n)
+    assert (cut.status, cut.stopped_by, cut.count, cut.elements) == (
+        AT_LEAST, "max_size", n, None
+    )
+    assert run(max_size=n + 1) == full
+    if has_radius:
+        radius = full.rounds_used - 1
+        short = run(max_size=1000, radius=radius)
+        assert (short.status, short.stopped_by, short.rounds_used) == (
+            AT_LEAST, "radius", radius
+        )
+        assert short.elements is None
 
 
 class TestInfiniteClasses:

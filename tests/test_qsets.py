@@ -3,8 +3,8 @@ import random
 import pytest
 
 from wricc import (
-    ORBIT_EXACT,
-    ORBIT_EXCEEDS,
+    AT_LEAST,
+    EXACT_FINITE,
     CyclicGroup,
     DisjointUnionQSet,
     FiniteExplicitQSet,
@@ -76,23 +76,23 @@ def test_action_axioms_random(S):
 class TestOrbitBounded:
     def test_int_mod_exact(self):
         rep = orbit_bounded(MOD3, 0, 100)
-        assert rep.status == ORBIT_EXACT
-        assert rep.points == (0, 1, 2)
+        assert rep.status == EXACT_FINITE
+        assert rep.elements == (0, 1, 2)
 
     def test_regular_exceeds(self):
         rep = orbit_bounded(REG_Z, 0, 25)
-        assert rep.status == ORBIT_EXCEEDS
-        assert len(rep.points) == 25
+        assert rep.status == AT_LEAST and rep.stopped_by == "max_size"
+        assert rep.count == 25 and rep.elements is None
 
     def test_trivial_singleton(self):
         rep = orbit_bounded(TRIV, 0, 10)
-        assert rep.status == ORBIT_EXACT
-        assert rep.points == (0,)
+        assert rep.status == EXACT_FINITE
+        assert rep.elements == (0,)
 
     def test_natural_full(self):
         rep = orbit_bounded(NAT3, 1, 10)
-        assert rep.status == ORBIT_EXACT
-        assert rep.points == (0, 1, 2)
+        assert rep.status == EXACT_FINITE
+        assert rep.elements == (0, 1, 2)
 
 
 class TestStructuralOracles:

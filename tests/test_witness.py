@@ -8,6 +8,7 @@ from wricc import (
     FreeGroup,
     InfiniteFamilyCertificate,
     IntegersGroup,
+    IntModQSet,
     PreconditionError,
     RegularQSet,
     SymmetricGroup,
@@ -100,6 +101,13 @@ class TestFiniteOrbitCert:
         G = load_instance("mixed-union").group
         with pytest.raises(PreconditionError):
             cert_finite_orbit(G, orbit=((1, 0), (1, 1)))
+
+    def test_size_test_comes_before_closure_check(self):
+        # 30 points of a 40-point orbit, not closed: the 2^30 - 1 maps are
+        # over budget, which is known from |xi| and |O| alone
+        G = WreathProduct(CyclicGroup(2), Z, IntModQSet(Z, 40))
+        with pytest.raises(CertificateBudget):
+            cert_finite_orbit(G, xi={1}, orbit=tuple(range(30)))
 
     def test_rejects_xi_with_identity(self):
         G = load_instance("mixed-union").group
