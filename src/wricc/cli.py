@@ -5,18 +5,24 @@ Commands: decide, witness, class, verify.  Exit codes: 0 success/PASS,
 a certificate over its size budget.
 `--json` switches to line-delimited machine-readable records; the human
 format is derived from the same record.
+`verify` checks a finite certificate by exact closure under a generating
+set of G; on a Yes verdict it draws `--elements` elements with `--seed`
+and checks a prefix of each one's family and its class growth.  Every
+PASS rests on at least one check.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 
 from .decision import decide_icc
-from .errors import WriccError
+from .errors import PreconditionError, WriccError
+from .groups import AT_LEAST, EXACT_FINITE
 from .instances import InstanceSpec, parse_instance
-from .oracle import AT_LEAST, EXACT_FINITE_UNDER_GENS, class_lower_bound, enumerate_class
+from .oracle import class_lower_bound, enumerate_class
 from .tri import Tri
 from .witness import (
     FiniteClassCertificate,
@@ -63,6 +69,13 @@ def _verdict_fields(v) -> dict:
     }
 
 
+def _emit_unknown(command: str, spec: InstanceSpec, v, as_json: bool) -> int:
+    """No certificate exists for an Unknown verdict: report the verdict."""
+    record = {"command": command, "instance_hash": spec.instance_hash(), **_verdict_fields(v)}
+    _emit(record, as_json)
+    return EXIT_UNKNOWN
+
+
 def cmd_decide(args) -> int:
     spec = _load(args.instance)
     v = decide_icc(spec.group)
@@ -83,15 +96,7 @@ def cmd_witness(args) -> int:
     G = spec.group
     v = decide_icc(G)
     if v.answer is Tri.UNKNOWN:
-        _emit(
-            {
-                "command": "witness",
-                "instance_hash": spec.instance_hash(),
-                **_verdict_fields(v),
-            },
-            args.json,
-        )
-        return EXIT_UNKNOWN
+        return _emit_unknown("witness", spec, v, args.json)
     g = None
     if v.answer is Tri.YES:
         if args.element:
@@ -155,7 +160,6 @@ def cmd_class(args) -> int:
         "count": rep.count,
         "radius": radius,
         "max_size": max_size,
-        "window": [G.omega.format_point(y) for y in G.window],
     }
     if rep.elements is not None:
         record["elements"] = [G.format_element(e) for e in rep.elements[:20]]
@@ -166,11 +170,13 @@ def cmd_class(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # with no element drawn, a Yes verdict would PASS on no checks at all
+    if args.elements < 1:
+        raise PreconditionError("verify: --elements must be at least 1")
     spec = _load(args.instance)
     G = spec.group
     # a flag overrides the instance file, which overrides the default
     seed = args.seed if args.seed is not None else spec.budgets.get("seed", 0)
-    samples = args.samples if args.samples is not None else spec.budgets.get("samples", 500)
     checks = []
 
     def check(name, ok, detail=""):
@@ -178,24 +184,14 @@ def cmd_verify(args) -> int:
 
     v = decide_icc(G)
     if v.answer is Tri.UNKNOWN:
-        _emit(
-            {
-                "command": "verify",
-                "instance_hash": spec.instance_hash(),
-                **_verdict_fields(v),
-            },
-            args.json,
-        )
-        return EXIT_UNKNOWN
+        return _emit_unknown("verify", spec, v, args.json)
 
     if v.answer is Tri.NO:
         cert = witness(G, v)
-        res = verify_finite_certificate(
-            G, cert, sample_radius=3, sample_count=samples, seed=seed
-        )
+        res = verify_finite_certificate(G, cert)
         check("finite-certificate", res, f"size {len(cert.elements)}; {res.reason}")
         rep = enumerate_class(G, cert.base, 16, len(cert.elements) + 1)
-        contained = rep.status == EXACT_FINITE_UNDER_GENS and set(rep.elements) <= set(
+        contained = rep.status == EXACT_FINITE and set(rep.elements) <= set(
             cert.elements
         )
         check(
@@ -204,8 +200,6 @@ def cmd_verify(args) -> int:
             f"oracle {rep.status} count {rep.count} within certificate",
         )
     else:
-        import random
-
         rng = random.Random(seed)
         for i in range(args.elements):
             g = G.random_nontrivial_element(rng)
@@ -230,7 +224,6 @@ def cmd_verify(args) -> int:
         "instance_hash": spec.instance_hash(),
         "answer": str(v.answer),
         "seed": seed,
-        "samples": samples,
         "checks": [
             f"{'PASS' if ok else 'FAIL'} {name}: {detail}" for name, ok, detail in checks
         ],
@@ -272,9 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="full decide/certify/cross-check run")
     common(p)
     p.add_argument("--seed", type=int, default=None, help="random seed (default 0)")
-    p.add_argument(
-        "--samples", type=int, default=None, help="sampled conjugators (default 500)"
-    )
     p.add_argument("--elements", type=int, default=5, help="sampled elements (Yes verdicts)")
     p.add_argument("--prefix", type=int, default=100, help="verified family prefix")
     p.add_argument(

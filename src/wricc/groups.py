@@ -43,9 +43,9 @@ class ClassReport:
     """Result of a bounded closure: a conjugacy class or an orbit.
 
     `exact-finite` means a round added nothing, and `elements` holds the
-    closure, sorted.  For an infinite group that proves invariance only
-    under the subgroup the generators span.  `at-least` means the budget
-    ran out first: `count` elements were found and `elements` is None.
+    closure, sorted: the whole class or orbit, as the generators generate
+    the group.  `at-least` means the budget ran out first: `count`
+    elements were found and `elements` is None.
     `stopped_by` says why the closure ended: "closed", "radius" (the round
     budget ran out) or "max_size" (the size budget filled)."""
 

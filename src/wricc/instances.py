@@ -93,16 +93,12 @@ def parse_omega(text: str, Q: Group) -> QSet:
     raise ParseError(f"unknown carrier kind {name!r}")
 
 
-def build_wreath(D: Group, Q: Group, omega_text: str, window_text: str | None = None) -> WreathProduct:
+def build_wreath(D: Group, Q: Group, omega_text: str) -> WreathProduct:
     if Q.kind.startswith("wreath"):
         raise UnsupportedQKind("wreath products cannot act (no FC oracle for them)")
     if D.is_trivial:
         raise TrivialD("D must be nontrivial")
-    omega = parse_omega(omega_text, Q)
-    window = None
-    if window_text:
-        window = tuple(omega.parse_point(p) for p in split_top(window_text, ","))
-    return WreathProduct(D, Q, omega, window)
+    return WreathProduct(D, Q, parse_omega(omega_text, Q))
 
 
 @dataclass
@@ -111,24 +107,20 @@ class InstanceSpec:
     d_text: str
     q_text: str
     omega_text: str
-    window_text: str | None
     budgets: dict = field(default_factory=dict)
     source: str = ""
 
     def instance_hash(self) -> str:
+        # the empty last field stood for a key that no longer exists; it
+        # stays so that the hashes of existing records do not move
         canon = "|".join(
-            [
-                self.d_text.strip(),
-                self.q_text.strip(),
-                self.omega_text.strip(),
-                (self.window_text or "").strip(),
-            ]
+            [self.d_text.strip(), self.q_text.strip(), self.omega_text.strip(), ""]
         )
         return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
 # a tuple, so that budgets are read in a fixed order
-_BUDGET_KEYS = ("radius", "max_size", "samples", "seed")
+_BUDGET_KEYS = ("radius", "max_size", "seed")
 
 
 def parse_instance(text: str) -> InstanceSpec:
@@ -157,20 +149,19 @@ def parse_instance(text: str) -> InstanceSpec:
     for required in ("d", "q", "omega"):
         if required not in fields:
             raise ParseError(f"missing required key {required!r}")
-    known = {"d", "q", "omega", "window", *_BUDGET_KEYS}
+    known = {"d", "q", "omega", *_BUDGET_KEYS}
     for key in fields:
         if key not in known:
             raise ParseError(f"unknown key {key!r}")
     Q = parse_group(fields["q"])
     D = parse_group(fields["d"])
-    group = build_wreath(D, Q, fields["omega"], fields.get("window"))
+    group = build_wreath(D, Q, fields["omega"])
     budgets = {key: _int_arg(key, fields[key]) for key in _BUDGET_KEYS if key in fields}
     return InstanceSpec(
         group=group,
         d_text=fields["d"],
         q_text=fields["q"],
         omega_text=fields["omega"],
-        window_text=fields.get("window"),
         budgets=budgets,
         source=source,
     )

@@ -2,27 +2,24 @@
 
 Cross-checks verdicts and certificates: closure of {g} under conjugation
 by the group's generators, organized in rounds, reported as a
-`ClassReport`.  Every member is re-derived from the chain of moves that
-first reached it: the product of those moves is a conjugator h with
-g^h = member.  Every member of an exact report is re-verified against
-its conjugator; truncated runs re-verify a deterministic subsample (all
-of the first _VERIFY_ALL found, then every _VERIFY_STRIDE-th) to keep
-large enumerations affordable.  The closed status reads
-`exact-finite-under-gens`: the closure is only under the listed
-generators.
-`class_lower_bound` escalates the round budget for slowly growing classes;
-`wricc verify` and the acceptance suite both check growth through it.
+`ClassReport`.  The generators generate G, so a closed report
+(`exact-finite`) is the whole conjugacy class.  Every member is
+re-derived from the chain of moves that first reached it: the product of
+those moves is a conjugator h with g^h = member.  Every member of an
+exact report is re-verified against its conjugator; truncated runs
+re-verify a deterministic subsample (all of the first _VERIFY_ALL found,
+then every _VERIFY_STRIDE-th) to keep large enumerations affordable.
+`class_lower_bound` asks whether a class has more than `target` members:
+it stops each enumeration at `target + 1` conjugates and escalates the
+round budget for slowly growing classes.  `wricc verify` and the
+acceptance suite both check growth through it.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .errors import PreconditionError, WriccError
-from .groups import AT_LEAST, EXACT_FINITE, ClassReport, class_closure
+from .groups import AT_LEAST, ClassReport, class_closure
 from .wreath import WreathElement, WreathProduct
-
-EXACT_FINITE_UNDER_GENS = "exact-finite-under-gens"
 
 _VERIFY_ALL = 256
 _VERIFY_STRIDE = 64
@@ -48,33 +45,30 @@ def enumerate_class(
         if rep.stopped_by == "closed" or n <= _VERIFY_ALL or n % _VERIFY_STRIDE == 0:
             if G.conjugate(g, h) != y:
                 raise WriccError("oracle bookkeeping error: bad conjugator")
-    if rep.status == EXACT_FINITE:
-        return replace(rep, status=EXACT_FINITE_UNDER_GENS)
     return rep
 
 
 def class_lower_bound(
-    G: WreathProduct,
-    g: WreathElement,
-    target: int,
-    radius: int = 8,
-    max_size: int = 10000,
+    G: WreathProduct, g: WreathElement, target: int, radius: int = 8
 ) -> tuple[ClassReport, int]:
     """Count distinct verified conjugates of g, escalating the round budget
     while the class grows too slowly to reach `target`.
 
-    Starts at `radius` and multiplies it by 4, capped at 512 rounds, until
-    the report reaches `target`, closes (`exact-finite-under-gens`), or the
-    cap has been tried.  Slow growth is expected: on the lamplighter,
-    conjugating a pure translation {}@k by (psi, m) gives
-    (lambda_{-m}((1 + t^k) psi), k), so its conjugates by words of length
-    <= 8 are only 129.
+    Each enumeration stops at `target + 1` conjugates, the least budget
+    that answers "more than `target`?".  Starts at `radius` and multiplies
+    it by 4, capped at 512 rounds, until the report reaches `target`,
+    closes (`exact-finite`), or the cap has been tried.  Slow growth is
+    expected: on the lamplighter, conjugating a pure translation {}@k by
+    (psi, m) gives (lambda_{-m}((1 + t^k) psi), k), so its conjugates by
+    words of length <= 8 are only 129.
     Returns the last report and the round budget it was run with.
     """
+    if target < 1:
+        raise PreconditionError("class_lower_bound: target must be at least 1")
     if radius > _MAX_RADIUS:
         raise PreconditionError(f"class_lower_bound: radius exceeds {_MAX_RADIUS}")
-    rep = enumerate_class(G, g, radius, max_size)
+    rep = enumerate_class(G, g, radius, target + 1)
     while rep.status == AT_LEAST and rep.count < target and radius < _MAX_RADIUS:
         radius = min(radius * _ESCALATION_FACTOR, _MAX_RADIUS)
-        rep = enumerate_class(G, g, radius, max_size)
+        rep = enumerate_class(G, g, radius, target + 1)
     return rep, radius

@@ -1,11 +1,11 @@
 """Countable Q-sets with action evaluation and the structural oracles the
 wreath-product icc criterion consumes.
 
-Orbit infinitude, action freeness and the kernel are answered per carrier
-kind by a structural rule, never by search; `kernel_meets_fc` is derived
-from the kernel description once for all kinds.  Bounded search
-(orbit_bounded, a `ClassReport` from the shared breadth-first closure)
-only produces evidence, not verdicts.
+Orbit infinitude, action freeness, the kernel and one representative of
+each orbit are answered per carrier kind by a structural rule, never by
+search; `kernel_meets_fc` is derived from the kernel description once for
+all kinds.  Bounded search (orbit_bounded, a `ClassReport` from the shared
+breadth-first closure) only produces evidence, not verdicts.
 """
 
 from __future__ import annotations
@@ -121,7 +121,9 @@ class QSet(ABC):
         return self.carrier_kind
 
     @abstractmethod
-    def default_window_point(self):
+    def orbit_representatives(self) -> tuple:
+        """One point of each orbit, in a fixed order.  Every carrier of the
+        catalog has finitely many orbits."""
         ...
 
     @abstractmethod
@@ -199,8 +201,8 @@ class RegularQSet(QSet):
     def descriptor(self):
         return ("regular", self.Q.descriptor())
 
-    def default_window_point(self):
-        return self.Q.identity()
+    def orbit_representatives(self):
+        return (self.Q.identity(),)
 
     def random_point(self, rng):
         return self.Q.random_element(rng)
@@ -238,9 +240,6 @@ class _IntPointQSet(QSet):
     def orbit_infinite(self, x):
         return Tri.NO
 
-    def default_window_point(self):
-        return 0
-
     def random_point(self, rng):
         return rng.randrange(self.size)
 
@@ -276,6 +275,9 @@ class IntModQSet(_IntPointQSet):
     def finite_orbit_example(self):
         return tuple(range(self.size))
 
+    def orbit_representatives(self):
+        return (0,)
+
     def kernel_description(self):
         return ("nZ", self.size)
 
@@ -306,6 +308,9 @@ class TrivialQSet(_IntPointQSet):
 
     def finite_orbit_example(self):
         return (0,)
+
+    def orbit_representatives(self):
+        return tuple(range(self.size))
 
     def kernel_description(self):
         return ("full",)
@@ -354,7 +359,21 @@ class FiniteExplicitQSet(_IntPointQSet):
                 perms[es] = tuple(perms[e][j] for j in table)
         if len(perms) != Q.order():
             raise PreconditionError("finite-explicit: generators do not generate Q")
+        # the BFS only used its tree edges; the tables define an action only
+        # if act(e*s, i) = act(e, act(s, i)) along every edge.  Q built every
+        # e and s itself, so the product skips validation
+        for e, p in perms.items():
+            for s, table in self._gen_action.items():
+                if perms[Q._multiply(e, s)] != tuple(p[j] for j in table):
+                    raise PreconditionError("finite-explicit: the tables do not define an action")
         self._perms = perms
+        # perms holds every element of Q, so x's orbit is {p[x] : p in perms}
+        reps, seen = [], set()
+        for x in range(size):
+            if x not in seen:
+                reps.append(x)
+                seen.update(p[x] for p in perms.values())
+        self._orbit_reps = tuple(reps)
 
     @classmethod
     def natural(cls, Q: SymmetricGroup):
@@ -372,6 +391,9 @@ class FiniteExplicitQSet(_IntPointQSet):
 
     def finite_orbit_example(self):
         return orbit_bounded(self, 0, self.size + 1).elements
+
+    def orbit_representatives(self):
+        return self._orbit_reps
 
     def kernel_description(self):
         ident = tuple(range(self.size))
@@ -512,8 +534,10 @@ class DisjointUnionQSet(QSet):
     def descriptor(self):
         return ("union", tuple(p.descriptor() for p in self.parts))
 
-    def default_window_point(self):
-        return (0, self.parts[0].default_window_point())
+    def orbit_representatives(self):
+        return tuple(
+            (i, p) for i, part in enumerate(self.parts) for p in part.orbit_representatives()
+        )
 
     def random_point(self, rng):
         i = rng.randrange(len(self.parts))

@@ -1,6 +1,7 @@
 """Exact arithmetic in the restricted wreath product of a base group over a
 Q-set: finitely supported maps, the coordinate-permuting action, products,
-inverses, conjugation, and single-point generators.
+inverses, conjugation, and a generating set: zeta_d at one point of each
+orbit for every generator d of D, then the generators of Q.
 
 A finitely supported map is stored canonically as a tuple of (point, value)
 pairs sorted by the carrier's point order, never containing an identity
@@ -40,17 +41,12 @@ class WreathProduct(Group):
 
     kind = "wreath"
 
-    def __init__(self, D: Group, Q: Group, omega: QSet, window: tuple | None = None):
+    def __init__(self, D: Group, Q: Group, omega: QSet):
         if omega.Q != Q:
             raise PreconditionError("omega must be a Q-set for the given Q")
         self.D = D
         self.Q = Q
         self.omega = omega
-        if window is None:
-            window = (omega.default_window_point(),)
-        for y in window:
-            omega.validate_point(y)
-        self.window = tuple(window)
         self.kind = f"wreath({D.kind}; {Q.kind}; {omega.carrier_kind})"
         self._e = D.identity()
         point_key = omega.point_key
@@ -173,9 +169,14 @@ class WreathProduct(Group):
 
     @property
     def generators(self):
+        """zeta(d, y) at each orbit representative y, for each generator d
+        of D, then Q's generators.  They generate G: a map is a product of
+        maps zeta(d, x) with d a generator, and of their inverses; and for
+        x = q.y, zeta(d, x) = (eps, q) zeta(d, y) (eps, q)^-1, with (eps, q)
+        a word in Q's generators."""
         gens = [
             WreathElement(self.zeta(d, y), self.Q.identity())
-            for y in self.window
+            for y in self.omega.orbit_representatives()
             for d in self.D.generators
         ]
         gens += [WreathElement((), s) for s in self.Q.generators]
@@ -196,21 +197,24 @@ class WreathProduct(Group):
         return self.D.order() ** npts * self.Q.order()
 
     def elements(self):
+        """In sort_key order: the maps sorted, and for each map the acting
+        parts in the order Q yields them."""
         if not self.is_finite:
             raise Unsupported("cannot enumerate an infinite wreath product")
         pts = sorted(self.omega.points(), key=self.omega.point_key)
         delems = list(self.D.elements())
-        for q in self.Q.elements():
-            for values in itertools.product(delems, repeat=len(pts)):
-                yield WreathElement(self._canon(zip(pts, values)), q)
+        values = itertools.product(delems, repeat=len(pts))
+        maps = sorted((self._canon(zip(pts, v)) for v in values), key=self._map_key)
+        qelems = list(self.Q.elements())
+        for phi in maps:
+            for q in qelems:
+                yield WreathElement(phi, q)
+
+    def _map_key(self, phi: tuple):
+        return tuple((self.omega.point_key(y), self.D.sort_key(d)) for y, d in phi)
 
     def sort_key(self, x: WreathElement):
-        return (
-            tuple(
-                (self.omega.point_key(y), self.D.sort_key(d)) for y, d in x.phi
-            ),
-            self.Q.sort_key(x.q),
-        )
+        return (self._map_key(x.phi), self.Q.sort_key(x.q))
 
     def descriptor(self):
         return (
@@ -218,7 +222,6 @@ class WreathProduct(Group):
             self.D.descriptor(),
             self.Q.descriptor(),
             self.omega.descriptor(),
-            tuple(self.omega.point_key(y) for y in self.window),
         )
 
     def describe(self):

@@ -82,3 +82,10 @@ def z2_wr_s3():
 @pytest.fixture
 def mixed_union_icc():
     return load_instance("mixed-union-icc-base").group
+
+
+@pytest.fixture
+def s3_union():
+    """Two orbits with a nonabelian base: a set of maps on the Z/3 part can
+    be invariant under Q and under zeta_d on the regular part alone."""
+    return parse_instance("{D: symmetric 3; Q: integers; omega: union(regular, int-mod 3)}").group

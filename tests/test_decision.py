@@ -158,8 +158,8 @@ class _OpaqueQSet(QSet):
     def descriptor(self):
         return ("opaque",)
 
-    def default_window_point(self):
-        return 0
+    def orbit_representatives(self):
+        return (0,)
 
     def random_point(self, rng):
         return rng.randrange(-5, 6)

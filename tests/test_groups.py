@@ -17,6 +17,8 @@ from wricc import (
     class_enum_bounded,
 )
 
+from conftest import load_instance
+
 Z = IntegersGroup()
 Z2 = CyclicGroup(2)
 Z3 = CyclicGroup(3)
@@ -221,6 +223,8 @@ FINITE_GROUPS = [
     SymmetricGroup(4),
     DirectProductGroup((Z2, S3)),
     DirectProductGroup((S3, DirectProductGroup((Z3, Z2)))),
+    load_instance("z2-wr-s3").group,
+    load_instance("s3-wr-s3").group,
 ]
 
 

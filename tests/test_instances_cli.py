@@ -76,6 +76,15 @@ class TestParseInstance:
         assert main(["class", "-i", path, "-g", "{0:1}@0"]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error [parse-error]: ")
 
+    # the generators cover every orbit and the finite check is exact, so
+    # no instance chooses a window of points or a sample count
+    @pytest.mark.parametrize("key", ["window: 0", "samples: 3"])
+    def test_removed_keys_rejected(self, tmp_path, capsys, key):
+        path = write_instance(tmp_path, "old-key", instance_text("lamplighter") + key + "\n")
+        assert main(["decide", "-i", path]) == EXIT_USAGE
+        name = key.split(":")[0]
+        assert capsys.readouterr().err == f"error [parse-error]: unknown key {name!r}\n"
+
     def test_hash_is_stable(self):
         a = parse_instance(instance_text("lamplighter")).instance_hash()
         b = parse_instance(instance_text("lamplighter")).instance_hash()
@@ -162,7 +171,7 @@ class TestClassCommand:
         code = main(["class", "--json", "-i", path, "-g", "{}@[0,1,2]"])
         assert code == EXIT_OK
         rec = json.loads(capsys.readouterr().out)
-        assert rec["status"] == "exact-finite-under-gens"
+        assert rec["status"] == "exact-finite"
         assert rec["count"] == 1
 
     @pytest.mark.parametrize("flag", ["--radius", "--max-size"])
@@ -186,7 +195,7 @@ class TestClassCommand:
 class TestVerifyCommand:
     def test_finite_instance_pass(self, tmp_path, capsys):
         path = write_instance(tmp_path, "z2-wr-s3")
-        code = main(["verify", "--json", "-i", path, "--seed", "42", "--samples", "200"])
+        code = main(["verify", "--json", "-i", path, "--seed", "42"])
         assert code == EXIT_OK
         rec = json.loads(capsys.readouterr().out)
         assert rec["result"] == "PASS"
@@ -215,15 +224,37 @@ class TestVerifyCommand:
         assert checks[3].endswith("distinct conjugates within radius 32")
 
     def test_seed_and_samples_from_file(self, tmp_path, capsys):
-        text = instance_text("lamplighter") + "samples: 3\nseed: 7\n"
+        text = instance_text("lamplighter") + "seed: 7\n"
         path = write_instance(tmp_path, "lamp-seeded", text)
         quick = ["--elements", "1", "--prefix", "10", "--oracle-target", "50"]
         assert main(["verify", "--json", "-i", path, *quick]) == EXIT_OK
-        assert '"samples": 3, "seed": 7' in capsys.readouterr().out
-        # flags override the file
-        argv = ["verify", "--json", "-i", path, "--seed", "0", "--samples", "9", *quick]
-        assert main(argv) == EXIT_OK
-        assert '"samples": 9, "seed": 0' in capsys.readouterr().out
+        rec = json.loads(capsys.readouterr().out)
+        assert rec["seed"] == 7 and "samples" not in rec
+        # the flag overrides the file
+        assert main(["verify", "--json", "-i", path, "--seed", "0", *quick]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["seed"] == 0
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--elements", "0"), ("--elements", "-3"),
+                        ("--oracle-target", "0"), ("--oracle-target", "-5")],
+    )
+    def test_no_pass_without_evidence(self, tmp_path, capsys, flag, value):
+        path = write_instance(tmp_path, "lamplighter")
+        assert main(["verify", "--json", "-i", path, flag, value]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error [precondition]: ")
+
+    def test_icc_multi_orbit_seed(self, tmp_path, capsys):
+        # the 4th and 5th elements drawn with this seed have their only
+        # value on the int-mod part; with zeta_d on the regular part alone,
+        # the oracle closed their classes at 3 conjugates and failed
+        path = write_instance(tmp_path, "mixed-union-icc-base")
+        assert main(["verify", "--json", "-i", path, "--seed", "1945598122"]) == EXIT_OK
+        rec = json.loads(capsys.readouterr().out)
+        assert rec["result"] == "PASS" and len(rec["checks"]) == 10
+        assert "on {(1; 0):a^-2*b^-1*a*b^-1}@0;" in rec["checks"][6]
+        assert rec["checks"][7] == "PASS oracle-growth[3]: 201 distinct conjugates within radius 8"
 
     def test_deterministic_for_seed(self, tmp_path, capsys):
         path = write_instance(tmp_path, "mixed-union")
@@ -243,33 +274,34 @@ def test_decide_all_bundled_instances(tmp_path, capsys):
 
 
 # `wricc verify --json --seed 42` on all eight shipped instances: the
-# records must not change by a byte.  The first four were recorded before
-# the wreath arithmetic was rewritten, the last four before the class
-# enumerations were merged into one breadth-first closure.
+# records must not change by a byte.  They were re-pinned when the
+# generators came to span G: the finite check became exact (no "samples"
+# field), the oracle's closed status became plain `exact-finite`, and the
+# growth check stops at the target, 200, plus one.
 PINNED_VERIFY_RECORDS = {
     "trivial-omega": (
-        '{"answer": "no", "checks": ["PASS finite-certificate: size 1; ok", "PASS oracle-containment: oracle exact-finite-under-gens count 1 within certificate"], "command": "verify", "instance_hash": "3db49deb7ef5", "result": "PASS", "samples": 500, "seed": 42}'
+        '{"answer": "no", "checks": ["PASS finite-certificate: size 1; ok", "PASS oracle-containment: oracle exact-finite count 1 within certificate"], "command": "verify", "instance_hash": "3db49deb7ef5", "result": "PASS", "seed": 42}'
     ),
     "intmod-cond-i": (
-        '{"answer": "no", "checks": ["PASS finite-certificate: size 1; ok", "PASS oracle-containment: oracle exact-finite-under-gens count 1 within certificate"], "command": "verify", "instance_hash": "115d3c8701e0", "result": "PASS", "samples": 500, "seed": 42}'
+        '{"answer": "no", "checks": ["PASS finite-certificate: size 1; ok", "PASS oracle-containment: oracle exact-finite count 1 within certificate"], "command": "verify", "instance_hash": "115d3c8701e0", "result": "PASS", "seed": 42}'
     ),
     "z2-wr-s3": (
-        '{"answer": "no", "checks": ["PASS finite-certificate: size 7; ok", "PASS oracle-containment: oracle exact-finite-under-gens count 3 within certificate"], "command": "verify", "instance_hash": "84e95be3335d", "result": "PASS", "samples": 500, "seed": 42}'
+        '{"answer": "no", "checks": ["PASS finite-certificate: size 7; ok", "PASS oracle-containment: oracle exact-finite count 3 within certificate"], "command": "verify", "instance_hash": "84e95be3335d", "result": "PASS", "seed": 42}'
     ),
     "mixed-union": (
-        '{"answer": "no", "checks": ["PASS finite-certificate: size 7; ok", "PASS oracle-containment: oracle exact-finite-under-gens count 3 within certificate"], "command": "verify", "instance_hash": "bdca7cf4935d", "result": "PASS", "samples": 500, "seed": 42}'
+        '{"answer": "no", "checks": ["PASS finite-certificate: size 7; ok", "PASS oracle-containment: oracle exact-finite count 3 within certificate"], "command": "verify", "instance_hash": "bdca7cf4935d", "result": "PASS", "seed": 42}'
     ),
     "s3-wr-s3": (
-        '{"answer": "no", "checks": ["PASS finite-certificate: size 63; ok", "PASS oracle-containment: oracle exact-finite-under-gens count 9 within certificate"], "command": "verify", "instance_hash": "42ff38fc4b91", "result": "PASS", "samples": 500, "seed": 42}'
+        '{"answer": "no", "checks": ["PASS finite-certificate: size 63; ok", "PASS oracle-containment: oracle exact-finite count 9 within certificate"], "command": "verify", "instance_hash": "42ff38fc4b91", "result": "PASS", "seed": 42}'
     ),
     "lamplighter": (
-        '{"answer": "yes", "checks": ["PASS infinite-family[0]: lambda-translation on {-13:1, -5:1}@-18; ok", "PASS oracle-growth[0]: 490 distinct conjugates within radius 8", "PASS infinite-family[1]: lambda-translation on {}@-15; ok", "PASS oracle-growth[1]: 10000 distinct conjugates within radius 32", "PASS infinite-family[2]: lambda-translation on {}@-6; ok", "PASS oracle-growth[2]: 10000 distinct conjugates within radius 32", "PASS infinite-family[3]: lambda-translation on {-6:1, 18:1}@17; ok", "PASS oracle-growth[3]: 490 distinct conjugates within radius 8", "PASS infinite-family[4]: lambda-translation on {-20:1}@1; ok", "PASS oracle-growth[4]: 490 distinct conjugates within radius 8"], "command": "verify", "instance_hash": "ebe001051010", "result": "PASS", "samples": 500, "seed": 42}'
+        '{"answer": "yes", "checks": ["PASS infinite-family[0]: lambda-translation on {-13:1, -5:1}@-18; ok", "PASS oracle-growth[0]: 201 distinct conjugates within radius 8", "PASS infinite-family[1]: lambda-translation on {}@-15; ok", "PASS oracle-growth[1]: 201 distinct conjugates within radius 32", "PASS infinite-family[2]: lambda-translation on {}@-6; ok", "PASS oracle-growth[2]: 201 distinct conjugates within radius 32", "PASS infinite-family[3]: lambda-translation on {-6:1, 18:1}@17; ok", "PASS oracle-growth[3]: 201 distinct conjugates within radius 8", "PASS infinite-family[4]: lambda-translation on {-20:1}@1; ok", "PASS oracle-growth[4]: 201 distinct conjugates within radius 8"], "command": "verify", "instance_hash": "ebe001051010", "result": "PASS", "seed": 42}'
     ),
     "f2-wr-z2": (
-        '{"answer": "yes", "checks": ["PASS infinite-family[0]: value-conjugation on {0:b^-1*a^2*b^-2}@0; ok", "PASS oracle-growth[0]: 10000 distinct conjugates within radius 8", "PASS infinite-family[1]: g_d on {0:a^-1*b^3, 1:b}@1; ok", "PASS oracle-growth[1]: 10000 distinct conjugates within radius 8", "PASS infinite-family[2]: g_d on {0:a*b^-2*a^-1*b^-1*a^-1, 1:a*b^-1}@1; ok", "PASS oracle-growth[2]: 10000 distinct conjugates within radius 8", "PASS infinite-family[3]: value-conjugation on {0:a*b^2*a, 1:b^-1*a^2*b*a^-2}@0; ok", "PASS oracle-growth[3]: 10000 distinct conjugates within radius 8", "PASS infinite-family[4]: g_d on {0:a^-2*b^-3, 1:b^2}@1; ok", "PASS oracle-growth[4]: 10000 distinct conjugates within radius 8"], "command": "verify", "instance_hash": "9c86736cd8db", "result": "PASS", "samples": 500, "seed": 42}'
+        '{"answer": "yes", "checks": ["PASS infinite-family[0]: value-conjugation on {0:b^-1*a^2*b^-2}@0; ok", "PASS oracle-growth[0]: 201 distinct conjugates within radius 8", "PASS infinite-family[1]: g_d on {0:a^-1*b^3, 1:b}@1; ok", "PASS oracle-growth[1]: 201 distinct conjugates within radius 8", "PASS infinite-family[2]: g_d on {0:a*b^-2*a^-1*b^-1*a^-1, 1:a*b^-1}@1; ok", "PASS oracle-growth[2]: 201 distinct conjugates within radius 8", "PASS infinite-family[3]: value-conjugation on {0:a*b^2*a, 1:b^-1*a^2*b*a^-2}@0; ok", "PASS oracle-growth[3]: 201 distinct conjugates within radius 8", "PASS infinite-family[4]: g_d on {0:a^-2*b^-3, 1:b^2}@1; ok", "PASS oracle-growth[4]: 201 distinct conjugates within radius 8"], "command": "verify", "instance_hash": "9c86736cd8db", "result": "PASS", "seed": 42}'
     ),
     "mixed-union-icc-base": (
-        '{"answer": "yes", "checks": ["PASS infinite-family[0]: g_d on {(0; -19):a*b^-3*a, (0; 14):b*a^-1*b^-2}@-7; ok", "PASS oracle-growth[0]: 10000 distinct conjugates within radius 8", "PASS infinite-family[1]: g_d on {}@12; ok", "PASS oracle-growth[1]: 10000 distinct conjugates within radius 8", "PASS infinite-family[2]: g_d on {(0; 8):a*b^-2*a, (0; 15):b}@7; ok", "PASS oracle-growth[2]: 10000 distinct conjugates within radius 8", "PASS infinite-family[3]: g_d on {(1; 0):a}@-14; ok", "PASS oracle-growth[3]: 10000 distinct conjugates within radius 8", "PASS infinite-family[4]: g_d on {}@4; ok", "PASS oracle-growth[4]: 10000 distinct conjugates within radius 8"], "command": "verify", "instance_hash": "b4881c0ab799", "result": "PASS", "samples": 500, "seed": 42}'
+        '{"answer": "yes", "checks": ["PASS infinite-family[0]: g_d on {(0; -19):a*b^-3*a, (0; 14):b*a^-1*b^-2}@-7; ok", "PASS oracle-growth[0]: 201 distinct conjugates within radius 8", "PASS infinite-family[1]: g_d on {}@12; ok", "PASS oracle-growth[1]: 201 distinct conjugates within radius 8", "PASS infinite-family[2]: g_d on {(0; 8):a*b^-2*a, (0; 15):b}@7; ok", "PASS oracle-growth[2]: 201 distinct conjugates within radius 8", "PASS infinite-family[3]: g_d on {(1; 0):a}@-14; ok", "PASS oracle-growth[3]: 201 distinct conjugates within radius 8", "PASS infinite-family[4]: g_d on {}@4; ok", "PASS oracle-growth[4]: 201 distinct conjugates within radius 8"], "command": "verify", "instance_hash": "b4881c0ab799", "result": "PASS", "seed": 42}'
     ),
 }
 

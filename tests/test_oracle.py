@@ -4,6 +4,7 @@ import pytest
 
 from wricc import (
     EXACT_FINITE,
+    ClassReport,
     FiniteExplicitQSet,
     PreconditionError,
     SymmetricGroup,
@@ -14,12 +15,8 @@ from wricc import (
     witness,
 )
 import wricc.oracle as oracle
-from wricc.oracle import (
-    AT_LEAST,
-    EXACT_FINITE_UNDER_GENS,
-    class_lower_bound,
-    enumerate_class,
-)
+from wricc.groups import class_closure
+from wricc.oracle import AT_LEAST, class_lower_bound, enumerate_class
 
 from conftest import load_instance, word_ball
 
@@ -29,7 +26,7 @@ class TestFiniteClasses:
         G = z2_wr_s3
         for g in G.elements():
             rep = enumerate_class(G, g, radius=50, max_size=100)
-            assert rep.status == EXACT_FINITE_UNDER_GENS
+            assert rep.status == EXACT_FINITE
             assert G.order() % rep.count == 0
 
     def test_class_closed_under_random_conjugation(self, z2_wr_s3):
@@ -45,7 +42,7 @@ class TestFiniteClasses:
     def test_identity_class_is_singleton(self, z2_wr_s3, lamplighter):
         for G in (z2_wr_s3, lamplighter):
             rep = enumerate_class(G, G.identity(), radius=5, max_size=10)
-            assert rep.status == EXACT_FINITE_UNDER_GENS
+            assert rep.status == EXACT_FINITE
             assert rep.elements == (G.identity(),)
 
 
@@ -70,7 +67,7 @@ def _orbit(max_size, radius=None):
     "run, closed_status, has_radius",
     [
         (_class, EXACT_FINITE, True),
-        (_oracle, EXACT_FINITE_UNDER_GENS, True),
+        (_oracle, EXACT_FINITE, True),
         (_orbit, EXACT_FINITE, False),
     ],
     ids=["class_enum_bounded", "enumerate_class", "orbit_bounded"],
@@ -101,7 +98,7 @@ class TestInfiniteClasses:
         g = WreathElement(G.zeta(1, 0), 0)
         rep = enumerate_class(G, g, radius=6, max_size=1000)
         assert rep.status == AT_LEAST
-        assert rep.count >= 7  # at least the window translates show up
+        assert rep.count >= 7  # at least the translates of the lamp show up
         assert rep.elements is None
 
     def test_truncation_at_max_size(self, f2_wr_z2):
@@ -169,34 +166,87 @@ class TestClassLowerBound:
     def test_returns_at_first_budget_reaching_target(
         self, lamplighter, radii, literal, expected, count
     ):
+        # a full enumeration at the final radius finds `count` conjugates
+        # (10000 fills its budget); the bound stops at target + 1 of them
         G = lamplighter
-        rep, radius = class_lower_bound(G, G.parse_element(literal), 200)
+        g = G.parse_element(literal)
+        rep, radius = class_lower_bound(G, g, 200)
         assert radii == expected and radius == expected[-1]
-        assert rep.status == AT_LEAST and rep.count == count
+        assert (rep.status, rep.count, rep.stopped_by) == (AT_LEAST, 201, "max_size")
+        assert enumerate_class(G, g, radius, 10000).count == count
+
+    @pytest.mark.parametrize("target", [1, 50, 200])
+    def test_never_builds_more_than_target_plus_one(self, f2_wr_z2, monkeypatch, target):
+        built = []
+
+        def spy(G, g, radius, max_size):
+            bfs = class_closure(G, g, radius, max_size)
+            built.append(bfs)
+            return bfs
+
+        monkeypatch.setattr(oracle, "class_closure", spy)
+        G = f2_wr_z2
+        rep, radius = class_lower_bound(G, WreathElement(G.zeta((1,), 0), 1), target)
+        assert (rep.status, rep.count, rep.stopped_by, radius) == (
+            AT_LEAST, target + 1, "max_size", 8
+        )
+        assert built and all(len(bfs.reached) <= target + 1 for bfs in built)
+
+    @pytest.mark.parametrize("target", [0, -5])
+    def test_target_below_one_rejected(self, lamplighter, target):
+        with pytest.raises(PreconditionError):
+            class_lower_bound(lamplighter, lamplighter.parse_element("{0:1}@0"), target)
 
     def test_stops_on_exact_finite_class(self, z2_wr_s3, radii):
         G = z2_wr_s3
         g = G.random_nontrivial_element(random.Random(3))
         rep, radius = class_lower_bound(G, g, 200)
         assert radii == [8] and radius == 8
-        assert rep.status == EXACT_FINITE_UNDER_GENS and rep.count < 200
+        assert rep.status == EXACT_FINITE and rep.count < 200
         assert rep.stopped_by == "closed"
 
     @pytest.mark.parametrize(
         "start, expected", [(8, [8, 32, 128, 512]), (10, [10, 40, 160, 512])]
     )
-    def test_never_past_512_rounds(self, lamplighter, radii, start, expected):
-        # max_size below the target: the class can never reach it
+    def test_never_past_512_rounds(self, lamplighter, monkeypatch, start, expected):
+        # every enumeration reports an open class below the target, so the
+        # round budget escalates as far as it may
+        seen = []
+
+        def open_below_target(G, g, radius, max_size):
+            seen.append(radius)
+            return ClassReport(AT_LEAST, None, 50, radius, "radius")
+
+        monkeypatch.setattr(oracle, "enumerate_class", open_below_target)
         G = lamplighter
-        rep, radius = class_lower_bound(
-            G, G.parse_element("{}@1"), 100, radius=start, max_size=50
-        )
-        assert radii == expected and radius == 512
+        rep, radius = class_lower_bound(G, G.parse_element("{}@1"), 100, radius=start)
+        assert seen == expected and radius == 512
         assert rep.status == AT_LEAST and rep.count == 50
 
     def test_start_beyond_cap_rejected(self, lamplighter):
         with pytest.raises(PreconditionError):
             class_lower_bound(lamplighter, lamplighter.identity(), 200, radius=600)
+
+
+class TestMultiOrbitCarriers:
+    """The generators put zeta_d in every orbit, so a class is closed under
+    all of G, not under a subgroup."""
+
+    def test_icc_class_grows_on_the_finite_part(self, mixed_union_icc):
+        # acts by 0 with its only value on the int-mod part: with zeta_d on
+        # the regular part alone, this class closed at 3 conjugates
+        G = mixed_union_icc
+        g = G.parse_element("{(1; 0):a^-2*b^-1*a*b^-1}@0")
+        rep, radius = class_lower_bound(G, g, 200)
+        assert (rep.status, rep.count, radius) == (AT_LEAST, 201, 8)
+
+    def test_class_on_the_finite_part_is_exact(self, s3_union):
+        # the transposition at one point of Z/3 is conjugate to each of
+        # the 3 transpositions at each of the 3 points
+        G = s3_union
+        rep = enumerate_class(G, G.parse_element("{(1; 0):[1,0,2]}@0"), radius=30, max_size=100)
+        assert (rep.status, rep.count) == (EXACT_FINITE, 9)
+        assert {y for e in rep.elements for y, _ in e.phi} == {(1, 0), (1, 1), (1, 2)}
 
 
 class TestCrossChecks:
@@ -208,7 +258,7 @@ class TestCrossChecks:
         cert = witness(G, v)
         for g in sorted(cert.elements, key=G.sort_key)[:5]:
             rep = enumerate_class(G, g, radius=30, max_size=len(cert.elements) + 1)
-            assert rep.status == EXACT_FINITE_UNDER_GENS
+            assert rep.status == EXACT_FINITE
             assert set(rep.elements) <= cert.elements
 
     def test_family_members_meet_oracle(self, lamplighter):

@@ -13,6 +13,7 @@ from wricc import (
     IntModQSet,
     KindMismatch,
     PreconditionError,
+    QSet,
     RegularQSet,
     SymmetricGroup,
     Tri,
@@ -173,6 +174,41 @@ class TestFiniteExplicit:
     def test_infinite_q_rejected(self):
         with pytest.raises(PreconditionError):
             FiniteExplicitQSet(Z, 2, {1: (1, 0)})
+
+    def test_tables_that_are_not_an_action_rejected(self):
+        # each table is a permutation and the closure reaches all of S3, but
+        # the 3-cycle cannot act with order 2: act(ab, x) != act(a, act(b, x))
+        with pytest.raises(PreconditionError, match="do not define an action"):
+            FiniteExplicitQSet(S3, 2, {(1, 0, 2): (1, 0), (1, 2, 0): (1, 0)})
+
+
+# S3 on five points: naturally on {0, 1, 2}, through the sign on {3, 4}
+TWO_ORBITS = FiniteExplicitQSet(
+    S3, 5, {(1, 0, 2): (1, 0, 2, 4, 3), (1, 2, 0): (1, 2, 0, 3, 4)}, label="two-orbit"
+)
+
+
+@pytest.mark.parametrize(
+    "S, reps",
+    [
+        (REG_Z, (0,)),
+        (RegularQSet(S3), ((0, 1, 2),)),
+        (MOD3, (0,)),
+        (TrivialQSet(Z, 3), (0, 1, 2)),
+        (NAT3, (0,)),
+        (TWO_ORBITS, (0, 3)),
+        (UNION, ((0, 0), (1, 0))),
+        (DisjointUnionQSet((TrivialQSet(Z, 2), MOD3, REG_Z)), ((0, 0), (0, 1), (1, 0), (2, 0))),
+    ],
+    ids=lambda v: v.carrier_kind if isinstance(v, QSet) else repr(v),
+)
+def test_orbit_representatives(S, reps):
+    assert S.orbit_representatives() == reps
+    if S.is_finite_carrier:
+        # one point of each orbit: the orbits of the representatives
+        # partition the carrier
+        orbits = [set(orbit_bounded(S, y, 1000).elements) for y in reps]
+        assert sum(map(len, orbits)) == len(set().union(*orbits)) == len(list(S.points()))
 
 
 def _parity(perm):

@@ -5,6 +5,7 @@ import pytest
 from wricc import (
     CertificateBudget,
     CyclicGroup,
+    FiniteClassCertificate,
     FreeGroup,
     InfiniteFamilyCertificate,
     IntegersGroup,
@@ -124,7 +125,7 @@ class TestFiniteOrbitCert:
         outer = WreathProduct(z2_wr_s3, Z, TrivialQSet(Z, 1))
         cert = cert_finite_orbit(outer)
         assert len(cert.elements) == 7
-        assert verify_finite_certificate(outer, cert, sample_count=100)
+        assert verify_finite_certificate(outer, cert)
 
 
 class TestQTranslation:
@@ -226,7 +227,7 @@ class TestDispatcher:
         v = decide_icc(G)
         assert v.answer is Tri.NO
         cert = witness(G, v)
-        assert verify_finite_certificate(G, cert, sample_count=200)
+        assert verify_finite_certificate(G, cert)
 
     @pytest.mark.parametrize("name", ["lamplighter", "f2-wr-z2", "mixed-union-icc-base"])
     def test_yes_instances_get_verified_families(self, name):
@@ -305,6 +306,24 @@ class TestNegativeControls:
         res = verify_finite_certificate(G, bad)
         assert not res
         assert res.counterexample is not None or "missing" in res.reason
+
+    def test_set_invariant_only_under_a_subgroup_fails(self, s3_union):
+        # the 7 maps on the Z/3 part whose only value is [1,0,2]: closed
+        # under Q and under zeta_d on the regular part, not under zeta_d at
+        # a point of Z/3
+        G = s3_union
+        members = []
+        for mask in range(1, 8):
+            items = ", ".join(f"(1; {y}):[1,0,2]" for y in range(3) if mask >> y & 1)
+            members.append(G.parse_element("{" + items + "}@0"))
+        cert = FiniteClassCertificate(members[0], frozenset(members), "finite-orbit", "7")
+        res = verify_finite_certificate(G, cert)
+        assert not res
+        x, s, c = res.counterexample
+        assert x in cert.elements and c not in cert.elements
+        assert s in G.generators and G.conjugate(x, s) == c
+        assert s.phi and s.phi[0][0] == (1, 0)
+        assert G.format_element(s) in res.reason
 
     def test_identity_polluted_set_fails(self):
         G = load_instance("mixed-union").group

@@ -14,7 +14,7 @@ from wricc import (
     WreathProduct,
     support,
 )
-from wricc.instances import build_wreath, parse_group
+from wricc.instances import build_wreath, parse_group, parse_instance
 
 from conftest import CORPUS, EXTRA, load_instance
 
@@ -175,6 +175,14 @@ def test_generators_generate_small_ball(lamplighter):
     # the 2*3+1 pure translations
     assert len(seen) > 7
     assert WreathElement(((0, 1),), 1) in seen
+
+
+def test_generators_generate_finite_multi_orbit_group():
+    # two orbits, {0, 1, 2} and the fixed point: zeta_1 at one point of each
+    G = parse_instance("{D: cyclic 2; Q: symmetric 3; omega: union(natural, trivial 1)}").group
+    assert [s.phi for s in G.generators][:2] == [(((0, 0), 1),), (((1, 0), 1),)]
+    assert G.order() == 2**4 * 6
+    assert len(list(G.ball_stream())) == G.order()
 
 
 def test_element_literals_roundtrip(lamplighter, f2_wr_z2, z2_wr_s3):
