@@ -13,6 +13,9 @@ one-line justification.
 `Closure` is the one breadth-first search of the package: generator balls,
 conjugacy classes (`class_closure`), orbits and permutation tables all run
 through it, and a bounded closure is summed up by one `ClassReport`.
+
+Public arithmetic (`multiply`, `inverse`, `conjugate`) validates each
+operand once; `_multiply`, `_inverse` and `_conjugate` trust theirs.
 """
 
 from __future__ import annotations
@@ -150,7 +153,12 @@ class Group(ABC):
 
     def conjugate(self, x, y):
         """y^-1 x y in canonical form."""
-        return self.multiply(self.multiply(self.inverse(y), x), y)
+        self.validate(x)
+        self.validate(y)
+        return self._conjugate(x, y)
+
+    def _conjugate(self, x, y):
+        return self._multiply(self._multiply(self._inverse(y), x), y)
 
     @abstractmethod
     def validate(self, x) -> None:
@@ -219,7 +227,7 @@ class Group(ABC):
         for infinite groups, exhaustive for finite ones."""
         e = self.identity()
         yield e
-        for fresh in Closure(e, self.generators, self.inverse, self.multiply, self.sort_key):
+        for fresh in Closure(e, self.generators, self._inverse, self._multiply, self.sort_key):
             yield from fresh
 
     def first_nontrivial(self):
@@ -246,10 +254,10 @@ def class_closure(G: Group, x, radius=math.inf, max_size=math.inf) -> Closure:
     inverses, not yet run.  Each move is a pair (s, s^-1), and
     `reached[y] = (z, (s, s^-1))` says that y = s^-1 z s."""
     G.validate(x)
-    mul = G.multiply
+    mul = G._multiply
     return Closure(
         x,
-        [(s, G.inverse(s)) for s in G.generators],
+        [(s, G._inverse(s)) for s in G.generators],
         lambda move: (move[1], move[0]),
         lambda y, move: mul(mul(move[1], y), move[0]),
         G.sort_key,
@@ -605,7 +613,6 @@ class DirectProductGroup(Group):
     def identity(self):
         return tuple(f.identity() for f in self.factors)
 
-    # validate() has checked every component, so the factors skip it
     def _multiply(self, a, b):
         return tuple(f._multiply(x, y) for f, x, y in zip(self.factors, a, b))
 

@@ -6,6 +6,9 @@ each orbit are answered per carrier kind by a structural rule, never by
 search; `kernel_meets_fc` is derived from the kernel description once for
 all kinds.  Bounded search (orbit_bounded, a `ClassReport` from the shared
 breadth-first closure) only produces evidence, not verdicts.
+
+`QSet.act` validates the acting element and the point once, then runs the
+carrier's `_act`, which trusts both; each carrier implements only `_act`.
 """
 
 from __future__ import annotations
@@ -31,8 +34,13 @@ class QSet(ABC):
     Q: Group
     carrier_kind: str
 
-    @abstractmethod
     def act(self, q, x):
+        self.Q.validate(q)
+        self.validate_point(x)
+        return self._act(q, x)
+
+    @abstractmethod
+    def _act(self, q, x):
         ...
 
     @abstractmethod
@@ -146,7 +154,7 @@ def orbit_bounded(S: QSet, x, budget: int) -> ClassReport:
     S.validate_point(x)
     Q = S.Q
     return Closure(
-        x, Q.generators, Q.inverse, lambda p, s: S.act(s, p), S.point_key, max_size=budget
+        x, Q.generators, Q._inverse, lambda p, s: S._act(s, p), S.point_key, max_size=budget
     ).report()
 
 
@@ -157,9 +165,7 @@ class RegularQSet(QSet):
         self.Q = Q
         self.carrier_kind = f"regular over {Q.kind}"
 
-    def act(self, q, x):
-        self.Q.validate(q)
-        self.Q.validate(x)
+    def _act(self, q, x):
         return self.Q._multiply(q, x)
 
     def validate_point(self, x):
@@ -267,9 +273,7 @@ class IntModQSet(_IntPointQSet):
         self.size = n
         self.carrier_kind = f"int-mod({n})"
 
-    def act(self, q, x):
-        self.Q.validate(q)
-        self.validate_point(x)
+    def _act(self, q, x):
         return (x + q) % self.size
 
     def finite_orbit_example(self):
@@ -301,9 +305,7 @@ class TrivialQSet(_IntPointQSet):
         self.size = size
         self.carrier_kind = f"trivial({size})"
 
-    def act(self, q, x):
-        self.Q.validate(q)
-        self.validate_point(x)
+    def _act(self, q, x):
         return x
 
     def finite_orbit_example(self):
@@ -347,8 +349,8 @@ class FiniteExplicitQSet(_IntPointQSet):
         bfs = Closure(
             Q.identity(),
             list(self._gen_action.items()),
-            lambda move: (Q.inverse(move[0]), _perm_inv(move[1])),
-            lambda e, move: Q.multiply(e, move[0]),
+            lambda move: (Q._inverse(move[0]), _perm_inv(move[1])),
+            lambda e, move: Q._multiply(e, move[0]),
             Q.sort_key,
         )
         perms = {Q.identity(): tuple(range(size))}
@@ -360,8 +362,7 @@ class FiniteExplicitQSet(_IntPointQSet):
         if len(perms) != Q.order():
             raise PreconditionError("finite-explicit: generators do not generate Q")
         # the BFS only used its tree edges; the tables define an action only
-        # if act(e*s, i) = act(e, act(s, i)) along every edge.  Q built every
-        # e and s itself, so the product skips validation
+        # if act(e*s, i) = act(e, act(s, i)) along every edge
         for e, p in perms.items():
             for s, table in self._gen_action.items():
                 if perms[Q._multiply(e, s)] != tuple(p[j] for j in table):
@@ -382,12 +383,8 @@ class FiniteExplicitQSet(_IntPointQSet):
             raise PreconditionError("natural action requires a symmetric group")
         return cls(Q, Q.n, {s: s for s in Q.generators}, label="natural")
 
-    def act(self, q, x):
-        self.validate_point(x)
-        try:
-            return self._perms[q][x]
-        except KeyError:
-            raise KindMismatch(f"{self.carrier_kind}: bad acting element {q!r}")
+    def _act(self, q, x):
+        return self._perms[q][x]
 
     def finite_orbit_example(self):
         return orbit_bounded(self, 0, self.size + 1).elements
@@ -468,9 +465,9 @@ class DisjointUnionQSet(QSet):
         self.Q = q0
         self.carrier_kind = "union(" + ", ".join(p.carrier_kind for p in parts) + ")"
 
-    def act(self, q, x):
-        i, p = self._split(x)
-        return (i, self.parts[i].act(q, p))
+    def _act(self, q, x):
+        i, p = x
+        return (i, self.parts[i]._act(q, p))
 
     def _split(self, x):
         if (

@@ -69,16 +69,21 @@ class InfiniteFamilyCertificate:
         self._closed_form = closed_form
 
     def members(self, count: int, search_budget: int = 20000):
-        """Yield up to `count` pairs (conjugator, conjugate)."""
+        """Yield up to `count` pairs (conjugator, conjugate).  The base, the
+        seed conjugator and each stream element are validated once."""
+        if count < 1:
+            raise PreconditionError("a certificate prefix needs at least 1 member")
+        G, seed = self.group, self.seed_conjugator
+        G.validate(self.base)
+        if seed is not None:
+            G.validate(seed)
         seen = set()
         emitted = 0
         skipped = 0
         for inner in self._stream():
-            if self.seed_conjugator is not None:
-                h = self.group.multiply(self.seed_conjugator, inner)
-            else:
-                h = inner
-            conj = self.group.conjugate(self.base, h)
+            G.validate(inner)
+            h = G._multiply(seed, inner) if seed is not None else inner
+            conj = G._conjugate(self.base, h)
             if self._closed_form is not None:
                 expect = self._closed_form(inner)
                 if expect != conj:

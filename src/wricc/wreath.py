@@ -6,6 +6,10 @@ orbit for every generator d of D, then the generators of Q.
 A finitely supported map is stored canonically as a tuple of (point, value)
 pairs sorted by the carrier's point order, never containing an identity
 value.  All values are immutable and hashable.
+
+The public `multiply`, `inverse` and `conjugate` (from `Group`) validate
+each operand in depth once; `_multiply` and `_inverse` trust their
+operands and call the unchecked arithmetic of D, Q and the carrier.
 """
 
 from __future__ import annotations
@@ -79,14 +83,19 @@ class WreathProduct(Group):
             acc[y] = self.D.multiply(acc[y], d) if y in acc else d
         return self._canon(acc.items())
 
-    def pointwise_inv(self, f: tuple) -> tuple:
-        return tuple((y, self.D.inverse(d)) for y, d in f)
-
     def lambda_act(self, q, f: tuple) -> tuple:
         """Translate the support: each support point y moves to q.y, values
         unchanged."""
         self.Q.validate(q)
         return self._canon((self.omega.act(q, y), d) for y, d in f)
+
+    def _moved(self, q, f: tuple) -> dict:
+        """f's support moved by q, as a dict q.y -> f(y), for an injective action."""
+        act = self.omega._act
+        moved = {act(q, y): d for y, d in f}
+        if len(moved) != len(f):
+            raise KindMismatch("duplicate support point: the action is not injective")
+        return moved
 
     def map_value(self, f: tuple, y):
         for p, d in f:
@@ -104,22 +113,15 @@ class WreathProduct(Group):
         canonicalisation: move phi2's support into a copy of phi1 and
         multiply the values at shared points.  Operands are canonical, so an
         empty map on either side needs no merge."""
-        q1, q2 = g1.q, g2.q
-        Q = self.Q
-        Q.validate(q1)
-        Q.validate(q2)
-        q = Q._multiply(q1, q2)
+        q = self.Q._multiply(g1.q, g2.q)
         if not g2.phi:
             return WreathElement(g1.phi, q)
-        act = self.omega.act
-        moved = {act(q1, y): d for y, d in g2.phi}
-        if len(moved) != len(g2.phi):
-            raise KindMismatch("duplicate support point: the action is not injective")
+        moved = self._moved(g1.q, g2.phi)
         if not g1.phi:
             return WreathElement(tuple(sorted(moved.items(), key=self._item_key)), q)
         acc = dict(g1.phi)
         e = self._e
-        mul = self.D.multiply
+        mul = self.D._multiply
         for y, d in moved.items():
             if y in acc:
                 d = mul(acc[y], d)
@@ -130,21 +132,11 @@ class WreathProduct(Group):
         return WreathElement(tuple(sorted(acc.items(), key=self._item_key)), q)
 
     def _inverse(self, g: WreathElement) -> WreathElement:
-        qinv = self.Q.inverse(g.q)
-        return WreathElement(self.lambda_act(qinv, self.pointwise_inv(g.phi)), qinv)
-
-    # arithmetic only checks for a handle mismatch; the deep canonical-form
-    # check stays in validate (used at parse/API boundaries) so that BFS
-    # enumeration is not quadratic in element size
-    def multiply(self, a, b):
-        if not isinstance(a, WreathElement) or not isinstance(b, WreathElement):
-            raise KindMismatch(f"{self.kind}: bad payload")
-        return self._multiply(a, b)
-
-    def inverse(self, a):
-        if not isinstance(a, WreathElement):
-            raise KindMismatch(f"{self.kind}: bad payload")
-        return self._inverse(a)
+        """(phi, q)^-1 = (lambda(q^-1) phi^-1, q^-1)."""
+        qinv = self.Q._inverse(g.q)
+        moved = self._moved(qinv, g.phi).items()
+        phi = sorted(((y, self.D._inverse(d)) for y, d in moved), key=self._item_key)
+        return WreathElement(tuple(phi), qinv)
 
     def validate(self, x):
         if not isinstance(x, WreathElement):
@@ -152,7 +144,6 @@ class WreathProduct(Group):
         self.Q.validate(x.q)
         if not isinstance(x.phi, tuple):
             raise KindMismatch(f"{self.kind}: phi must be a tuple")
-        e = self.D.identity()
         prev_key = None
         for item in x.phi:
             if not isinstance(item, tuple) or len(item) != 2:
@@ -160,7 +151,7 @@ class WreathProduct(Group):
             y, d = item
             self.omega.validate_point(y)
             self.D.validate(d)
-            if d == e:
+            if d == self._e:
                 raise KindMismatch(f"{self.kind}: stored identity value at {y!r}")
             key = self.omega.point_key(y)
             if prev_key is not None and not prev_key < key:

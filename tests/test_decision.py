@@ -117,7 +117,7 @@ class _OpaqueQSet(QSet):
         self._kernel_ans = kernel_ans
         self._orbits_ans = orbits_ans
 
-    def act(self, q, x):
+    def _act(self, q, x):
         return q + x
 
     def validate_point(self, x):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -8,7 +9,9 @@ from wricc import (
     TrivialD,
     UnsupportedQKind,
     WreathProduct,
+    decide_icc,
     parse_instance,
+    witness,
 )
 from wricc.cli import EXIT_FAIL, EXIT_OK, EXIT_UNKNOWN, EXIT_USAGE, main
 
@@ -138,6 +141,15 @@ class TestWitnessCommand:
         path = write_instance(tmp_path, "f2-wr-z2")
         assert main(["witness", "-i", path]) == EXIT_OK
         assert "infinite-family" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_prefix_below_one_rejected(self, tmp_path, capsys, n):
+        path = write_instance(tmp_path, "lamplighter")
+        code = main(["witness", "--json", "-i", path, "-g", "{0:1}@0", "--prefix", n])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error [precondition]: ")
 
     def test_bad_element_literal(self, tmp_path, capsys):
         path = write_instance(tmp_path, "lamplighter")
@@ -311,3 +323,59 @@ def test_verify_record_pinned(tmp_path, capsys, name):
     path = write_instance(tmp_path, name)
     assert main(["verify", "--json", "-i", path, "--seed", "42"]) == EXIT_OK
     assert capsys.readouterr().out == PINNED_VERIFY_RECORDS[name] + "\n"
+
+
+# `wricc witness --json --prefix 300` on one element of each family kind:
+# kind -> (instance, instance text or None for the shipped file, element,
+# record, sha256 of the 300 lines "conjugator -> conjugate" the family
+# yields).  The record shows the first 10 members; the digest pins all 300.
+PINNED_WITNESS_RECORDS = {
+    "lambda-translation": (
+        "lamplighter",
+        None,
+        "{16:1}@-16",
+        '{"answer": "yes", "base": "{16:1}@-16", "certificate": "infinite-family", "command": "witness", "distinct_prefix": 300, "family": "lambda-translation", "instance_hash": "ebe001051010", "members": ["h={}@0 -> {16:1}@-16", "h={}@-1 -> {17:1}@-16", "h={}@1 -> {15:1}@-16", "h={}@-2 -> {18:1}@-16", "h={}@2 -> {14:1}@-16", "h={}@-3 -> {19:1}@-16", "h={}@3 -> {13:1}@-16", "h={}@-4 -> {20:1}@-16", "h={}@4 -> {12:1}@-16", "h={}@-5 -> {21:1}@-16"]}',
+        "e661983e9bf54dbfa65f999e124e066c1b34b6cf703f5fd66a5253fce368e7c3",
+    ),
+    "lambda-translation-seeded": (
+        "lamplighter",
+        None,
+        "{}@16",
+        '{"answer": "yes", "base": "{}@16", "certificate": "infinite-family", "command": "witness", "distinct_prefix": 300, "family": "lambda-translation", "instance_hash": "ebe001051010", "members": ["h={0:1}@0 -> {0:1, 16:1}@16", "h={0:1}@-1 -> {1:1, 17:1}@16", "h={0:1}@1 -> {-1:1, 15:1}@16", "h={0:1}@-2 -> {2:1, 18:1}@16", "h={0:1}@2 -> {-2:1, 14:1}@16", "h={0:1}@-3 -> {3:1, 19:1}@16", "h={0:1}@3 -> {-3:1, 13:1}@16", "h={0:1}@-4 -> {4:1, 20:1}@16", "h={0:1}@4 -> {-4:1, 12:1}@16", "h={0:1}@-5 -> {5:1, 21:1}@16"]}',
+        "c0ac1b8570d4d77a858ac9a4deb483a73eabc633b75ae248209a3fa105208594",
+    ),
+    "g_d": (
+        "f2-wr-z2",
+        None,
+        "{1:b*a^-1}@1",
+        '{"answer": "yes", "base": "{1:b*a^-1}@1", "certificate": "infinite-family", "command": "witness", "distinct_prefix": 300, "family": "g_d", "instance_hash": "9c86736cd8db", "members": ["h={}@0 -> {1:b*a^-1}@1", "h={0:b^-1}@0 -> {0:b, 1:b*a^-1*b^-1}@1", "h={0:a^-1}@0 -> {0:a, 1:b*a^-2}@1", "h={0:a}@0 -> {0:a^-1, 1:b}@1", "h={0:b}@0 -> {0:b^-1, 1:b*a^-1*b}@1", "h={0:b^-2}@0 -> {0:b^2, 1:b*a^-1*b^-2}@1", "h={0:b^-1*a^-1}@0 -> {0:a*b, 1:b*a^-1*b^-1*a^-1}@1", "h={0:b^-1*a}@0 -> {0:a^-1*b, 1:b*a^-1*b^-1*a}@1", "h={0:a^-1*b^-1}@0 -> {0:b*a, 1:b*a^-2*b^-1}@1", "h={0:a^-2}@0 -> {0:a^2, 1:b*a^-3}@1"]}',
+        "8f4198b75fcb58d3a80ddb0978995bcd348fe1697dbdc891fcd73939028ee02b",
+    ),
+    "value-conjugation": (
+        "f2-wr-z2",
+        None,
+        "{0:a*b}@0",
+        '{"answer": "yes", "base": "{0:a*b}@0", "certificate": "infinite-family", "command": "witness", "distinct_prefix": 300, "family": "value-conjugation", "instance_hash": "9c86736cd8db", "members": ["h={}@0 -> {0:a*b}@0", "h={0:b^-1}@0 -> {0:b*a}@0", "h={0:a^-1}@0 -> {0:a^2*b*a^-1}@0", "h={0:b}@0 -> {0:b^-1*a*b^2}@0", "h={0:b^-2}@0 -> {0:b^2*a*b^-1}@0", "h={0:b^-1*a}@0 -> {0:a^-1*b*a^2}@0", "h={0:a^-1*b^-1}@0 -> {0:b*a^2*b*a^-1*b^-1}@0", "h={0:a^-2}@0 -> {0:a^3*b*a^-2}@0", "h={0:a^-1*b}@0 -> {0:b^-1*a^2*b*a^-1*b}@0", "h={0:b*a^-1}@0 -> {0:a*b^-1*a*b^2*a^-1}@0"]}',
+        "a2bd4a1c29812b7693f452abf6c0f728d2100cf89d4f4c71d4af1335b77e4535",
+    ),
+    "q-translation": (
+        "z2-wr-f2",
+        '{D: cyclic 2; Q: free 2; omega: regular}',
+        "{}@a*b",
+        '{"answer": "yes", "base": "{}@a*b", "certificate": "infinite-family", "command": "witness", "distinct_prefix": 300, "family": "q-translation", "instance_hash": "a3e2c3777ac8", "members": ["h={}@1 -> {}@a*b", "h={}@b^-1 -> {}@b*a", "h={}@a^-1 -> {}@a^2*b*a^-1", "h={}@b -> {}@b^-1*a*b^2", "h={}@b^-2 -> {}@b^2*a*b^-1", "h={}@b^-1*a -> {}@a^-1*b*a^2", "h={}@a^-1*b^-1 -> {}@b*a^2*b*a^-1*b^-1", "h={}@a^-2 -> {}@a^3*b*a^-2", "h={}@a^-1*b -> {}@b^-1*a^2*b*a^-1*b", "h={}@b*a^-1 -> {}@a*b^-1*a*b^2*a^-1"]}',
+        "54d292218a62b87874ad6ab1d4f33d69ffd4b301688783fd68652f781eac774d",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(PINNED_WITNESS_RECORDS))
+def test_witness_record_pinned(tmp_path, capsys, kind):
+    name, text, literal, record, digest = PINNED_WITNESS_RECORDS[kind]
+    path = write_instance(tmp_path, name, text)
+    assert main(["witness", "--json", "-i", path, "-g", literal, "--prefix", "300"]) == EXIT_OK
+    assert capsys.readouterr().out == record + "\n"
+    G = parse_instance(text if text is not None else instance_text(name)).group
+    fam = witness(G, decide_icc(G), G.parse_element(literal))
+    assert fam.family_kind == json.loads(record)["family"]
+    lines = "".join(f"{G.format_element(h)} -> {G.format_element(c)}\n" for h, c in fam.take(300))
+    assert hashlib.sha256(lines.encode()).hexdigest() == digest

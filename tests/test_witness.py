@@ -10,6 +10,7 @@ from wricc import (
     InfiniteFamilyCertificate,
     IntegersGroup,
     IntModQSet,
+    KindMismatch,
     PreconditionError,
     RegularQSet,
     SymmetricGroup,
@@ -384,3 +385,27 @@ def test_streams_are_restartable(lamplighter):
     G = lamplighter
     fam = family_lambda_translation(G, WreathElement(G.zeta(1, 0), 0))
     assert fam.take(8) == fam.take(8)
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_prefix_needs_a_member(lamplighter, count):
+    G = lamplighter
+    fam = family_lambda_translation(G, WreathElement(G.zeta(1, 0), 0))
+    with pytest.raises(PreconditionError):
+        fam.take(count)
+
+
+def test_members_validate_what_they_conjugate(lamplighter):
+    # the base, the seed conjugator and each stream element are checked
+    # once; everything after that is built from them
+    G = lamplighter
+    g = WreathElement(G.zeta(1, 0), 0)
+    stored_identity = WreathElement(((0, 0),), 1)
+
+    def stream():
+        return iter([G.identity(), stored_identity])
+
+    for base, seed in ((stored_identity, None), (g, stored_identity), (g, None)):
+        fam = InfiniteFamilyCertificate(G, base, "probe", True, stream, seed_conjugator=seed)
+        with pytest.raises(KindMismatch):
+            fam.take(5)

@@ -159,6 +159,93 @@ class TestFiniteWreath:
                 assert G.multiply(a, b) in els
 
 
+# carrier kind -> (D, Q, omega, acting element, bad acting element, two
+# points in increasing order, bad point, value of D)
+BOUNDARY = {
+    "regular": ("cyclic 2", "integers", "regular", 1, 1.5, (0, 1), "0", 1),
+    "int-mod": ("cyclic 2", "integers", "int-mod 3", 1, "1", (0, 1), 3, 1),
+    "trivial": ("cyclic 2", "integers", "trivial 2", 1, True, (0, 1), 2, 1),
+    "finite-explicit": ("cyclic 2", "symmetric 3", "natural", (1, 0, 2), (0, 0, 1), (0, 1), 3, 1),
+    "union": (
+        "cyclic 2", "integers", "union(regular, int-mod 3)", 1, 1.5, ((0, 0), (1, 0)), (2, 0), 1,
+    ),
+    "wreath-base": (
+        "wreath(cyclic 2; integers; regular)", "integers", "regular", 1, 1.5, (0, 1), "0",
+        WreathElement(((0, 1),), 0),
+    ),
+}
+
+
+def _rejected(call, x) -> bool:
+    try:
+        call(x)
+    except KindMismatch:
+        return True
+    return False
+
+
+class TestBoundary:
+    """Public arithmetic rejects every operand the group did not build."""
+
+    @pytest.mark.parametrize("kind", list(BOUNDARY))
+    def test_public_arithmetic_rejects_bad_operands(self, kind):
+        d, q, omega, a, bad_a, (y0, y1), bad_y, v = BOUNDARY[kind]
+        G = build_wreath(parse_group(d), parse_group(q), omega)
+        good = WreathElement(((y0, v),), a)
+        assert G.conjugate(good, G.multiply(good, G.inverse(good))) == good
+        bad = {
+            "bad q": WreathElement(((y0, v),), bad_a),
+            "bad point": WreathElement(((bad_y, v),), a),
+            "stored identity value": WreathElement(((y0, G.D.identity()),), a),
+            "unsorted phi": WreathElement(((y1, v), (y0, v)), a),
+        }
+        ops = {
+            "multiply(x, g)": lambda x: G.multiply(x, good),
+            "multiply(g, x)": lambda x: G.multiply(good, x),
+            "inverse(x)": G.inverse,
+            "conjugate(x, g)": lambda x: G.conjugate(x, good),
+            "conjugate(g, x)": lambda x: G.conjugate(good, x),
+        }
+        accepted = [
+            (what, op) for what, x in bad.items() for op, call in ops.items() if not _rejected(call, x)
+        ]
+        assert accepted == []
+        assert _rejected(lambda q: G.omega.act(q, y0), bad_a)
+        assert _rejected(lambda y: G.omega.act(a, y), bad_y)
+
+    def test_nested_bad_value_rejected(self):
+        # a value of the base that is itself not canonical
+        G = build_wreath(parse_group(BOUNDARY["wreath-base"][0]), Z, "regular")
+        good = WreathElement(((0, WreathElement(((0, 1),), 0)),), 1)
+        x = WreathElement(((0, WreathElement(((0, 0),), 0)),), 1)
+        assert _rejected(lambda x: G.multiply(good, x), x)
+        assert _rejected(lambda x: G.conjugate(good, x), x)
+        assert _rejected(G.inverse, x)
+
+    def test_only_the_boundary_validates(self, f2_wr_z2, monkeypatch):
+        G = f2_wr_z2
+        assert G.omega.Q is G.Q
+        calls = []
+        for label, H in (("D", G.D), ("Q", G.Q)):
+            check = H.validate
+            monkeypatch.setattr(
+                H, "validate", lambda x, label=label, check=check: calls.append((label, x)) or check(x)
+            )
+        rng = random.Random(3)
+        pairs = [(G.random_element(rng), G.random_element(rng)) for _ in range(20)]
+        assert any(x.phi and y.phi for x, y in pairs)
+        for x, y in pairs:
+            G._conjugate(x, y)
+            assert calls == []
+            G.validate(x)
+            G.validate(y)
+            expected = calls.copy()
+            calls.clear()
+            G.conjugate(x, y)
+            assert calls == expected and expected
+            calls.clear()
+
+
 def test_generators_generate_small_ball(lamplighter):
     G = lamplighter
     seen = {G.identity()}
@@ -238,7 +325,7 @@ class TestFusedMultiply:
         class Collapsing(IntModQSet):
             """Sends every point to 0, so it is not an action of Z."""
 
-            def act(self, q, x):
+            def _act(self, q, x):
                 self.validate_point(x)
                 return 0
 
