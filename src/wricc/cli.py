@@ -19,7 +19,7 @@ import random
 import sys
 
 from .decision import decide_icc
-from .errors import PreconditionError, WriccError
+from .errors import ParseError, PreconditionError, WriccError
 from .groups import AT_LEAST, EXACT_FINITE
 from .instances import InstanceSpec, parse_instance
 from .oracle import class_lower_bound, enumerate_class
@@ -39,7 +39,11 @@ EXIT_USAGE = 3
 
 def _load(path: str) -> InstanceSpec:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_instance(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise ParseError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from e
+    return parse_instance(text)
 
 
 def _emit(record: dict, as_json: bool) -> None:

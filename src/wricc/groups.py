@@ -67,7 +67,8 @@ class Closure:
     in which the next round expands them.  It ends when a round adds
     nothing (`stopped_by` "closed"), after `radius` rounds ("radius"), or
     as soon as `max_size` elements are known ("max_size"; that unfinished
-    round is not yielded).  `reached` maps each element to the
+    round is not yielded, and a `max_size` of 1 stops before the first
+    round).  `reached` maps each element to the
     (element, move) pair that first reached it, and `start` to None.
 
     A move may carry what the step needs besides the generator, as long
@@ -94,6 +95,9 @@ class Closure:
 
     def __iter__(self):
         reached, step, moves, max_size = self.reached, self._step, self.moves, self._max_size
+        if len(reached) >= max_size:
+            self.stopped_by = "max_size"
+            return
         frontier = [self._start]
         while self.rounds < self._radius:
             self.rounds += 1

@@ -268,19 +268,22 @@ def family_gd(G: WreathProduct, g: WreathElement, y) -> InfiniteFamilyCertificat
     phi = g.phi
     c = G.map_value(phi, y)
     phi0 = tuple(item for item in phi if item[0] != y)
+    e = D.identity()
 
+    # `members` has validated `inner`, and g and y are validated above, so
+    # the closed form runs on D's unchecked arithmetic
     def closed_form(inner: WreathElement) -> WreathElement:
-        d = inner.phi[0][1] if inner.phi else D.identity()
-        dinv = D.inverse(d)
-        if c == D.identity():
-            head = G.pointwise_mul(phi, G.zeta(dinv, y))
+        d = inner.phi[0][1] if inner.phi else e
+        dinv = D._inverse(d)
+        if c == e:
+            head = G.pointwise_mul(phi, G._zeta(dinv, y))
         else:
-            head = G.pointwise_mul(phi0, G.zeta(D.multiply(dinv, c), y))
-        return WreathElement(G.pointwise_mul(head, G.zeta(d, qy)), g.q)
+            head = G.pointwise_mul(phi0, G._zeta(D._multiply(dinv, c), y))
+        return WreathElement(G.pointwise_mul(head, G._zeta(d, qy)), g.q)
 
     def stream():
         return (
-            WreathElement(G.zeta(dn, y), G.Q.identity()) for dn in D.ball_stream()
+            WreathElement(G._zeta(dn, y), G.Q.identity()) for dn in D.ball_stream()
         )
 
     return InfiniteFamilyCertificate(
@@ -306,7 +309,7 @@ def family_value_conjugation(
 
     def stream():
         return (
-            WreathElement(G.zeta(en, x0), G.Q.identity()) for en in D.ball_stream()
+            WreathElement(G._zeta(en, x0), G.Q.identity()) for en in D.ball_stream()
         )
 
     return InfiniteFamilyCertificate(
@@ -447,7 +450,12 @@ def verify_infinite_certificate(
     G: WreathProduct, cert: InfiniteFamilyCertificate, N: int = 100
 ) -> VerificationResult:
     """Recompute and compare the first N deduped conjugates; they must be
-    pairwise distinct and consistent with their recorded conjugators."""
+    pairwise distinct and consistent with their recorded conjugators.
+
+    The base is validated once and each conjugator once.  Each conjugate
+    is recomputed from the product definition h^-1 * base * h, not with
+    `_conjugate`, which `members` used: so every member also checks the
+    conjugation law against products."""
     if N < 2:
         raise PreconditionError("N must be at least 2")
     try:
@@ -456,9 +464,13 @@ def verify_infinite_certificate(
         return VerificationResult(False, f"stream failed: {e}")
     if len(prefix) < N:
         return VerificationResult(False, f"stream exhausted after {len(prefix)} members")
+    base = cert.base
+    G.validate(base)
+    mul = G._multiply
     seen = {}
     for h, conj in prefix:
-        again = G.conjugate(cert.base, h)
+        G.validate(h)
+        again = mul(mul(G._inverse(h), base), h)
         if again != conj:
             return VerificationResult(
                 False, "recorded conjugate does not match recomputation", (h, conj, again)

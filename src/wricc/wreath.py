@@ -8,8 +8,12 @@ pairs sorted by the carrier's point order, never containing an identity
 value.  All values are immutable and hashable.
 
 The public `multiply`, `inverse` and `conjugate` (from `Group`) validate
-each operand in depth once; `_multiply` and `_inverse` trust their
-operands and call the unchecked arithmetic of D, Q and the carrier.
+each operand in depth once; `_multiply`, `_inverse` and `_conjugate` trust
+their operands and call the unchecked arithmetic of D, Q and the carrier.
+Each of the three canonicalises once: it builds one dict of values, moves
+its support by the action and sorts once.  Conjugation follows its own
+law, not the product of three factors, so the certificate verifier and
+the oracle, which recompute conjugates as products, check it.
 """
 
 from __future__ import annotations
@@ -71,16 +75,20 @@ class WreathProduct(Group):
         """The map sending y to d and everything else to the identity."""
         self.D.validate(d)
         self.omega.validate_point(y)
-        if d == self.D.identity():
-            return ()
-        return ((y, d),)
+        return self._zeta(d, y)
+
+    def _zeta(self, d, y) -> tuple:
+        """`zeta` for a value and a point already validated."""
+        return () if d == self._e else ((y, d),)
 
     def pointwise_mul(self, f: tuple, g: tuple) -> tuple:
-        """(fg)(x) = f(x) g(x); at shared keys the left factor's value is
-        multiplied by the right factor's (D may be nonabelian)."""
+        """(fg)(x) = f(x) g(x) for maps the group built; at shared keys the
+        left factor's value is multiplied by the right factor's (D may be
+        nonabelian)."""
         acc = {y: d for y, d in f}
+        mul = self.D._multiply
         for y, d in g:
-            acc[y] = self.D.multiply(acc[y], d) if y in acc else d
+            acc[y] = mul(acc[y], d) if y in acc else d
         return self._canon(acc.items())
 
     def lambda_act(self, q, f: tuple) -> tuple:
@@ -89,8 +97,9 @@ class WreathProduct(Group):
         self.Q.validate(q)
         return self._canon((self.omega.act(q, y), d) for y, d in f)
 
-    def _moved(self, q, f: tuple) -> dict:
-        """f's support moved by q, as a dict q.y -> f(y), for an injective action."""
+    def _moved(self, q, f) -> dict:
+        """The support of f, a sequence of (point, value) pairs, moved by q,
+        as a dict q.y -> f(y), for an injective action."""
         act = self.omega._act
         moved = {act(q, y): d for y, d in f}
         if len(moved) != len(f):
@@ -137,6 +146,36 @@ class WreathProduct(Group):
         moved = self._moved(qinv, g.phi).items()
         phi = sorted(((y, self.D._inverse(d)) for y, d in moved), key=self._item_key)
         return WreathElement(tuple(phi), qinv)
+
+    def _conjugate(self, x: WreathElement, y: WreathElement) -> WreathElement:
+        """y^-1 x y for x = (phi, q) and y = (psi, p), with one
+        canonicalisation.  From y^-1 = (lambda(p^-1) psi^-1, p^-1) and the
+        product law (phi1, q1)(phi2, q2) = (phi1 * lambda(q1) phi2, q1 q2):
+
+            y^-1 x = (lambda(p^-1) psi^-1 * lambda(p^-1) phi, p^-1 q)
+            y^-1 x y = (lambda(p^-1) psi^-1 * lambda(p^-1) phi
+                        * lambda(p^-1 q) psi, p^-1 q p)
+                     = (lambda(p^-1)[psi^-1 * phi * lambda(q) psi], p^-1 q p),
+
+        as lambda is an action by automorphisms of the pointwise product.
+        So the values are multiplied pointwise, left to right (D may be
+        nonabelian), in one dict: psi^-1, then phi, then psi moved by q.
+        The identities are dropped, and the result is moved by p^-1 and
+        sorted once.  An empty psi leaves (lambda(p^-1) phi, p^-1 q p)."""
+        Q = self.Q
+        pinv = Q._inverse(y.q)
+        q = Q._multiply(Q._multiply(pinv, x.q), y.q)
+        if not y.phi:
+            moved = self._moved(pinv, x.phi)
+            return WreathElement(tuple(sorted(moved.items(), key=self._item_key)), q)
+        Dinv, mul, e = self.D._inverse, self.D._multiply, self._e
+        acc = {z: Dinv(d) for z, d in y.phi}
+        for z, d in x.phi:
+            acc[z] = mul(acc[z], d) if z in acc else d
+        for z, d in self._moved(x.q, y.phi).items():
+            acc[z] = mul(acc[z], d) if z in acc else d
+        moved = self._moved(pinv, [(z, d) for z, d in acc.items() if d != e])
+        return WreathElement(tuple(sorted(moved.items(), key=self._item_key)), q)
 
     def validate(self, x):
         if not isinstance(x, WreathElement):

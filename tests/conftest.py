@@ -1,8 +1,15 @@
 import importlib.resources
 
 import pytest
+from hypothesis import settings
 
 from wricc import parse_instance
+
+# property tests draw the same examples on every run, with no per-example
+# time limit and no stored examples replayed, so that the suite stays
+# deterministic
+settings.register_profile("wricc", derandomize=True, deadline=None, database=None)
+settings.load_profile("wricc")
 
 # one line per acceptance criterion, echoed after the run so the
 # pass/fail summary survives output capturing

@@ -300,6 +300,7 @@ def test_criterion_8_negative_controls():
         not res_fin
         and res_fin.counterexample is not None
         and not res_inf
+        and res_inf.reason == "recorded conjugate does not match recomputation"
         and res_inf.counterexample is not None
     )
     assert record_acceptance(

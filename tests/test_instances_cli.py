@@ -119,6 +119,19 @@ class TestDecideCommand:
         assert main(["decide", "-i", path]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "command", [["decide"], ["witness"], ["class", "-g", "{}@0"], ["verify"]]
+)
+def test_non_utf8_file_is_a_parse_error(tmp_path, capsys, command):
+    path = tmp_path / "bad.wri"
+    path.write_bytes(b"\xff\xfe" + instance_text("lamplighter").encode())
+    assert main([command[0], "-i", str(path), *command[1:]]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error [parse-error]: ")
+    assert "not UTF-8" in captured.err
+
+
 class TestWitnessCommand:
     def test_finite_certificate_report(self, tmp_path, capsys):
         path = write_instance(tmp_path, "z2-wr-s3")
@@ -185,6 +198,15 @@ class TestClassCommand:
         rec = json.loads(capsys.readouterr().out)
         assert rec["status"] == "exact-finite"
         assert rec["count"] == 1
+
+    @pytest.mark.parametrize("element", ["{}@0", "{0:a}@1"])
+    def test_budget_of_one_counts_one(self, tmp_path, capsys, element):
+        # the start alone fills a budget of 1, even in a singleton class
+        path = write_instance(tmp_path, "f2-wr-z2")
+        code = main(["class", "--json", "-i", path, "-g", element, "--max-size", "1"])
+        assert code == EXIT_OK
+        rec = json.loads(capsys.readouterr().out)
+        assert (rec["status"], rec["count"], rec["max_size"]) == ("at-least", 1, 1)
 
     @pytest.mark.parametrize("flag", ["--radius", "--max-size"])
     def test_zero_budget_flag_rejected(self, tmp_path, capsys, flag):

@@ -8,7 +8,9 @@ from wricc import (
     FiniteExplicitQSet,
     PreconditionError,
     SymmetricGroup,
+    TrivialQSet,
     WreathElement,
+    WriccError,
     class_enum_bounded,
     decide_icc,
     orbit_bounded,
@@ -49,18 +51,22 @@ class TestFiniteClasses:
 S3 = SymmetricGroup(3)
 
 
-def _class(max_size, radius=100):
-    return class_enum_bounded(S3, (1, 0, 2), radius, max_size)
+# each closure runs from a start with 3 elements in its closure, or from a
+# start that is its own closure
+def _class(max_size, radius=100, singleton=False):
+    return class_enum_bounded(S3, (0, 1, 2) if singleton else (1, 0, 2), radius, max_size)
 
 
-def _oracle(max_size, radius=100):
+def _oracle(max_size, radius=100, singleton=False):
     G = load_instance("z2-wr-s3").group
-    return enumerate_class(G, G.parse_element("{0:1}@[0,1,2]"), radius, max_size)
+    g = G.parse_element("{}@[0,1,2]" if singleton else "{0:1}@[0,1,2]")
+    return enumerate_class(G, g, radius, max_size)
 
 
-def _orbit(max_size, radius=None):
+def _orbit(max_size, radius=None, singleton=False):
     assert radius is None  # an orbit has no round budget
-    return orbit_bounded(FiniteExplicitQSet.natural(S3), 0, max_size)
+    S = TrivialQSet(S3, 1) if singleton else FiniteExplicitQSet.natural(S3)
+    return orbit_bounded(S, 0, max_size)
 
 
 @pytest.mark.parametrize(
@@ -83,6 +89,14 @@ def test_one_budget_rule(run, closed_status, has_radius):
         AT_LEAST, "max_size", n, None
     )
     assert run(max_size=n + 1) == full
+    # the start alone fills a budget of 1, before any round
+    for singleton in (False, True):
+        one = run(max_size=1, singleton=singleton)
+        assert (one.status, one.stopped_by, one.count, one.elements, one.rounds_used) == (
+            AT_LEAST, "max_size", 1, None, 0
+        )
+    single = run(max_size=2, singleton=True)
+    assert (single.status, single.stopped_by, single.count) == (closed_status, "closed", 1)
     if has_radius:
         radius = full.rounds_used - 1
         short = run(max_size=1000, radius=radius)
@@ -285,3 +299,14 @@ def test_deterministic(lamplighter):
     a = enumerate_class(G, g, radius=5, max_size=400)
     b = enumerate_class(G, g, radius=5, max_size=400)
     assert a == b
+
+
+def test_broken_conjugation_law_is_caught(lamplighter, monkeypatch):
+    # the BFS steps with products only, so re-verifying its members through
+    # `conjugate` checks the conjugation law against them
+    G = lamplighter
+    g = WreathElement(G.zeta(1, 0), 1)
+    law = G._conjugate
+    monkeypatch.setattr(G, "_conjugate", lambda x, y: WreathElement(law(x, y).phi, x.q + 1))
+    with pytest.raises(WriccError, match="bad conjugator"):
+        enumerate_class(G, g, radius=3, max_size=100)

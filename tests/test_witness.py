@@ -351,7 +351,22 @@ class TestNegativeControls:
 
         bad = Corrupt(G, g, fam.family_kind, fam.dedup, fam._stream, fam._dedup_key)
         res = verify_infinite_certificate(G, bad, N=10)
-        assert not res and "recomputation" in res.reason
+        assert not res and res.reason == "recorded conjugate does not match recomputation"
+        h, conj, again = res.counterexample
+        assert again == G.conjugate(g, h) != conj
+
+    def test_broken_conjugation_law_fails(self, f2_wr_z2, monkeypatch):
+        # `members` conjugates with `_conjugate`; the verifier recomputes
+        # with products, so a wrong conjugation law cannot confirm itself
+        G = f2_wr_z2
+        fam = family_value_conjugation(G, WreathElement(G.zeta((1,), 0), 0), 0)
+        assert verify_infinite_certificate(G, fam, N=10)
+        law = G._conjugate
+        monkeypatch.setattr(
+            G, "_conjugate", lambda x, y: WreathElement(law(x, y).phi, x.q + 1)
+        )
+        res = verify_infinite_certificate(G, fam, N=10)
+        assert not res and res.reason == "recorded conjugate does not match recomputation"
 
     def test_duplicated_conjugates_fail(self, lamplighter):
         G = lamplighter
@@ -409,3 +424,27 @@ def test_members_validate_what_they_conjugate(lamplighter):
         fam = InfiniteFamilyCertificate(G, base, "probe", True, stream, seed_conjugator=seed)
         with pytest.raises(KindMismatch):
             fam.take(5)
+
+
+def test_verifier_validates_once_and_recomputes_by_products(f2_wr_z2, monkeypatch):
+    # the base is validated once per certificate and each conjugator once
+    # per member; no conjugate is recomputed with `_conjugate`
+    G = f2_wr_z2
+    g = WreathElement(G.zeta((1,), 1), 1)
+    prefix = family_gd(G, g, 0).take(30)
+
+    class Recorded(InfiniteFamilyCertificate):
+        def members(self, count, search_budget=20000):
+            yield from prefix[:count]
+
+    cert = Recorded(G, g, "g_d", dedup=False, stream=None)
+    validated = []
+    check = G.validate
+    monkeypatch.setattr(G, "validate", lambda x: validated.append(x) or check(x))
+
+    def no_conjugate(x, y):
+        raise AssertionError("the verifier must recompute with products")
+
+    monkeypatch.setattr(G, "_conjugate", no_conjugate)
+    assert verify_infinite_certificate(G, cert, N=30)
+    assert validated == [g] + [h for h, _ in prefix]

@@ -1,6 +1,8 @@
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wricc import (
     CyclicGroup,
@@ -29,9 +31,13 @@ BUILT = {
     "s3-wr-free2-union": ("symmetric 3", "free 2", "union(regular, trivial 2)"),
     "s3-wr-s3-union": ("symmetric 3", "symmetric 3", "union(natural, regular, trivial 2)"),
     "z2-wr-free-product": ("cyclic 2", "product(free 1, cyclic 2)", "regular"),
+    "s3-union": ("symmetric 3", "integers", "union(regular, int-mod 3)"),
+    "nested-base": ("wreath(cyclic 2; integers; regular)", "integers", "regular"),
+    "s3-wr-product-union": ("symmetric 3", "product(integers, cyclic 2)", "union(regular, trivial 2)"),
 }
 
 
+@functools.cache
 def _group(name):
     if name in BUILT:
         d, q, omega = BUILT[name]
@@ -334,3 +340,32 @@ class TestFusedMultiply:
         for g1 in (G.identity(), WreathElement(((2, 1),), 1)):
             with pytest.raises(KindMismatch):
                 G.multiply(g1, two_points)
+            # the two points collapse whichever side they are on
+            with pytest.raises(KindMismatch):
+                G.conjugate(two_points, g1)
+            with pytest.raises(KindMismatch):
+                G.conjugate(g1, two_points)
+
+
+def _word(G, rng):
+    """A product of one to three of G's random elements."""
+    x = G.random_element(rng)
+    for _ in range(rng.randint(0, 2)):
+        x = G._multiply(x, G.random_element(rng))
+    return x
+
+
+@pytest.mark.parametrize("name", SHIPPED + list(BUILT))
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_conjugate_is_the_product_definition(name, seed):
+    """The fused conjugation law agrees with h^-1 x h as two products, on
+    shared support points, cancelling values and empty maps."""
+    G = _group(name)
+    rng = random.Random(seed)
+    x, y = _word(G, rng), _word(G, rng)
+    e = G.identity()
+    for a, b in ((x, y), (y, x), (x, x), (x, G._inverse(x)), (x, e), (e, y)):
+        out = G._conjugate(a, b)
+        assert out == G._multiply(G._multiply(G._inverse(b), a), b)
+        G.validate(out)
