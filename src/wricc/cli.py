@@ -38,7 +38,8 @@ EXIT_USAGE = 3
 
 
 def _load(path: str) -> InstanceSpec:
-    with open(path, "r", encoding="utf-8") as fh:
+    # utf-8-sig drops a leading byte-order mark, which is not instance text
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as e:

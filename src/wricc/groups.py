@@ -71,6 +71,11 @@ class Closure:
     round).  `reached` maps each element to the
     (element, move) pair that first reached it, and `start` to None.
 
+    The closure keeps its frontier, so it is resumable after a "radius"
+    stop: raise `radius` and iterate again to carry on with the next
+    round, exactly as one run with the larger budget would.  After a
+    "closed" or "max_size" stop, iterating again yields nothing.
+
     A move may carry what the step needs besides the generator, as long
     as `inverse` maps it to its inverse move: `class_closure` pairs each
     generator with its inverse so that a conjugation inverts nothing.
@@ -84,22 +89,24 @@ class Closure:
             inv = inverse(s)
             if inv not in self.moves:
                 self.moves.append(inv)
-        self._start = start
         self.reached = {start: None}
         self.rounds = 0
+        self.radius = radius
         self.stopped_by = None
+        self._frontier = [start]
         self._key = key
         self._step = step
-        self._radius = radius
         self._max_size = max_size
 
     def __iter__(self):
         reached, step, moves, max_size = self.reached, self._step, self.moves, self._max_size
+        if self.stopped_by == "closed":
+            return
         if len(reached) >= max_size:
             self.stopped_by = "max_size"
             return
-        frontier = [self._start]
-        while self.rounds < self._radius:
+        frontier = self._frontier
+        while self.rounds < self.radius:
             self.rounds += 1
             fresh = []
             for x in frontier:
@@ -114,7 +121,7 @@ class Closure:
             if not fresh:
                 self.stopped_by = "closed"
                 return
-            frontier = sorted(fresh, key=self._key)
+            frontier = self._frontier = sorted(fresh, key=self._key)
             yield frontier
         self.stopped_by = "radius"
 

@@ -16,6 +16,7 @@ from wricc import (
     Tri,
     class_enum_bounded,
 )
+from wricc.groups import class_closure
 
 from conftest import load_instance
 
@@ -127,6 +128,26 @@ class TestClassEnum:
     def test_zero_budget(self):
         with pytest.raises(PreconditionError):
             class_enum_bounded(Z, 1, 0, 10)
+
+    @pytest.mark.parametrize(
+        "x, radius, max_size, stop",
+        [(A, 3, 10**6, "radius"), (A, 5, 200, "max_size"), (P123, 8, 100, "closed")],
+    )
+    def test_resumed_closure_equals_one_run(self, x, radius, max_size, stop):
+        # a closure stopped by its round budget carries on from its frontier
+        G = S3 if x == P123 else F2
+        bfs = class_closure(G, x, 1, max_size)
+        first = bfs.report()
+        assert first.stopped_by == "radius" and bfs.report() == first
+        bfs.radius = radius
+        fresh = class_closure(G, x, radius, max_size)
+        assert bfs.report() == fresh.report() and fresh.stopped_by == stop
+        assert list(bfs.reached.items()) == list(fresh.reached.items())
+        if stop != "radius":
+            # a closed or filled closure stays as it stopped
+            for stopped in (bfs, fresh):
+                stopped.radius = radius + 10
+                assert list(stopped) == [] and stopped.report() == fresh.report()
 
 
 class TestFcContains:

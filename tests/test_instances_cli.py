@@ -132,6 +132,29 @@ def test_non_utf8_file_is_a_parse_error(tmp_path, capsys, command):
     assert "not UTF-8" in captured.err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["decide"],
+        ["witness", "-g", "{0:1}@0"],
+        ["class", "-g", "{}@1"],
+        ["verify", "--elements", "1", "--prefix", "10"],
+    ],
+)
+def test_byte_order_mark_is_not_instance_text(tmp_path, capsys, command):
+    # a file saved with a UTF-8 byte-order mark reads as the same instance
+    plain = write_instance(tmp_path, "lamplighter")
+    marked = tmp_path / "marked.wri"
+    marked.write_bytes(b"\xef\xbb\xbf" + instance_text("lamplighter").encode())
+    outputs = []
+    for path in (plain, str(marked)):
+        assert main([command[0], "--json", "-i", path, *command[1:]]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outputs.append(captured.out)
+    assert outputs[0] == outputs[1]
+
+
 class TestWitnessCommand:
     def test_finite_certificate_report(self, tmp_path, capsys):
         path = write_instance(tmp_path, "z2-wr-s3")

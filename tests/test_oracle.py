@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wricc import (
     EXACT_FINITE,
@@ -14,10 +15,11 @@ from wricc import (
     class_enum_bounded,
     decide_icc,
     orbit_bounded,
+    parse_instance,
     witness,
 )
 import wricc.oracle as oracle
-from wricc.groups import class_closure
+from wricc.groups import Closure, class_closure
 from wricc.oracle import AT_LEAST, class_lower_bound, enumerate_class
 
 from conftest import load_instance, word_ball
@@ -163,14 +165,16 @@ class TestLamplighterRadius8:
 class TestClassLowerBound:
     @pytest.fixture
     def radii(self, monkeypatch):
-        """The round budgets class_lower_bound runs the oracle with."""
+        """The round budgets class_lower_bound runs its closure with: the
+        closure's budget each time it is reported."""
         seen = []
+        report = Closure.report
 
-        def spy(G, g, radius, max_size):
-            seen.append(radius)
-            return enumerate_class(G, g, radius, max_size)
+        def spy(bfs):
+            seen.append(bfs.radius)
+            return report(bfs)
 
-        monkeypatch.setattr(oracle, "enumerate_class", spy)
+        monkeypatch.setattr(Closure, "report", spy)
         return seen
 
     @pytest.mark.parametrize(
@@ -223,15 +227,15 @@ class TestClassLowerBound:
         "start, expected", [(8, [8, 32, 128, 512]), (10, [10, 40, 160, 512])]
     )
     def test_never_past_512_rounds(self, lamplighter, monkeypatch, start, expected):
-        # every enumeration reports an open class below the target, so the
-        # round budget escalates as far as it may
+        # every report of the closure is an open class below the target,
+        # so the round budget escalates as far as it may
         seen = []
 
-        def open_below_target(G, g, radius, max_size):
-            seen.append(radius)
-            return ClassReport(AT_LEAST, None, 50, radius, "radius")
+        def open_below_target(bfs):
+            seen.append(bfs.radius)
+            return ClassReport(AT_LEAST, None, 50, bfs.radius, "radius")
 
-        monkeypatch.setattr(oracle, "enumerate_class", open_below_target)
+        monkeypatch.setattr(Closure, "report", open_below_target)
         G = lamplighter
         rep, radius = class_lower_bound(G, G.parse_element("{}@1"), 100, radius=start)
         assert seen == expected and radius == 512
@@ -240,6 +244,95 @@ class TestClassLowerBound:
     def test_start_beyond_cap_rejected(self, lamplighter):
         with pytest.raises(PreconditionError):
             class_lower_bound(lamplighter, lamplighter.identity(), 200, radius=600)
+
+
+ICC = ["lamplighter", "f2-wr-z2", "mixed-union-icc-base"]
+TRANSLATIONS = [f"{{}}@{k}" for k in range(-20, 21) if k]
+
+
+class TestResumedClosure:
+    """class_lower_bound resumes one closure when it escalates; what it
+    reports is what one enumeration at the final budget reports."""
+
+    @settings(max_examples=60)
+    @given(
+        element=st.one_of(
+            st.tuples(st.sampled_from(ICC), st.integers(0, 2**32 - 1)),
+            st.tuples(st.just("lamplighter"), st.sampled_from(TRANSLATIONS)),
+        ),
+        target=st.sampled_from([1, 50, 200]),
+    )
+    def test_resumed_equals_fresh(self, element, target):
+        name, x = element
+        G = load_instance(name).group
+        g = G.parse_element(x) if isinstance(x, str) else G.random_element(random.Random(x))
+        rep, radius = class_lower_bound(G, g, target)
+        assert radius in (8, 32, 128, 512)
+        assert rep == enumerate_class(G, g, radius, target + 1)
+
+    def test_closing_after_resumption_verifies_every_member(self, monkeypatch):
+        # the class has 331 members after 6 rounds, open, and closes in
+        # round 9 with 384: the members past the subsample of the open run
+        # are verified once it closes
+        G = parse_instance("{D: cyclic 4; Q: symmetric 4; omega: natural}").group
+        g = G.parse_element("{0:1}@[1,2,3,0]")
+        checked = []
+        law = G._conjugate
+
+        def spy(x, h):
+            checked.append(law(x, h))
+            return checked[-1]
+
+        monkeypatch.setattr(G, "_conjugate", spy)
+        rep, radius = class_lower_bound(G, g, 5000, radius=6)
+        assert (rep.status, rep.count, rep.rounds_used, radius) == (EXACT_FINITE, 384, 9, 24)
+        assert sorted(checked, key=G.sort_key) == list(rep.elements)
+        assert rep == enumerate_class(G, g, 24, 5001)
+
+    @pytest.mark.parametrize(
+        "name, literal",
+        [
+            ("lamplighter", "{}@1"),  # escalates to 32 rounds
+            ("lamplighter", "{-12:1, 16:1}@-3"),
+            ("f2-wr-z2", "{0:a}@1"),
+            ("z2-wr-s3", "{0:1}@[1,0,2]"),  # closes
+        ],
+    )
+    def test_validates_only_g(self, monkeypatch, name, literal):
+        G = load_instance(name).group
+        g = G.parse_element(literal)
+        seen = []
+        validate = G.validate
+
+        def spy(x):
+            seen.append(x)
+            validate(x)
+
+        monkeypatch.setattr(G, "validate", spy)
+        rep, radius = class_lower_bound(G, g, 200)
+        assert seen == [g]
+        seen.clear()
+        enumerate_class(G, g, radius, 201)
+        assert seen == [g]
+
+    def test_law_broken_beyond_radius_8_is_caught(self, lamplighter, monkeypatch):
+        # {}@1 has 129 conjugates within 8 rounds; the law is wrong only on
+        # members first reached after them, in the resumed rounds
+        G = lamplighter
+        g = G.parse_element("{}@1")
+        bfs = class_closure(G, g, 8)
+        bfs.report()
+        early = set(bfs.reached)
+        law = G._conjugate
+
+        def broken(x, h):
+            y = law(x, h)
+            return y if y in early else WreathElement(y.phi, y.q + 1)
+
+        monkeypatch.setattr(G, "_conjugate", broken)
+        assert enumerate_class(G, g, 8, 201).count == 129
+        with pytest.raises(WriccError, match="bad conjugator"):
+            class_lower_bound(G, g, 200)
 
 
 class TestMultiOrbitCarriers:
@@ -310,3 +403,5 @@ def test_broken_conjugation_law_is_caught(lamplighter, monkeypatch):
     monkeypatch.setattr(G, "_conjugate", lambda x, y: WreathElement(law(x, y).phi, x.q + 1))
     with pytest.raises(WriccError, match="bad conjugator"):
         enumerate_class(G, g, radius=3, max_size=100)
+    with pytest.raises(WriccError, match="bad conjugator"):
+        class_lower_bound(G, g, 200)
