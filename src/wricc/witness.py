@@ -2,9 +2,13 @@
 
 Non-icc verdicts get a finite conjugation-invariant set of nontrivial
 elements, checked exactly: closed under conjugation by every generator of
-G.  Icc verdicts get a deterministic, restartable stream of conjugators
-whose conjugates are pairwise distinct, checked on a prefix.  The
-dispatcher mirrors the case analysis of the criterion's proof.
+G.  Icc verdicts get an infinite family of conjugators whose conjugates
+are pairwise distinct, checked on a prefix.  A family is data: its
+conjugators come from Q's or D's generator ball, in ball order, so its
+prefixes are deterministic and restartable; `members` validates the
+family's inputs once per call, and the verifier validates each conjugator
+once and recomputes each member from products.  The dispatcher mirrors the
+case analysis of the criterion's proof.
 """
 
 from __future__ import annotations
@@ -40,12 +44,15 @@ class VerificationResult:
 
 
 class InfiniteFamilyCertificate:
-    """An indexed stream of conjugators with pairwise-distinct conjugates.
+    """An infinite family of conjugators with pairwise-distinct conjugates,
+    given as data.  Without a `point` the conjugators are (eps, q) for q
+    in Q's ball stream; with one they are (zeta(d, point), 1) for d in D's
+    ball stream.  A `seed_conjugator` s turns each conjugator h into s * h.
 
-    Generation is stateless: `members` re-derives the stream from scratch,
-    so prefixes are restartable and deterministic.  When a closed form is
-    attached (the g_d family) every emission is self-checked against an
-    independent conjugation.
+    Generation is stateless: `members` re-derives the conjugators from
+    scratch, so prefixes are restartable and deterministic.  When a closed
+    form is attached (the g_d family) every emission is self-checked
+    against an independent conjugation.
     """
 
     def __init__(
@@ -54,7 +61,7 @@ class InfiniteFamilyCertificate:
         base: WreathElement,
         family_kind: str,
         dedup: bool,
-        stream,
+        point=None,
         dedup_key=None,
         closed_form=None,
         seed_conjugator: WreathElement | None = None,
@@ -63,25 +70,32 @@ class InfiniteFamilyCertificate:
         self.base = base
         self.family_kind = family_kind
         self.dedup = dedup
+        self.point = point
         self.seed_conjugator = seed_conjugator
-        self._stream = stream
         self._dedup_key = dedup_key
         self._closed_form = closed_form
 
     def members(self, count: int, search_budget: int = 20000):
         """Yield up to `count` pairs (conjugator, conjugate).  The base, the
-        seed conjugator and each stream element are validated once."""
+        seed conjugator and the point are validated once per call; the
+        conjugators are built from them and from the group's own ball
+        elements, so they are trusted."""
         if count < 1:
             raise PreconditionError("a certificate prefix needs at least 1 member")
-        G, seed = self.group, self.seed_conjugator
+        G, seed, y = self.group, self.seed_conjugator, self.point
         G.validate(self.base)
         if seed is not None:
             G.validate(seed)
+        if y is None:
+            inners = (WreathElement((), q) for q in G.Q.ball_stream())
+        else:
+            G.omega.validate_point(y)
+            one, zeta = G.Q.identity(), G._zeta
+            inners = (WreathElement(zeta(d, y), one) for d in G.D.ball_stream())
         seen = set()
         emitted = 0
         skipped = 0
-        for inner in self._stream():
-            G.validate(inner)
+        for inner in inners:
             h = G._multiply(seed, inner) if seed is not None else inner
             conj = G._conjugate(self.base, h)
             if self._closed_form is not None:
@@ -218,13 +232,7 @@ def family_q_translation(G: WreathProduct, g: WreathElement) -> InfiniteFamilyCe
     G.validate(g)
     if G.Q.fc_contains(g.q):
         raise PreconditionError("q-translation family requires q outside FC(Q)")
-
-    def stream():
-        return (WreathElement((), qn) for qn in G.Q.ball_stream())
-
-    return InfiniteFamilyCertificate(
-        G, g, "q-translation", dedup=True, stream=stream, dedup_key=lambda c: c.q
-    )
+    return InfiniteFamilyCertificate(G, g, "q-translation", dedup=True, dedup_key=lambda c: c.q)
 
 
 def family_lambda_translation(
@@ -238,16 +246,11 @@ def family_lambda_translation(
         raise PreconditionError("lambda-translation family requires phi != eps")
     if not any(G.omega.orbit_infinite(y) is Tri.YES for y in support(probe.phi)):
         raise PreconditionError("no support point lies in a known-infinite orbit")
-
-    def stream():
-        return (WreathElement((), qn) for qn in G.Q.ball_stream())
-
     return InfiniteFamilyCertificate(
         G,
         g,
         "lambda-translation",
         dedup=True,
-        stream=stream,
         dedup_key=lambda c: support(c.phi),
         seed_conjugator=seed_conjugator,
     )
@@ -270,8 +273,9 @@ def family_gd(G: WreathProduct, g: WreathElement, y) -> InfiniteFamilyCertificat
     phi0 = tuple(item for item in phi if item[0] != y)
     e = D.identity()
 
-    # `members` has validated `inner`, and g and y are validated above, so
-    # the closed form runs on D's unchecked arithmetic
+    # g and y are validated above, and `members` builds `inner` from y and
+    # D's own ball elements, so the closed form runs on D's unchecked
+    # arithmetic
     def closed_form(inner: WreathElement) -> WreathElement:
         d = inner.phi[0][1] if inner.phi else e
         dinv = D._inverse(d)
@@ -281,14 +285,7 @@ def family_gd(G: WreathProduct, g: WreathElement, y) -> InfiniteFamilyCertificat
             head = G.pointwise_mul(phi0, G._zeta(D._multiply(dinv, c), y))
         return WreathElement(G.pointwise_mul(head, G._zeta(d, qy)), g.q)
 
-    def stream():
-        return (
-            WreathElement(G._zeta(dn, y), G.Q.identity()) for dn in D.ball_stream()
-        )
-
-    return InfiniteFamilyCertificate(
-        G, g, "g_d", dedup=False, stream=stream, closed_form=closed_form
-    )
+    return InfiniteFamilyCertificate(G, g, "g_d", dedup=False, point=y, closed_form=closed_form)
 
 
 def family_value_conjugation(
@@ -305,19 +302,12 @@ def family_value_conjugation(
         raise PreconditionError("x0 must lie in the support of phi")
     if G.D.icc_status().answer is not Tri.YES:
         raise PreconditionError("value-conjugation family requires an icc base group")
-    D = G.D
-
-    def stream():
-        return (
-            WreathElement(G._zeta(en, x0), G.Q.identity()) for en in D.ball_stream()
-        )
-
     return InfiniteFamilyCertificate(
         G,
         g,
         "value-conjugation",
         dedup=True,
-        stream=stream,
+        point=x0,
         dedup_key=lambda conj: G.map_value(conj.phi, x0),
     )
 

@@ -5,7 +5,9 @@ orbit for every generator d of D, then the generators of Q.
 
 A finitely supported map is stored canonically as a tuple of (point, value)
 pairs sorted by the carrier's point order, never containing an identity
-value.  All values are immutable and hashable.
+value.  An element is a `WreathElement`, a named tuple (phi, q), so that
+building, hashing and comparing elements runs in C.  All values are
+immutable and hashable.
 
 The public `multiply`, `inverse` and `conjugate` (from `Group`) validate
 each operand in depth once; `_multiply`, `_inverse` and `_conjugate` trust
@@ -19,7 +21,7 @@ the oracle, which recompute conjugates as products, check it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._parsing import split_top, strip_outer
 from .errors import KindMismatch, ParseError, PreconditionError, Unsupported
@@ -28,10 +30,11 @@ from .qsets import QSet
 from .tri import Tri
 
 
-@dataclass(frozen=True)
-class WreathElement:
+class WreathElement(NamedTuple):
     """A pair (phi, q): a finitely-supported map as a canonical tuple of
-    (point, value) pairs, and an element of the acting group."""
+    (point, value) pairs, and an element of the acting group.  A bare
+    tuple compares equal to it but is not an element: `validate` rejects
+    it."""
 
     phi: tuple
     q: object
@@ -92,10 +95,11 @@ class WreathProduct(Group):
         return self._canon(acc.items())
 
     def lambda_act(self, q, f: tuple) -> tuple:
-        """Translate the support: each support point y moves to q.y, values
-        unchanged."""
+        """Translate the support of the canonical map f: each support point
+        y moves to q.y, values unchanged.  q and f are validated once."""
         self.Q.validate(q)
-        return self._canon((self.omega.act(q, y), d) for y, d in f)
+        self._validate_map(f)
+        return tuple(sorted(self._moved(q, f).items(), key=self._item_key))
 
     def _moved(self, q, f) -> dict:
         """The support of f, a sequence of (point, value) pairs, moved by q,
@@ -181,10 +185,15 @@ class WreathProduct(Group):
         if not isinstance(x, WreathElement):
             raise KindMismatch(f"{self.kind}: bad payload {x!r}")
         self.Q.validate(x.q)
-        if not isinstance(x.phi, tuple):
+        self._validate_map(x.phi)
+
+    def _validate_map(self, phi):
+        """Check that phi is a canonical map: sorted, valid entries, no
+        stored identity."""
+        if not isinstance(phi, tuple):
             raise KindMismatch(f"{self.kind}: phi must be a tuple")
         prev_key = None
-        for item in x.phi:
+        for item in phi:
             if not isinstance(item, tuple) or len(item) != 2:
                 raise KindMismatch(f"{self.kind}: bad phi entry {item!r}")
             y, d = item

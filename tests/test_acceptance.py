@@ -294,7 +294,7 @@ def test_criterion_8_negative_controls():
             for i, (h, conj) in enumerate(fam.members(count, search_budget)):
                 yield (h, WreathElement(conj.phi, conj.q + 1) if i == 2 else conj)
 
-    bad = Corrupt(L, g, fam.family_kind, fam.dedup, fam._stream, fam._dedup_key)
+    bad = Corrupt(L, g, fam.family_kind, fam.dedup, fam.point, fam._dedup_key)
     res_inf = verify_infinite_certificate(L, bad, N=10)
     ok = (
         not res_fin

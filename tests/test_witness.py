@@ -349,7 +349,7 @@ class TestNegativeControls:
                         conj = WreathElement(conj.phi, conj.q + 1)
                     yield (h, conj)
 
-        bad = Corrupt(G, g, fam.family_kind, fam.dedup, fam._stream, fam._dedup_key)
+        bad = Corrupt(G, g, fam.family_kind, fam.dedup, fam.point, fam._dedup_key)
         res = verify_infinite_certificate(G, bad, N=10)
         assert not res and res.reason == "recorded conjugate does not match recomputation"
         h, conj, again = res.counterexample
@@ -379,7 +379,7 @@ class TestNegativeControls:
                 for _ in range(count):
                     yield first
 
-        bad = Repeats(G, g, fam.family_kind, fam.dedup, fam._stream, fam._dedup_key)
+        bad = Repeats(G, g, fam.family_kind, fam.dedup, fam.point, fam._dedup_key)
         res = verify_infinite_certificate(G, bad, N=10)
         assert not res and "duplicate" in res.reason
 
@@ -392,7 +392,7 @@ class TestNegativeControls:
             def members(self, count, search_budget=20000):
                 yield from fam.members(min(count, 4), search_budget)
 
-        bad = Short(G, g, fam.family_kind, fam.dedup, fam._stream, fam._dedup_key)
+        bad = Short(G, g, fam.family_kind, fam.dedup, fam.point, fam._dedup_key)
         assert not verify_infinite_certificate(G, bad, N=10)
 
 
@@ -410,20 +410,111 @@ def test_prefix_needs_a_member(lamplighter, count):
         fam.take(count)
 
 
-def test_members_validate_what_they_conjugate(lamplighter):
-    # the base, the seed conjugator and each stream element are checked
-    # once; everything after that is built from them
+def test_members_validate_what_they_conjugate(lamplighter, monkeypatch):
+    # a malformed base, seed conjugator or point is rejected before the
+    # first conjugation; every conjugator is built from them and from the
+    # group's own ball elements
     G = lamplighter
     g = WreathElement(G.zeta(1, 0), 0)
     stored_identity = WreathElement(((0, 0),), 1)
-
-    def stream():
-        return iter([G.identity(), stored_identity])
-
-    for base, seed in ((stored_identity, None), (g, stored_identity), (g, None)):
-        fam = InfiniteFamilyCertificate(G, base, "probe", True, stream, seed_conjugator=seed)
+    conjugated = []
+    law = G._conjugate
+    monkeypatch.setattr(G, "_conjugate", lambda x, y: conjugated.append(y) or law(x, y))
+    assert InfiniteFamilyCertificate(G, g, "probe", True, point=0).take(1) and conjugated
+    conjugated.clear()
+    for base, seed, point in (
+        (stored_identity, None, None),
+        (g, stored_identity, None),
+        (g, None, "0"),
+        (g, None, 1.5),
+    ):
+        fam = InfiniteFamilyCertificate(G, base, "probe", True, point=point, seed_conjugator=seed)
         with pytest.raises(KindMismatch):
             fam.take(5)
+    assert conjugated == []
+
+
+# family kind -> the key its conjugates are deduplicated on (g_d: none)
+DEDUP_KEYS = {
+    "q-translation": lambda fam, c: c.q,
+    "lambda-translation": lambda fam, c: support(c.phi),
+    "g_d": lambda fam, c: c,
+    "value-conjugation": lambda fam, c: fam.group.map_value(c.phi, fam.point),
+}
+
+# (group, element literal, family kind, point) for each kind of family;
+# the dispatcher picks the family
+FAMILY_CASES = [
+    ("z2-wr-free2", "{}@a", "q-translation", None),
+    ("z2-wr-free2", "{1:1}@a*b", "q-translation", None),
+    ("lamplighter", "{0:1, 3:1}@0", "lambda-translation", None),
+    ("lamplighter", "{}@2", "lambda-translation", None),
+    ("f2-wr-z2", "{0:a*b}@1", "g_d", 0),
+    ("f2-wr-z2", "{0:a, 1:b}@0", "value-conjugation", 0),
+    ("mixed-union-icc-base", "{(1; 2):b}@1", "g_d", (0, 0)),
+    ("mixed-union-icc-base", "{(0; 0):a, (1; 1):b}@0", "value-conjugation", (0, 0)),
+]
+
+
+def _family_group(name):
+    if name == "z2-wr-free2":
+        return WreathProduct(CyclicGroup(2), FreeGroup(2), RegularQSet(FreeGroup(2)))
+    return load_instance(name).group
+
+
+def _documented_prefix(fam, count):
+    """The first `count` members of `fam` built as its docstring defines
+    them, with public arithmetic: conjugators in ball order, each after
+    the seed, keeping the first conjugate of each dedup key.  Also returns
+    the number of conjugators drawn."""
+    G = fam.group
+    if fam.point is None:
+        hs = (WreathElement((), q) for q in G.Q.ball_stream())
+    else:
+        hs = (WreathElement(G.zeta(d, fam.point), G.Q.identity()) for d in G.D.ball_stream())
+    prefix, keys = [], set()
+    for drawn, h in enumerate(hs, 1):
+        if fam.seed_conjugator is not None:
+            h = G.multiply(fam.seed_conjugator, h)
+        conj = G.conjugate(fam.base, h)
+        key = DEDUP_KEYS[fam.family_kind](fam, conj)
+        if key not in keys:
+            keys.add(key)
+            prefix.append((h, conj))
+            if len(prefix) == count:
+                return prefix, drawn
+
+
+@pytest.mark.parametrize("name, literal, kind, point", FAMILY_CASES)
+def test_members_are_the_documented_conjugators(name, literal, kind, point):
+    G = _family_group(name)
+    g = G.parse_element(literal)
+    fam = witness(G, decide_icc(G), g)
+    assert (fam.family_kind, fam.point) == (kind, point)
+    assert (fam.seed_conjugator is not None) == (literal == "{}@2")
+    expected, drawn = _documented_prefix(fam, 60)
+    assert fam.take(60) == expected
+    # q-translation and value-conjugation skip repeated keys here; g_d
+    # never skips, and these lambda-translations need not
+    assert (drawn > 60) == (kind not in ("g_d", "lambda-translation"))
+
+
+@pytest.mark.parametrize("name, literal, kind, point", FAMILY_CASES)
+def test_members_validate_once_per_call(name, literal, kind, point, monkeypatch):
+    # `members` validates the base, then the seed, then the point, once per
+    # call, and trusts the conjugators it builds from the group's balls
+    G = _family_group(name)
+    fam = witness(G, decide_icc(G), G.parse_element(literal))
+    validated, points = [], []
+    monkeypatch.setattr(G, "validate", validated.append)
+    monkeypatch.setattr(G.omega, "validate_point", points.append)
+    for count in (1, 40):
+        fam.take(count)
+        seed = [] if fam.seed_conjugator is None else [fam.seed_conjugator]
+        assert validated == [fam.base] + seed
+        assert points == ([] if point is None else [point])
+        validated.clear()
+        points.clear()
 
 
 def test_verifier_validates_once_and_recomputes_by_products(f2_wr_z2, monkeypatch):
@@ -437,7 +528,7 @@ def test_verifier_validates_once_and_recomputes_by_products(f2_wr_z2, monkeypatc
         def members(self, count, search_budget=20000):
             yield from prefix[:count]
 
-    cert = Recorded(G, g, "g_d", dedup=False, stream=None)
+    cert = Recorded(G, g, "g_d", dedup=False, point=0)
     validated = []
     check = G.validate
     monkeypatch.setattr(G, "validate", lambda x: validated.append(x) or check(x))

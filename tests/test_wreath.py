@@ -69,6 +69,15 @@ class TestZetaAndMaps:
             q1, q2 = rng.randrange(-5, 6), rng.randrange(-5, 6)
             assert G.lambda_act(q1 + q2, f) == G.lambda_act(q1, G.lambda_act(q2, f))
 
+    def test_lambda_validates_the_map(self, G):
+        # an invalid value would be moved as it is, and a stored identity
+        # would silently vanish
+        for f in (((0, 7),), ((0, 0),), ((1, 1), (0, 1))):
+            with pytest.raises(KindMismatch):
+                G.lambda_act(1, f)
+        with pytest.raises(KindMismatch):
+            G.lambda_act(1.5, ((0, 1),))
+
     def test_pointwise_mul_cancels(self, G):
         f = G.pointwise_mul(G.zeta(1, 0), G.zeta(1, 0))
         assert f == ()
@@ -250,6 +259,42 @@ class TestBoundary:
             G.conjugate(x, y)
             assert calls == expected and expected
             calls.clear()
+
+
+class TestTupleElements:
+    """Elements are named tuples (phi, q): a bare tuple compares equal to
+    one but is still not an element of the group."""
+
+    def test_fields_and_repr(self):
+        g = WreathElement(((0, 1),), 2)
+        assert WreathElement._fields == ("phi", "q")
+        assert (g.phi, g.q) == (((0, 1),), 2)
+        assert repr(g) == "WreathElement(phi=((0, 1),), q=2)"
+
+    def test_bare_tuple_rejected(self, G):
+        good = WreathElement(G.zeta(1, 0), 1)
+        bare = ((), 1)
+        assert bare == WreathElement((), 1)
+        calls = {
+            "validate": G.validate,
+            "multiply(x, g)": lambda x: G.multiply(x, good),
+            "multiply(g, x)": lambda x: G.multiply(good, x),
+            "conjugate(x, g)": lambda x: G.conjugate(x, good),
+            "conjugate(g, x)": lambda x: G.conjugate(good, x),
+        }
+        assert [op for op, call in calls.items() if not _rejected(call, bare)] == []
+
+    def test_nested_base_roundtrip(self):
+        G = _group("nested-base")
+        rng = random.Random(19)
+        values = 0
+        for _ in range(40):
+            x = G.random_element(rng)
+            y = G.parse_element(G.format_element(x))
+            assert y == x and type(y) is WreathElement
+            assert all(type(d) is WreathElement for _, d in y.phi)
+            values += len(y.phi)
+        assert values
 
 
 def test_generators_generate_small_ball(lamplighter):
