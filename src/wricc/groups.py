@@ -11,8 +11,9 @@ kind rather than computed from presentations; each declared fact carries a
 one-line justification.
 
 `Closure` is the one breadth-first search of the package: generator balls,
-conjugacy classes (`class_closure`), orbits and permutation tables all run
-through it, and a bounded closure is summed up by one `ClassReport`.
+conjugacy classes (`class_closure`) and the permutation tables of
+finite-explicit carriers run through it, and a bounded closure is summed
+up by one `ClassReport`.
 
 Public arithmetic (`multiply`, `inverse`, `conjugate`) validates each
 operand once; `_multiply`, `_inverse` and `_conjugate` trust theirs.
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 from ._parsing import split_top, strip_outer
 from .errors import KindMismatch, ParseError, PreconditionError, Unsupported
-from .tri import Tri
+from .tri import Tri, tri_and
 
 EXACT_FINITE = "exact-finite"
 AT_LEAST = "at-least"
@@ -277,12 +278,6 @@ def class_closure(G: Group, x, radius=math.inf, max_size=math.inf) -> Closure:
     )
 
 
-def class_enum_bounded(G: Group, x, radius: int, max_size: int) -> ClassReport:
-    """BFS closure of {x} under conjugation by generators and their
-    inverses, up to `radius` rounds and `max_size` elements."""
-    return class_closure(G, x, radius, max_size).report()
-
-
 class _FiniteGroupMixin:
     """Shared declared facts for finite kinds: fc_contains is constantly
     true and icc is No (every class has at most |G| elements)."""
@@ -449,12 +444,15 @@ class SymmetricGroup(_FiniteGroupMixin, Group):
         return _perm_inv(a)
 
     def validate(self, x):
-        if (
-            not isinstance(x, tuple)
-            or len(x) != self.n
-            or sorted(x) != list(range(self.n))
-        ):
-            raise KindMismatch(f"symmetric({self.n}): bad payload {x!r}")
+        try:
+            if (
+                not isinstance(x, tuple)
+                or len(x) != self.n
+                or sorted(x) != list(range(self.n))
+            ):
+                raise KindMismatch(f"symmetric({self.n}): bad payload {x!r}")
+        except TypeError:  # an entry that does not compare with ints
+            raise KindMismatch(f"symmetric({self.n}): bad payload {x!r}") from None
 
     @property
     def generators(self):
@@ -669,8 +667,6 @@ class DirectProductGroup(Group):
         per = []
         for f in self.factors:
             per.append(Tri.YES if f.is_trivial else f.icc_status().answer)
-        from .tri import tri_and
-
         ans = tri_and(*per)
         return IccStatus(ans, "computed", "FC of a product is the product of the FCs")
 

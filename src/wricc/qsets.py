@@ -1,14 +1,17 @@
 """Countable Q-sets with action evaluation and the structural oracles the
 wreath-product icc criterion consumes.
 
-Orbit infinitude, action freeness, the kernel and one representative of
-each orbit are answered per carrier kind by a structural rule, never by
-search; `kernel_meets_fc` is derived from the kernel description once for
-all kinds.  Bounded search (orbit_bounded, a `ClassReport` from the shared
-breadth-first closure) only produces evidence, not verdicts.
+A carrier gives only its structural rules: the action `_act`, whether the
+orbit of a point is infinite (`_orbit_infinite`), the kernel, one
+representative of each orbit, a finite orbit and freeness, each read off
+the carrier's kind, never found by search.  `QSet` derives the rest once
+for all kinds: `fixes_all_points` and `kernel_meets_fc` from the kernel
+description, `all_orbits_infinite` from finiteness and the orbit
+representatives, and `points` from `points_stream`.
 
-`QSet.act` validates the acting element and the point once, then runs the
-carrier's `_act`, which trusts both; each carrier implements only `_act`.
+The public methods validate once: `act` checks the acting element and the
+point, `orbit_infinite` the point and `fixes_all_points` the element, then
+each runs the carrier's rule, which trusts them.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .errors import (
     PreconditionError,
     Unsupported,
 )
-from .groups import ClassReport, Closure, Group, SymmetricGroup, _perm_inv
+from .groups import Closure, Group, SymmetricGroup, _perm_inv
 from .tri import Tri, tri_and
 
 # kernel descriptions: ("trivial",) | ("full",) | ("nZ", n) | ("explicit", frozenset)
@@ -59,13 +62,19 @@ class QSet(ABC):
     is_finite_carrier: bool
 
     def points(self):
-        raise Unsupported(f"{self.carrier_kind}: infinite carrier")
+        """Every point of a finite carrier, in `points_stream` order."""
+        if not self.is_finite_carrier:
+            raise Unsupported(f"{self.carrier_kind}: infinite carrier")
+        return self.points_stream()
 
     # ---- oracles -------------------------------------------------------
 
-    @abstractmethod
     def all_orbits_infinite(self) -> Tri:
-        ...
+        """Is every orbit infinite?  One point of each orbit decides it,
+        and a finite carrier has finite orbits only."""
+        if self.is_finite_carrier:
+            return Tri.NO
+        return tri_and(*(self._orbit_infinite(y) for y in self.orbit_representatives()))
 
     def finite_orbit_example(self):
         """A finite orbit as a tuple of points, or None."""
@@ -105,12 +114,29 @@ class QSet(ABC):
         when no rule knows it."""
         return None
 
-    @abstractmethod
     def fixes_all_points(self, q) -> Tri:
-        ...
+        """Does q act trivially?  Read off `kernel_description`."""
+        self.Q.validate(q)
+        desc = self.kernel_description()
+        if desc is None:
+            return Tri.UNKNOWN
+        if desc[0] == "trivial":
+            fixes = q == self.Q.identity()
+        elif desc[0] == "full":
+            fixes = True
+        elif desc[0] == "nZ":
+            fixes = q % desc[1] == 0
+        else:
+            fixes = q in desc[1]
+        return Tri.YES if fixes else Tri.NO
+
+    def orbit_infinite(self, x) -> Tri:
+        self.validate_point(x)
+        return self._orbit_infinite(x)
 
     @abstractmethod
-    def orbit_infinite(self, x) -> Tri:
+    def _orbit_infinite(self, x) -> Tri:
+        """Is the orbit of the valid point x infinite?"""
         ...
 
     # ---- misc ------------------------------------------------------------
@@ -147,17 +173,6 @@ class QSet(ABC):
         ...
 
 
-def orbit_bounded(S: QSet, x, budget: int) -> ClassReport:
-    """BFS over generator actions, with the class budget rule: the report
-    is `exact-finite` iff the orbit closes with fewer than `budget`
-    points."""
-    S.validate_point(x)
-    Q = S.Q
-    return Closure(
-        x, Q.generators, Q._inverse, lambda p, s: S._act(s, p), S.point_key, max_size=budget
-    ).report()
-
-
 class RegularQSet(QSet):
     """Omega = Q acting on itself by left translation."""
 
@@ -181,12 +196,6 @@ class RegularQSet(QSet):
     def is_finite_carrier(self):
         return self.Q.is_finite
 
-    def points(self):
-        return self.Q.elements()
-
-    def all_orbits_infinite(self):
-        return Tri.NO if self.Q.is_finite else Tri.YES
-
     def finite_orbit_example(self):
         if self.Q.is_finite:
             return tuple(self.Q.elements())
@@ -198,10 +207,7 @@ class RegularQSet(QSet):
     def is_free_action(self):
         return Tri.YES
 
-    def fixes_all_points(self, q):
-        return Tri.YES if q == self.Q.identity() else Tri.NO
-
-    def orbit_infinite(self, x):
+    def _orbit_infinite(self, x):
         return Tri.NO if self.Q.is_finite else Tri.YES
 
     def descriptor(self):
@@ -237,13 +243,7 @@ class _IntPointQSet(QSet):
     def points_stream(self):
         return iter(range(self.size))
 
-    def points(self):
-        return iter(range(self.size))
-
-    def all_orbits_infinite(self):
-        return Tri.NO
-
-    def orbit_infinite(self, x):
+    def _orbit_infinite(self, x):
         return Tri.NO
 
     def random_point(self, rng):
@@ -288,9 +288,6 @@ class IntModQSet(_IntPointQSet):
     def is_free_action(self):
         return Tri.NO  # q = n fixes every residue
 
-    def fixes_all_points(self, q):
-        return Tri.YES if q % self.size == 0 else Tri.NO
-
     def descriptor(self):
         return ("int-mod", self.size)
 
@@ -319,9 +316,6 @@ class TrivialQSet(_IntPointQSet):
 
     def is_free_action(self):
         return Tri.YES if self.Q.is_trivial else Tri.NO
-
-    def fixes_all_points(self, q):
-        return Tri.YES
 
     def descriptor(self):
         return ("trivial", self.size, self.Q.descriptor())
@@ -387,7 +381,8 @@ class FiniteExplicitQSet(_IntPointQSet):
         return self._perms[q][x]
 
     def finite_orbit_example(self):
-        return orbit_bounded(self, 0, self.size + 1).elements
+        # _perms holds every element of Q, as for _orbit_reps
+        return tuple(sorted({p[0] for p in self._perms.values()}))
 
     def orbit_representatives(self):
         return self._orbit_reps
@@ -404,10 +399,6 @@ class FiniteExplicitQSet(_IntPointQSet):
             if any(p[i] == i for i in range(self.size)):
                 return Tri.NO
         return Tri.YES
-
-    def fixes_all_points(self, q):
-        ident = tuple(range(self.size))
-        return Tri.YES if self._perms.get(q) == ident else Tri.NO
 
     def descriptor(self):
         return (
@@ -469,19 +460,16 @@ class DisjointUnionQSet(QSet):
         i, p = x
         return (i, self.parts[i]._act(q, p))
 
-    def _split(self, x):
+    def validate_point(self, x):
         if (
             not isinstance(x, tuple)
             or len(x) != 2
             or not isinstance(x[0], int)
+            or isinstance(x[0], bool)
             or not 0 <= x[0] < len(self.parts)
         ):
             raise KindMismatch(f"{self.carrier_kind}: bad point {x!r}")
-        return x
-
-    def validate_point(self, x):
-        i, p = self._split(x)
-        self.parts[i].validate_point(p)
+        self.parts[x[0]].validate_point(x[1])
 
     def point_key(self, x):
         i, p = x
@@ -496,14 +484,6 @@ class DisjointUnionQSet(QSet):
     @property
     def is_finite_carrier(self):
         return all(p.is_finite_carrier for p in self.parts)
-
-    def points(self):
-        for i, part in enumerate(self.parts):
-            for p in part.points():
-                yield (i, p)
-
-    def all_orbits_infinite(self):
-        return tri_and(*(p.all_orbits_infinite() for p in self.parts))
 
     def finite_orbit_example(self):
         for i, part in enumerate(self.parts):
@@ -521,12 +501,9 @@ class DisjointUnionQSet(QSet):
     def is_free_action(self):
         return tri_and(*(p.is_free_action() for p in self.parts))
 
-    def fixes_all_points(self, q):
-        return tri_and(*(p.fixes_all_points(q) for p in self.parts))
-
-    def orbit_infinite(self, x):
-        i, p = self._split(x)
-        return self.parts[i].orbit_infinite(p)
+    def _orbit_infinite(self, x):
+        i, p = x
+        return self.parts[i]._orbit_infinite(p)
 
     def descriptor(self):
         return ("union", tuple(p.descriptor() for p in self.parts))

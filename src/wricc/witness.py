@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import CertificateBudget, PreconditionError, WriccError
-from .groups import EXACT_FINITE, class_closure, class_enum_bounded
+from .groups import EXACT_FINITE, class_closure
 from .tri import Tri
 from .wreath import WreathElement, WreathProduct, support
 
@@ -146,7 +146,7 @@ def cert_condition_i(
         raise PreconditionError("q0 must lie in FC(Q)")
     if G.omega.fixes_all_points(q0) is Tri.NO:
         raise PreconditionError("q0 must fix the carrier pointwise")
-    rep = class_enum_bounded(Q, q0, radius, max_size)
+    rep = class_closure(Q, q0, radius, max_size).report()
     if rep.status != EXACT_FINITE:
         raise CertificateBudget(
             "class of q0 did not close within the configured budget"
@@ -269,7 +269,7 @@ def family_gd(G: WreathProduct, g: WreathElement, y) -> InfiniteFamilyCertificat
         raise PreconditionError("the g_d family needs an infinite base group")
     D = G.D
     phi = g.phi
-    c = G.map_value(phi, y)
+    c = G._map_value(phi, y)
     phi0 = tuple(item for item in phi if item[0] != y)
     e = D.identity()
 
@@ -280,10 +280,10 @@ def family_gd(G: WreathProduct, g: WreathElement, y) -> InfiniteFamilyCertificat
         d = inner.phi[0][1] if inner.phi else e
         dinv = D._inverse(d)
         if c == e:
-            head = G.pointwise_mul(phi, G._zeta(dinv, y))
+            head = G._pointwise_mul(phi, G._zeta(dinv, y))
         else:
-            head = G.pointwise_mul(phi0, G._zeta(D._multiply(dinv, c), y))
-        return WreathElement(G.pointwise_mul(head, G._zeta(d, qy)), g.q)
+            head = G._pointwise_mul(phi0, G._zeta(D._multiply(dinv, c), y))
+        return WreathElement(G._pointwise_mul(head, G._zeta(d, qy)), g.q)
 
     return InfiniteFamilyCertificate(G, g, "g_d", dedup=False, point=y, closed_form=closed_form)
 
@@ -308,7 +308,7 @@ def family_value_conjugation(
         "value-conjugation",
         dedup=True,
         point=x0,
-        dedup_key=lambda conj: G.map_value(conj.phi, x0),
+        dedup_key=lambda conj: G._map_value(conj.phi, x0),
     )
 
 
@@ -360,7 +360,7 @@ def witness(G: WreathProduct, verdict, g: WreathElement | None = None):
         seed = WreathElement(G.zeta(d, y), G.Q.identity())
         gprime = G.conjugate(g, seed)
         qy = G.omega.act(q, y)
-        expected = G.pointwise_mul(G.zeta(G.D.inverse(d), y), G.zeta(d, qy))
+        expected = G._pointwise_mul(G.zeta(G.D.inverse(d), y), G.zeta(d, qy))
         if gprime.phi != expected or not gprime.phi:
             raise WriccError("seeded conjugate does not have the expected support")
         return family_lambda_translation(G, g, seed_conjugator=seed)

@@ -84,7 +84,7 @@ class WreathProduct(Group):
         """`zeta` for a value and a point already validated."""
         return () if d == self._e else ((y, d),)
 
-    def pointwise_mul(self, f: tuple, g: tuple) -> tuple:
+    def _pointwise_mul(self, f: tuple, g: tuple) -> tuple:
         """(fg)(x) = f(x) g(x) for maps the group built; at shared keys the
         left factor's value is multiplied by the right factor's (D may be
         nonabelian)."""
@@ -110,7 +110,8 @@ class WreathProduct(Group):
             raise KindMismatch("duplicate support point: the action is not injective")
         return moved
 
-    def map_value(self, f: tuple, y):
+    def _map_value(self, f: tuple, y):
+        """f(y) for a map the group built."""
         for p, d in f:
             if p == y:
                 return d

@@ -3,7 +3,8 @@ import importlib.resources
 import pytest
 from hypothesis import settings
 
-from wricc import parse_instance
+from wricc.groups import Closure
+from wricc.instances import parse_instance
 
 # property tests draw the same examples on every run, with no per-example
 # time limit and no stored examples replayed, so that the suite stays
@@ -69,6 +70,16 @@ def word_ball(G, radius: int) -> set:
 
     walk(G.identity(), 0)
     return ball
+
+
+def orbit_closure(S, x, max_size):
+    """The orbit of the point x under Q's generators and their inverses, as
+    a bounded `Closure` summed up by its report: `exact-finite` iff the
+    orbit closes with fewer than `max_size` points."""
+    Q = S.Q
+    return Closure(
+        x, Q.generators, Q.inverse, lambda p, s: S.act(s, p), S.point_key, max_size=max_size
+    ).report()
 
 
 @pytest.fixture

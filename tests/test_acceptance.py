@@ -7,21 +7,20 @@ visible under output capturing.
 import random
 import time
 
-from wricc import (
-    EXACT_FINITE,
+from wricc.decision import decide_icc, decide_icc_free
+from wricc.groups import EXACT_FINITE
+from wricc.oracle import AT_LEAST, class_lower_bound, enumerate_class
+from wricc.tri import Tri
+from wricc.witness import (
     InfiniteFamilyCertificate,
-    Tri,
-    WreathElement,
     cert_finite_orbit,
-    decide_icc,
-    decide_icc_free,
     family_lambda_translation,
     predicted_invariant_sets,
     verify_finite_certificate,
     verify_infinite_certificate,
     witness,
 )
-from wricc.oracle import AT_LEAST, class_lower_bound, enumerate_class
+from wricc.wreath import WreathElement
 
 from conftest import CORPUS, load_instance, record_acceptance, word_ball
 
@@ -91,13 +90,13 @@ def test_criterion_2_formula_fidelity():
             d = G.D.random_element(rng)
             qy = G.omega.act(q, y)
             dinv = G.D.inverse(d)
-            c = G.map_value(phi, y)
+            c = G._map_value(phi, y)
             if c == G.D.identity():
-                head = G.pointwise_mul(phi, G.zeta(dinv, y))
+                head = G._pointwise_mul(phi, G.zeta(dinv, y))
             else:
                 phi0 = tuple(item for item in phi if item[0] != y)
-                head = G.pointwise_mul(phi0, G.zeta(G.D.multiply(dinv, c), y))
-            closed = WreathElement(G.pointwise_mul(head, G.zeta(d, qy)), q)
+                head = G._pointwise_mul(phi0, G.zeta(G.D.multiply(dinv, c), y))
+            closed = WreathElement(G._pointwise_mul(head, G.zeta(d, qy)), q)
             direct = G.conjugate(g, WreathElement(G.zeta(d, y), one))
             if closed != direct:
                 mismatches += 1

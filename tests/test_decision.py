@@ -1,20 +1,11 @@
 import pytest
 
-from wricc import (
-    CyclicGroup,
-    EmptyOmega,
-    FreeGroup,
-    IntegersGroup,
-    NotFreeAction,
-    QSet,
-    RegularQSet,
-    Tri,
-    TrivialD,
-    WreathProduct,
-    decide_icc,
-    decide_icc_free,
-)
-from wricc.tri import tri_and, tri_not, tri_of, tri_or
+from wricc.decision import decide_icc, decide_icc_free
+from wricc.errors import EmptyOmega, NotFreeAction, TrivialD
+from wricc.groups import CyclicGroup, FreeGroup, IntegersGroup
+from wricc.qsets import QSet, RegularQSet
+from wricc.tri import Tri, tri_and, tri_not, tri_of, tri_or
+from wricc.wreath import WreathProduct
 
 from conftest import CORPUS, EXTRA, load_instance
 
@@ -152,7 +143,7 @@ class _OpaqueQSet(QSet):
     def fixes_all_points(self, q):
         return Tri.UNKNOWN
 
-    def orbit_infinite(self, x):
+    def _orbit_infinite(self, x):
         return Tri.UNKNOWN
 
     def descriptor(self):

@@ -2,21 +2,19 @@ import random
 
 import pytest
 
-from wricc import (
+from wricc.errors import KindMismatch, PreconditionError
+from wricc.groups import (
     AT_LEAST,
     EXACT_FINITE,
     CyclicGroup,
     DirectProductGroup,
     FreeGroup,
     IntegersGroup,
-    KindMismatch,
-    PreconditionError,
-    RegularQSet,
     SymmetricGroup,
-    Tri,
-    class_enum_bounded,
+    class_closure,
 )
-from wricc.groups import class_closure
+from wricc.qsets import RegularQSet
+from wricc.tri import Tri
 
 from conftest import load_instance
 
@@ -87,31 +85,31 @@ class TestConjugate:
 
 class TestClassEnum:
     def test_integers_singleton(self):
-        rep = class_enum_bounded(Z, 3, 5, 100)
+        rep = class_closure(Z, 3, 5, 100).report()
         assert rep.status == EXACT_FINITE
         assert rep.elements == (3,)
         # one round that added nothing closes the class
         assert rep.stopped_by == "closed" and rep.rounds_used == 1
 
     def test_s3_transpositions(self):
-        rep = class_enum_bounded(S3, P12, 3, 100)
+        rep = class_closure(S3, P12, 3, 100).report()
         assert rep.status == EXACT_FINITE
         assert set(rep.elements) == {P12, P13, P23}
         assert rep.stopped_by == "closed" and rep.count == 3
 
     def test_free_at_least(self):
-        rep = class_enum_bounded(F2, A, 6, 50)
+        rep = class_closure(F2, A, 6, 50).report()
         assert rep.status == AT_LEAST
         assert rep.count >= 50
 
     def test_free_radius_exhausted(self):
-        rep = class_enum_bounded(F2, A, 1, 1000)
+        rep = class_closure(F2, A, 1, 1000).report()
         assert rep.status == AT_LEAST and rep.elements is None
         assert rep.stopped_by == "radius" and rep.rounds_used == 1
         assert rep.count > 1
 
     def test_exact_closure_is_closed(self):
-        rep = class_enum_bounded(S3, P123, 10, 100)
+        rep = class_closure(S3, P123, 10, 100).report()
         assert rep.status == EXACT_FINITE
         S = set(rep.elements)
         for s in S:
@@ -121,13 +119,13 @@ class TestClassEnum:
     def test_class_size_divides_order(self):
         for G in (S3, Z3, SymmetricGroup(4)):
             for x in G.elements():
-                rep = class_enum_bounded(G, x, G.order() + 1, G.order() + 1)
+                rep = class_closure(G, x, G.order() + 1, G.order() + 1).report()
                 assert rep.status == EXACT_FINITE
                 assert G.order() % rep.count == 0
 
     def test_zero_budget(self):
         with pytest.raises(PreconditionError):
-            class_enum_bounded(Z, 1, 0, 10)
+            class_closure(Z, 1, 0, 10)
 
     @pytest.mark.parametrize(
         "x, radius, max_size, stop",
@@ -158,7 +156,7 @@ class TestFcContains:
         assert not F2.fc_contains(A)
         assert F2.fc_contains(())
         # cross-check: the class blows past any budget
-        rep = class_enum_bounded(F2, A, 4, 30)
+        rep = class_closure(F2, A, 4, 30).report()
         assert rep.status != EXACT_FINITE
 
     def test_finite(self):

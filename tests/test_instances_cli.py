@@ -3,16 +3,12 @@ import json
 
 import pytest
 
-from wricc import (
-    ParseError,
-    SymmetricGroup,
-    TrivialD,
-    UnsupportedQKind,
-    WreathProduct,
-    decide_icc,
-    parse_instance,
-    witness,
-)
+from wricc.decision import decide_icc
+from wricc.errors import ParseError, TrivialD, UnsupportedQKind
+from wricc.groups import SymmetricGroup
+from wricc.instances import parse_instance
+from wricc.witness import witness
+from wricc.wreath import WreathProduct
 from wricc.cli import EXIT_FAIL, EXIT_OK, EXIT_UNKNOWN, EXIT_USAGE, main
 
 from conftest import instance_text, load_instance

@@ -3,26 +3,17 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wricc import (
-    EXACT_FINITE,
-    ClassReport,
-    FiniteExplicitQSet,
-    PreconditionError,
-    SymmetricGroup,
-    TrivialQSet,
-    WreathElement,
-    WriccError,
-    class_enum_bounded,
-    decide_icc,
-    orbit_bounded,
-    parse_instance,
-    witness,
-)
 import wricc.oracle as oracle
-from wricc.groups import Closure, class_closure
+from wricc.decision import decide_icc
+from wricc.errors import PreconditionError, WriccError
+from wricc.groups import EXACT_FINITE, ClassReport, Closure, SymmetricGroup, class_closure
+from wricc.instances import parse_instance
 from wricc.oracle import AT_LEAST, class_lower_bound, enumerate_class
+from wricc.qsets import FiniteExplicitQSet, TrivialQSet
+from wricc.witness import witness
+from wricc.wreath import WreathElement
 
-from conftest import load_instance, word_ball
+from conftest import load_instance, orbit_closure, word_ball
 
 
 class TestFiniteClasses:
@@ -56,7 +47,7 @@ S3 = SymmetricGroup(3)
 # each closure runs from a start with 3 elements in its closure, or from a
 # start that is its own closure
 def _class(max_size, radius=100, singleton=False):
-    return class_enum_bounded(S3, (0, 1, 2) if singleton else (1, 0, 2), radius, max_size)
+    return class_closure(S3, (0, 1, 2) if singleton else (1, 0, 2), radius, max_size).report()
 
 
 def _oracle(max_size, radius=100, singleton=False):
@@ -68,7 +59,7 @@ def _oracle(max_size, radius=100, singleton=False):
 def _orbit(max_size, radius=None, singleton=False):
     assert radius is None  # an orbit has no round budget
     S = TrivialQSet(S3, 1) if singleton else FiniteExplicitQSet.natural(S3)
-    return orbit_bounded(S, 0, max_size)
+    return orbit_closure(S, 0, max_size)
 
 
 @pytest.mark.parametrize(
@@ -78,7 +69,7 @@ def _orbit(max_size, radius=None, singleton=False):
         (_oracle, EXACT_FINITE, True),
         (_orbit, EXACT_FINITE, False),
     ],
-    ids=["class_enum_bounded", "enumerate_class", "orbit_bounded"],
+    ids=["class_closure", "enumerate_class", "orbit_closure"],
 )
 def test_one_budget_rule(run, closed_status, has_radius):
     full = run(max_size=1000)

@@ -2,24 +2,27 @@ import random
 
 import pytest
 
-from wricc import (
+from wricc.errors import KindMismatch, PreconditionError, Unsupported
+from wricc.groups import (
     AT_LEAST,
     EXACT_FINITE,
     CyclicGroup,
-    DisjointUnionQSet,
-    FiniteExplicitQSet,
+    DirectProductGroup,
     FreeGroup,
     IntegersGroup,
+    SymmetricGroup,
+)
+from wricc.qsets import (
+    DisjointUnionQSet,
+    FiniteExplicitQSet,
     IntModQSet,
-    KindMismatch,
-    PreconditionError,
     QSet,
     RegularQSet,
-    SymmetricGroup,
-    Tri,
     TrivialQSet,
-    orbit_bounded,
 )
+from wricc.tri import Tri
+
+from conftest import orbit_closure
 
 Z = IntegersGroup()
 S3 = SymmetricGroup(3)
@@ -29,6 +32,23 @@ MOD3 = IntModQSet(Z, 3)
 TRIV = TrivialQSet(Z, 1)
 NAT3 = FiniteExplicitQSet.natural(S3)
 UNION = DisjointUnionQSet((RegularQSet(Z), IntModQSet(Z, 3)))
+
+
+def _parity(perm):
+    """True for odd permutations."""
+    inv = sum(
+        1
+        for i in range(len(perm))
+        for j in range(i + 1, len(perm))
+        if perm[i] > perm[j]
+    )
+    return inv % 2 == 1
+
+
+# S3 on two points through the sign character: odd permutations swap them
+SIGN = FiniteExplicitQSet(
+    S3, 2, {s: (1, 0) if _parity(s) else (0, 1) for s in S3.generators}, label="sign"
+)
 
 
 class TestAct:
@@ -75,25 +95,28 @@ def test_action_axioms_random(S):
 
 
 class TestOrbitBounded:
+    # a bounded orbit closure, and the finite orbit each carrier reads off
+    # its structure
     def test_int_mod_exact(self):
-        rep = orbit_bounded(MOD3, 0, 100)
+        rep = orbit_closure(MOD3, 0, 100)
         assert rep.status == EXACT_FINITE
-        assert rep.elements == (0, 1, 2)
+        assert rep.elements == (0, 1, 2) == MOD3.finite_orbit_example()
 
     def test_regular_exceeds(self):
-        rep = orbit_bounded(REG_Z, 0, 25)
+        rep = orbit_closure(REG_Z, 0, 25)
         assert rep.status == AT_LEAST and rep.stopped_by == "max_size"
         assert rep.count == 25 and rep.elements is None
+        assert REG_Z.finite_orbit_example() is None
 
     def test_trivial_singleton(self):
-        rep = orbit_bounded(TRIV, 0, 10)
+        rep = orbit_closure(TRIV, 0, 10)
         assert rep.status == EXACT_FINITE
-        assert rep.elements == (0,)
+        assert rep.elements == (0,) == TRIV.finite_orbit_example()
 
     def test_natural_full(self):
-        rep = orbit_bounded(NAT3, 1, 10)
+        rep = orbit_closure(NAT3, 1, 10)
         assert rep.status == EXACT_FINITE
-        assert rep.elements == (0, 1, 2)
+        assert rep.elements == (0, 1, 2) == NAT3.finite_orbit_example()
 
 
 class TestStructuralOracles:
@@ -152,14 +175,30 @@ class TestStructuralOracles:
         assert kind == "explicit" and ker == frozenset({S3.identity()})
 
 
+class TestPublicOraclesValidate:
+    # regression probes: a malformed operand raises KindMismatch, never a
+    # verdict or a TypeError; 99 is a point of the regular carrier over the
+    # integers, so 99 probes the regular carrier over S3 only
+    CARRIERS = [REG_Z, RegularQSet(S3), MOD3, NAT3, UNION]
+    BAD_POINTS = [(S, x) for S in CARRIERS for x in ("junk", 99) if (S, x) != (REG_Z, 99)]
+
+    @pytest.mark.parametrize(
+        "S, x", BAD_POINTS, ids=lambda v: v.carrier_kind if isinstance(v, QSet) else repr(v)
+    )
+    def test_orbit_infinite_rejects_a_bad_point(self, S, x):
+        with pytest.raises(KindMismatch):
+            S.orbit_infinite(x)
+
+    @pytest.mark.parametrize("S", CARRIERS, ids=lambda s: s.carrier_kind)
+    def test_fixes_all_points_rejects_a_bad_element(self, S):
+        with pytest.raises(KindMismatch):
+            S.fixes_all_points("junk")
+
+
 class TestFiniteExplicit:
     def test_sign_action_kernel(self):
-        # S3 on two points through the sign character: kernel is A3.
-        # Generator tables: odd permutations swap, even ones fix.
-        tables = {}
-        for s in S3.generators:
-            tables[s] = (1, 0) if _parity(s) else (0, 1)
-        S = FiniteExplicitQSet(S3, 2, tables, label="sign")
+        # the kernel of the sign action is A3
+        S = SIGN
         kind, ker = S.kernel_description()
         assert kind == "explicit"
         assert ker == frozenset({(0, 1, 2), (1, 2, 0), (2, 0, 1)})
@@ -207,19 +246,8 @@ def test_orbit_representatives(S, reps):
     if S.is_finite_carrier:
         # one point of each orbit: the orbits of the representatives
         # partition the carrier
-        orbits = [set(orbit_bounded(S, y, 1000).elements) for y in reps]
+        orbits = [set(orbit_closure(S, y, 1000).elements) for y in reps]
         assert sum(map(len, orbits)) == len(set().union(*orbits)) == len(list(S.points()))
-
-
-def _parity(perm):
-    """True for odd permutations."""
-    inv = sum(
-        1
-        for i in range(len(perm))
-        for j in range(i + 1, len(perm))
-        if perm[i] > perm[j]
-    )
-    return inv % 2 == 1
 
 
 class TestUnion:
@@ -258,3 +286,54 @@ def test_points_stream_deterministic():
         b = [p for p, _ in zip(S.points_stream(), range(12))]
         assert a == b
         assert len({S.point_key(p) for p in a}) == len(a)
+
+
+C6 = CyclicGroup(6)
+S4 = SymmetricGroup(4)
+NAT4 = FiniteExplicitQSet.natural(S4)
+# finite carriers over finite Q, and over the integers (int-mod, trivial)
+FINITE = [
+    RegularQSet(S3),
+    RegularQSet(C6),
+    RegularQSet(DirectProductGroup((CyclicGroup(2), S3))),
+    IntModQSet(Z, 5),
+    TrivialQSet(Z, 3),
+    TrivialQSet(S3, 3),
+    NAT3,
+    NAT4,
+    SIGN,
+    DisjointUnionQSet((NAT3, RegularQSet(S3), TrivialQSet(S3, 2), SIGN)),
+    DisjointUnionQSet((IntModQSet(Z, 5), TrivialQSet(Z, 3), MOD3)),
+    DisjointUnionQSet((RegularQSet(C6), TrivialQSet(C6, 2))),
+    DisjointUnionQSet((NAT4, RegularQSet(S4))),
+    DisjointUnionQSet((DisjointUnionQSet((NAT3, SIGN)), TrivialQSet(S3, 1))),
+]
+
+
+def _point_set(S):
+    """The carrier's points, from its construction rather than its streams."""
+    if isinstance(S, RegularQSet):
+        return set(S.Q.elements())
+    if isinstance(S, DisjointUnionQSet):
+        return {(i, p) for i, part in enumerate(S.parts) for p in _point_set(part)}
+    return set(range(S.size))
+
+
+@pytest.mark.parametrize("S", FINITE, ids=lambda s: s.carrier_kind)
+def test_derived_oracles_match_the_action(S):
+    # the oracles QSet derives from the kernel description, the orbit
+    # representatives and points_stream agree with the action itself
+    pts = list(S.points())
+    assert len(pts) == len(set(pts)) and set(pts) == _point_set(S)
+    qs = list(S.Q.elements()) if S.Q.is_finite else range(-30, 31)
+    for q in qs:
+        fixes = all(S.act(q, p) == p for p in pts)
+        assert S.fixes_all_points(q) is (Tri.YES if fixes else Tri.NO)
+    assert S.all_orbits_infinite() is Tri.NO
+    assert all(S.orbit_infinite(p) is Tri.NO for p in pts)
+
+
+@pytest.mark.parametrize("S", [REG_Z, UNION], ids=lambda s: s.carrier_kind)
+def test_infinite_carrier_has_no_point_list(S):
+    with pytest.raises(Unsupported):
+        S.points()

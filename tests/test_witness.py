@@ -2,35 +2,26 @@ import random
 
 import pytest
 
-from wricc import (
-    CertificateBudget,
-    CyclicGroup,
+from wricc.decision import decide_icc
+from wricc.errors import CertificateBudget, KindMismatch, PreconditionError
+from wricc.groups import CyclicGroup, FreeGroup, IntegersGroup, SymmetricGroup
+from wricc.qsets import IntModQSet, RegularQSet, TrivialQSet
+from wricc.tri import Tri
+from wricc.witness import (
     FiniteClassCertificate,
-    FreeGroup,
     InfiniteFamilyCertificate,
-    IntegersGroup,
-    IntModQSet,
-    KindMismatch,
-    PreconditionError,
-    RegularQSet,
-    SymmetricGroup,
-    Tri,
-    TrivialQSet,
-    WreathElement,
-    WreathProduct,
     cert_condition_i,
     cert_finite_orbit,
-    decide_icc,
     family_gd,
     family_lambda_translation,
     family_q_translation,
     family_value_conjugation,
     predicted_invariant_sets,
-    support,
     verify_finite_certificate,
     verify_infinite_certificate,
     witness,
 )
+from wricc.wreath import WreathElement, WreathProduct, support
 
 from conftest import load_instance
 
@@ -187,7 +178,7 @@ class TestGd:
     def test_conjugates_differ_at_qy(self, f2_wr_z2):
         G = f2_wr_z2
         g = WreathElement(G.zeta((1,), 1), 1)
-        vals = [G.map_value(c.phi, G.omega.act(g.q, 0)) for _, c in family_gd(G, g, 0).take(12)]
+        vals = [G._map_value(c.phi, G.omega.act(g.q, 0)) for _, c in family_gd(G, g, 0).take(12)]
         assert len(set(vals)) == 12
 
     def test_rejects_fixed_point(self, f2_wr_z2):
@@ -206,7 +197,7 @@ class TestValueConjugation:
         g = WreathElement(G.zeta((1,), 0), 0)
         fam = family_value_conjugation(G, g, 0)
         prefix = fam.take(30)
-        vals = [G.map_value(c.phi, 0) for _, c in prefix]
+        vals = [G._map_value(c.phi, 0) for _, c in prefix]
         assert len(set(vals)) == 30
         assert verify_infinite_certificate(G, fam, N=30)
 
@@ -439,7 +430,7 @@ DEDUP_KEYS = {
     "q-translation": lambda fam, c: c.q,
     "lambda-translation": lambda fam, c: support(c.phi),
     "g_d": lambda fam, c: c,
-    "value-conjugation": lambda fam, c: fam.group.map_value(c.phi, fam.point),
+    "value-conjugation": lambda fam, c: fam.group._map_value(c.phi, fam.point),
 }
 
 # (group, element literal, family kind, point) for each kind of family;

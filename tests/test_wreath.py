@@ -4,19 +4,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wricc import (
-    CyclicGroup,
-    FreeGroup,
-    IntegersGroup,
-    IntModQSet,
-    KindMismatch,
-    RegularQSet,
-    SymmetricGroup,
-    WreathElement,
-    WreathProduct,
-    support,
-)
+from wricc.errors import KindMismatch
+from wricc.groups import CyclicGroup, FreeGroup, IntegersGroup, SymmetricGroup
 from wricc.instances import build_wreath, parse_group, parse_instance
+from wricc.qsets import IntModQSet, RegularQSet
+from wricc.wreath import WreathElement, WreathProduct, support
 
 from conftest import CORPUS, EXTRA, load_instance
 
@@ -79,13 +71,19 @@ class TestZetaAndMaps:
             G.lambda_act(1.5, ((0, 1),))
 
     def test_pointwise_mul_cancels(self, G):
-        f = G.pointwise_mul(G.zeta(1, 0), G.zeta(1, 0))
+        f = G._pointwise_mul(G.zeta(1, 0), G.zeta(1, 0))
         assert f == ()
+
+    def test_map_helpers_are_private(self, G):
+        # they trust maps the group built: G.pointwise_mul(((0, 7),), ())
+        # returned the invalid map ((0, 7),) while they were public
+        for name in ("pointwise_mul", "map_value"):
+            assert not hasattr(G, name) and hasattr(G, "_" + name)
 
     def test_map_value_defaults_to_identity(self, G):
         f = G.zeta(1, 3)
-        assert G.map_value(f, 3) == 1
-        assert G.map_value(f, 4) == 0
+        assert G._map_value(f, 3) == 1
+        assert G._map_value(f, 4) == 0
 
 
 class TestArithmetic:
@@ -115,7 +113,7 @@ class TestArithmetic:
         g = WreathElement((), 1)
         h = WreathElement(G.zeta(1, 0), 0)
         out = G.conjugate(g, h)
-        assert out == WreathElement(G.pointwise_mul(G.zeta(1, 0), G.zeta(1, 1)), 1)
+        assert out == WreathElement(G._pointwise_mul(G.zeta(1, 0), G.zeta(1, 1)), 1)
 
     def test_group_axioms_random(self, f2_wr_z2):
         G = f2_wr_z2
@@ -350,7 +348,7 @@ class TestFusedMultiply:
 
     @staticmethod
     def two_step(G, g1, g2):
-        phi = G.pointwise_mul(g1.phi, G.lambda_act(g1.q, g2.phi))
+        phi = G._pointwise_mul(g1.phi, G.lambda_act(g1.q, g2.phi))
         return WreathElement(phi, G.Q.multiply(g1.q, g2.q))
 
     @staticmethod
