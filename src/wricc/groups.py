@@ -429,6 +429,8 @@ class SymmetricGroup(_FiniteGroupMixin, Group):
             raise PreconditionError("symmetric: degree must be >= 1")
         self.n = n
         self.kind = f"symmetric({n})"
+        self._points = list(range(n))
+        self._int_types = [int] * n
 
     @property
     def is_trivial(self):
@@ -444,11 +446,14 @@ class SymmetricGroup(_FiniteGroupMixin, Group):
         return _perm_inv(a)
 
     def validate(self, x):
+        # 0.0 and True compare equal to 0 and 1, so the entry types are
+        # checked too
         try:
             if (
                 not isinstance(x, tuple)
                 or len(x) != self.n
-                or sorted(x) != list(range(self.n))
+                or sorted(x) != self._points
+                or list(map(type, x)) != self._int_types
             ):
                 raise KindMismatch(f"symmetric({self.n}): bad payload {x!r}")
         except TypeError:  # an entry that does not compare with ints

@@ -492,6 +492,11 @@ class DisjointUnionQSet(QSet):
                 return tuple((i, p) for p in orb)
         return None
 
+    def all_orbits_infinite(self):
+        """From the parts' answers, so that a finite part answers NO without
+        listing its orbit representatives."""
+        return tri_and(*(p.all_orbits_infinite() for p in self.parts))
+
     def kernel_description(self):
         desc = self.parts[0].kernel_description()
         for p in self.parts[1:]:

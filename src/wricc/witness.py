@@ -1,20 +1,24 @@
 """Machine-checkable certificates for icc verdicts.
 
 Non-icc verdicts get a finite conjugation-invariant set of nontrivial
-elements, checked exactly: closed under conjugation by every generator of
-G.  Icc verdicts get an infinite family of conjugators whose conjugates
-are pairwise distinct, checked on a prefix.  A family is data: its
-conjugators come from Q's or D's generator ball, in ball order, so its
-prefixes are deterministic and restartable; `members` validates the
-family's inputs once per call, and the verifier validates each conjugator
-once and recomputes each member from products.  The dispatcher mirrors the
-case analysis of the criterion's proof.
+elements.  An explicit set (condition (i)) is checked exactly: closed
+under conjugation by every generator of G.  The finite-orbit set S(O, xi)
+is data, the orbit O and the value set xi, with a membership test; it is
+checked by the two premises of its invariance lemma (see `OrbitMaps`),
+without listing its (|xi|+1)^|O| - 1 members.  Icc verdicts get an
+infinite family of conjugators whose conjugates are pairwise distinct,
+checked on a prefix.  A family is data: its conjugators come from Q's or
+D's generator ball, in ball order, so its prefixes are deterministic and
+restartable; `members` validates the family's inputs once per call, and
+the verifier validates each conjugator once and recomputes each member
+from products.  The dispatcher mirrors the case analysis of the
+criterion's proof.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
+from collections.abc import Set
 from dataclasses import dataclass
 
 from .errors import CertificateBudget, PreconditionError, WriccError
@@ -22,15 +26,113 @@ from .groups import EXACT_FINITE, class_closure
 from .tri import Tri
 from .wreath import WreathElement, WreathProduct, support
 
+# the most members that are ever listed
 _FINITE_SET_CAP = 1_000_000
+# sizes of more bits are written without their value; by default Python
+# refuses to convert an int of more than 4,300 digits to a string
+_PRINTED_SIZE_BITS = 128
+
+
+def format_size(n: int) -> str:
+    """n in decimal, or a lower bound when n is too long to print."""
+    return str(n) if n.bit_length() <= _PRINTED_SIZE_BITS else f"at least 2^{n.bit_length() - 1}"
+
+
+class OrbitMaps(Set):
+    """S(O, xi): every (phi, 1) with phi != eps, its support inside a
+    finite orbit O and its values in a finite set xi of nontrivial
+    elements of D.  It holds only the orbit, xi and O's points.
+
+    Invariance lemma.  Let O be closed under every generator of Q, and xi
+    under conjugation by every generator of D.  Then S(O, xi) is closed
+    under conjugation by every generator of G, so it is G-invariant.
+    Every member has q = 1, and so does each conjugate.  Conjugation by
+    (eps, s) moves the support by s^-1, inside O.  Conjugation by zeta_d
+    at y changes only the value at y: it sends x to d^-1 x d, in
+    d^-1 xi d, which is inside xi (and e stays e).  A finite set that is
+    closed under an injective map is also closed under that map's
+    inverse, and the generators generate G.
+
+    `in` costs O(|supp phi|) and `len` reads the formula (|xi|+1)^|O| - 1.
+    Only iteration lists the members, in `_maps_over` order; it and `len`
+    refuse more than _FINITE_SET_CAP members.
+    """
+
+    def __init__(self, group: WreathProduct, orbit, xi):
+        self.group = group
+        self.orbit = tuple(orbit)
+        self.points = frozenset(self.orbit)
+        if len(self.points) != len(self.orbit):
+            raise PreconditionError("the orbit lists a point twice")
+        self.xi = frozenset(xi)
+        self.size = (len(self.xi) + 1) ** len(self.orbit) - 1
+        self._one = group.Q.identity()
+
+    def first(self) -> WreathElement:
+        """The first member in iteration order, found without listing: the
+        last orbit point carrying the least value of xi."""
+        if not self.orbit or not self.xi:
+            raise PreconditionError("S(O, xi) needs a nonempty orbit and xi")
+        d = min(self.xi, key=self.group.D.sort_key)
+        return WreathElement(self.group._canon([(self.orbit[-1], d)]), self._one)
+
+    def __contains__(self, x) -> bool:
+        """q = 1, phi nonempty and canonical, every point in O and every
+        value in xi."""
+        if not isinstance(x, tuple):
+            return False
+        try:
+            phi, q = x
+            if q != self._one or type(phi) is not tuple or not phi:
+                return False
+            points, xi = self.points, self.xi
+            for y, d in phi:
+                if y not in points or d not in xi:
+                    return False
+        except (TypeError, ValueError):  # not a pair (phi, q) of that shape
+            return False
+        key = self.group.omega.point_key
+        keys = [key(y) for y, _ in phi]
+        return all(a < b for a, b in zip(keys, keys[1:]))
+
+    def _check_cap(self):
+        if self.size > _FINITE_SET_CAP:
+            raise CertificateBudget(
+                f"certificate would have ({len(self.xi)}+1)^{len(self.orbit)} - 1 elements, "
+                f"more than {_FINITE_SET_CAP}"
+            )
+
+    def __len__(self) -> int:
+        self._check_cap()
+        return self.size
+
+    def __bool__(self) -> bool:
+        return self.size > 0
+
+    def __iter__(self):
+        self._check_cap()
+        return _maps_over(self.group, self.orbit, self.xi)
+
+    @classmethod
+    def _from_iterable(cls, it):
+        return frozenset(it)
+
+    def __repr__(self):
+        return f"OrbitMaps(|O|={len(self.orbit)}, |xi|={len(self.xi)})"
 
 
 @dataclass(frozen=True)
 class FiniteClassCertificate:
     base: WreathElement
-    elements: frozenset
+    elements: Set  # a frozenset, or the data of S(O, xi)
     provenance: str  # "condition-i" | "finite-orbit"
     size_formula: str
+
+    @property
+    def size(self) -> int:
+        """The number of members; S(O, xi) reads it off its formula."""
+        S = self.elements
+        return S.size if isinstance(S, OrbitMaps) else len(S)
 
 
 @dataclass(frozen=True)
@@ -160,24 +262,23 @@ def cert_condition_i(
     )
 
 
-def _maps_over(G: WreathProduct, pts: tuple, values) -> list:
-    """Every (phi, 1) with phi != eps supported inside `pts` and taking
-    values in `values`, in a fixed order: the choice for the first point
-    varies slowest, and "no value" comes before the values in sort_key
-    order."""
-    one = G.Q.identity()
+def _maps_over(G: WreathProduct, pts: tuple, values):
+    """Yield every (phi, 1) with phi != eps supported inside `pts` and
+    taking values in `values`, in a fixed order: the choice for the first
+    point varies slowest, and "no value" comes before the values in
+    sort_key order."""
+    one, canon = G.Q.identity(), G._canon
     choices = [None] + sorted(values, key=G.D.sort_key)
-    maps = []
     for choice in itertools.product(choices, repeat=len(pts)):
         items = [(y, d) for y, d in zip(pts, choice) if d is not None]
         if items:
-            maps.append(WreathElement(G._canon(items), one))
-    return maps
+            yield WreathElement(canon(items), one)
 
 
 def cert_finite_orbit(G: WreathProduct, xi=None, orbit=None) -> FiniteClassCertificate:
-    """All maps with nonempty support inside a finite orbit and values in a
-    finite invariant subset of the base; size (|xi|+1)^|O| - 1."""
+    """S(O, xi) for a finite orbit O and a finite invariant subset xi of
+    the base, as data (`OrbitMaps`): nothing is listed, so no size is too
+    large.  O and xi are validated and O must be closed under the action."""
     if xi is None:
         xi = G.D.finite_invariant_set_example()
     if orbit is None:
@@ -188,36 +289,24 @@ def cert_finite_orbit(G: WreathProduct, xi=None, orbit=None) -> FiniteClassCerti
     if not xi or G.D.identity() in xi:
         raise PreconditionError("xi must be a nonempty set of nontrivial elements")
     orbit = tuple(orbit)
-    # the size tests need only |xi| and |O|, so they come before any check
-    # that touches every point.  The size can have more digits than Python
-    # will convert to a string: a logarithm test rejects huge sizes before
-    # the number is built, and the exact test decides the cases near the cap
-    too_big = CertificateBudget(
-        f"certificate would have ({len(xi)}+1)^{len(orbit)} - 1 elements, "
-        f"more than {_FINITE_SET_CAP}"
-    )
-    if len(orbit) * math.log2(len(xi) + 1) > math.log2(_FINITE_SET_CAP + 1) + 1:
-        raise too_big
-    size = (len(xi) + 1) ** len(orbit) - 1
-    if size > _FINITE_SET_CAP:
-        raise too_big
     for x in xi:
         G.D.validate(x)
     for y in orbit:
         G.omega.validate_point(y)
-    # the set must be closed under every generator's action
-    pts = set(orbit)
+    S = OrbitMaps(G, orbit, xi)
+    act = G.omega._act
     for s in G.Q.generators:
         for y in orbit:
-            if G.omega.act(s, y) not in pts:
+            if act(s, y) not in S.points:
                 raise PreconditionError("orbit is not closed under the action")
-    members = _maps_over(G, orbit, xi)
-    assert len(members) == size
+    formula = f"(|xi|+1)^|O| - 1 = ({len(xi)}+1)^{len(orbit)} - 1"
+    if S.size.bit_length() <= _PRINTED_SIZE_BITS:
+        formula += f" = {S.size}"
     return FiniteClassCertificate(
-        base=members[0],
-        elements=frozenset(members),
+        base=S.first(),
+        elements=S,
         provenance="finite-orbit",
-        size_formula=f"(|xi|+1)^|O| - 1 = ({len(xi)}+1)^{len(orbit)} - 1 = {size}",
+        size_formula=formula,
     )
 
 
@@ -384,7 +473,7 @@ def predicted_invariant_sets(G: WreathProduct):
         raise PreconditionError("predicted invariant sets require a finite group")
     xi = [d for d in G.D.elements() if d != G.D.identity()]
     pts = tuple(sorted(G.omega.points(), key=G.omega.point_key))
-    base_slab = _maps_over(G, pts, xi)
+    base_slab = list(_maps_over(G, pts, xi))
     sets = [frozenset(base_slab)]
     all_phis = [g.phi for g in base_slab] + [()]
     one = G.Q.identity()
@@ -409,12 +498,18 @@ def predicted_invariant_sets(G: WreathProduct):
 def verify_finite_certificate(
     G: WreathProduct, cert: FiniteClassCertificate
 ) -> VerificationResult:
-    """Exact closure check: conjugating every member by every generator of
-    G must land in the set.  That proves G-invariance: conjugation by s is
-    injective, so it maps a finite set closed under it onto the set, and so
-    does its inverse; the generators generate G.  Costs |gens| * |S|
-    conjugations."""
+    """S(O, xi) is checked by the premises of its invariance lemma (see
+    `OrbitMaps`), in O(|O| |Q gens| + |xi| |D gens|).
+
+    An explicit set is checked by exact closure: conjugating every member
+    by every generator of G must land in the set.  That proves
+    G-invariance: conjugation by s is injective, so it maps a finite set
+    closed under it onto the set, and so does its inverse; the generators
+    generate G.  Each member is validated once, and the |gens| * |S|
+    conjugations trust them and the generators, which `zeta` built."""
     S = cert.elements
+    if isinstance(S, OrbitMaps):
+        return _verify_orbit_maps(G, S, cert.base)
     if not S:
         return VerificationResult(False, "certificate set is empty")
     if cert.base not in S:
@@ -424,15 +519,68 @@ def verify_finite_certificate(
         return VerificationResult(False, "identity element in the set", (ident,))
     if cert.base == ident:
         return VerificationResult(False, "base element is the identity", (ident,))
+    for x in S:
+        G.validate(x)
+    conj = G._conjugate
     for s in G.generators:
         for x in S:
-            c = G.conjugate(x, s)
+            c = conj(x, s)
             if c not in S:
                 return VerificationResult(
                     False,
                     f"set not closed under conjugation by the generator {G.format_element(s)}",
                     (x, s, c),
                 )
+    return VerificationResult(True)
+
+
+def _verify_orbit_maps(G: WreathProduct, S: OrbitMaps, base) -> VerificationResult:
+    """The premises of the invariance lemma, each failure named: O is a
+    nonempty set of valid points closed under every generator of Q; xi is
+    a nonempty set of valid nontrivial elements closed under conjugation
+    by every generator of D.  Then the base must be a member."""
+    if S.group != G:
+        return VerificationResult(False, "certificate is over another group")
+    Q, D, omega = G.Q, G.D, G.omega
+    if not S.orbit:
+        return VerificationResult(False, "orbit O is empty")
+    for y in S.orbit:
+        try:
+            omega.validate_point(y)
+        except WriccError:
+            return VerificationResult(False, f"orbit O holds {y!r}, not a carrier point", (y,))
+    act = omega._act
+    for s in Q.generators:
+        for y in S.orbit:
+            z = act(s, y)
+            if z not in S.points:
+                return VerificationResult(
+                    False,
+                    f"orbit O not closed under the generator {Q.format_element(s)} of Q",
+                    (y, s, z),
+                )
+    if not S.xi:
+        return VerificationResult(False, "xi is empty")
+    for x in S.xi:
+        try:
+            D.validate(x)
+        except WriccError:
+            return VerificationResult(False, f"xi holds {x!r}, not an element of D", (x,))
+    e = D.identity()
+    if e in S.xi:
+        return VerificationResult(False, "xi holds the identity of D", (e,))
+    values = sorted(S.xi, key=D.sort_key)
+    for t in D.generators:
+        for x in values:
+            c = D._conjugate(x, t)
+            if c not in S.xi:
+                return VerificationResult(
+                    False,
+                    f"xi not closed under conjugation by the generator {D.format_element(t)} of D",
+                    (x, t, c),
+                )
+    if base not in S:
+        return VerificationResult(False, "base element missing from the set", (base,))
     return VerificationResult(True)
 
 

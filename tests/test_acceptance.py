@@ -168,7 +168,8 @@ def test_criterion_5_non_icc_certification():
         "criterion-5",
         ok,
         f"non-icc certificates sized {list(NO_INSTANCES.values())}, verified by "
-        f"exact closure under every generator, deterministic, in {dt:.1f}s "
+        f"exact closure under every generator (condition (i)) or by the premises "
+        f"of the invariance lemma (finite orbit), deterministic, in {dt:.1f}s "
         f"(limit 30s){'; ' + '; '.join(problems) if problems else ''}",
     )
 

@@ -1,8 +1,12 @@
+import math
+import time
+
 import pytest
 
 from wricc.decision import decide_icc, decide_icc_free
 from wricc.errors import EmptyOmega, NotFreeAction, TrivialD
 from wricc.groups import CyclicGroup, FreeGroup, IntegersGroup
+from wricc.instances import parse_instance
 from wricc.qsets import QSet, RegularQSet
 from wricc.tri import Tri, tri_and, tri_not, tri_of, tri_or
 from wricc.wreath import WreathProduct
@@ -191,3 +195,21 @@ class TestUnknownPropagation:
         G = WreathProduct(CyclicGroup(2), Z, _OpaqueQSet(Z))
         with pytest.raises(NotFreeAction):
             decide_icc_free(G)
+
+
+def test_union_asks_its_parts_for_orbit_infinitude(monkeypatch):
+    # a finite part answers "not every orbit is infinite" without listing
+    # its million orbit representatives
+    text = "{D: cyclic 2; Q: integers; omega: union(regular, trivial %d)}"
+    G = parse_instance(text % 1000000).group
+    expected = decide_icc(parse_instance(text % 3).group)
+    best = math.inf
+    for _ in range(3):
+        t0 = time.perf_counter()
+        v = decide_icc(G)
+        best = min(best, time.perf_counter() - t0)
+    assert v == expected and v.answer is Tri.NO and v.cond_iii is Tri.NO
+    assert best < 0.010
+    part = G.omega.parts[1]
+    monkeypatch.setattr(part, "orbit_representatives", lambda: pytest.fail("listed"))
+    assert G.omega.all_orbits_infinite() is Tri.NO

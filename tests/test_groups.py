@@ -267,3 +267,18 @@ def test_product_literals_roundtrip():
     x = (4, P13)
     assert P.parse_element(P.format_element(x)) == x
     assert P.format_element(x) == "(4; [2,1,0])"
+
+
+@pytest.mark.parametrize("bad", [(0.0, 1.0, 2.0), (True, 0, 2), (0, 1, 2.0), (1, 0, False)])
+def test_symmetric_rejects_entries_that_only_compare_equal(bad):
+    # 0.0 and True compare equal to 0 and 1, but are no literal's points
+    with pytest.raises(KindMismatch):
+        S3.validate(bad)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_symmetric_literals_round_trip(n):
+    S = SymmetricGroup(n)
+    for x in S.elements():
+        S.validate(x)
+        assert S.parse_element(S.format_element(x)) == x

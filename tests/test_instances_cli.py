@@ -7,7 +7,7 @@ from wricc.decision import decide_icc
 from wricc.errors import ParseError, TrivialD, UnsupportedQKind
 from wricc.groups import SymmetricGroup
 from wricc.instances import parse_instance
-from wricc.witness import witness
+from wricc.witness import FiniteClassCertificate, witness
 from wricc.wreath import WreathProduct
 from wricc.cli import EXIT_FAIL, EXIT_OK, EXIT_UNKNOWN, EXIT_USAGE, main
 
@@ -189,9 +189,9 @@ class TestWitnessCommand:
 
     @pytest.mark.parametrize("n", [20, 100000])
     def test_finite_orbit_over_budget(self, tmp_path, capsys, n):
-        # 2^20 - 1 is just over the cap and is rejected by the exact test;
-        # 2^100000 - 1 has more digits than Python converts to a string and
-        # is rejected by the logarithm test before it is built
+        # `wricc witness` lists the members, and 2^20 - 1 is just over the
+        # listing cap; 2^100000 - 1 has more digits than Python converts to
+        # a string, and the message never prints it
         text = f"{{D: cyclic 2; Q: cyclic {n}; omega: regular}}"
         path = write_instance(tmp_path, "huge-orbit", text)
         assert main(["witness", "-i", path]) == EXIT_USAGE
@@ -315,6 +315,54 @@ class TestVerifyCommand:
         first = capsys.readouterr().out
         main(["verify", "--json", "-i", path, "--seed", "7"])
         assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize(
+        "text, size",
+        [
+            ("{D: cyclic 2; Q: integers; omega: union(regular, int-mod 25)}", 2**25 - 1),
+            ("{D: cyclic 2; Q: cyclic 20; omega: regular}", 2**20 - 1),
+        ],
+    )
+    def test_finite_orbit_over_listing_cap_verifies(self, tmp_path, capsys, text, size):
+        # more members than `wricc witness` lists: checked by the premises
+        path = write_instance(tmp_path, "big-orbit", text)
+        assert main(["verify", "--json", "-i", path]) == EXIT_OK
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert checks[0] == f"PASS finite-certificate: size {size}; ok"
+        assert checks[1].startswith("PASS oracle-containment: oracle exact-finite")
+
+    def test_open_containment_class_is_a_budget_error(self, tmp_path, capsys):
+        # the base has 100000 conjugates, which radius 16 cannot close: no
+        # PASS and no FAIL, and the size 2^100000 - 1 is never printed
+        text = "{D: cyclic 2; Q: cyclic 100000; omega: regular}"
+        path = write_instance(tmp_path, "huge-orbit", text)
+        assert main(["verify", "--json", "-i", path]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error [certificate-budget]: oracle-containment: ")
+        assert "within radius 16" in captured.err
+
+    def test_closed_class_outside_the_set_fails(self, tmp_path, capsys, monkeypatch):
+        # the 63 maps but one of the 9 conjugates of the base: the class
+        # closes, with that conjugate outside the set
+        import wricc.cli as cli
+
+        def punctured(G, v, g=None):
+            cert = witness(G, v)
+            dropped = G.parse_element("{0:[1,0,2]}@[0,1,2]")
+            assert dropped != cert.base
+            return FiniteClassCertificate(
+                cert.base, frozenset(cert.elements) - {dropped}, cert.provenance, ""
+            )
+
+        monkeypatch.setattr(cli, "witness", punctured)
+        path = write_instance(tmp_path, "s3-wr-s3")
+        assert main(["verify", "--json", "-i", path]) == EXIT_FAIL
+        rec = json.loads(capsys.readouterr().out)
+        assert rec["result"] == "FAIL"
+        assert rec["checks"][1] == (
+            "FAIL oracle-containment: oracle exact-finite count 9 within certificate"
+        )
 
 
 def test_decide_all_bundled_instances(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+import importlib
 import random
 
 import pytest
@@ -5,11 +7,13 @@ import pytest
 from wricc.decision import decide_icc
 from wricc.errors import CertificateBudget, KindMismatch, PreconditionError
 from wricc.groups import CyclicGroup, FreeGroup, IntegersGroup, SymmetricGroup
+from wricc.instances import parse_instance
 from wricc.qsets import IntModQSet, RegularQSet, TrivialQSet
 from wricc.tri import Tri
 from wricc.witness import (
     FiniteClassCertificate,
     InfiniteFamilyCertificate,
+    OrbitMaps,
     cert_condition_i,
     cert_finite_orbit,
     family_gd,
@@ -29,6 +33,11 @@ Z = IntegersGroup()
 S3 = SymmetricGroup(3)
 P123 = (1, 2, 0)
 P132 = (2, 0, 1)
+witness_module = importlib.import_module("wricc.witness")
+
+
+def _no_listing(*args):
+    raise AssertionError("S(O, xi) must not be listed")
 
 
 class TestConditionICert:
@@ -95,11 +104,12 @@ class TestFiniteOrbitCert:
         with pytest.raises(PreconditionError):
             cert_finite_orbit(G, orbit=((1, 0), (1, 1)))
 
-    def test_size_test_comes_before_closure_check(self):
-        # 30 points of a 40-point orbit, not closed: the 2^30 - 1 maps are
-        # over budget, which is known from |xi| and |O| alone
+    def test_open_orbit_rejected_without_listing(self, monkeypatch):
+        # 30 points of a 40-point orbit, not closed: rejected by the closure
+        # check, and none of the 2^30 - 1 maps is built
         G = WreathProduct(CyclicGroup(2), Z, IntModQSet(Z, 40))
-        with pytest.raises(CertificateBudget):
+        monkeypatch.setattr(witness_module, "_maps_over", _no_listing)
+        with pytest.raises(PreconditionError, match="not closed"):
             cert_finite_orbit(G, xi={1}, orbit=tuple(range(30)))
 
     def test_rejects_xi_with_identity(self):
@@ -287,17 +297,21 @@ class TestPredictedInvariantSets:
 
 class TestNegativeControls:
     def test_punctured_set_fails(self):
+        # drop one of the three one-point maps, whose class is those three
         G = load_instance("mixed-union").group
         cert = cert_finite_orbit(G)
+        dropped = G.parse_element("{(1; 0):1}@0")
+        assert dropped != cert.base
         bad = type(cert)(
             base=cert.base,
-            elements=frozenset(list(cert.elements)[:-1]),
+            elements=frozenset(cert.elements) - {dropped},
             provenance=cert.provenance,
             size_formula=cert.size_formula,
         )
         res = verify_finite_certificate(G, bad)
         assert not res
-        assert res.counterexample is not None or "missing" in res.reason
+        x, s, c = res.counterexample
+        assert c == dropped and G.conjugate(x, s) == c
 
     def test_set_invariant_only_under_a_subgroup_fails(self, s3_union):
         # the 7 maps on the Z/3 part whose only value is [1,0,2]: closed
@@ -530,3 +544,145 @@ def test_verifier_validates_once_and_recomputes_by_products(f2_wr_z2, monkeypatc
     monkeypatch.setattr(G, "_conjugate", no_conjugate)
     assert verify_infinite_certificate(G, cert, N=30)
     assert validated == [g] + [h for h, _ in prefix]
+
+
+# ---------------------------------------------------------------------------
+# S(O, xi) as data: the lemma's premises against the exact closure
+# ---------------------------------------------------------------------------
+
+
+def _finite_orbit_group(case):
+    if case == "nested-z2-wr-s3-base":
+        return WreathProduct(load_instance("z2-wr-s3").group, Z, TrivialQSet(Z, 1))
+    if case == "union-int-mod-12":
+        text = "{D: cyclic 2; Q: integers; omega: union(regular, int-mod 12)}"
+        return parse_instance(text).group
+    return load_instance(case).group
+
+
+def _listed(cert):
+    """The same certificate with its set listed as a frozenset, which the
+    verifier checks by exact closure."""
+    return dataclasses.replace(cert, elements=frozenset(cert.elements))
+
+
+FINITE_ORBIT_CASES = [
+    "trivial-omega",
+    "mixed-union",
+    "z2-wr-s3",
+    "s3-wr-s3",
+    "nested-z2-wr-s3-base",
+    "union-int-mod-12",
+]
+
+
+@pytest.mark.parametrize("case", FINITE_ORBIT_CASES)
+def test_premises_agree_with_exact_closure(case):
+    G = _finite_orbit_group(case)
+    cert = cert_finite_orbit(G)
+    assert isinstance(cert.elements, OrbitMaps) and cert.size <= 4096
+    listed = _listed(cert)
+    assert len(listed.elements) == len(cert.elements) == cert.size
+    assert next(iter(cert.elements)) == cert.base
+    structural = verify_finite_certificate(G, cert)
+    exact = verify_finite_certificate(G, listed)
+    assert structural.ok and exact.ok
+
+
+@pytest.mark.parametrize("name", ["z2-wr-s3", "s3-wr-s3"])
+def test_membership_is_membership_in_the_listing(name):
+    G = load_instance(name).group
+    S = cert_finite_orbit(G).elements
+    listed = frozenset(S)
+    for g in G.elements():
+        assert (g in S) == (g in listed)
+    # not canonical, not a pair, not hashable: never a member
+    member = max(listed, key=lambda g: len(g.phi))
+    assert WreathElement(member.phi[::-1], member.q) not in S
+    for probe in ("x", (), (member.phi,), [member.phi, member.q], (list(member.phi), member.q)):
+        assert probe not in S
+
+
+def _orbit_maps_cert(G, orbit, xi):
+    S = OrbitMaps(G, orbit, xi)
+    return FiniteClassCertificate(S.first(), S, "finite-orbit", "")
+
+
+def _s3_wr_s3_open_orbit():
+    G = load_instance("s3-wr-s3").group
+    S = cert_finite_orbit(G).elements
+    return G, _orbit_maps_cert(G, S.orbit[:-1], S.xi)
+
+
+def _s3_wr_s3_transposition_only():
+    G = load_instance("s3-wr-s3").group
+    return G, _orbit_maps_cert(G, (0, 1, 2), {(1, 0, 2)})
+
+
+def _s3_wr_s3_identity_in_xi():
+    G = load_instance("s3-wr-s3").group
+    S = cert_finite_orbit(G).elements
+    return G, _orbit_maps_cert(G, S.orbit, S.xi | {G.D.identity()})
+
+
+@pytest.mark.parametrize(
+    "make, reason",
+    [
+        (_s3_wr_s3_open_orbit, "orbit O not closed under the generator [1,2,0] of Q"),
+        (_s3_wr_s3_transposition_only, "xi not closed under conjugation by the generator"),
+        (_s3_wr_s3_identity_in_xi, "xi holds the identity of D"),
+    ],
+)
+def test_negative_controls_name_the_premise(make, reason):
+    G, cert = make()
+    res = verify_finite_certificate(G, cert)
+    assert not res and res.reason.startswith(reason)
+    assert res.counterexample is not None
+    assert not verify_finite_certificate(G, _listed(cert))
+
+
+def test_premises_are_checked_at_the_base_too():
+    G = load_instance("s3-wr-s3").group
+    cert = cert_finite_orbit(G)
+    outside = WreathElement(((0, (1, 0, 2)), (1, (1, 0, 2))), (1, 0, 2))
+    res = verify_finite_certificate(G, dataclasses.replace(cert, base=outside))
+    assert not res and res.reason == "base element missing from the set"
+    other = load_instance("z2-wr-s3").group
+    assert not verify_finite_certificate(other, cert)
+
+
+def test_orbit_listing_a_point_twice_is_refused():
+    # the formula counts |O| points, so each must be listed once
+    G = load_instance("s3-wr-s3").group
+    with pytest.raises(PreconditionError):
+        OrbitMaps(G, (0, 1, 2, 0), {(1, 0, 2)})
+
+
+def test_size_beyond_printing_and_listing():
+    # 2^200 - 1 members: checked by the premises, never listed, and the
+    # formula carries no value that is too long to read
+    G = parse_instance("{D: cyclic 2; Q: cyclic 200; omega: regular}").group
+    cert = cert_finite_orbit(G)
+    assert cert.size == 2**200 - 1
+    assert cert.size_formula == "(|xi|+1)^|O| - 1 = (1+1)^200 - 1"
+    assert cert.elements and cert.base in cert.elements
+    assert verify_finite_certificate(G, cert)
+    with pytest.raises(CertificateBudget, match=r"\(1\+1\)\^200 - 1 elements"):
+        len(cert.elements)
+    with pytest.raises(CertificateBudget):
+        iter(cert.elements)
+
+
+def test_explicit_closure_validates_each_member_once(monkeypatch):
+    # the exact path validates the members, then conjugates with the
+    # unchecked law; generators outer, members inner
+    G = load_instance("s3-wr-s3").group
+    cert = _listed(cert_finite_orbit(G))
+    validated, conjugated = [], []
+    check, law = G.validate, G._conjugate
+    monkeypatch.setattr(G, "validate", lambda x: validated.append(x) or check(x))
+    monkeypatch.setattr(G, "_conjugate", lambda x, y: conjugated.append((y, x)) or law(x, y))
+    assert verify_finite_certificate(G, cert)
+    assert sorted(validated, key=G.sort_key) == sorted(cert.elements, key=G.sort_key)
+    gens = G.generators
+    assert conjugated == [(s, x) for s in gens for x in cert.elements]
