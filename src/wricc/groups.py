@@ -26,6 +26,7 @@ import math
 import re
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from operator import neg
 
 from ._parsing import split_top, strip_outer
 from .errors import KindMismatch, ParseError, PreconditionError, Unsupported
@@ -500,14 +501,16 @@ class SymmetricGroup(_FiniteGroupMixin, Group):
 _WORD_TOKEN = re.compile(r"([a-z])(?:\^(-?\d+))?\Z")
 
 
-def _reduce_concat(u, v):
-    """Concatenate two freely reduced words, cancelling at the boundary."""
-    u = list(u)
-    i = 0
-    while u and i < len(v) and u[-1] == -v[i]:
-        u.pop()
-        i += 1
-    return tuple(u) + tuple(v[i:])
+def _reduce_concat(u: tuple, v: tuple) -> tuple:
+    """Concatenate two freely reduced words, cancelling at the boundary:
+    the last k letters of u against the first k of v."""
+    if not u or not v or u[-1] != -v[0]:
+        return u + v
+    n = min(len(u), len(v))
+    k = 1
+    while k < n and u[-1 - k] == -v[k]:
+        k += 1
+    return u[: len(u) - k] + v[k:]
 
 
 class FreeGroup(Group):
@@ -519,6 +522,7 @@ class FreeGroup(Group):
             raise PreconditionError("free: rank must be in 1..26")
         self.rank = rank
         self.kind = f"free({rank})"
+        self._letters = frozenset(range(-rank, rank + 1)) - {0}
 
     is_finite = False
     is_trivial = False
@@ -526,17 +530,18 @@ class FreeGroup(Group):
     def identity(self):
         return ()
 
-    def _multiply(self, a, b):
-        return _reduce_concat(a, b)
+    # the product is the reduced concatenation, called without a wrapper
+    _multiply = staticmethod(_reduce_concat)
 
     def _inverse(self, a):
-        return tuple(-g for g in reversed(a))
+        return tuple(map(neg, a[::-1]))
 
     def validate(self, x):
         if not isinstance(x, tuple):
             raise KindMismatch(f"{self.kind}: bad payload {x!r}")
+        letters = self._letters
         for g in x:
-            if not isinstance(g, int) or g == 0 or abs(g) > self.rank:
+            if type(g) is not int or g not in letters:
                 raise KindMismatch(f"{self.kind}: bad letter {g!r}")
         for a, b in zip(x, x[1:]):
             if a == -b:

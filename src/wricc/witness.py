@@ -359,20 +359,18 @@ def family_gd(G: WreathProduct, g: WreathElement, y) -> InfiniteFamilyCertificat
     D = G.D
     phi = g.phi
     c = G._map_value(phi, y)
-    phi0 = tuple(item for item in phi if item[0] != y)
     e = D.identity()
 
     # g and y are validated above, and `members` builds `inner` from y and
     # D's own ball elements, so the closed form runs on D's unchecked
-    # arithmetic
+    # arithmetic: phi with d^-1 c at y and phi(q.y) d at q.y, canonicalised
+    # once
     def closed_form(inner: WreathElement) -> WreathElement:
         d = inner.phi[0][1] if inner.phi else e
-        dinv = D._inverse(d)
-        if c == e:
-            head = G._pointwise_mul(phi, G._zeta(dinv, y))
-        else:
-            head = G._pointwise_mul(phi0, G._zeta(D._multiply(dinv, c), y))
-        return WreathElement(G._pointwise_mul(head, G._zeta(d, qy)), g.q)
+        acc = dict(phi)
+        acc[y] = D._multiply(D._inverse(d), c)
+        acc[qy] = D._multiply(acc[qy], d) if qy in acc else d
+        return WreathElement(G._canon(acc.items()), g.q)
 
     return InfiniteFamilyCertificate(G, g, "g_d", dedup=False, point=y, closed_form=closed_form)
 
@@ -593,7 +591,11 @@ def verify_infinite_certificate(
     The base is validated once and each conjugator once.  Each conjugate
     is recomputed from the product definition h^-1 * base * h, not with
     `_conjugate`, which `members` used: so every member also checks the
-    conjugation law against products."""
+    conjugation law against products.  The recorded conjugate is never
+    validated, so it is compared with that canonical recomputation as
+    stored.  The inverse-free test h * conj == base * h would not do: the
+    product canonicalises conj, so it accepts conj with its map unsorted,
+    and the distinctness test could then count one element twice."""
     if N < 2:
         raise PreconditionError("N must be at least 2")
     try:

@@ -13,7 +13,8 @@ The public `multiply`, `inverse` and `conjugate` (from `Group`) validate
 each operand in depth once; `_multiply`, `_inverse` and `_conjugate` trust
 their operands and call the unchecked arithmetic of D, Q and the carrier.
 Each of the three canonicalises once: it builds one dict of values, moves
-its support by the action and sorts once.  Conjugation follows its own
+its support by the action and sorts once; a map of fewer than two points
+is already sorted, so it is not sorted again.  Conjugation follows its own
 law, not the product of three factors, so the certificate verifier and
 the oracle, which recompute conjugates as products, check it.
 """
@@ -74,6 +75,14 @@ class WreathProduct(Group):
                 raise KindMismatch(f"duplicate support point {a!r}")
         return tuple(kept)
 
+    def _sorted(self, items) -> tuple:
+        """The canonical tuple of (point, value) pairs with distinct points
+        and no identity value: sorted by point, unless there are fewer than
+        two."""
+        if len(items) < 2:
+            return tuple(items)
+        return tuple(sorted(items, key=self._item_key))
+
     def zeta(self, d, y) -> tuple:
         """The map sending y to d and everything else to the identity."""
         self.D.validate(d)
@@ -99,7 +108,7 @@ class WreathProduct(Group):
         y moves to q.y, values unchanged.  q and f are validated once."""
         self.Q.validate(q)
         self._validate_map(f)
-        return tuple(sorted(self._moved(q, f).items(), key=self._item_key))
+        return self._sorted(self._moved(q, f).items())
 
     def _moved(self, q, f) -> dict:
         """The support of f, a sequence of (point, value) pairs, moved by q,
@@ -132,7 +141,7 @@ class WreathProduct(Group):
             return WreathElement(g1.phi, q)
         moved = self._moved(g1.q, g2.phi)
         if not g1.phi:
-            return WreathElement(tuple(sorted(moved.items(), key=self._item_key)), q)
+            return WreathElement(self._sorted(moved.items()), q)
         acc = dict(g1.phi)
         e = self._e
         mul = self.D._multiply
@@ -143,14 +152,16 @@ class WreathProduct(Group):
                     del acc[y]
                     continue
             acc[y] = d
-        return WreathElement(tuple(sorted(acc.items(), key=self._item_key)), q)
+        return WreathElement(self._sorted(acc.items()), q)
 
     def _inverse(self, g: WreathElement) -> WreathElement:
         """(phi, q)^-1 = (lambda(q^-1) phi^-1, q^-1)."""
         qinv = self.Q._inverse(g.q)
+        if not g.phi:
+            return WreathElement((), qinv)
+        Dinv = self.D._inverse
         moved = self._moved(qinv, g.phi).items()
-        phi = sorted(((y, self.D._inverse(d)) for y, d in moved), key=self._item_key)
-        return WreathElement(tuple(phi), qinv)
+        return WreathElement(self._sorted([(y, Dinv(d)) for y, d in moved]), qinv)
 
     def _conjugate(self, x: WreathElement, y: WreathElement) -> WreathElement:
         """y^-1 x y for x = (phi, q) and y = (psi, p), with one
@@ -171,8 +182,7 @@ class WreathProduct(Group):
         pinv = Q._inverse(y.q)
         q = Q._multiply(Q._multiply(pinv, x.q), y.q)
         if not y.phi:
-            moved = self._moved(pinv, x.phi)
-            return WreathElement(tuple(sorted(moved.items(), key=self._item_key)), q)
+            return WreathElement(self._sorted(self._moved(pinv, x.phi).items()), q)
         Dinv, mul, e = self.D._inverse, self.D._multiply, self._e
         acc = {z: Dinv(d) for z, d in y.phi}
         for z, d in x.phi:
@@ -180,7 +190,7 @@ class WreathProduct(Group):
         for z, d in self._moved(x.q, y.phi).items():
             acc[z] = mul(acc[z], d) if z in acc else d
         moved = self._moved(pinv, [(z, d) for z, d in acc.items() if d != e])
-        return WreathElement(tuple(sorted(moved.items(), key=self._item_key)), q)
+        return WreathElement(self._sorted(moved.items()), q)
 
     def validate(self, x):
         if not isinstance(x, WreathElement):
@@ -193,16 +203,18 @@ class WreathProduct(Group):
         stored identity."""
         if not isinstance(phi, tuple):
             raise KindMismatch(f"{self.kind}: phi must be a tuple")
+        validate_point, validate_value = self.omega.validate_point, self.D.validate
+        point_key, e = self.omega.point_key, self._e
         prev_key = None
         for item in phi:
             if not isinstance(item, tuple) or len(item) != 2:
                 raise KindMismatch(f"{self.kind}: bad phi entry {item!r}")
             y, d = item
-            self.omega.validate_point(y)
-            self.D.validate(d)
-            if d == self._e:
+            validate_point(y)
+            validate_value(d)
+            if d == e:
                 raise KindMismatch(f"{self.kind}: stored identity value at {y!r}")
-            key = self.omega.point_key(y)
+            key = point_key(y)
             if prev_key is not None and not prev_key < key:
                 raise KindMismatch(f"{self.kind}: phi keys not strictly sorted")
             prev_key = key

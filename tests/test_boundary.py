@@ -161,7 +161,7 @@ OUT_OF_RANGE = {
     "integers": [],
     "cyclic(3)": [3, -1],
     "symmetric(3)": [(0, 0, 1), (0, 1, 3), (0, "a", 2), (0, 1)],
-    "free(2)": [(1, -1), (3,), (0,), ("a",)],
+    "free(2)": [(1, -1), (3,), (0,), ("a",), (True,), (1, True)],
     "product(integers, symmetric(3))": [(1,), (1, (0, 0, 1)), ("x", (0, 1, 2))],
     "cyclic(2)": [2],
 }

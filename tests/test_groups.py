@@ -11,6 +11,7 @@ from wricc.groups import (
     FreeGroup,
     IntegersGroup,
     SymmetricGroup,
+    _reduce_concat,
     class_closure,
 )
 from wricc.qsets import RegularQSet
@@ -282,3 +283,41 @@ def test_symmetric_literals_round_trip(n):
     for x in S.elements():
         S.validate(x)
         assert S.parse_element(S.format_element(x)) == x
+
+
+def _naive_reduce(word):
+    """Free reduction of any word with a stack, letter by letter."""
+    out = []
+    for g in word:
+        if out and out[-1] == -g:
+            out.pop()
+        else:
+            out.append(g)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_reduce_concat_matches_naive_reduction(rank):
+    rng = random.Random(rank)
+    F = FreeGroup(rank)
+    words = [F.random_element(rng) for _ in range(60)]
+    for u in words:
+        u_inv = F._inverse(u)
+        assert _reduce_concat(u, ()) == _reduce_concat((), u) == u
+        assert _reduce_concat(u, u_inv) == _reduce_concat(u_inv, u) == ()
+        # every length of partial cancellation, past the shorter operand too
+        for k in range(len(u) + 1):
+            for tail in words[:10]:
+                v = _naive_reduce(F._inverse(u[len(u) - k:]) + tail)
+                assert _reduce_concat(u, v) == _naive_reduce(u + v)
+        for v in words:
+            assert _reduce_concat(u, v) == _naive_reduce(u + v)
+    if rank >= 2:
+        # the whole shorter operand cancels, on either side
+        assert _reduce_concat((1, 2), (-2, -1, 2)) == (2,)
+        assert _reduce_concat((2, 1, 2), (-2, -1)) == (2,)
+
+
+def test_free_literal_cancels_while_parsing():
+    assert F2.parse_element("a*a^-1*b") == B
+    assert F2.parse_element("a*b*b^-1*a^-1") == ()

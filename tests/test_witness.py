@@ -542,8 +542,35 @@ def test_verifier_validates_once_and_recomputes_by_products(f2_wr_z2, monkeypatc
         raise AssertionError("the verifier must recompute with products")
 
     monkeypatch.setattr(G, "_conjugate", no_conjugate)
+    calls = []
+    for name in ("_multiply", "_inverse"):
+        op = getattr(G, name)
+        monkeypatch.setattr(G, name, lambda *xs, name=name, op=op: calls.append(name) or op(*xs))
     assert verify_infinite_certificate(G, cert, N=30)
     assert validated == [g] + [h for h, _ in prefix]
+    # each member costs h^-1, then two products
+    assert calls.count("_multiply") == 2 * 30 and calls.count("_inverse") == 30
+
+
+def test_non_canonical_recorded_conjugate_fails(f2_wr_z2):
+    # the right element with its map unsorted: recomputing h^-1 * base * h
+    # compares representations, so the prefix cannot hold one element in
+    # two forms; h * conj == base * h would re-sort conj and accept it
+    G = f2_wr_z2
+    g = WreathElement(G.zeta((1,), 1), 1)
+    prefix = family_gd(G, g, 0).take(10)
+    h, conj = prefix[3]
+    assert len(conj.phi) == 2
+    unsorted = WreathElement(conj.phi[::-1], conj.q)
+    assert G._multiply(h, unsorted) == G._multiply(g, h)
+
+    class Forged(InfiniteFamilyCertificate):
+        def members(self, count, search_budget=20000):
+            yield from prefix[:3] + [(h, unsorted)] + prefix[4:count]
+
+    res = verify_infinite_certificate(G, Forged(G, g, "g_d", dedup=False, point=0), N=10)
+    assert not res and res.reason == "recorded conjugate does not match recomputation"
+    assert res.counterexample == (h, unsorted, conj)
 
 
 # ---------------------------------------------------------------------------

@@ -389,6 +389,26 @@ class TestFusedMultiply:
             with pytest.raises(KindMismatch):
                 G.conjugate(g1, two_points)
 
+    def test_small_maps_skip_the_keyed_sort(self, G, monkeypatch):
+        # a map of fewer than two points is canonical as it is; the same
+        # results as sorted, with no call of the point key
+        calls = []
+        key = G._item_key
+        monkeypatch.setattr(G, "_item_key", lambda yd: calls.append(yd) or key(yd))
+        one = WreathElement(((0, 1),), 0)
+        shift = WreathElement((), 1)
+        moved = WreathElement(((0, 1),), 1)
+        assert G._multiply(one, one) == G.identity()
+        assert G._multiply(shift, one) == WreathElement(((1, 1),), 1)
+        assert G._multiply(one, shift) == moved
+        assert G._inverse(moved) == WreathElement(((-1, 1),), -1)
+        assert G._conjugate(one, shift) == WreathElement(((-1, 1),), 0)
+        assert G._conjugate(moved, one) == WreathElement(((1, 1),), 1)
+        assert G.lambda_act(2, one.phi) == ((2, 1),)
+        assert calls == []
+        assert G._multiply(moved, moved) == WreathElement(((0, 1), (1, 1)), 2)
+        assert calls
+
 
 def _word(G, rng):
     """A product of one to three of G's random elements."""
