@@ -113,7 +113,7 @@ def cmd_witness(args) -> int:
         if args.element:
             g = G.parse_element(args.element)
         else:
-            g = next(x for x in G.ball_stream() if x != G.identity())
+            g = G.first_nontrivial()
     cert = witness(G, v, g)
     record = {
         "command": "witness",

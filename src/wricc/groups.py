@@ -234,14 +234,40 @@ class Group(ABC):
 
     # ---- streams -------------------------------------------------------
 
+    # the ball elements streamed so far on this handle, in stream order,
+    # and whether they are the whole group
+    _ball: tuple = ()
+    _ball_closed: bool = False
+
     def ball_stream(self):
         """Deterministic generator-ball enumeration: BFS over the Cayley
         graph from the identity, each round sorted by sort_key.  Infinite
-        for infinite groups, exhaustive for finite ones."""
+        for infinite groups, exhaustive for finite ones.
+
+        The handle keeps the prefix that earlier streams consumed, and a
+        stream first yields the prefix kept when it starts, with no
+        arithmetic.  Only a stream pulled past that prefix runs the
+        `Closure` from the identity: it runs through the prefix again,
+        yields the elements beyond it and, when it ends or is closed,
+        keeps the longer prefix.  The BFS order is deterministic, so every
+        stream yields the same sequence.  Once the closure has closed, the
+        prefix is the whole group and later streams run no BFS."""
+        ball, closed = self._ball, self._ball_closed
+        yield from ball
+        if closed:
+            return
         e = self.identity()
-        yield e
-        for fresh in Closure(e, self.generators, self._inverse, self._multiply, self.sort_key):
-            yield from fresh
+        bfs = Closure(e, self.generators, self._inverse, self._multiply, self.sort_key)
+        sequence = itertools.chain([e], itertools.chain.from_iterable(bfs))
+        more = []
+        try:
+            for x in itertools.islice(sequence, len(ball), None):
+                more.append(x)
+                yield x
+            self._ball_closed = True
+        finally:
+            if len(ball) + len(more) > len(self._ball):
+                self._ball = ball + tuple(more)
 
     def first_nontrivial(self):
         e = self.identity()

@@ -9,10 +9,11 @@ without listing its (|xi|+1)^|O| - 1 members.  Icc verdicts get an
 infinite family of conjugators whose conjugates are pairwise distinct,
 checked on a prefix.  A family is data: its conjugators come from Q's or
 D's generator ball, in ball order, so its prefixes are deterministic and
-restartable; `members` validates the family's inputs once per call, and
-the verifier validates each conjugator once and recomputes each member
-from products.  The dispatcher mirrors the case analysis of the
-criterion's proof.
+restartable.  The group handle keeps the ball prefix already streamed, so
+listing a prefix again draws its conjugators without a BFS.  `members`
+validates the family's inputs once per call, and the verifier validates
+each conjugator once and recomputes each member from products.  The
+dispatcher mirrors the case analysis of the criterion's proof.
 """
 
 from __future__ import annotations
@@ -151,10 +152,13 @@ class InfiniteFamilyCertificate:
     in Q's ball stream; with one they are (zeta(d, point), 1) for d in D's
     ball stream.  A `seed_conjugator` s turns each conjugator h into s * h.
 
-    Generation is stateless: `members` re-derives the conjugators from
-    scratch, so prefixes are restartable and deterministic.  When a closed
-    form is attached (the g_d family) every emission is self-checked
-    against an independent conjugation.
+    The certificate holds no generation state: each `members` call starts
+    a new ball stream, so prefixes are restartable and deterministic.  The
+    ball elements come from the prefix the group handle already keeps,
+    and only those past it from a new BFS (`Group.ball_stream`); the
+    conjugates are computed afresh on every call.  When a closed form is
+    attached (the g_d family) every emission is self-checked against an
+    independent conjugation.
     """
 
     def __init__(

@@ -1,3 +1,5 @@
+import copy
+import itertools
 import random
 
 import pytest
@@ -6,6 +8,7 @@ from wricc.errors import KindMismatch, PreconditionError
 from wricc.groups import (
     AT_LEAST,
     EXACT_FINITE,
+    Closure,
     CyclicGroup,
     DirectProductGroup,
     FreeGroup,
@@ -234,6 +237,77 @@ def test_ball_stream_deterministic_and_fresh(G):
     assert first == second
     assert len(set(first)) == len(first)
     assert first[0] == G.identity()
+
+
+# the groups whose balls are streamed, and two wreath products: an
+# infinite one and a finite one
+BALL_GROUPS = GROUPS + [load_instance("lamplighter").group, load_instance("z2-wr-s3").group]
+
+
+def unstreamed(G):
+    """A copy of the handle G that keeps no streamed ball."""
+    H = copy.copy(G)
+    vars(H).pop("_ball", None)
+    vars(H).pop("_ball_closed", None)
+    return H
+
+
+def bfs_prefix(G, n):
+    """The first n elements of a fresh Closure BFS from the identity."""
+    e = G.identity()
+    out = [e]
+    for fresh in Closure(e, G.generators, G._inverse, G._multiply, G.sort_key):
+        out += fresh
+        if len(out) >= n:
+            break
+    return out[:n]
+
+
+@pytest.mark.parametrize("G", BALL_GROUPS, ids=lambda g: g.kind)
+def test_interleaved_and_restarted_streams_follow_one_bfs(G):
+    H = unstreamed(G)
+    expect = bfs_prefix(G, 400)
+    # a closed stream leaves a prefix of 7; a keeps that prefix while b
+    # pulls past it, then a pulls past it with its own closure
+    assert list(itertools.islice(H.ball_stream(), 7)) == expect[:7]
+    a = H.ball_stream()
+    head = list(itertools.islice(a, 3))
+    b = H.ball_stream()
+    assert list(itertools.islice(b, 300)) == expect[:300]
+    b.close()
+    assert head + list(itertools.islice(a, 297)) == expect[:300]
+    a.close()
+    # restarts, within the kept prefix and past it
+    assert list(itertools.islice(H.ball_stream(), 7)) == expect[:7]
+    assert list(itertools.islice(H.ball_stream(), 400)) == expect
+
+
+@pytest.mark.parametrize("G", [G for G in BALL_GROUPS if G.is_finite], ids=lambda g: g.kind)
+def test_finite_stream_ends_at_the_order_twice(G):
+    H = unstreamed(G)
+    whole = list(H.ball_stream())
+    assert len(whole) == len(set(whole)) == H.order()
+    assert list(H.ball_stream()) == whole
+
+
+@pytest.mark.parametrize("G", BALL_GROUPS, ids=lambda g: g.kind)
+def test_restreamed_prefix_multiplies_nothing(G):
+    H = unstreamed(G)
+    head = list(itertools.islice(H.ball_stream(), 50))
+    calls = []
+    multiply = H._multiply
+
+    def counted(a, b):
+        calls.append(None)
+        return multiply(a, b)
+
+    H._multiply = counted
+    assert list(itertools.islice(H.ball_stream(), 50)) == head
+    assert calls == []
+    if not H.is_finite:
+        # pulling past the prefix runs the BFS, through the counted product
+        assert list(itertools.islice(H.ball_stream(), 51)) == bfs_prefix(G, 51)
+        assert calls
 
 
 FINITE_GROUPS = [
