@@ -28,11 +28,7 @@ class IccVerdict:
 def _check_hypotheses(G: WreathProduct) -> None:
     if G.D.is_trivial:
         raise TrivialD("the base group must be nontrivial (G would be just Q)")
-    try:
-        first = next(iter(G.omega.points_stream()), None)
-    except Exception:
-        first = None
-    if first is None:
+    if next(iter(G.omega.points_stream()), None) is None:
         raise EmptyOmega("the carrier must be nonempty")
 
 

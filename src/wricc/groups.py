@@ -2,18 +2,17 @@
 
 Element payloads are plain hashable Python values interpreted by their
 handle: ints for the integers and cyclic groups, image tuples for
-symmetric/finite-explicit groups, reduced words (tuples of signed 1-based
-generator indices) for free groups, component tuples for direct products.
+symmetric groups, reduced words (tuples of signed 1-based generator
+indices) for free groups, component tuples for direct products.
 Equality of elements is structural equality of canonical payloads.
 
 Property oracles (finiteness, FC membership, icc status) are declared per
 kind rather than computed from presentations; each declared fact carries a
 one-line justification.
 
-`Closure` is the one breadth-first search of the package: generator balls,
-conjugacy classes (`class_closure`) and the permutation tables of
-finite-explicit carriers run through it, and a bounded closure is summed
-up by one `ClassReport`.
+`Closure` is the one breadth-first search of the package: generator balls
+and conjugacy classes (`class_closure`) run through it, and a bounded
+closure is summed up by one `ClassReport`.
 
 Public arithmetic (`multiply`, `inverse`, `conjugate`) validates each
 operand once; `_multiply`, `_inverse` and `_conjugate` trust theirs.

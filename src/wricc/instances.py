@@ -32,8 +32,8 @@ from .groups import (
 )
 from .qsets import (
     DisjointUnionQSet,
-    FiniteExplicitQSet,
     IntModQSet,
+    NaturalQSet,
     QSet,
     RegularQSet,
     TrivialQSet,
@@ -85,7 +85,7 @@ def parse_omega(text: str, Q: Group) -> QSet:
     if name in ("int-mod", "intmod", "mod"):
         return IntModQSet(Q, _int_arg(name, args))
     if name == "natural":
-        return FiniteExplicitQSet.natural(Q)
+        return NaturalQSet(Q)
     if name == "union":
         if not args:
             raise ParseError("union: missing parts")

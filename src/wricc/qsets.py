@@ -27,10 +27,10 @@ from .errors import (
     PreconditionError,
     Unsupported,
 )
-from .groups import Closure, Group, SymmetricGroup, _perm_inv
+from .groups import Group, SymmetricGroup
 from .tri import Tri, tri_and
 
-# kernel descriptions: ("trivial",) | ("full",) | ("nZ", n) | ("explicit", frozenset)
+# kernel descriptions: ("trivial",) | ("full",) | ("nZ", n)
 
 
 class QSet(ABC):
@@ -95,15 +95,7 @@ class QSet(ABC):
             except Unsupported:
                 return (Tri.UNKNOWN, None)
             return (Tri.YES, w) if w is not None else (Tri.NO, None)
-        if desc[0] == "nZ":
-            return (Tri.YES, desc[1])
-        nontriv = sorted(
-            (q for q in desc[1] if q != self.Q.identity()), key=self.Q.sort_key
-        )
-        # FC(Q) = Q for the finite Q an explicit kernel comes from
-        if nontriv:
-            return (Tri.YES, nontriv[0])
-        return (Tri.NO, None)
+        return (Tri.YES, desc[1])
 
     @abstractmethod
     def is_free_action(self) -> Tri:
@@ -124,10 +116,8 @@ class QSet(ABC):
             fixes = q == self.Q.identity()
         elif desc[0] == "full":
             fixes = True
-        elif desc[0] == "nZ":
-            fixes = q % desc[1] == 0
         else:
-            fixes = q in desc[1]
+            fixes = q % desc[1] == 0
         return Tri.YES if fixes else Tri.NO
 
     def orbit_infinite(self, x) -> Tri:
@@ -228,7 +218,7 @@ class RegularQSet(QSet):
 
 class _IntPointQSet(QSet):
     """A finite carrier whose points are the integers 0..size-1: what the
-    trivial, int-mod and finite-explicit carriers share."""
+    trivial, int-mod and natural carriers share."""
 
     size: int
     is_finite_carrier = True
@@ -321,92 +311,35 @@ class TrivialQSet(_IntPointQSet):
         return ("trivial", self.size, self.Q.descriptor())
 
 
-class FiniteExplicitQSet(_IntPointQSet):
-    """Finite Q acting on {0..size-1} via per-generator image tables; the
-    full element-to-permutation map is closed off at construction, so the
-    kernel stays exactly computable."""
+class NaturalQSet(_IntPointQSet):
+    """symmetric(n) permuting {0..n-1}: a permutation's image tuple is its
+    action, and the action is faithful and transitive."""
 
-    def __init__(self, Q: Group, size: int, gen_action: dict, label: str = "finite-explicit"):
-        if not Q.is_finite:
-            raise PreconditionError("finite-explicit carriers require finite Q")
-        if size < 1:
-            raise EmptyOmega("finite-explicit carrier must be nonempty")
-        self.Q = Q
-        self.size = size
-        self.carrier_kind = f"{label}({size})"
-        for s in Q.generators:
-            tab = gen_action.get(s)
-            if tab is None or sorted(tab) != list(range(size)):
-                raise PreconditionError("finite-explicit: missing/invalid generator table")
-        self._gen_action = {s: tuple(gen_action[s]) for s in Q.generators}
-        # a move is a generator or its inverse, paired with its table
-        bfs = Closure(
-            Q.identity(),
-            list(self._gen_action.items()),
-            lambda move: (Q._inverse(move[0]), _perm_inv(move[1])),
-            lambda e, move: Q._multiply(e, move[0]),
-            Q.sort_key,
-        )
-        perms = {Q.identity(): tuple(range(size))}
-        for fresh in bfs:
-            for es in fresh:
-                e, (_, table) = bfs.reached[es]
-                # act(e*s, i) = act(e, act(s, i))
-                perms[es] = tuple(perms[e][j] for j in table)
-        if len(perms) != Q.order():
-            raise PreconditionError("finite-explicit: generators do not generate Q")
-        # the BFS only used its tree edges; the tables define an action only
-        # if act(e*s, i) = act(e, act(s, i)) along every edge
-        for e, p in perms.items():
-            for s, table in self._gen_action.items():
-                if perms[Q._multiply(e, s)] != tuple(p[j] for j in table):
-                    raise PreconditionError("finite-explicit: the tables do not define an action")
-        self._perms = perms
-        # perms holds every element of Q, so x's orbit is {p[x] : p in perms}
-        reps, seen = [], set()
-        for x in range(size):
-            if x not in seen:
-                reps.append(x)
-                seen.update(p[x] for p in perms.values())
-        self._orbit_reps = tuple(reps)
-
-    @classmethod
-    def natural(cls, Q: SymmetricGroup):
-        """The natural action of symmetric(n) on {0..n-1}."""
+    def __init__(self, Q: Group):
         if not isinstance(Q, SymmetricGroup):
             raise PreconditionError("natural action requires a symmetric group")
-        return cls(Q, Q.n, {s: s for s in Q.generators}, label="natural")
+        self.Q = Q
+        self.size = Q.n
+        self.carrier_kind = f"natural({Q.n})"
 
     def _act(self, q, x):
-        return self._perms[q][x]
+        return q[x]
 
     def finite_orbit_example(self):
-        # _perms holds every element of Q, as for _orbit_reps
-        return tuple(sorted({p[0] for p in self._perms.values()}))
+        return tuple(range(self.size))
 
     def orbit_representatives(self):
-        return self._orbit_reps
+        return (0,)
 
     def kernel_description(self):
-        ident = tuple(range(self.size))
-        return ("explicit", frozenset(q for q, p in self._perms.items() if p == ident))
+        return ("trivial",)
 
     def is_free_action(self):
-        e = self.Q.identity()
-        for q, p in self._perms.items():
-            if q == e:
-                continue
-            if any(p[i] == i for i in range(self.size)):
-                return Tri.NO
-        return Tri.YES
+        # a transposition of two points fixes any third
+        return Tri.YES if self.size <= 2 else Tri.NO
 
     def descriptor(self):
-        return (
-            "finite-explicit",
-            self.size,
-            self.Q.descriptor(),
-            tuple(sorted(self._gen_action.items())),
-        )
+        return ("natural", self.size)
 
 
 def _interleave(streams):
@@ -431,11 +364,7 @@ def _intersect_kernels(a, b):
         return b
     if b[0] == "full":
         return a
-    if a[0] == "nZ" and b[0] == "nZ":
-        return ("nZ", math.lcm(a[1], b[1]))
-    if a[0] == "explicit" and b[0] == "explicit":
-        return ("explicit", a[1] & b[1])
-    return None
+    return ("nZ", math.lcm(a[1], b[1]))
 
 
 class DisjointUnionQSet(QSet):

@@ -24,8 +24,8 @@ from wricc.groups import (
 from wricc.instances import parse_instance
 from wricc.qsets import (
     DisjointUnionQSet,
-    FiniteExplicitQSet,
     IntModQSet,
+    NaturalQSet,
     QSet,
     RegularQSet,
     TrivialQSet,
@@ -58,7 +58,7 @@ NO_OPERAND = {
     "first_nontrivial", "random_element", "parse_element", "random_nontrivial_element",
     "points_stream", "points", "all_orbits_infinite", "finite_orbit_example",
     "kernel_meets_fc", "is_free_action", "kernel_description", "orbit_representatives",
-    "random_point", "parse_point", "natural",
+    "random_point", "parse_point",
 }
 
 GROUP_API = {
@@ -83,7 +83,7 @@ PINNED = {
     RegularQSet: QSET_API,
     IntModQSet: QSET_API,
     TrivialQSet: QSET_API,
-    FiniteExplicitQSet: QSET_API | {"natural"},
+    NaturalQSet: QSET_API,
     DisjointUnionQSet: QSET_API,
 }
 
@@ -149,10 +149,9 @@ CARRIERS = [
     RegularQSet(S3),
     IntModQSet(Z, 3),
     TrivialQSet(Z, 2),
-    FiniteExplicitQSet.natural(S3),
-    FiniteExplicitQSet(S3, 2, {(1, 0, 2): (1, 0), (1, 2, 0): (0, 1)}, label="sign"),
+    NaturalQSet(S3),
     DisjointUnionQSet((RegularQSet(Z), IntModQSet(Z, 3))),
-    DisjointUnionQSet((FiniteExplicitQSet.natural(S3), TrivialQSet(S3, 2))),
+    DisjointUnionQSet((NaturalQSet(S3), TrivialQSet(S3, 2))),
 ]
 assert {type(x) for x in GROUPS + CARRIERS} == set(PINNED)
 

@@ -76,6 +76,16 @@ class TestHypotheses:
         with pytest.raises(EmptyOmega):
             decide_icc(G)
 
+    def test_faulty_points_stream_propagates(self):
+        # a fault in the carrier's stream is not an empty carrier
+        class Faulty(_OpaqueQSet):
+            def points_stream(self):
+                raise RuntimeError("broken stream")
+
+        G = WreathProduct(CyclicGroup(2), Z, Faulty(Z))
+        with pytest.raises(RuntimeError, match="broken stream"):
+            decide_icc(G)
+
 
 class TestFreeCorollary:
     def test_agrees_on_free_instances(self):
@@ -142,7 +152,7 @@ class _OpaqueQSet(QSet):
         return Tri.UNKNOWN
 
     def kernel_description(self):
-        return ("explicit", None)
+        return None
 
     def fixes_all_points(self, q):
         return Tri.UNKNOWN

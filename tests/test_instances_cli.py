@@ -1,5 +1,7 @@
 import hashlib
 import json
+import math
+import time
 
 import pytest
 
@@ -64,6 +66,24 @@ class TestParseInstance:
         spec = parse_instance("D: cyclic 2\nQ: symmetric 3\nomega: natural\n")
         assert isinstance(spec.group.Q, SymmetricGroup)
         assert spec.group.order() == 48
+
+    def test_natural_parses_without_listing_q(self):
+        # the natural carrier reads its answers off its kind: building it
+        # over symmetric 8 touches none of the 40320 permutations
+        best = math.inf
+        for _ in range(3):
+            t0 = time.perf_counter()
+            parse_instance("{D: cyclic 2; Q: symmetric 8; omega: natural}")
+            best = min(best, time.perf_counter() - t0)
+        assert best < 0.010
+
+    @pytest.mark.parametrize("q", ["integers", "product(symmetric 3)"])
+    def test_natural_needs_a_symmetric_group(self, tmp_path, capsys, q):
+        path = write_instance(tmp_path, "not-symmetric", f"{{D: cyclic 2; Q: {q}; omega: natural}}")
+        assert main(["decide", "-i", path]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == "error [precondition]: natural action requires a symmetric group\n"
+        assert "Traceback" not in captured.out + captured.err
 
     def test_both_max_size_spellings_rejected(self, tmp_path, capsys):
         # the two spellings name one budget; which one won used to depend on

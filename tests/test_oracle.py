@@ -9,7 +9,7 @@ from wricc.errors import PreconditionError, WriccError
 from wricc.groups import EXACT_FINITE, ClassReport, Closure, SymmetricGroup, class_closure
 from wricc.instances import parse_instance
 from wricc.oracle import AT_LEAST, class_lower_bound, enumerate_class
-from wricc.qsets import FiniteExplicitQSet, TrivialQSet
+from wricc.qsets import NaturalQSet, TrivialQSet
 from wricc.witness import witness
 from wricc.wreath import WreathElement
 
@@ -58,7 +58,7 @@ def _oracle(max_size, radius=100, singleton=False):
 
 def _orbit(max_size, radius=None, singleton=False):
     assert radius is None  # an orbit has no round budget
-    S = TrivialQSet(S3, 1) if singleton else FiniteExplicitQSet.natural(S3)
+    S = TrivialQSet(S3, 1) if singleton else NaturalQSet(S3)
     return orbit_closure(S, 0, max_size)
 
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from wricc.errors import KindMismatch, PreconditionError, Unsupported
+from wricc.errors import KindMismatch, Unsupported
 from wricc.groups import (
     AT_LEAST,
     EXACT_FINITE,
@@ -14,8 +14,8 @@ from wricc.groups import (
 )
 from wricc.qsets import (
     DisjointUnionQSet,
-    FiniteExplicitQSet,
     IntModQSet,
+    NaturalQSet,
     QSet,
     RegularQSet,
     TrivialQSet,
@@ -30,25 +30,8 @@ S3 = SymmetricGroup(3)
 REG_Z = RegularQSet(Z)
 MOD3 = IntModQSet(Z, 3)
 TRIV = TrivialQSet(Z, 1)
-NAT3 = FiniteExplicitQSet.natural(S3)
+NAT3 = NaturalQSet(S3)
 UNION = DisjointUnionQSet((RegularQSet(Z), IntModQSet(Z, 3)))
-
-
-def _parity(perm):
-    """True for odd permutations."""
-    inv = sum(
-        1
-        for i in range(len(perm))
-        for j in range(i + 1, len(perm))
-        if perm[i] > perm[j]
-    )
-    return inv % 2 == 1
-
-
-# S3 on two points through the sign character: odd permutations swap them
-SIGN = FiniteExplicitQSet(
-    S3, 2, {s: (1, 0) if _parity(s) else (0, 1) for s in S3.generators}, label="sign"
-)
 
 
 class TestAct:
@@ -171,8 +154,7 @@ class TestStructuralOracles:
         assert REG_Z.kernel_description() == ("trivial",)
         assert MOD3.kernel_description() == ("nZ", 3)
         assert TRIV.kernel_description() == ("full",)
-        kind, ker = NAT3.kernel_description()
-        assert kind == "explicit" and ker == frozenset({S3.identity()})
+        assert NAT3.kernel_description() == ("trivial",)
 
 
 class TestPublicOraclesValidate:
@@ -195,38 +177,6 @@ class TestPublicOraclesValidate:
             S.fixes_all_points("junk")
 
 
-class TestFiniteExplicit:
-    def test_sign_action_kernel(self):
-        # the kernel of the sign action is A3
-        S = SIGN
-        kind, ker = S.kernel_description()
-        assert kind == "explicit"
-        assert ker == frozenset({(0, 1, 2), (1, 2, 0), (2, 0, 1)})
-        ans, q0 = S.kernel_meets_fc()
-        assert ans is Tri.YES
-        assert q0 in ker and q0 != S3.identity()
-
-    def test_bad_tables_rejected(self):
-        with pytest.raises(PreconditionError):
-            FiniteExplicitQSet(S3, 2, {s: (0, 0) for s in S3.generators})
-
-    def test_infinite_q_rejected(self):
-        with pytest.raises(PreconditionError):
-            FiniteExplicitQSet(Z, 2, {1: (1, 0)})
-
-    def test_tables_that_are_not_an_action_rejected(self):
-        # each table is a permutation and the closure reaches all of S3, but
-        # the 3-cycle cannot act with order 2: act(ab, x) != act(a, act(b, x))
-        with pytest.raises(PreconditionError, match="do not define an action"):
-            FiniteExplicitQSet(S3, 2, {(1, 0, 2): (1, 0), (1, 2, 0): (1, 0)})
-
-
-# S3 on five points: naturally on {0, 1, 2}, through the sign on {3, 4}
-TWO_ORBITS = FiniteExplicitQSet(
-    S3, 5, {(1, 0, 2): (1, 0, 2, 4, 3), (1, 2, 0): (1, 2, 0, 3, 4)}, label="two-orbit"
-)
-
-
 @pytest.mark.parametrize(
     "S, reps",
     [
@@ -235,7 +185,7 @@ TWO_ORBITS = FiniteExplicitQSet(
         (MOD3, (0,)),
         (TrivialQSet(Z, 3), (0, 1, 2)),
         (NAT3, (0,)),
-        (TWO_ORBITS, (0, 3)),
+        (DisjointUnionQSet((NAT3, TrivialQSet(S3, 2))), ((0, 0), (1, 0), (1, 1))),
         (UNION, ((0, 0), (1, 0))),
         (DisjointUnionQSet((TrivialQSet(Z, 2), MOD3, REG_Z)), ((0, 0), (0, 1), (1, 0), (2, 0))),
     ],
@@ -290,7 +240,7 @@ def test_points_stream_deterministic():
 
 C6 = CyclicGroup(6)
 S4 = SymmetricGroup(4)
-NAT4 = FiniteExplicitQSet.natural(S4)
+NAT4 = NaturalQSet(S4)
 # finite carriers over finite Q, and over the integers (int-mod, trivial)
 FINITE = [
     RegularQSet(S3),
@@ -299,14 +249,16 @@ FINITE = [
     IntModQSet(Z, 5),
     TrivialQSet(Z, 3),
     TrivialQSet(S3, 3),
+    NaturalQSet(SymmetricGroup(1)),
+    NaturalQSet(SymmetricGroup(2)),
     NAT3,
     NAT4,
-    SIGN,
-    DisjointUnionQSet((NAT3, RegularQSet(S3), TrivialQSet(S3, 2), SIGN)),
+    NaturalQSet(SymmetricGroup(5)),
+    DisjointUnionQSet((NAT3, RegularQSet(S3), TrivialQSet(S3, 2))),
     DisjointUnionQSet((IntModQSet(Z, 5), TrivialQSet(Z, 3), MOD3)),
     DisjointUnionQSet((RegularQSet(C6), TrivialQSet(C6, 2))),
     DisjointUnionQSet((NAT4, RegularQSet(S4))),
-    DisjointUnionQSet((DisjointUnionQSet((NAT3, SIGN)), TrivialQSet(S3, 1))),
+    DisjointUnionQSet((DisjointUnionQSet((NAT3, TrivialQSet(S3, 2))), TrivialQSet(S3, 1))),
 ]
 
 
@@ -322,7 +274,8 @@ def _point_set(S):
 @pytest.mark.parametrize("S", FINITE, ids=lambda s: s.carrier_kind)
 def test_derived_oracles_match_the_action(S):
     # the oracles QSet derives from the kernel description, the orbit
-    # representatives and points_stream agree with the action itself
+    # representatives and points_stream, and the structural answers each
+    # carrier reads off its kind, agree with the action itself
     pts = list(S.points())
     assert len(pts) == len(set(pts)) and set(pts) == _point_set(S)
     qs = list(S.Q.elements()) if S.Q.is_finite else range(-30, 31)
@@ -331,6 +284,14 @@ def test_derived_oracles_match_the_action(S):
         assert S.fixes_all_points(q) is (Tri.YES if fixes else Tri.NO)
     assert S.all_orbits_infinite() is Tri.NO
     assert all(S.orbit_infinite(p) is Tri.NO for p in pts)
+    e = S.Q.identity()
+    free = not any(S.act(q, p) == p for q in qs if q != e for p in pts)
+    assert S.is_free_action() is (Tri.YES if free else Tri.NO)
+    orbits = [set(orbit_closure(S, y, len(pts) + 1).elements) for y in S.orbit_representatives()]
+    assert sum(map(len, orbits)) == len(set().union(*orbits)) == len(pts)
+    orb = S.finite_orbit_example()
+    assert len(orb) == len(set(orb))
+    assert set(orb) == set(orbit_closure(S, orb[0], len(pts) + 1).elements)
 
 
 @pytest.mark.parametrize("S", [REG_Z, UNION], ids=lambda s: s.carrier_kind)
