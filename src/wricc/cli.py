@@ -1,9 +1,11 @@
 """Command-line entry point.
 
 Commands: decide, witness, class, verify.  Exit codes: 0 success/PASS,
-1 a verification check failed, 2 Unknown verdict, 3 usage/parse error, a
-certificate listing over its size budget, or an oracle class that did not
-close within its radius.
+1 a verification check failed, 2 Unknown verdict, 3 usage error (a bad or
+missing flag or command), parse error, a certificate listing over its size
+budget, or an oracle class that did not close within its radius.
+The argument parser is built on the first `main` call and reused by every
+later one in the process.
 `--json` switches to line-delimited machine-readable records; the human
 format is derived from the same record.
 `verify` checks a finite certificate by exact closure under a generating
@@ -16,6 +18,7 @@ one check.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -249,8 +252,20 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_ok else EXIT_FAIL
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's own exit code for a usage error is 2, which `wricc`
+    gives an Unknown verdict; subparsers are built from this class too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+# one parser per process: it holds no per-call state, as each parse_args
+# returns a fresh Namespace and no action has a mutable default
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wricc",
         description="Decide and certify the infinite-conjugacy-class property "
         "of restricted wreath products.",

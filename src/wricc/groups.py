@@ -34,6 +34,9 @@ from .tri import Tri, tri_and
 EXACT_FINITE = "exact-finite"
 AT_LEAST = "at-least"
 
+# the most ball elements a group handle keeps for later streams
+_BALL_MEMO_CAP = 65536
+
 
 @dataclass(frozen=True)
 class IccStatus:
@@ -233,8 +236,9 @@ class Group(ABC):
 
     # ---- streams -------------------------------------------------------
 
-    # the ball elements streamed so far on this handle, in stream order,
-    # and whether they are the whole group
+    # the ball elements streamed so far on this handle, in stream order
+    # and at most _BALL_MEMO_CAP of them, and whether they are the whole
+    # group
     _ball: tuple = ()
     _ball_closed: bool = False
 
@@ -248,9 +252,11 @@ class Group(ABC):
         arithmetic.  Only a stream pulled past that prefix runs the
         `Closure` from the identity: it runs through the prefix again,
         yields the elements beyond it and, when it ends or is closed,
-        keeps the longer prefix.  The BFS order is deterministic, so every
-        stream yields the same sequence.  Once the closure has closed, the
-        prefix is the whole group and later streams run no BFS."""
+        keeps the longer prefix, up to `_BALL_MEMO_CAP` elements; past the
+        cap it carries on without keeping.  The BFS order is
+        deterministic, so every stream yields the same sequence.  Once the
+        closure has closed within the cap, the prefix is the whole group
+        and later streams run no BFS."""
         ball, closed = self._ball, self._ball_closed
         yield from ball
         if closed:
@@ -260,10 +266,13 @@ class Group(ABC):
         sequence = itertools.chain([e], itertools.chain.from_iterable(bfs))
         more = []
         try:
-            for x in itertools.islice(sequence, len(ball), None):
+            for x in itertools.islice(sequence, len(ball), _BALL_MEMO_CAP):
                 more.append(x)
                 yield x
-            self._ball_closed = True
+            if len(ball) + len(more) < _BALL_MEMO_CAP:
+                self._ball_closed = True
+            else:
+                yield from sequence
         finally:
             if len(ball) + len(more) > len(self._ball):
                 self._ball = ball + tuple(more)

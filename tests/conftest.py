@@ -5,6 +5,8 @@ from hypothesis import settings
 
 from wricc.groups import Closure
 from wricc.instances import parse_instance
+from wricc.qsets import QSet
+from wricc.tri import Tri
 
 # property tests draw the same examples on every run, with no per-example
 # time limit and no stored examples replayed, so that the suite stays
@@ -107,3 +109,68 @@ def s3_union():
     """Two orbits with a nonabelian base: a set of maps on the Z/3 part can
     be invariant under Q and under zeta_d on the regular part alone."""
     return parse_instance("{D: symmetric 3; Q: integers; omega: union(regular, int-mod 3)}").group
+
+
+class OpaqueQSet(QSet):
+    """A carrier whose structural oracles have no rule: everything that
+    cannot be read off directly is Unknown."""
+
+    carrier_kind = "opaque"
+
+    def __init__(self, Q, kernel_ans=Tri.UNKNOWN, orbits_ans=Tri.UNKNOWN):
+        self.Q = Q
+        self._kernel_ans = kernel_ans
+        self._orbits_ans = orbits_ans
+
+    def _act(self, q, x):
+        return q + x
+
+    def validate_point(self, x):
+        self.Q.validate(x)
+
+    def point_key(self, x):
+        return (abs(x), x < 0)
+
+    def points_stream(self):
+        yield 0
+        k = 1
+        while True:
+            yield -k
+            yield k
+            k += 1
+
+    def all_orbits_infinite(self):
+        return self._orbits_ans
+
+    def finite_orbit_example(self):
+        return None
+
+    def kernel_meets_fc(self):
+        return (self._kernel_ans, None)
+
+    def is_free_action(self):
+        return Tri.UNKNOWN
+
+    def kernel_description(self):
+        return None
+
+    def fixes_all_points(self, q):
+        return Tri.UNKNOWN
+
+    def _orbit_infinite(self, x):
+        return Tri.UNKNOWN
+
+    def descriptor(self):
+        return ("opaque",)
+
+    def orbit_representatives(self):
+        return (0,)
+
+    def random_point(self, rng):
+        return rng.randrange(-5, 6)
+
+    def format_point(self, x):
+        return str(x)
+
+    def parse_point(self, text):
+        return int(text)

@@ -7,11 +7,11 @@ from wricc.decision import decide_icc, decide_icc_free
 from wricc.errors import EmptyOmega, NotFreeAction, TrivialD
 from wricc.groups import CyclicGroup, FreeGroup, IntegersGroup
 from wricc.instances import parse_instance
-from wricc.qsets import QSet, RegularQSet
+from wricc.qsets import RegularQSet
 from wricc.tri import Tri, tri_and, tri_not, tri_of, tri_or
 from wricc.wreath import WreathProduct
 
-from conftest import CORPUS, EXTRA, load_instance
+from conftest import CORPUS, EXTRA, OpaqueQSet, load_instance
 
 Z = IntegersGroup()
 
@@ -68,7 +68,7 @@ class TestHypotheses:
 
 
     def test_empty_carrier_rejected(self):
-        class Empty(_OpaqueQSet):
+        class Empty(OpaqueQSet):
             def points_stream(self):
                 return iter(())
 
@@ -78,7 +78,7 @@ class TestHypotheses:
 
     def test_faulty_points_stream_propagates(self):
         # a fault in the carrier's stream is not an empty carrier
-        class Faulty(_OpaqueQSet):
+        class Faulty(OpaqueQSet):
             def points_stream(self):
                 raise RuntimeError("broken stream")
 
@@ -111,98 +111,33 @@ class TestFreeCorollary:
         assert decide_icc(G2).answer is Tri.NO
 
 
-class _OpaqueQSet(QSet):
-    """A carrier whose structural oracles have no rule: everything that
-    cannot be read off directly is Unknown."""
-
-    carrier_kind = "opaque"
-
-    def __init__(self, Q, kernel_ans=Tri.UNKNOWN, orbits_ans=Tri.UNKNOWN):
-        self.Q = Q
-        self._kernel_ans = kernel_ans
-        self._orbits_ans = orbits_ans
-
-    def _act(self, q, x):
-        return q + x
-
-    def validate_point(self, x):
-        self.Q.validate(x)
-
-    def point_key(self, x):
-        return (abs(x), x < 0)
-
-    def points_stream(self):
-        yield 0
-        k = 1
-        while True:
-            yield -k
-            yield k
-            k += 1
-
-    def all_orbits_infinite(self):
-        return self._orbits_ans
-
-    def finite_orbit_example(self):
-        return None
-
-    def kernel_meets_fc(self):
-        return (self._kernel_ans, None)
-
-    def is_free_action(self):
-        return Tri.UNKNOWN
-
-    def kernel_description(self):
-        return None
-
-    def fixes_all_points(self, q):
-        return Tri.UNKNOWN
-
-    def _orbit_infinite(self, x):
-        return Tri.UNKNOWN
-
-    def descriptor(self):
-        return ("opaque",)
-
-    def orbit_representatives(self):
-        return (0,)
-
-    def random_point(self, rng):
-        return rng.randrange(-5, 6)
-
-    def format_point(self, x):
-        return str(x)
-
-    def parse_point(self, text):
-        return int(text)
-
-
 class TestUnknownPropagation:
     def test_all_unknown(self):
-        G = WreathProduct(CyclicGroup(2), Z, _OpaqueQSet(Z))
+        G = WreathProduct(CyclicGroup(2), Z, OpaqueQSet(Z))
         v = decide_icc(G)
         assert v.answer is Tri.UNKNOWN
         assert "unknown" in v.reason
 
     def test_kernel_hit_forces_no(self):
-        G = WreathProduct(FreeGroup(2), Z, _OpaqueQSet(Z, kernel_ans=Tri.YES))
+        G = WreathProduct(FreeGroup(2), Z, OpaqueQSet(Z, kernel_ans=Tri.YES))
         v = decide_icc(G)
         assert v.answer is Tri.NO
         assert v.cond_i is Tri.NO
 
     def test_icc_base_not_enough_without_cond_i(self):
-        G = WreathProduct(FreeGroup(2), Z, _OpaqueQSet(Z, orbits_ans=Tri.YES))
+        G = WreathProduct(FreeGroup(2), Z, OpaqueQSet(Z, orbits_ans=Tri.YES))
         v = decide_icc(G)
         assert v.cond_ii is Tri.YES and v.cond_iii is Tri.YES
         assert v.answer is Tri.UNKNOWN
 
     def test_unknown_orbits_with_kernel_clear(self):
-        G = WreathProduct(CyclicGroup(2), Z, _OpaqueQSet(Z, kernel_ans=Tri.NO))
+        G = WreathProduct(CyclicGroup(2), Z, OpaqueQSet(Z, kernel_ans=Tri.NO))
         v = decide_icc(G)
         assert v.cond_i is Tri.YES
         assert v.answer is Tri.UNKNOWN
 
     def test_free_corollary_requires_known_freeness(self):
-        G = WreathProduct(CyclicGroup(2), Z, _OpaqueQSet(Z))
+        G = WreathProduct(CyclicGroup(2), Z, OpaqueQSet(Z))
         with pytest.raises(NotFreeAction):
             decide_icc_free(G)
 

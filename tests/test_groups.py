@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from wricc import groups
 from wricc.errors import KindMismatch, PreconditionError
 from wricc.groups import (
     AT_LEAST,
@@ -395,3 +396,29 @@ def test_reduce_concat_matches_naive_reduction(rank):
 def test_free_literal_cancels_while_parsing():
     assert F2.parse_element("a*a^-1*b") == B
     assert F2.parse_element("a*b*b^-1*a^-1") == ()
+
+
+@pytest.mark.parametrize(
+    "G",
+    [F2, SymmetricGroup(5), load_instance("lamplighter").group, load_instance("z2-wr-s3").group],
+    ids=lambda g: g.describe(),
+)
+def test_ball_memo_keeps_at_most_the_cap(G, monkeypatch):
+    # with a cap of 50, symmetric 5 (120 elements) is streamed past it and
+    # z2-wr-s3 (48) closes within it
+    monkeypatch.setattr(groups, "_BALL_MEMO_CAP", 50)
+    H = unstreamed(G)
+    expect = bfs_prefix(G, 130)
+    a = H.ball_stream()
+    head = list(itertools.islice(a, 20))
+    pulled = 0
+    for n in (30, 130, 40, 130):
+        assert list(itertools.islice(H.ball_stream(), n)) == expect[:n]
+        pulled = max(pulled, n)
+        assert len(H._ball) == min(pulled, 50, len(expect))
+    # a stream started before the cap filled carries on past it
+    assert head + list(itertools.islice(a, 110)) == expect
+    assert len(H._ball) == min(50, len(expect))
+    if H.is_finite:
+        assert list(H.ball_stream()) == expect
+        assert H._ball_closed is (H.order() < 50)

@@ -1,19 +1,25 @@
+import argparse
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from wricc.decision import decide_icc
 from wricc.errors import ParseError, TrivialD, UnsupportedQKind
-from wricc.groups import SymmetricGroup
-from wricc.instances import parse_instance
+from wricc.groups import CyclicGroup, IntegersGroup, SymmetricGroup
+from wricc.instances import InstanceSpec, parse_instance
 from wricc.witness import FiniteClassCertificate, witness
 from wricc.wreath import WreathProduct
-from wricc.cli import EXIT_FAIL, EXIT_OK, EXIT_UNKNOWN, EXIT_USAGE, main
+import wricc.cli as cli
+from wricc.cli import EXIT_FAIL, EXIT_OK, EXIT_UNKNOWN, EXIT_USAGE, build_parser, main
 
-from conftest import instance_text, load_instance
+from conftest import OpaqueQSet, instance_text, load_instance
 
 
 def write_instance(tmp_path, name, text=None):
@@ -488,3 +494,131 @@ def test_witness_record_pinned(tmp_path, capsys, kind):
     assert fam.family_kind == json.loads(record)["family"]
     lines = "".join(f"{G.format_element(h)} -> {G.format_element(c)}\n" for h, c in fam.take(300))
     assert hashlib.sha256(lines.encode()).hexdigest() == digest
+
+
+def run_wricc(*argv):
+    """`python -m wricc.cli` in a fresh interpreter that imports this
+    checkout's `wricc`."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "wricc.cli", *argv], capture_output=True, text=True, env=env
+    )
+
+
+# argparse exits with 2 on a usage error, which is Unknown for `wricc`
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify"], "the following arguments are required: -i/--instance"),
+        (["verify", "-i", "lamplighter.wri", "--elements", "x"], "argument --elements: invalid int value: 'x'"),
+        ([], "the following arguments are required: cmd"),
+        (["frobnicate"], "argument cmd: invalid choice: 'frobnicate'"),
+    ],
+    ids=["missing-instance", "non-integer-flag", "missing-command", "unknown-command"],
+)
+def test_usage_error_exits_3(argv, message):
+    done = run_wricc(*argv)
+    assert done.returncode == EXIT_USAGE
+    assert done.stdout == ""
+    assert done.stderr.startswith("usage: wricc")
+    assert f"error: {message}" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_help_exits_0():
+    done = run_wricc("--help")
+    assert done.returncode == 0
+    assert done.stdout.startswith("usage: wricc") and done.stderr == ""
+
+
+def outcome(argv, capsys):
+    """(exit code, stdout, stderr) of one in-process `main` call."""
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        code = e.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_cached_parser_carries_nothing_between_calls(tmp_path, capsys):
+    # each call that leaves a flag out follows one that gave it; the file
+    # with budgets gives the seed and radius that a flag overrides
+    lamp = write_instance(tmp_path, "lamplighter")
+    budgets = write_instance(tmp_path, "budgets", instance_text("lamplighter") + "radius: 3\nseed: 9\n")
+    sequence = [
+        ["verify", "--json", "-i", lamp, "--seed", "7", "--elements", "2"],
+        ["verify", "--json", "-i", lamp],
+        ["verify", "--json", "-i", budgets, "--seed", "7", "--elements", "2"],
+        ["verify", "--json", "-i", budgets],
+        ["witness", "--json", "-i", lamp, "-g", "{0:1}@5"],
+        ["witness", "--json", "-i", lamp],
+        ["class", "--json", "-i", budgets, "-g", "{0:1}@0", "--radius", "6"],
+        ["class", "--json", "-i", budgets, "-g", "{0:1}@0"],
+        ["decide", "--json", "-i", lamp],
+        ["verify", "--json", "-i", lamp, "--elements", "x"],
+        ["decide", "--json", "-i", lamp],
+    ]
+    in_sequence = [outcome(argv, capsys) for argv in sequence]
+    fresh = []
+    for argv in sequence:
+        build_parser.cache_clear()
+        fresh.append(outcome(argv, capsys))
+    assert in_sequence == fresh
+
+    records = [json.loads(out) if out else None for _, out, _ in in_sequence]
+    assert [r["seed"] for r in records[:4]] == [7, 0, 7, 9]
+    assert [len(r["checks"]) for r in records[:4]] == [4, 10, 4, 10]
+    G = load_instance("lamplighter").group
+    assert records[4]["base"] == "{0:1}@5"
+    assert records[5]["base"] == G.format_element(G.first_nontrivial())
+    assert [r["radius"] for r in records[6:8]] == [6, 3]
+    code, out, err = in_sequence[9]
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("usage: wricc verify")
+    assert in_sequence[8] == in_sequence[10] and in_sequence[8][0] == EXIT_OK
+
+
+def test_second_call_builds_no_parser(tmp_path, capsys, monkeypatch):
+    path = write_instance(tmp_path, "lamplighter")
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    build_parser.cache_clear()
+    assert main(["decide", "-i", path]) == EXIT_OK
+    assert len(built) == 5  # the parser and one subparser per command
+    built.clear()
+    assert main(["decide", "-i", path]) == EXIT_OK
+    assert built == []
+
+
+@pytest.mark.parametrize("command", ["decide", "witness", "verify"])
+def test_unknown_verdict_exits_2(capsys, monkeypatch, command):
+    # no parsed instance decides Unknown, so the carrier is a fake one
+    # whose kernel and orbit rules are undetermined
+    Z = IntegersGroup()
+    G = WreathProduct(CyclicGroup(2), Z, OpaqueQSet(Z))
+    spec = InstanceSpec(G, "cyclic 2", "integers", "opaque")
+    monkeypatch.setattr(cli, "_load", lambda path: spec)
+    assert main([command, "--json", "-i", "opaque.wri"]) == EXIT_UNKNOWN
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    expected = {
+        "command": command,
+        "instance_hash": spec.instance_hash(),
+        "answer": "unknown",
+        "cond_i": "unknown",
+        "cond_ii": "no",
+        "cond_iii": "unknown",
+        "reason": decide_icc(G).reason,
+        "corollary_used": False,
+    }
+    if command == "decide":
+        expected["group"] = "wreath(cyclic(2); integers; opaque)"
+    assert json.loads(captured.out) == expected

@@ -1,4 +1,6 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -396,3 +398,25 @@ def test_broken_conjugation_law_is_caught(lamplighter, monkeypatch):
         enumerate_class(G, g, radius=3, max_size=100)
     with pytest.raises(WriccError, match="bad conjugator"):
         class_lower_bound(G, g, 200)
+
+
+def imported_names(tree):
+    """The dotted parts of every import in the tree, at any depth:
+    `from .decision import decide_icc` gives ["decision", "decide_icc"]."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name.split(".")
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module.split(".") if node.module else []
+            for alias in node.names:
+                yield base + [alias.name]
+
+
+def test_oracle_imports_neither_decision_nor_witness():
+    # the oracle is the cross-check of the verdicts and certificates, so it
+    # imports nothing from the modules that produce them
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    imports = list(imported_names(tree))
+    assert ["groups", "Closure"] in imports
+    assert [parts for parts in imports if {"decision", "witness"} & set(parts)] == []
