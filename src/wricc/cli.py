@@ -3,7 +3,8 @@
 Commands: decide, witness, class, verify.  Exit codes: 0 success/PASS,
 1 a verification check failed, 2 Unknown verdict, 3 usage error (a bad or
 missing flag or command), parse error, a certificate listing over its size
-budget, or an oracle class that did not close within its radius.
+budget, or a certificate base whose class passes the oracle's conjugate
+budget before it closes.
 The argument parser is built on the first `main` call and reused by every
 later one in the process.
 `--json` switches to line-delimited machine-readable records; the human
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import random
 import sys
 
@@ -42,8 +44,9 @@ EXIT_FAIL = 1
 EXIT_UNKNOWN = 2
 EXIT_USAGE = 3
 
-# rounds the oracle gets to close the class of a finite certificate's base
-_CONTAINMENT_RADIUS = 16
+# the most conjugates the oracle finds of a finite certificate's base
+# when the certificate has more members than that
+_CONTAINMENT_BUDGET = 2**17
 
 
 def _load(path: str) -> InstanceSpec:
@@ -204,12 +207,16 @@ def cmd_verify(args) -> int:
         cert = witness(G, v)
         res = verify_finite_certificate(G, cert)
         check("finite-certificate", res, f"size {format_size(cert.size)}; {res.reason}")
-        rep = enumerate_class(G, cert.base, _CONTAINMENT_RADIUS, cert.size + 1)
-        if rep.stopped_by == "radius":
+        # a class inside the set has at most |S| members, so the closure
+        # needs no round budget: it closes, or it passes |S| (a FAIL) or
+        # the conjugate budget
+        budget = min(cert.size, _CONTAINMENT_BUDGET)
+        rep = enumerate_class(G, cert.base, math.inf, budget + 1)
+        if rep.status != EXACT_FINITE and budget < cert.size:
             # neither PASS nor FAIL: the class may still lie in the set
             raise CertificateBudget(
-                f"oracle-containment: the class of the base did not close within "
-                f"radius {_CONTAINMENT_RADIUS} ({rep.count} conjugates found)"
+                f"oracle-containment: the class of the base has more than "
+                f"{_CONTAINMENT_BUDGET} conjugates, the oracle's budget"
             )
         S = cert.elements
         contained = rep.status == EXACT_FINITE and all(x in S for x in rep.elements)

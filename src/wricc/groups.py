@@ -448,7 +448,7 @@ class CyclicGroup(_FiniteGroupMixin, Group):
 
 def _perm_mul(a, b):
     # apply b first, then a
-    return tuple(a[b[i]] for i in range(len(a)))
+    return tuple(map(a.__getitem__, b))
 
 
 def _perm_inv(a):

@@ -108,7 +108,6 @@ class InstanceSpec:
     q_text: str
     omega_text: str
     budgets: dict = field(default_factory=dict)
-    source: str = ""
 
     def instance_hash(self) -> str:
         # the empty last field stood for a key that no longer exists; it
@@ -124,7 +123,6 @@ _BUDGET_KEYS = ("radius", "max_size", "seed")
 
 
 def parse_instance(text: str) -> InstanceSpec:
-    source = text
     stripped = text.strip()
     if stripped.startswith("{") and stripped.endswith("}"):
         entries = split_top(stripped[1:-1], ";")
@@ -163,5 +161,4 @@ def parse_instance(text: str) -> InstanceSpec:
         q_text=fields["q"],
         omega_text=fields["omega"],
         budgets=budgets,
-        source=source,
     )

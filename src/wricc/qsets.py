@@ -218,7 +218,8 @@ class RegularQSet(QSet):
 
 class _IntPointQSet(QSet):
     """A finite carrier whose points are the integers 0..size-1: what the
-    trivial, int-mod and natural carriers share."""
+    trivial, int-mod and natural carriers share.  The orbit answers are
+    those of a transitive action; the trivial carrier overrides them."""
 
     size: int
     is_finite_carrier = True
@@ -232,6 +233,12 @@ class _IntPointQSet(QSet):
 
     def points_stream(self):
         return iter(range(self.size))
+
+    def finite_orbit_example(self):
+        return tuple(range(self.size))
+
+    def orbit_representatives(self):
+        return (0,)
 
     def _orbit_infinite(self, x):
         return Tri.NO
@@ -265,12 +272,6 @@ class IntModQSet(_IntPointQSet):
 
     def _act(self, q, x):
         return (x + q) % self.size
-
-    def finite_orbit_example(self):
-        return tuple(range(self.size))
-
-    def orbit_representatives(self):
-        return (0,)
 
     def kernel_description(self):
         return ("nZ", self.size)
@@ -324,12 +325,6 @@ class NaturalQSet(_IntPointQSet):
 
     def _act(self, q, x):
         return q[x]
-
-    def finite_orbit_example(self):
-        return tuple(range(self.size))
-
-    def orbit_representatives(self):
-        return (0,)
 
     def kernel_description(self):
         return ("trivial",)

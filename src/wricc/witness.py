@@ -239,11 +239,11 @@ class InfiniteFamilyCertificate:
 # ---------------------------------------------------------------------------
 
 
-def cert_condition_i(
-    G: WreathProduct, q0, radius: int = 8, max_size: int = 10000
-) -> FiniteClassCertificate:
+def cert_condition_i(G: WreathProduct, q0) -> FiniteClassCertificate:
     """The finite invariant set {(eps, x) : x conjugate to q0 in Q} for a
-    nontrivial FC-element q0 of Q fixing the carrier pointwise."""
+    nontrivial FC-element q0 of Q fixing the carrier pointwise.  q0 in
+    FC(Q) makes the class finite, so its closure runs until it closes or
+    passes the listing cap."""
     Q = G.Q
     Q.validate(q0)
     if q0 == Q.identity():
@@ -252,11 +252,9 @@ def cert_condition_i(
         raise PreconditionError("q0 must lie in FC(Q)")
     if G.omega.fixes_all_points(q0) is Tri.NO:
         raise PreconditionError("q0 must fix the carrier pointwise")
-    rep = class_closure(Q, q0, radius, max_size).report()
+    rep = class_closure(Q, q0, max_size=_FINITE_SET_CAP + 1).report()
     if rep.status != EXACT_FINITE:
-        raise CertificateBudget(
-            "class of q0 did not close within the configured budget"
-        )
+        raise CertificateBudget(f"the class of q0 has more than {_FINITE_SET_CAP} elements")
     elems = frozenset(WreathElement((), x) for x in rep.elements)
     return FiniteClassCertificate(
         base=WreathElement((), q0),
@@ -282,7 +280,8 @@ def _maps_over(G: WreathProduct, pts: tuple, values):
 def cert_finite_orbit(G: WreathProduct, xi=None, orbit=None) -> FiniteClassCertificate:
     """S(O, xi) for a finite orbit O and a finite invariant subset xi of
     the base, as data (`OrbitMaps`): nothing is listed, so no size is too
-    large.  O and xi are validated and O must be closed under the action."""
+    large.  O and xi are validated; that O is closed under the action is
+    the verifier's check (`_verify_orbit_maps`), which names the failure."""
     if xi is None:
         xi = G.D.finite_invariant_set_example()
     if orbit is None:
@@ -298,11 +297,6 @@ def cert_finite_orbit(G: WreathProduct, xi=None, orbit=None) -> FiniteClassCerti
     for y in orbit:
         G.omega.validate_point(y)
     S = OrbitMaps(G, orbit, xi)
-    act = G.omega._act
-    for s in G.Q.generators:
-        for y in orbit:
-            if act(s, y) not in S.points:
-                raise PreconditionError("orbit is not closed under the action")
     formula = f"(|xi|+1)^|O| - 1 = ({len(xi)}+1)^{len(orbit)} - 1"
     if S.size.bit_length() <= _PRINTED_SIZE_BITS:
         formula += f" = {S.size}"

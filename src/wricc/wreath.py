@@ -276,9 +276,6 @@ class WreathProduct(Group):
             self.omega.descriptor(),
         )
 
-    def describe(self):
-        return self.kind
-
     # ---- property oracles ----------------------------------------------------
 
     def icc_status(self) -> IccStatus:

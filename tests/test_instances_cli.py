@@ -357,16 +357,54 @@ class TestVerifyCommand:
         assert checks[0] == f"PASS finite-certificate: size {size}; ok"
         assert checks[1].startswith("PASS oracle-containment: oracle exact-finite")
 
-    def test_open_containment_class_is_a_budget_error(self, tmp_path, capsys):
-        # the base has 100000 conjugates, which radius 16 cannot close: no
-        # PASS and no FAIL, and the size 2^100000 - 1 is never printed
-        text = "{D: cyclic 2; Q: cyclic 100000; omega: regular}"
-        path = write_instance(tmp_path, "huge-orbit", text)
+    @pytest.mark.parametrize("n, size", [(10, 45), (16, 120)])
+    def test_transposition_class_closes_past_eight_rounds(self, tmp_path, capsys, n, size):
+        # the class of a transposition takes 11 (n = 10) or 18 (n = 16)
+        # rounds to close; condition (i) and the containment check run to
+        # closure
+        text = f"{{D: cyclic 2; Q: symmetric {n}; omega: trivial 1}}"
+        path = write_instance(tmp_path, f"symmetric-{n}", text)
+        assert main(["verify", "--json", "-i", path]) == EXIT_OK
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert checks == [
+            f"PASS finite-certificate: size {size}; ok",
+            f"PASS oracle-containment: oracle exact-finite count {size} within certificate",
+        ]
+
+    def test_transposition_class_witness(self, tmp_path, capsys):
+        text = "{D: cyclic 2; Q: symmetric 10; omega: trivial 1}"
+        path = write_instance(tmp_path, "symmetric-10", text)
+        assert main(["witness", "--json", "-i", path]) == EXIT_OK
+        rec = json.loads(capsys.readouterr().out)
+        assert rec["size"] == 45
+        assert rec["size_formula"] == "|q0^Q| = 45"
+
+    def test_containment_class_closes_in_many_rounds(self, tmp_path, capsys):
+        # the base's class has 20000 members and needs 10000 rounds
+        text = "{D: cyclic 2; Q: cyclic 20000; omega: regular}"
+        path = write_instance(tmp_path, "cyclic-20000", text)
+        assert main(["verify", "--json", "-i", path]) == EXIT_OK
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert checks[1] == (
+            "PASS oracle-containment: oracle exact-finite count 20000 within certificate"
+        )
+
+    def test_containment_class_over_budget_is_a_budget_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # the base has 2000 conjugates, more than the budget of 1000 but not
+        # than the 2^2000 - 1 members: no PASS and no FAIL, and the size is
+        # never printed
+        monkeypatch.setattr(cli, "_CONTAINMENT_BUDGET", 1000)
+        text = "{D: cyclic 2; Q: cyclic 2000; omega: regular}"
+        path = write_instance(tmp_path, "cyclic-2000", text)
         assert main(["verify", "--json", "-i", path]) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error [certificate-budget]: oracle-containment: ")
-        assert "within radius 16" in captured.err
+        assert captured.err == (
+            "error [certificate-budget]: oracle-containment: the class of the base "
+            "has more than 1000 conjugates, the oracle's budget\n"
+        )
 
     def test_closed_class_outside_the_set_fails(self, tmp_path, capsys, monkeypatch):
         # the 63 maps but one of the 9 conjugates of the base: the class
@@ -388,6 +426,25 @@ class TestVerifyCommand:
         assert rec["result"] == "FAIL"
         assert rec["checks"][1] == (
             "FAIL oracle-containment: oracle exact-finite count 9 within certificate"
+        )
+
+    def test_class_larger_than_the_set_fails(self, tmp_path, capsys, monkeypatch):
+        # a 4-member set around a base with 9 conjugates: the oracle stops
+        # at the fifth, which proves the class is not inside, and no budget
+        # error is raised
+        def shrunk(G, v, g=None):
+            cert = witness(G, v)
+            members = sorted(cert.elements, key=G.sort_key)[:3]
+            return FiniteClassCertificate(
+                cert.base, frozenset([cert.base, *members]), cert.provenance, ""
+            )
+
+        monkeypatch.setattr(cli, "witness", shrunk)
+        path = write_instance(tmp_path, "s3-wr-s3")
+        assert main(["verify", "--json", "-i", path]) == EXIT_FAIL
+        rec = json.loads(capsys.readouterr().out)
+        assert rec["checks"][1] == (
+            "FAIL oracle-containment: oracle at-least count 5 within certificate"
         )
 
 

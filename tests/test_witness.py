@@ -72,6 +72,18 @@ class TestConditionICert:
         with pytest.raises(PreconditionError):
             cert_condition_i(G, (1,))
 
+    def test_class_bounded_by_listing_cap_not_rounds(self, monkeypatch):
+        # the 15 transpositions of S6 take 6 rounds to close; only the
+        # listing cap bounds the closure
+        S6 = SymmetricGroup(6)
+        G = WreathProduct(CyclicGroup(2), S6, TrivialQSet(S6, 1))
+        q0 = (1, 0, 2, 3, 4, 5)
+        monkeypatch.setattr(witness_module, "_FINITE_SET_CAP", 15)
+        assert len(cert_condition_i(G, q0).elements) == 15
+        monkeypatch.setattr(witness_module, "_FINITE_SET_CAP", 14)
+        with pytest.raises(CertificateBudget, match="^the class of q0 has more than 14 elements$"):
+            cert_condition_i(G, q0)
+
 
 class TestFiniteOrbitCert:
     @pytest.mark.parametrize(
@@ -100,17 +112,24 @@ class TestFiniteOrbitCert:
             assert all(y[0] == 1 for y in support(g.phi))
 
     def test_rejects_open_orbit(self):
+        # the builder takes O as given; the verifier names the open orbit
         G = load_instance("mixed-union").group
-        with pytest.raises(PreconditionError):
-            cert_finite_orbit(G, orbit=((1, 0), (1, 1)))
+        cert = cert_finite_orbit(G, orbit=((1, 0), (1, 1)))
+        res = verify_finite_certificate(G, cert)
+        assert not res
+        assert res.reason == "orbit O not closed under the generator 1 of Q"
+        assert res.counterexample == ((1, 1), 1, (1, 2))
 
     def test_open_orbit_rejected_without_listing(self, monkeypatch):
-        # 30 points of a 40-point orbit, not closed: rejected by the closure
-        # check, and none of the 2^30 - 1 maps is built
+        # 30 points of a 40-point orbit, not closed: rejected by the
+        # verifier's closure check, and none of the 2^30 - 1 maps is built
         G = WreathProduct(CyclicGroup(2), Z, IntModQSet(Z, 40))
         monkeypatch.setattr(witness_module, "_maps_over", _no_listing)
-        with pytest.raises(PreconditionError, match="not closed"):
-            cert_finite_orbit(G, xi={1}, orbit=tuple(range(30)))
+        cert = cert_finite_orbit(G, xi={1}, orbit=tuple(range(30)))
+        res = verify_finite_certificate(G, cert)
+        assert not res
+        assert res.reason == "orbit O not closed under the generator 1 of Q"
+        assert res.counterexample == (29, 1, 30)
 
     def test_rejects_xi_with_identity(self):
         G = load_instance("mixed-union").group
