@@ -89,9 +89,12 @@ class Closure:
         if radius <= 0 or max_size <= 0:
             raise PreconditionError("closure budgets must be positive")
         self.moves = list(gens)
+        # a set beside the list, so that set-up is linear in |gens|
+        listed = set(self.moves)
         for s in gens:
             inv = inverse(s)
-            if inv not in self.moves:
+            if inv not in listed:
+                listed.add(inv)
                 self.moves.append(inv)
         self.reached = {start: None}
         self.rounds = 0

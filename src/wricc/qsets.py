@@ -145,9 +145,10 @@ class QSet(ABC):
         return self.carrier_kind
 
     @abstractmethod
-    def orbit_representatives(self) -> tuple:
-        """One point of each orbit, in a fixed order.  Every carrier of the
-        catalog has finitely many orbits."""
+    def orbit_representatives(self):
+        """One point of each orbit, in a fixed order, as a sequence (a tuple
+        or a range).  Every carrier of the catalog has finitely many
+        orbits."""
         ...
 
     @abstractmethod
@@ -300,7 +301,8 @@ class TrivialQSet(_IntPointQSet):
         return (0,)
 
     def orbit_representatives(self):
-        return tuple(range(self.size))
+        # a range, so that its length is known without listing it
+        return range(self.size)
 
     def kernel_description(self):
         return ("full",)

@@ -192,12 +192,14 @@ class InfiniteFamilyCertificate:
         G.validate(self.base)
         if seed is not None:
             G.validate(seed)
+        # each inner conjugator is built in C, as the wreath kernels build
+        new = tuple.__new__
         if y is None:
-            inners = (WreathElement((), q) for q in G.Q.ball_stream())
+            inners = (new(WreathElement, ((), q)) for q in G.Q.ball_stream())
         else:
             G.omega.validate_point(y)
             one, zeta = G.Q.identity(), G._zeta
-            inners = (WreathElement(zeta(d, y), one) for d in G.D.ball_stream())
+            inners = (new(WreathElement, (zeta(d, y), one)) for d in G.D.ball_stream())
         seen = set()
         emitted = 0
         skipped = 0

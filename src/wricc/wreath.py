@@ -11,12 +11,14 @@ immutable and hashable.
 
 The public `multiply`, `inverse` and `conjugate` (from `Group`) validate
 each operand in depth once; `_multiply`, `_inverse` and `_conjugate` trust
-their operands and call the unchecked arithmetic of D, Q and the carrier.
-Each of the three canonicalises once: it builds one dict of values, moves
-its support by the action and sorts once; a map of fewer than two points
-is already sorted, so it is not sorted again.  Conjugation follows its own
-law, not the product of three factors, so the certificate verifier and
-the oracle, which recompute conjugates as products, check it.
+their operands and call the unchecked arithmetic of D, Q and the carrier,
+bound once per handle.  Each of the three makes one pass over each map: it
+moves each point by the action as it multiplies or inverts its value,
+sorts the result once, and builds the element in C.  A map of fewer than
+two points is already sorted, so it is not sorted again; two points that
+the action sends to one are a `KindMismatch`.  Conjugation follows its
+own law, not the product of three factors, so the certificate verifier
+and the oracle, which recompute conjugates as products, check it.
 """
 
 from __future__ import annotations
@@ -25,10 +27,13 @@ import itertools
 from typing import NamedTuple
 
 from ._parsing import split_top, strip_outer
-from .errors import KindMismatch, ParseError, PreconditionError, Unsupported
+from .errors import CertificateBudget, KindMismatch, ParseError, PreconditionError, Unsupported
 from .groups import Group, IccStatus
 from .qsets import QSet
 from .tri import Tri
+
+
+_COLLAPSED = "duplicate support point: the action is not injective"
 
 
 class WreathElement(NamedTuple):
@@ -39,6 +44,10 @@ class WreathElement(NamedTuple):
 
     phi: tuple
     q: object
+
+
+# builds a WreathElement in C, without the named tuple's Python-level __new__
+_new = tuple.__new__
 
 
 def support(f: tuple) -> tuple:
@@ -63,6 +72,10 @@ class WreathProduct(Group):
         self._e = D.identity()
         point_key = omega.point_key
         self._item_key = lambda yd: point_key(yd[0])
+        # the unchecked arithmetic the kernels call, bound once
+        self._act = omega._act
+        self._dmul, self._dinv = D._multiply, D._inverse
+        self._qmul, self._qinv = Q._multiply, Q._inverse
 
     # ---- canonical maps ---------------------------------------------------
 
@@ -74,14 +87,6 @@ class WreathProduct(Group):
             if a == b:
                 raise KindMismatch(f"duplicate support point {a!r}")
         return tuple(kept)
-
-    def _sorted(self, items) -> tuple:
-        """The canonical tuple of (point, value) pairs with distinct points
-        and no identity value: sorted by point, unless there are fewer than
-        two."""
-        if len(items) < 2:
-            return tuple(items)
-        return tuple(sorted(items, key=self._item_key))
 
     def zeta(self, d, y) -> tuple:
         """The map sending y to d and everything else to the identity."""
@@ -108,16 +113,13 @@ class WreathProduct(Group):
         y moves to q.y, values unchanged.  q and f are validated once."""
         self.Q.validate(q)
         self._validate_map(f)
-        return self._sorted(self._moved(q, f).items())
-
-    def _moved(self, q, f) -> dict:
-        """The support of f, a sequence of (point, value) pairs, moved by q,
-        as a dict q.y -> f(y), for an injective action."""
-        act = self.omega._act
-        moved = {act(q, y): d for y, d in f}
-        if len(moved) != len(f):
-            raise KindMismatch("duplicate support point: the action is not injective")
-        return moved
+        act = self._act
+        moved = [(act(q, y), d) for y, d in f]
+        if len(moved) > 1:
+            if len(dict(moved)) < len(moved):
+                raise KindMismatch(_COLLAPSED)
+            moved.sort(key=self._item_key)
+        return tuple(moved)
 
     def _map_value(self, f: tuple, y):
         """f(y) for a map the group built."""
@@ -129,44 +131,55 @@ class WreathProduct(Group):
     # ---- group interface ---------------------------------------------------
 
     def identity(self):
-        return WreathElement((), self.Q.identity())
+        return _new(WreathElement, ((), self.Q.identity()))
 
     def _multiply(self, g1: WreathElement, g2: WreathElement) -> WreathElement:
-        """(phi1, q1)(phi2, q2) = (phi1 * lambda(q1) phi2, q1 q2), with one
-        canonicalisation: move phi2's support into a copy of phi1 and
-        multiply the values at shared points.  Operands are canonical, so an
-        empty map on either side needs no merge."""
-        q = self.Q._multiply(g1.q, g2.q)
-        if not g2.phi:
-            return WreathElement(g1.phi, q)
-        moved = self._moved(g1.q, g2.phi)
-        if not g1.phi:
-            return WreathElement(self._sorted(moved.items()), q)
-        acc = dict(g1.phi)
-        e = self._e
-        mul = self.D._multiply
-        for y, d in moved.items():
-            if y in acc:
-                d = mul(acc[y], d)
-                if d == e:
-                    del acc[y]
-                    continue
-            acc[y] = d
-        return WreathElement(self._sorted(acc.items()), q)
+        """(phi1, q1)(phi2, q2) = (phi1 * lambda(q1) phi2, q1 q2), in one
+        pass over phi2: each point is moved by q1 and its value multiplied
+        into a copy of phi1.  Operands are canonical, so an empty map on
+        either side needs no merge."""
+        phi1, q1 = g1
+        phi2, q2 = g2
+        q = self._qmul(q1, q2)
+        if not phi2:
+            return _new(WreathElement, (phi1, q))
+        act = self._act
+        moved = [(act(q1, y), d) for y, d in phi2]
+        if len(moved) > 1 and len(dict(moved)) < len(moved):
+            raise KindMismatch(_COLLAPSED)
+        if phi1:
+            acc = dict(phi1)
+            mul, e = self._dmul, self._e
+            for y, d in moved:
+                if y in acc:
+                    d = mul(acc[y], d)
+                    if d == e:
+                        del acc[y]
+                        continue
+                acc[y] = d
+            moved = list(acc.items())
+        if len(moved) > 1:
+            moved.sort(key=self._item_key)
+        return _new(WreathElement, (tuple(moved), q))
 
     def _inverse(self, g: WreathElement) -> WreathElement:
         """(phi, q)^-1 = (lambda(q^-1) phi^-1, q^-1)."""
-        qinv = self.Q._inverse(g.q)
-        if not g.phi:
-            return WreathElement((), qinv)
-        Dinv = self.D._inverse
-        moved = self._moved(qinv, g.phi).items()
-        return WreathElement(self._sorted([(y, Dinv(d)) for y, d in moved]), qinv)
+        phi, q = g
+        qinv = self._qinv(q)
+        if not phi:
+            return _new(WreathElement, ((), qinv))
+        act, dinv = self._act, self._dinv
+        moved = [(act(qinv, y), dinv(d)) for y, d in phi]
+        if len(moved) > 1:
+            if len(dict(moved)) < len(moved):
+                raise KindMismatch(_COLLAPSED)
+            moved.sort(key=self._item_key)
+        return _new(WreathElement, (tuple(moved), qinv))
 
     def _conjugate(self, x: WreathElement, y: WreathElement) -> WreathElement:
-        """y^-1 x y for x = (phi, q) and y = (psi, p), with one
-        canonicalisation.  From y^-1 = (lambda(p^-1) psi^-1, p^-1) and the
-        product law (phi1, q1)(phi2, q2) = (phi1 * lambda(q1) phi2, q1 q2):
+        """y^-1 x y for x = (phi, q) and y = (psi, p), in one pass over
+        each map.  From y^-1 = (lambda(p^-1) psi^-1, p^-1) and the product
+        law (phi1, q1)(phi2, q2) = (phi1 * lambda(q1) phi2, q1 q2):
 
             y^-1 x = (lambda(p^-1) psi^-1 * lambda(p^-1) phi, p^-1 q)
             y^-1 x y = (lambda(p^-1) psi^-1 * lambda(p^-1) phi
@@ -176,21 +189,31 @@ class WreathProduct(Group):
         as lambda is an action by automorphisms of the pointwise product.
         So the values are multiplied pointwise, left to right (D may be
         nonabelian), in one dict: psi^-1, then phi, then psi moved by q.
-        The identities are dropped, and the result is moved by p^-1 and
-        sorted once.  An empty psi leaves (lambda(p^-1) phi, p^-1 q p)."""
-        Q = self.Q
-        pinv = Q._inverse(y.q)
-        q = Q._multiply(Q._multiply(pinv, x.q), y.q)
-        if not y.phi:
-            return WreathElement(self._sorted(self._moved(pinv, x.phi).items()), q)
-        Dinv, mul, e = self.D._inverse, self.D._multiply, self._e
-        acc = {z: Dinv(d) for z, d in y.phi}
-        for z, d in x.phi:
-            acc[z] = mul(acc[z], d) if z in acc else d
-        for z, d in self._moved(x.q, y.phi).items():
-            acc[z] = mul(acc[z], d) if z in acc else d
-        moved = self._moved(pinv, [(z, d) for z, d in acc.items() if d != e])
-        return WreathElement(self._sorted(moved.items()), q)
+        The identities are dropped as the result is moved by p^-1, and it
+        is sorted once.  An empty psi leaves (lambda(p^-1) phi, p^-1 q p)."""
+        phi, q = x
+        psi, p = y
+        qmul, act = self._qmul, self._act
+        pinv = self._qinv(p)
+        r = qmul(qmul(pinv, q), p)
+        if psi:
+            dinv, mul, e = self._dinv, self._dmul, self._e
+            acc = {z: dinv(d) for z, d in psi}
+            for z, d in phi:
+                acc[z] = mul(acc[z], d) if z in acc else d
+            moved = [(act(q, z), d) for z, d in psi]
+            if len(moved) > 1 and len(dict(moved)) < len(moved):
+                raise KindMismatch(_COLLAPSED)
+            for z, d in moved:
+                acc[z] = mul(acc[z], d) if z in acc else d
+            moved = [(act(pinv, z), d) for z, d in acc.items() if d != e]
+        else:
+            moved = [(act(pinv, z), d) for z, d in phi]
+        if len(moved) > 1:
+            if len(dict(moved)) < len(moved):
+                raise KindMismatch(_COLLAPSED)
+            moved.sort(key=self._item_key)
+        return _new(WreathElement, (tuple(moved), r))
 
     def validate(self, x):
         if not isinstance(x, WreathElement):
@@ -225,12 +248,18 @@ class WreathProduct(Group):
         of D, then Q's generators.  They generate G: a map is a product of
         maps zeta(d, x) with d a generator, and of their inverses; and for
         x = q.y, zeta(d, x) = (eps, q) zeta(d, y) (eps, q)^-1, with (eps, q)
-        a word in Q's generators."""
-        gens = [
-            WreathElement(self.zeta(d, y), self.Q.identity())
-            for y in self.omega.orbit_representatives()
-            for d in self.D.generators
-        ]
+        a word in Q's generators.  A set of more than the listing cap is
+        refused before anything is built."""
+        from .witness import _FINITE_SET_CAP
+
+        reps, dgens = self.omega.orbit_representatives(), self.D.generators
+        count = len(reps) * len(dgens) + len(self.Q.generators)
+        if count > _FINITE_SET_CAP:
+            raise CertificateBudget(
+                f"{self.kind}: the generating set has {count} elements, "
+                f"more than {_FINITE_SET_CAP}"
+            )
+        gens = [WreathElement(self.zeta(d, y), self.Q.identity()) for y in reps for d in dgens]
         gens += [WreathElement((), s) for s in self.Q.generators]
         return tuple(gens)
 

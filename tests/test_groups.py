@@ -153,6 +153,34 @@ class TestClassEnum:
                 assert list(stopped) == [] and stopped.report() == fresh.report()
 
 
+def _listed_moves(gens, inverse):
+    """The moves as a list scan builds them: gens, then each inverse not
+    already listed, in order."""
+    moves = list(gens)
+    for s in gens:
+        if inverse(s) not in moves:
+            moves.append(inverse(s))
+    return moves
+
+
+@pytest.mark.parametrize("name", ["lamplighter", "s3-wr-s3", "self-inverse"])
+def test_closure_moves_keep_the_listed_order(name):
+    if name == "self-inverse":
+        # the transpositions of S3 are their own inverses: no move is added
+        G, gens = S3, (P12, P13, P23)
+        assert [G._inverse(s) for s in gens] == list(gens)
+    else:
+        G = load_instance(name).group
+        gens = G.generators
+        pairs = [(s, G._inverse(s)) for s in gens]
+        inverse_pair = lambda m: (m[1], m[0])
+        assert class_closure(G, G.identity()).moves == _listed_moves(pairs, inverse_pair)
+    moves = Closure(G.identity(), gens, G._inverse, G._multiply, G.sort_key).moves
+    assert moves == _listed_moves(gens, G._inverse)
+    assert len(set(moves)) == len(moves) >= len(gens)
+    assert (len(moves) == len(gens)) == (name == "self-inverse")
+
+
 class TestFcContains:
     def test_integers(self):
         assert Z.fc_contains(17)

@@ -371,6 +371,32 @@ class TestVerifyCommand:
             f"PASS oracle-containment: oracle exact-finite count {size} within certificate",
         ]
 
+    def test_many_orbit_trivial_carrier_verifies(self, tmp_path, capsys):
+        # 20001 generators: setting up the closure's moves is linear in
+        # them (a list scan made it quadratic, about 15 s)
+        text = "{D: cyclic 2; Q: cyclic 3; omega: trivial 20000}"
+        path = write_instance(tmp_path, "trivial-20000", text)
+        start = time.perf_counter()
+        assert main(["verify", "--json", "-i", path]) == EXIT_OK
+        assert time.perf_counter() - start < 10
+        assert json.loads(capsys.readouterr().out)["result"] == "PASS"
+
+    def test_generating_set_over_the_cap_is_a_budget_error(self, tmp_path, capsys):
+        # 10^11 orbits: the generating set is refused before it is listed,
+        # while deciding and witnessing need no generators
+        text = "{D: cyclic 2; Q: cyclic 3; omega: trivial 99999999999}"
+        path = write_instance(tmp_path, "trivial-huge", text)
+        assert main(["verify", "--json", "-i", path]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error [certificate-budget]: wreath(cyclic(2); cyclic(3); trivial(99999999999)): "
+            "the generating set has 100000000000 elements, more than 1000000\n"
+        )
+        for cmd in ("decide", "witness"):
+            assert main([cmd, "--json", "-i", path]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out.splitlines()[-1])["size"] == 1
+
     def test_transposition_class_witness(self, tmp_path, capsys):
         text = "{D: cyclic 2; Q: symmetric 10; omega: trivial 1}"
         path = write_instance(tmp_path, "symmetric-10", text)

@@ -517,7 +517,10 @@ def test_members_are_the_documented_conjugators(name, literal, kind, point):
     assert (fam.family_kind, fam.point) == (kind, point)
     assert (fam.seed_conjugator is not None) == (literal == "{}@2")
     expected, drawn = _documented_prefix(fam, 60)
-    assert fam.take(60) == expected
+    taken = fam.take(60)
+    assert taken == expected
+    # elements, not bare tuples, which compare equal but do not validate
+    assert {type(x) for member in taken for x in member} == {WreathElement}
     # q-translation and value-conjugation skip repeated keys here; g_d
     # never skips, and these lambda-translations need not
     assert (drawn > 60) == (kind not in ("g_d", "lambda-translation"))

@@ -1,10 +1,11 @@
 import functools
+import importlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wricc.errors import KindMismatch
+from wricc.errors import CertificateBudget, KindMismatch
 from wricc.groups import CyclicGroup, FreeGroup, IntegersGroup, SymmetricGroup
 from wricc.instances import build_wreath, parse_group, parse_instance
 from wricc.qsets import IntModQSet, RegularQSet
@@ -14,6 +15,9 @@ from conftest import CORPUS, EXTRA, load_instance
 
 Z = IntegersGroup()
 Z2 = CyclicGroup(2)
+
+# the package exports a function named `witness` over its module
+witness_module = importlib.import_module("wricc.witness")
 
 SHIPPED = [name for name, *_ in CORPUS + EXTRA]
 # (D, Q, omega) of carriers beyond the shipped instances
@@ -321,6 +325,16 @@ def test_generators_generate_finite_multi_orbit_group():
     assert len(list(G.ball_stream())) == G.order()
 
 
+def test_generators_refused_past_the_listing_cap(monkeypatch):
+    # one zeta at each of 5 orbits, then Q's generator: 6 elements
+    G = build_wreath(parse_group("cyclic 2"), parse_group("cyclic 3"), "trivial 5")
+    monkeypatch.setattr(witness_module, "_FINITE_SET_CAP", 6)
+    assert len(G.generators) == 6
+    monkeypatch.setattr(witness_module, "_FINITE_SET_CAP", 5)
+    with pytest.raises(CertificateBudget, match="the generating set has 6 elements, more than 5"):
+        G.generators
+
+
 def test_element_literals_roundtrip(lamplighter, f2_wr_z2, z2_wr_s3):
     rng = random.Random(77)
     for G in (lamplighter, f2_wr_z2, z2_wr_s3):
@@ -380,6 +394,10 @@ class TestFusedMultiply:
 
         G = WreathProduct(Z2, Z, Collapsing(Z, 3))
         two_points = WreathElement(((0, 1), (1, 1)), 0)
+        with pytest.raises(KindMismatch):
+            G.inverse(two_points)
+        with pytest.raises(KindMismatch):
+            G.lambda_act(1, two_points.phi)
         for g1 in (G.identity(), WreathElement(((2, 1),), 1)):
             with pytest.raises(KindMismatch):
                 G.multiply(g1, two_points)
@@ -432,3 +450,23 @@ def test_conjugate_is_the_product_definition(name, seed):
         out = G._conjugate(a, b)
         assert out == G._multiply(G._multiply(G._inverse(b), a), b)
         G.validate(out)
+
+
+@pytest.mark.parametrize("name", SHIPPED + list(BUILT))
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_inverse_is_a_two_sided_inverse(name, seed):
+    """`_inverse(x)` is a valid element and x x^-1 = x^-1 x = e.  Every
+    kernel path returns a `WreathElement`, never a bare tuple, which
+    compares equal but which `validate` rejects."""
+    G = _group(name)
+    rng = random.Random(seed)
+    x, y = _word(G, rng), _word(G, rng)
+    e = G.identity()
+    xinv = G._inverse(x)
+    G.validate(xinv)
+    assert G._multiply(x, xinv) == e == G._multiply(xinv, x)
+    outputs = [e, xinv, G._inverse(e)]
+    for a, b in ((x, y), (x, e), (e, y), (x, xinv)):
+        outputs += [G._multiply(a, b), G._conjugate(a, b)]
+    assert {type(out) for out in outputs} == {WreathElement}
