@@ -8,7 +8,8 @@ Equality of elements is structural equality of canonical payloads.
 
 Property oracles (finiteness, FC membership, icc status) are declared per
 kind rather than computed from presentations; each declared fact carries a
-one-line justification.
+one-line justification.  The finite invariant set xi of every kind is the
+class of its nontrivial FC element, closed exactly (`finite_class`).
 
 `Closure` is the one breadth-first search of the package: generator balls
 and conjugacy classes (`class_closure`) run through it, and a bounded
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from operator import neg
 
 from ._parsing import split_top, strip_outer
-from .errors import KindMismatch, ParseError, PreconditionError, Unsupported
+from .errors import CertificateBudget, KindMismatch, ParseError, PreconditionError, Unsupported
 from .tri import Tri, tri_and
 
 EXACT_FINITE = "exact-finite"
@@ -36,6 +37,8 @@ AT_LEAST = "at-least"
 
 # the most ball elements a group handle keeps for later streams
 _BALL_MEMO_CAP = 65536
+# the most members ever listed; every user reads it at call time
+_FINITE_SET_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -233,9 +236,12 @@ class Group(ABC):
         raise Unsupported(f"{self.kind}: no FC rule")
 
     def finite_invariant_set_example(self) -> frozenset:
-        """A nonempty finite conjugation-invariant set of nontrivial
-        elements; available whenever the group is nontrivial and not icc."""
-        raise PreconditionError(f"{self.kind}: no finite invariant set available")
+        """The class of `fc_nontrivial_element()`, the smallest finite
+        invariant set of nontrivial elements holding it, when FC != 1."""
+        x = self.fc_nontrivial_element()
+        if x is None:
+            raise PreconditionError(f"{self.kind}: FC is trivial, no finite invariant set")
+        return frozenset(finite_class(self, x, "the FC element"))
 
     # ---- streams -------------------------------------------------------
 
@@ -316,6 +322,15 @@ def class_closure(G: Group, x, radius=math.inf, max_size=math.inf) -> Closure:
     )
 
 
+def finite_class(G: Group, x, name: str) -> tuple:
+    """The class of x, an element with a finite class, closed exactly and
+    sorted; a class of more than the listing cap is refused."""
+    rep = class_closure(G, x, max_size=_FINITE_SET_CAP + 1).report()
+    if rep.status != EXACT_FINITE:
+        raise CertificateBudget(f"the class of {name} has more than {_FINITE_SET_CAP} elements")
+    return rep.elements
+
+
 class _FiniteGroupMixin:
     """Shared declared facts for finite kinds: fc_contains is constantly
     true and icc is No (every class has at most |G| elements)."""
@@ -333,13 +348,6 @@ class _FiniteGroupMixin:
         if self.is_trivial:
             return None
         return self.first_nontrivial()
-
-    def finite_invariant_set_example(self):
-        if self.is_trivial:
-            raise PreconditionError("trivial group: no nontrivial invariant set")
-        e = self.identity()
-        x = next(a for a in self.elements() if a != e)
-        return frozenset(class_closure(self, x).report().elements)
 
 
 class IntegersGroup(Group):
@@ -379,9 +387,6 @@ class IntegersGroup(Group):
 
     def fc_nontrivial_element(self):
         return 1
-
-    def finite_invariant_set_example(self):
-        return frozenset({1})
 
     def random_element(self, rng):
         return rng.randint(-20, 20)
@@ -608,11 +613,6 @@ class FreeGroup(Group):
     def fc_nontrivial_element(self):
         return (1,) if self.rank == 1 else None
 
-    def finite_invariant_set_example(self):
-        if self.rank >= 2:
-            raise PreconditionError("free group of rank >= 2 is icc")
-        return frozenset({(1,)})
-
     def random_element(self, rng):
         length = rng.randint(0, 6)
         letters = [g for g in range(-self.rank, self.rank + 1) if g != 0]
@@ -727,17 +727,6 @@ class DirectProductGroup(Group):
             if w is not None:
                 return self._embed(i, w)
         return None
-
-    def finite_invariant_set_example(self):
-        if self.is_trivial:
-            raise PreconditionError("trivial product: no nontrivial invariant set")
-        for i, f in enumerate(self.factors):
-            if f.is_trivial:
-                continue
-            if f.icc_status().answer is Tri.NO:
-                xi = f.finite_invariant_set_example()
-                return frozenset(self._embed(i, x) for x in xi)
-        raise PreconditionError(f"{self.kind}: product is icc")
 
     def random_element(self, rng):
         return tuple(f.random_element(rng) for f in self.factors)

@@ -12,7 +12,7 @@ Group descriptors: ``integers``, ``cyclic N``, ``symmetric N``, ``free N``,
 ``product(G, G, ...)``, ``wreath(G; G; OMEGA)``.  Carrier descriptors:
 ``regular``, ``trivial N``, ``int-mod N``, ``natural``,
 ``union(OMEGA, OMEGA, ...)``.  Nested wreath groups are allowed in the D
-position only.
+position only: a Q that holds one at any depth is refused.
 """
 
 from __future__ import annotations
@@ -94,8 +94,8 @@ def parse_omega(text: str, Q: Group) -> QSet:
 
 
 def build_wreath(D: Group, Q: Group, omega_text: str) -> WreathProduct:
-    if Q.kind.startswith("wreath"):
-        raise UnsupportedQKind("wreath products cannot act (no FC oracle for them)")
+    if "wreath" in Q.kind:  # a product's kind holds its factors' kinds
+        raise UnsupportedQKind("wreath products cannot act, even as factors (no FC rule)")
     if D.is_trivial:
         raise TrivialD("D must be nontrivial")
     return WreathProduct(D, Q, parse_omega(omega_text, Q))

@@ -146,9 +146,9 @@ class QSet(ABC):
 
     @abstractmethod
     def orbit_representatives(self):
-        """One point of each orbit, in a fixed order, as a sequence (a tuple
-        or a range).  Every carrier of the catalog has finitely many
-        orbits."""
+        """One point of each orbit, in a fixed order, sized so that its length
+        is known without listing it.  Every carrier of the catalog has
+        finitely many orbits."""
         ...
 
     @abstractmethod
@@ -352,6 +352,21 @@ def _interleave(streams):
         alive = nxt
 
 
+class _TaggedReps:
+    """The parts' orbit representatives, tagged with the part's index; the
+    length is summed from the parts' without listing them."""
+
+    def __init__(self, parts):
+        self.parts = parts
+
+    def __len__(self):
+        return sum(len(part.orbit_representatives()) for part in self.parts)
+
+    def __iter__(self):
+        for i, part in enumerate(self.parts):
+            yield from ((i, p) for p in part.orbit_representatives())
+
+
 def _intersect_kernels(a, b):
     if a is None or b is None:
         return None
@@ -440,9 +455,7 @@ class DisjointUnionQSet(QSet):
         return ("union", tuple(p.descriptor() for p in self.parts))
 
     def orbit_representatives(self):
-        return tuple(
-            (i, p) for i, part in enumerate(self.parts) for p in part.orbit_representatives()
-        )
+        return _TaggedReps(self.parts)
 
     def random_point(self, rng):
         i = rng.randrange(len(self.parts))

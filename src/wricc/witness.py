@@ -22,13 +22,12 @@ import itertools
 from collections.abc import Set
 from dataclasses import dataclass
 
+from . import groups
 from .errors import CertificateBudget, PreconditionError, WriccError
-from .groups import EXACT_FINITE, class_closure
+from .groups import class_closure, finite_class
 from .tri import Tri
 from .wreath import WreathElement, WreathProduct, support
 
-# the most members that are ever listed
-_FINITE_SET_CAP = 1_000_000
 # sizes of more bits are written without their value; by default Python
 # refuses to convert an int of more than 4,300 digits to a string
 _PRINTED_SIZE_BITS = 128
@@ -56,7 +55,7 @@ class OrbitMaps(Set):
 
     `in` costs O(|supp phi|) and `len` reads the formula (|xi|+1)^|O| - 1.
     Only iteration lists the members, in `_maps_over` order; it and `len`
-    refuse more than _FINITE_SET_CAP members.
+    refuse more than `groups._FINITE_SET_CAP` members.
     """
 
     def __init__(self, group: WreathProduct, orbit, xi):
@@ -97,10 +96,10 @@ class OrbitMaps(Set):
         return all(a < b for a, b in zip(keys, keys[1:]))
 
     def _check_cap(self):
-        if self.size > _FINITE_SET_CAP:
+        if self.size > groups._FINITE_SET_CAP:
             raise CertificateBudget(
                 f"certificate would have ({len(self.xi)}+1)^{len(self.orbit)} - 1 elements, "
-                f"more than {_FINITE_SET_CAP}"
+                f"more than {groups._FINITE_SET_CAP}"
             )
 
     def __len__(self) -> int:
@@ -244,8 +243,8 @@ class InfiniteFamilyCertificate:
 def cert_condition_i(G: WreathProduct, q0) -> FiniteClassCertificate:
     """The finite invariant set {(eps, x) : x conjugate to q0 in Q} for a
     nontrivial FC-element q0 of Q fixing the carrier pointwise.  q0 in
-    FC(Q) makes the class finite, so its closure runs until it closes or
-    passes the listing cap."""
+    FC(Q) makes the class finite, so it is closed exactly, up to the
+    listing cap (`finite_class`)."""
     Q = G.Q
     Q.validate(q0)
     if q0 == Q.identity():
@@ -254,10 +253,7 @@ def cert_condition_i(G: WreathProduct, q0) -> FiniteClassCertificate:
         raise PreconditionError("q0 must lie in FC(Q)")
     if G.omega.fixes_all_points(q0) is Tri.NO:
         raise PreconditionError("q0 must fix the carrier pointwise")
-    rep = class_closure(Q, q0, max_size=_FINITE_SET_CAP + 1).report()
-    if rep.status != EXACT_FINITE:
-        raise CertificateBudget(f"the class of q0 has more than {_FINITE_SET_CAP} elements")
-    elems = frozenset(WreathElement((), x) for x in rep.elements)
+    elems = frozenset(WreathElement((), x) for x in finite_class(Q, q0, "q0"))
     return FiniteClassCertificate(
         base=WreathElement((), q0),
         elements=elems,
@@ -404,14 +400,15 @@ def family_value_conjugation(
 # ---------------------------------------------------------------------------
 
 
-def find_moved_point(G: WreathProduct, q, budget: int = 10000):
-    """First carrier point (in stream order) not fixed by q."""
-    for i, y in enumerate(G.omega.points_stream()):
-        if G.omega.act(q, y) != y:
+def find_moved_point(G: WreathProduct, q):
+    """First carrier point (in stream order) not fixed by q, which the
+    kernel rule must say moves one: the stream reaches every point."""
+    if G.omega.fixes_all_points(q) is not Tri.NO:
+        raise PreconditionError("q must move a carrier point")
+    act = G.omega._act
+    for y in G.omega.points_stream():
+        if act(q, y) != y:
             return y
-        if i >= budget:
-            break
-    raise CertificateBudget(f"no point moved by {q!r} within {budget} probes")
 
 
 def witness(G: WreathProduct, verdict, g: WreathElement | None = None):

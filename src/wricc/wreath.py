@@ -26,6 +26,7 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
+from . import groups
 from ._parsing import split_top, strip_outer
 from .errors import CertificateBudget, KindMismatch, ParseError, PreconditionError, Unsupported
 from .groups import Group, IccStatus
@@ -56,9 +57,9 @@ def support(f: tuple) -> tuple:
 
 
 class WreathProduct(Group):
-    """Handle for D wr_Omega Q.  Also usable as a catalog base group (in
-    the D position of an enclosing wreath product); FC membership is then
-    unsupported, so it is rejected in the Q position."""
+    """Handle for D wr_Omega Q, also usable in the D position of an
+    enclosing wreath product (its FC element is its certificate's base).
+    FC membership is unsupported, so it is rejected in the Q position."""
 
     kind = "wreath"
 
@@ -250,14 +251,12 @@ class WreathProduct(Group):
         x = q.y, zeta(d, x) = (eps, q) zeta(d, y) (eps, q)^-1, with (eps, q)
         a word in Q's generators.  A set of more than the listing cap is
         refused before anything is built."""
-        from .witness import _FINITE_SET_CAP
-
         reps, dgens = self.omega.orbit_representatives(), self.D.generators
         count = len(reps) * len(dgens) + len(self.Q.generators)
-        if count > _FINITE_SET_CAP:
+        if count > groups._FINITE_SET_CAP:
             raise CertificateBudget(
                 f"{self.kind}: the generating set has {count} elements, "
-                f"more than {_FINITE_SET_CAP}"
+                f"more than {groups._FINITE_SET_CAP}"
             )
         gens = [WreathElement(self.zeta(d, y), self.Q.identity()) for y in reps for d in dgens]
         gens += [WreathElement((), s) for s in self.Q.generators]
@@ -317,17 +316,17 @@ class WreathProduct(Group):
         raise Unsupported("no FC rule for wreath products used as acting groups")
 
     def fc_nontrivial_element(self):
-        raise Unsupported("no FC rule for wreath products used as acting groups")
-
-    def finite_invariant_set_example(self):
+        """On a No verdict, the base of the group's own certificate, which
+        lies in a finite invariant set; on a Yes verdict FC is trivial."""
         from .decision import decide_icc
         from .witness import witness
 
         v = decide_icc(self)
-        if v.answer is not Tri.NO:
-            raise PreconditionError("wreath: only available for a No icc verdict")
-        cert = witness(self, v)
-        return frozenset(cert.elements)
+        if v.answer is Tri.YES:
+            return None
+        if v.answer is Tri.UNKNOWN:
+            raise Unsupported(f"{self.kind}: no FC element for an Unknown verdict")
+        return witness(self, v).base
 
     # ---- streams / literals ----------------------------------------------------
 

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from wricc import groups
-from wricc.errors import KindMismatch, PreconditionError
+from wricc.errors import CertificateBudget, KindMismatch, PreconditionError, Unsupported
 from wricc.groups import (
     AT_LEAST,
     EXACT_FINITE,
@@ -20,8 +20,9 @@ from wricc.groups import (
 )
 from wricc.qsets import RegularQSet
 from wricc.tri import Tri
+from wricc.wreath import WreathElement, WreathProduct
 
-from conftest import load_instance
+from conftest import OpaqueQSet, load_instance
 
 Z = IntegersGroup()
 Z2 = CyclicGroup(2)
@@ -219,6 +220,55 @@ class TestFiniteInvariantSet:
         P = DirectProductGroup((Z2, F2))
         xi = P.finite_invariant_set_example()
         assert xi == frozenset({(1, ())})
+
+    def test_free_rank_one(self):
+        assert FreeGroup(1).finite_invariant_set_example() == frozenset({(1,)})
+
+    @pytest.mark.parametrize("first", [CyclicGroup(1), F2], ids=["trivial", "icc"])
+    def test_product_skips_a_first_factor_with_trivial_fc(self, first):
+        # xi comes from the first factor whose FC is nontrivial: S3's
+        # transpositions, embedded
+        xi = DirectProductGroup((first, S3)).finite_invariant_set_example()
+        e = first.identity()
+        assert xi == frozenset({(e, P12), (e, P13), (e, P23)})
+
+    def test_product_all_factors_icc_or_trivial(self):
+        with pytest.raises(PreconditionError):
+            DirectProductGroup((CyclicGroup(1), F2)).finite_invariant_set_example()
+
+    def test_product_with_a_wreath_factor(self, z2_wr_s3):
+        # the class of z2-wr-s3's certificate base, one lamp on at the last
+        # of the 3 points, embedded: not the whole 7-member certificate
+        xi = DirectProductGroup((F2, z2_wr_s3)).finite_invariant_set_example()
+        one = S3.identity()
+        assert xi == frozenset({((), WreathElement(((y, 1),), one)) for y in range(3)})
+
+    def test_class_refused_past_the_listing_cap(self, monkeypatch):
+        # the one cap setting in `groups` bounds the derived class too
+        monkeypatch.setattr(groups, "_FINITE_SET_CAP", 2)
+        with pytest.raises(
+            CertificateBudget, match="^the class of the FC element has more than 2 elements$"
+        ):
+            S3.finite_invariant_set_example()
+
+
+class TestWreathFcElement:
+    def test_no_verdict_gives_the_certificate_base(self, z2_wr_s3):
+        assert z2_wr_s3.fc_nontrivial_element() == WreathElement(((2, 1),), S3.identity())
+
+    def test_yes_verdict_has_trivial_fc(self, lamplighter):
+        assert lamplighter.fc_nontrivial_element() is None
+        with pytest.raises(PreconditionError):
+            lamplighter.finite_invariant_set_example()
+
+    def test_unknown_verdict_is_unsupported(self):
+        G = WreathProduct(Z2, Z, OpaqueQSet(Z))
+        with pytest.raises(Unsupported):
+            G.fc_nontrivial_element()
+
+    def test_fc_membership_stays_unsupported(self, z2_wr_s3):
+        with pytest.raises(Unsupported):
+            z2_wr_s3.fc_contains(z2_wr_s3.identity())
 
 
 class TestIccStatus:

@@ -60,6 +60,24 @@ class TestParseInstance:
                 "D: cyclic 2\nQ: wreath(cyclic 2; integers; regular)\nomega: regular\n"
             )
 
+    @pytest.mark.parametrize("omega", ["regular", "trivial 1"])
+    @pytest.mark.parametrize(
+        "q",
+        [
+            "product(wreath(cyclic 2; integers; regular), cyclic 2)",
+            "product(cyclic 3, product(wreath(cyclic 2; integers; regular)))",
+        ],
+    )
+    def test_wreath_inside_a_q_product_rejected(self, tmp_path, capsys, q, omega):
+        # the grammar admits wreath products in the D position only, at
+        # any depth of Q
+        path = write_instance(tmp_path, "product-q", f"{{D: cyclic 2; Q: {q}; omega: {omega}}}")
+        for cmd in ("decide", "witness", "verify"):
+            assert main([cmd, "-i", path]) == EXIT_USAGE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error [unsupported-q-kind]: ")
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ParseError):
             parse_instance("D: quaternion 8\nQ: integers\nomega: regular\n")
@@ -396,6 +414,29 @@ class TestVerifyCommand:
         for cmd in ("decide", "witness"):
             assert main([cmd, "--json", "-i", path]) == EXIT_OK
         assert json.loads(capsys.readouterr().out.splitlines()[-1])["size"] == 1
+
+    def test_union_generating_set_over_the_cap_is_a_budget_error(self, tmp_path, capsys):
+        # the union counts its 2000001 orbits before it lists them
+        text = "{D: cyclic 2; Q: integers; omega: union(regular, trivial 2000000)}"
+        path = write_instance(tmp_path, "union-huge", text)
+        assert main(["verify", "--json", "-i", path]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            "the generating set has 2000002 elements, more than 1000000\n"
+        )
+
+    @pytest.mark.parametrize("n", [19, 25])
+    def test_nested_base_verifies(self, tmp_path, capsys, n):
+        # xi is the class of the inner base, n members, where the inner
+        # certificate has 2^n - 1: S(O, xi) has (n+1)^2 - 1 members
+        text = f"{{D: wreath(cyclic 2; integers; union(regular, int-mod {n})); Q: cyclic 2; omega: regular}}"
+        path = write_instance(tmp_path, f"nested-{n}", text)
+        assert main(["verify", "--json", "-i", path]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["checks"] == [
+            f"PASS finite-certificate: size {(n + 1) ** 2 - 1}; ok",
+            f"PASS oracle-containment: oracle exact-finite count {2 * n} within certificate",
+        ]
 
     def test_transposition_class_witness(self, tmp_path, capsys):
         text = "{D: cyclic 2; Q: symmetric 10; omega: trivial 1}"

@@ -192,11 +192,11 @@ class TestPublicOraclesValidate:
     ids=lambda v: v.carrier_kind if isinstance(v, QSet) else repr(v),
 )
 def test_orbit_representatives(S, reps):
-    # a sequence (a tuple, or a range on a trivial carrier), so that its
-    # length is known without listing it
+    # sized and re-iterable: its length is read before it is listed, and
+    # each listing gives the same points
     listed = S.orbit_representatives()
-    assert isinstance(listed, (tuple, range))
-    assert tuple(listed) == reps and len(listed) == len(reps)
+    assert len(listed) == len(reps)
+    assert tuple(listed) == tuple(listed) == reps
     if S.is_finite_carrier:
         # one point of each orbit: the orbits of the representatives
         # partition the carrier

@@ -20,6 +20,7 @@ from wricc.witness import (
     family_lambda_translation,
     family_q_translation,
     family_value_conjugation,
+    find_moved_point,
     predicted_invariant_sets,
     verify_finite_certificate,
     verify_infinite_certificate,
@@ -34,6 +35,7 @@ S3 = SymmetricGroup(3)
 P123 = (1, 2, 0)
 P132 = (2, 0, 1)
 witness_module = importlib.import_module("wricc.witness")
+groups_module = importlib.import_module("wricc.groups")
 
 
 def _no_listing(*args):
@@ -78,9 +80,9 @@ class TestConditionICert:
         S6 = SymmetricGroup(6)
         G = WreathProduct(CyclicGroup(2), S6, TrivialQSet(S6, 1))
         q0 = (1, 0, 2, 3, 4, 5)
-        monkeypatch.setattr(witness_module, "_FINITE_SET_CAP", 15)
+        monkeypatch.setattr(groups_module, "_FINITE_SET_CAP", 15)
         assert len(cert_condition_i(G, q0).elements) == 15
-        monkeypatch.setattr(witness_module, "_FINITE_SET_CAP", 14)
+        monkeypatch.setattr(groups_module, "_FINITE_SET_CAP", 14)
         with pytest.raises(CertificateBudget, match="^the class of q0 has more than 14 elements$"):
             cert_condition_i(G, q0)
 
@@ -141,12 +143,42 @@ class TestFiniteOrbitCert:
             cert_finite_orbit(lamplighter)
 
     def test_nested_base_invariant_set(self, z2_wr_s3):
-        # the base is itself a (non-icc) wreath product; its invariant set
-        # has 7 members, so the outer certificate has 8^1 - 1 = 7
+        # the base is itself a (non-icc) wreath product; xi is the class of
+        # its certificate's base, the 3 maps with one lamp on, so the outer
+        # certificate has 4^1 - 1 = 3 members
         outer = WreathProduct(z2_wr_s3, Z, TrivialQSet(Z, 1))
         cert = cert_finite_orbit(outer)
-        assert len(cert.elements) == 7
+        assert len(cert.elements) == 3
         assert verify_finite_certificate(outer, cert)
+
+    @pytest.mark.parametrize("n", [19, 25])
+    def test_nested_base_xi_is_the_inner_class(self, n):
+        # xi has |O| |d^D| = n members, where listing the inner certificate
+        # gave 2^n - 1; the outer certificate is verified by its premises
+        text = f"{{D: wreath(cyclic 2; integers; union(regular, int-mod {n})); Q: cyclic 2; omega: regular}}"
+        G = parse_instance(text).group
+        inner = witness(G.D, decide_icc(G.D))
+        cert = witness(G, decide_icc(G))
+        xi = cert.elements.xi
+        # the base lights the last point of the n-point orbit; its class
+        # lights one point of that orbit
+        assert inner.base == WreathElement((((1, n - 1), 1),), 0)
+        assert xi == {WreathElement((((1, k), 1),), 0) for k in range(n)}
+        assert all(x in inner.elements for x in xi)
+        assert cert.size == (n + 1) ** 2 - 1
+        assert verify_finite_certificate(G, cert)
+
+    def test_nested_xi_missing_a_conjugate_is_named(self):
+        G = parse_instance(
+            "{D: wreath(cyclic 2; integers; union(regular, int-mod 19)); Q: cyclic 2; omega: regular}"
+        ).group
+        xi = G.D.finite_invariant_set_example()
+        base = WreathElement(G.D._canon([((1, 18), 1)]), 0)
+        cert = cert_finite_orbit(G, xi=xi - {base})
+        res = verify_finite_certificate(G, cert)
+        assert not res
+        assert res.reason == "xi not closed under conjugation by the generator {}@1 of D"
+        assert res.counterexample[2] == base
 
 
 class TestQTranslation:
@@ -294,6 +326,23 @@ class TestDispatcher:
         assert v.answer is Tri.YES
         fam = witness(G, v, WreathElement((), (1,)))
         assert fam.family_kind == "q-translation"
+
+
+class TestFindMovedPoint:
+    def test_moved_point_past_ten_thousand_probes(self):
+        # the swap of the last two of 10003 points: the scan reads the
+        # kernel rule, then runs the action to point 10001 with no budget
+        n = 10003
+        G = parse_instance(f"{{D: free 2; Q: symmetric {n}; omega: natural}}").group
+        swap = tuple(range(n - 2)) + (n - 1, n - 2)
+        assert find_moved_point(G, swap) == n - 2
+        fam = witness(G, decide_icc(G), WreathElement((), swap))
+        assert fam.family_kind == "g_d" and fam.point == n - 2
+        assert verify_infinite_certificate(G, fam, N=5)
+
+    def test_kernel_element_rejected(self, f2_wr_z2):
+        with pytest.raises(PreconditionError, match="^q must move a carrier point$"):
+            find_moved_point(f2_wr_z2, 0)
 
 
 class TestPredictedInvariantSets:

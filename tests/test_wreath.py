@@ -16,8 +16,7 @@ from conftest import CORPUS, EXTRA, load_instance
 Z = IntegersGroup()
 Z2 = CyclicGroup(2)
 
-# the package exports a function named `witness` over its module
-witness_module = importlib.import_module("wricc.witness")
+groups_module = importlib.import_module("wricc.groups")
 
 SHIPPED = [name for name, *_ in CORPUS + EXTRA]
 # (D, Q, omega) of carriers beyond the shipped instances
@@ -328,10 +327,32 @@ def test_generators_generate_finite_multi_orbit_group():
 def test_generators_refused_past_the_listing_cap(monkeypatch):
     # one zeta at each of 5 orbits, then Q's generator: 6 elements
     G = build_wreath(parse_group("cyclic 2"), parse_group("cyclic 3"), "trivial 5")
-    monkeypatch.setattr(witness_module, "_FINITE_SET_CAP", 6)
+    monkeypatch.setattr(groups_module, "_FINITE_SET_CAP", 6)
     assert len(G.generators) == 6
-    monkeypatch.setattr(witness_module, "_FINITE_SET_CAP", 5)
+    monkeypatch.setattr(groups_module, "_FINITE_SET_CAP", 5)
     with pytest.raises(CertificateBudget, match="the generating set has 6 elements, more than 5"):
+        G.generators
+
+
+class _Unlisted:
+    """Orbit representatives whose length is known and which fail when
+    listed."""
+
+    def __len__(self):
+        return 2_000_000
+
+    def __iter__(self):
+        raise AssertionError("orbit representatives listed")
+
+
+def test_union_generators_counted_before_listed(monkeypatch):
+    # a union reads its length off its parts, so a generating set past the
+    # cap is refused without listing a part's representatives
+    G = build_wreath(Z2, Z, "union(regular, trivial 2)")
+    monkeypatch.setattr(G.omega.parts[1], "orbit_representatives", _Unlisted)
+    with pytest.raises(
+        CertificateBudget, match="the generating set has 2000002 elements, more than 1000000$"
+    ):
         G.generators
 
 
