@@ -26,7 +26,7 @@ import math
 import re
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from operator import neg
+from operator import add, neg
 
 from ._parsing import split_top, strip_outer
 from .errors import CertificateBudget, KindMismatch, ParseError, PreconditionError, Unsupported
@@ -148,6 +148,9 @@ class Closure:
 
 class Group(ABC):
     kind: str
+    # do elements already sort by `sort_key` in native Python order?  A
+    # kind that says so lets callers sort its elements with no key frame
+    native_order: bool = False
 
     # ---- arithmetic --------------------------------------------------
 
@@ -354,15 +357,14 @@ class IntegersGroup(Group):
     kind = "integers"
     is_finite = False
     is_trivial = False
+    native_order = True
 
     def identity(self):
         return 0
 
-    def _multiply(self, a, b):
-        return a + b
-
-    def _inverse(self, a):
-        return -a
+    # the sum and the negation, called without a wrapper
+    _multiply = staticmethod(add)
+    _inverse = staticmethod(neg)
 
     def validate(self, x):
         if not isinstance(x, int) or isinstance(x, bool):
@@ -402,6 +404,8 @@ class IntegersGroup(Group):
 
 
 class CyclicGroup(_FiniteGroupMixin, Group):
+    native_order = True
+
     def __init__(self, n: int):
         if n < 1:
             raise PreconditionError("cyclic: order must be >= 1")
@@ -467,6 +471,8 @@ def _perm_inv(a):
 
 
 class SymmetricGroup(_FiniteGroupMixin, Group):
+    native_order = True
+
     def __init__(self, n: int):
         if n < 1:
             raise PreconditionError("symmetric: degree must be >= 1")
@@ -657,6 +663,8 @@ class DirectProductGroup(Group):
             raise PreconditionError("product: needs at least one factor")
         self.factors = tuple(factors)
         self.kind = "product(" + ", ".join(f.kind for f in self.factors) + ")"
+        # the key is the tuple of the factors' keys
+        self.native_order = all(f.native_order for f in self.factors)
 
     @property
     def is_finite(self):

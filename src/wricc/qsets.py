@@ -36,6 +36,10 @@ from .tri import Tri, tri_and
 class QSet(ABC):
     Q: Group
     carrier_kind: str
+    # do points already sort by `point_key` in native Python order?  A
+    # carrier that says so lets the wreath kernels sort maps with no key
+    # frame
+    native_order: bool = False
 
     def act(self, q, x):
         self.Q.validate(q)
@@ -170,9 +174,13 @@ class RegularQSet(QSet):
     def __init__(self, Q: Group):
         self.Q = Q
         self.carrier_kind = f"regular over {Q.kind}"
+        self.native_order = Q.native_order
 
-    def _act(self, q, x):
-        return self.Q._multiply(q, x)
+    @property
+    def _act(self):
+        """Q's own product, so that acting runs no frame of the carrier's;
+        a property, so that a subclass's `_act` still overrides it."""
+        return self.Q._multiply
 
     def validate_point(self, x):
         self.Q.validate(x)
@@ -224,6 +232,7 @@ class _IntPointQSet(QSet):
 
     size: int
     is_finite_carrier = True
+    native_order = True
 
     def validate_point(self, x):
         if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < self.size:
@@ -396,10 +405,15 @@ class DisjointUnionQSet(QSet):
         self.parts = tuple(parts)
         self.Q = q0
         self.carrier_kind = "union(" + ", ".join(p.carrier_kind for p in parts) + ")"
+        # points are (part, point) pairs, keyed by (part, the part's key)
+        self.native_order = all(p.native_order for p in self.parts)
+        # each part's action, looked up once: a part's own `_act`
+        # override is what gets bound
+        self._part_acts = tuple(p._act for p in self.parts)
 
     def _act(self, q, x):
         i, p = x
-        return (i, self.parts[i]._act(q, p))
+        return (i, self._part_acts[i](q, p))
 
     def validate_point(self, x):
         if (

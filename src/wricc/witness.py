@@ -359,14 +359,20 @@ def family_gd(G: WreathProduct, g: WreathElement, y) -> InfiniteFamilyCertificat
 
     # g and y are validated above, and `members` builds `inner` from y and
     # D's own ball elements, so the closed form runs on D's unchecked
-    # arithmetic: phi with d^-1 c at y and phi(q.y) d at q.y, canonicalised
-    # once
+    # arithmetic: phi with d^-1 c at y and phi(q.y) d at q.y.  The dict
+    # holds each point once, so dropping the identities and one sort make
+    # the map canonical, and the element is built in C as the kernels do
+    dmul, dinv, item_key, q = D._multiply, D._inverse, G._item_key, g.q
+    new = tuple.__new__
+
     def closed_form(inner: WreathElement) -> WreathElement:
         d = inner.phi[0][1] if inner.phi else e
         acc = dict(phi)
-        acc[y] = D._multiply(D._inverse(d), c)
-        acc[qy] = D._multiply(acc[qy], d) if qy in acc else d
-        return WreathElement(G._canon(acc.items()), g.q)
+        acc[y] = dmul(dinv(d), c)
+        acc[qy] = dmul(acc[qy], d) if qy in acc else d
+        items = [yd for yd in acc.items() if yd[1] != e]
+        items.sort(key=item_key)
+        return new(WreathElement, (tuple(items), q))
 
     return InfiniteFamilyCertificate(G, g, "g_d", dedup=False, point=y, closed_form=closed_form)
 

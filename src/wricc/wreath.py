@@ -16,7 +16,12 @@ bound once per handle.  Each of the three makes one pass over each map: it
 moves each point by the action as it multiplies or inverts its value,
 sorts the result once, and builds the element in C.  A map of fewer than
 two points is already sorted, so it is not sorted again; two points that
-the action sends to one are a `KindMismatch`.  Conjugation follows its
+the action sends to one are a `KindMismatch`.  When the carrier declares
+that its points sort natively (`QSet.native_order`), maps sort by the
+point itself, read in C by `operator.itemgetter`, and by the carrier's
+`point_key` otherwise; the integers' product and inverse are the C
+builtins `operator.add` and `operator.neg`, and a regular carrier acts
+through Q's product with no frame of its own.  Conjugation follows its
 own law, not the product of three factors, so the certificate verifier
 and the oracle, which recompute conjugates as products, check it.
 """
@@ -24,6 +29,7 @@ and the oracle, which recompute conjugates as products, check it.
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import groups
@@ -71,8 +77,13 @@ class WreathProduct(Group):
         self.omega = omega
         self.kind = f"wreath({D.kind}; {Q.kind}; {omega.carrier_kind})"
         self._e = D.identity()
-        point_key = omega.point_key
-        self._item_key = lambda yd: point_key(yd[0])
+        # the sort key of a (point, value) pair: the point itself, read in
+        # C, when the carrier's points sort natively
+        if omega.native_order:
+            self._item_key = itemgetter(0)
+        else:
+            point_key = omega.point_key
+            self._item_key = lambda yd: point_key(yd[0])
         # the unchecked arithmetic the kernels call, bound once
         self._act = omega._act
         self._dmul, self._dinv = D._multiply, D._inverse

@@ -1,6 +1,8 @@
 import functools
 import importlib
+import itertools
 import random
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,10 +10,10 @@ from hypothesis import given, settings, strategies as st
 from wricc.errors import CertificateBudget, KindMismatch
 from wricc.groups import CyclicGroup, FreeGroup, IntegersGroup, SymmetricGroup
 from wricc.instances import build_wreath, parse_group, parse_instance
-from wricc.qsets import IntModQSet, RegularQSet
+from wricc.qsets import DisjointUnionQSet, IntModQSet, RegularQSet
 from wricc.wreath import WreathElement, WreathProduct, support
 
-from conftest import CORPUS, EXTRA, load_instance
+from conftest import CORPUS, EXTRA, OpaqueQSet, load_instance
 
 Z = IntegersGroup()
 Z2 = CyclicGroup(2)
@@ -491,3 +493,122 @@ def test_inverse_is_a_two_sided_inverse(name, seed):
     for a, b in ((x, y), (x, e), (e, y), (x, xinv)):
         outputs += [G._multiply(a, b), G._conjugate(a, b)]
     assert {type(out) for out in outputs} == {WreathElement}
+
+
+def _kinds(G):
+    """The carrier of G with its parts, and the groups D and Q, of G and
+    of a wreath product in the D position."""
+    carriers = [G.omega, *getattr(G.omega, "parts", ())]
+    groups_ = [G.D, G.Q]
+    if isinstance(G.D, WreathProduct):
+        inner_carriers, inner_groups = _kinds(G.D)
+        carriers += inner_carriers
+        groups_ += inner_groups
+    return carriers, groups_
+
+
+@pytest.mark.parametrize("name", SHIPPED + list(BUILT))
+def test_native_order_agrees_with_the_keys(name):
+    """A carrier or group that declares native order sorts its points or
+    elements natively exactly as by its key: negative integers, union
+    tags, product tuples and permutations.  The wreath kernels then sort
+    maps by the point itself, in C, and by the keyed lambda otherwise."""
+    G = _group(name)
+    rng = random.Random(name)
+    carriers, groups_ = _kinds(G)
+    for S in carriers:
+        if S.native_order:
+            pts = {S.random_point(rng) for _ in range(60)}
+            pts |= set(itertools.islice(S.points_stream(), 40))
+            assert sorted(pts) == sorted(pts, key=S.point_key), S.carrier_kind
+    for H in groups_:
+        if H.native_order:
+            elems = {H.random_element(rng) for _ in range(60)}
+            assert sorted(elems) == sorted(elems, key=H.sort_key), H.kind
+    assert isinstance(G._item_key, itemgetter) == G.omega.native_order
+
+
+def test_native_order_declarations():
+    declared = {
+        "integers": True,
+        "cyclic 4": True,
+        "symmetric 3": True,
+        "product(integers, symmetric 3)": True,
+        "free 2": False,
+        "product(free 1, cyclic 2)": False,
+    }
+    for text, native in declared.items():
+        H = parse_group(text)
+        assert H.native_order is native, text
+        assert RegularQSet(H).native_order is native, text
+    for name, native in (("lamplighter", True), ("z2-wr-free2", False), ("s3-wr-s3-union", True)):
+        assert _group(name).omega.native_order is native, name
+    assert not _group("s3-wr-free2-union").omega.native_order
+    # a wreath product declares nothing: its key is not its tuple order
+    assert not _group("nested-base").D.native_order
+
+
+def test_free_regular_carrier_keeps_length_word_order():
+    """On z2 wr F2 the point b = (2,) sorts before a^2 = (1, 1) by
+    (len, word), after it natively: maps keep the (len, word) order."""
+    G = _group("z2-wr-free2")
+    assert not G.omega.native_order
+    b, aa = (2,), (1, 1)
+    assert sorted([b, aa]) == [aa, b]
+    x = G.multiply(WreathElement(((aa, 1),), ()), WreathElement(((b, 1),), ()))
+    assert x.phi == ((b, 1), (aa, 1))
+    # moved by a, the points b and a^2 go to a*b and a^3, in that order
+    assert G.conjugate(x, WreathElement((), (-1,))).phi == (((1, 2), 1), ((1, 1, 1), 1))
+
+
+def test_undeclared_carrier_gets_the_keyed_sort():
+    """A carrier that declares nothing is sorted by its `point_key`: here
+    by absolute value, then sign, which is not the native order."""
+    G = WreathProduct(Z2, Z, OpaqueQSet(Z))
+    assert not isinstance(G._item_key, itemgetter)
+    x = WreathElement(((2, 1),), 0)
+    for y in (-1, 1):
+        x = G.multiply(x, WreathElement(((y, 1),), 0))
+    assert x.phi == ((1, 1), (-1, 1), (2, 1))
+    assert G.inverse(WreathElement(x.phi, 3)).phi == ((-1, 1), (-2, 1), (-4, 1))
+
+
+class _CollapsingIntMod(IntModQSet):
+    """Sends every point to 0, so it is not an action of Z."""
+
+    def _act(self, q, x):
+        return 0
+
+
+class _CollapsingRegular(RegularQSet):
+    """Sends every point to 0, so it is not an action of Z."""
+
+    def _act(self, q, x):
+        return 0
+
+
+@pytest.mark.parametrize(
+    "omega, pts",
+    [
+        (DisjointUnionQSet((_CollapsingIntMod(Z, 3), RegularQSet(Z))), ((0, 0), (0, 1))),
+        (DisjointUnionQSet((RegularQSet(Z), _CollapsingRegular(Z))), ((1, 0), (1, 1))),
+        (_CollapsingRegular(Z), (0, 1)),
+    ],
+    ids=["union-int-mod", "union-regular", "regular"],
+)
+def test_action_overrides_survive_the_binding(omega, pts):
+    """The union binds its parts' actions once and the regular carrier
+    acts through Q's product, yet a part's own `_act` override is the one
+    that runs: two points it sends to one are rejected."""
+    G = WreathProduct(Z2, Z, omega)
+    two_points = WreathElement(((pts[0], 1), (pts[1], 1)), 0)
+    G.validate(two_points)
+    with pytest.raises(KindMismatch):
+        G.inverse(two_points)
+    for g1 in (G.identity(), WreathElement((), 1)):
+        with pytest.raises(KindMismatch):
+            G.multiply(g1, two_points)
+        with pytest.raises(KindMismatch):
+            G.conjugate(two_points, g1)
+        with pytest.raises(KindMismatch):
+            G.conjugate(g1, two_points)
