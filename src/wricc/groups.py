@@ -78,6 +78,12 @@ class Closure:
     round).  `reached` maps each element to the
     (element, move) pair that first reached it, and `start` to None.
 
+    The step is an action: `step(step(x, m), inverse(m)) == x` for every
+    move m, as for the multiplication of a ball, for conjugation and for
+    the action on a carrier's points.  So the inverse of the move that
+    reached x leads back to where x came from, and the closure never
+    takes it; it reaches what it would reach otherwise, in the same order.
+
     The closure keeps its frontier, so it is resumable after a "radius"
     stop: raise `radius` and iterate again to carry on with the next
     round, exactly as one run with the larger budget would.  After a
@@ -92,13 +98,16 @@ class Closure:
         if radius <= 0 or max_size <= 0:
             raise PreconditionError("closure budgets must be positive")
         self.moves = list(gens)
-        # a set beside the list, so that set-up is linear in |gens|
-        listed = set(self.moves)
+        # each listed move by value beside the list, so that set-up is
+        # linear in |gens|; and each move's listed inverse, the step back
+        listed = {s: s for s in self.moves}
+        self._back = back = {}
         for s in gens:
             inv = inverse(s)
             if inv not in listed:
-                listed.add(inv)
+                listed[inv] = inv
                 self.moves.append(inv)
+            back[s], back[inv] = listed[inv], listed[s]
         self.reached = {start: None}
         self.rounds = 0
         self.radius = radius
@@ -109,7 +118,8 @@ class Closure:
         self._max_size = max_size
 
     def __iter__(self):
-        reached, step, moves, max_size = self.reached, self._step, self.moves, self._max_size
+        reached, step, moves, back = self.reached, self._step, self.moves, self._back
+        max_size = self._max_size
         if self.stopped_by == "closed":
             return
         if len(reached) >= max_size:
@@ -120,7 +130,11 @@ class Closure:
             self.rounds += 1
             fresh = []
             for x in frontier:
+                arrival = reached[x]
+                skip = None if arrival is None else back[arrival[1]]
                 for s in moves:
+                    if s is skip:
+                        continue
                     y = step(x, s)
                     if y not in reached:
                         reached[y] = (x, s)

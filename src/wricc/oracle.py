@@ -4,57 +4,44 @@ Cross-checks verdicts and certificates: closure of {g} under conjugation
 by the group's generators, organized in rounds, reported as a
 `ClassReport`.  The generators generate G, so a closed report
 (`exact-finite`) is the whole conjugacy class.  The closure steps with
-products only; every member is re-derived from the chain of moves that
-first reached it: the product of those moves is a conjugator h with
-g^h = member, re-verified through the conjugation law `_conjugate`.
-Every member of an exact report is re-verified against its conjugator;
-truncated runs re-verify a deterministic subsample (the first
-_VERIFY_ALL + 1 found, counting g itself, then every _VERIFY_STRIDE-th)
-to keep large enumerations affordable.
+products only; every member y is then re-derived from the member x and
+the move (s, s^-1) that first reached it, through the conjugation law:
+`_conjugate(x, s)` must give y.  By induction from g, every member is so
+re-verified as a conjugate of g, in exact and truncated runs alike, with
+no subsample.
 `class_lower_bound` asks whether a class has more than `target` members:
 one closure stops at `target + 1` conjugates, and for slowly growing
 classes it is resumed with a larger round budget, so that only the newly
-reached members are rebuilt and re-verified.  `wricc verify` and the
+reached members are re-verified.  `wricc verify` and the
 acceptance suite both check growth through it.
 
 Operands are validated at the boundary only: `class_closure` validates
-g, and the generators are built through the validating `zeta`.  Every
-conjugator is a product of generators, so it is built with `_multiply`
-and checked with `_conjugate`, which trust their operands.
+g, and the generators are built through the validating `zeta`.  So every
+member and move is built by the group, and the law `_conjugate`, which
+trusts its operands, checks them.
 """
 
 from __future__ import annotations
+
+import itertools
 
 from .errors import PreconditionError, WriccError
 from .groups import AT_LEAST, ClassReport, Closure, class_closure
 from .wreath import WreathElement, WreathProduct
 
-_VERIFY_ALL = 256
-_VERIFY_STRIDE = 64
 _ESCALATION_FACTOR = 4
 _MAX_RADIUS = 512
 
 
-def _verify(G: WreathProduct, g: WreathElement, bfs: Closure, conjugators: dict) -> ClassReport:
-    """Run `bfs` to its end and re-verify what it reached, extending
-    `conjugators` (member -> h with g^h = member) to the new members.
-
-    A parent comes before its children in `reached`, so its conjugator is
-    known when a child's is built.  An earlier run of `bfs` was open, so
-    it checked the sampled members it reached; if this run closes, the
-    rest of them are checked now."""
+def _verify(G: WreathProduct, bfs: Closure, checked: int) -> ClassReport:
+    """Run `bfs` to its end and re-verify each member it reached past the
+    first `checked`, which are g and the members an earlier run of it
+    checked: the member y reached from x by the move (s, s^-1) must be
+    s^-1 x s."""
     rep = bfs.report()
-    closed = rep.stopped_by == "closed"
-    mul, conj = G._multiply, G._conjugate
-    for n, (y, how) in enumerate(bfs.reached.items()):
-        sampled = n <= _VERIFY_ALL or n % _VERIFY_STRIDE == 0
-        h = conjugators.get(y)
-        known = h is not None
-        if not known:
-            # how = (parent, (s, s^-1)): y = s^-1 parent s, so h = h_parent s
-            h = G.identity() if how is None else mul(conjugators[how[0]], how[1][0])
-            conjugators[y] = h
-        if (closed or sampled) and not (known and sampled) and conj(g, h) != y:
+    conj = G._conjugate
+    for y, (x, (s, _)) in itertools.islice(bfs.reached.items(), checked, None):
+        if conj(x, s) != y:
             raise WriccError("oracle bookkeeping error: bad conjugator")
     return rep
 
@@ -64,7 +51,7 @@ def enumerate_class(
 ) -> ClassReport:
     """The class of g explored for at most `radius` rounds and `max_size`
     conjugates, each member re-verified as the module docstring says."""
-    return _verify(G, g, class_closure(G, g, radius, max_size), {})
+    return _verify(G, class_closure(G, g, radius, max_size), 1)
 
 
 def class_lower_bound(
@@ -89,9 +76,9 @@ def class_lower_bound(
     if radius > _MAX_RADIUS:
         raise PreconditionError(f"class_lower_bound: radius exceeds {_MAX_RADIUS}")
     bfs = class_closure(G, g, radius, target + 1)
-    conjugators = {}
-    rep = _verify(G, g, bfs, conjugators)
+    rep = _verify(G, bfs, 1)
     while rep.status == AT_LEAST and rep.count < target and bfs.radius < _MAX_RADIUS:
+        checked = len(bfs.reached)
         bfs.radius = min(bfs.radius * _ESCALATION_FACTOR, _MAX_RADIUS)
-        rep = _verify(G, g, bfs, conjugators)
+        rep = _verify(G, bfs, checked)
     return rep, bfs.radius

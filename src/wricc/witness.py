@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from . import groups
 from .errors import CertificateBudget, PreconditionError, WriccError
-from .groups import class_closure, finite_class
+from .groups import finite_class
 from .tri import Tri
 from .wreath import WreathElement, WreathProduct, support
 
@@ -459,36 +459,6 @@ def witness(G: WreathProduct, verdict, g: WreathElement | None = None):
             return family_gd(G, g, find_moved_point(G, q))
         return family_value_conjugation(G, g, g.phi[0][0])
     raise PreconditionError("verdict does not match any certificate construction")
-
-
-def predicted_invariant_sets(G: WreathProduct):
-    """For a finite wreath product: finite conjugation-invariant sets that
-    jointly cover every nontrivial conjugacy class.
-
-    One finite-orbit style set holds all (phi, 1) with phi != eps (values
-    range over the nontrivial base elements, a union of classes); each
-    nontrivial class C of the acting group contributes the full slab
-    {(phi, p) : p in C}.
-    """
-    if not G.is_finite:
-        raise PreconditionError("predicted invariant sets require a finite group")
-    xi = [d for d in G.D.elements() if d != G.D.identity()]
-    pts = tuple(sorted(G.omega.points(), key=G.omega.point_key))
-    base_slab = list(_maps_over(G, pts, xi))
-    sets = [frozenset(base_slab)]
-    all_phis = [g.phi for g in base_slab] + [()]
-    one = G.Q.identity()
-    remaining = {q for q in G.Q.elements() if q != one}
-    while remaining:
-        q = min(remaining, key=G.Q.sort_key)
-        cls = set(class_closure(G.Q, q).report().elements)
-        remaining -= cls
-        sets.append(
-            frozenset(
-                WreathElement(phi, p) for phi in all_phis for p in cls
-            )
-        )
-    return sets
 
 
 # ---------------------------------------------------------------------------

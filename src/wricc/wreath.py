@@ -120,19 +120,6 @@ class WreathProduct(Group):
             acc[y] = mul(acc[y], d) if y in acc else d
         return self._canon(acc.items())
 
-    def lambda_act(self, q, f: tuple) -> tuple:
-        """Translate the support of the canonical map f: each support point
-        y moves to q.y, values unchanged.  q and f are validated once."""
-        self.Q.validate(q)
-        self._validate_map(f)
-        act = self._act
-        moved = [(act(q, y), d) for y, d in f]
-        if len(moved) > 1:
-            if len(dict(moved)) < len(moved):
-                raise KindMismatch(_COLLAPSED)
-            moved.sort(key=self._item_key)
-        return tuple(moved)
-
     def _map_value(self, f: tuple, y):
         """f(y) for a map the group built."""
         for p, d in f:

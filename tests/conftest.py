@@ -3,10 +3,12 @@ import importlib.resources
 import pytest
 from hypothesis import settings
 
-from wricc.groups import Closure
+from wricc.errors import PreconditionError
+from wricc.groups import Closure, class_closure
 from wricc.instances import parse_instance
 from wricc.qsets import QSet
 from wricc.tri import Tri
+from wricc.wreath import WreathElement
 
 # property tests draw the same examples on every run, with no per-example
 # time limit and no stored examples replayed, so that the suite stays
@@ -82,6 +84,37 @@ def orbit_closure(S, x, max_size):
     return Closure(
         x, Q.generators, Q.inverse, lambda p, s: S.act(s, p), S.point_key, max_size=max_size
     ).report()
+
+
+def lambda_translate(G, q, f):
+    """lambda(q) f, the map f with each support point y moved to q.y, read
+    off the product (eps, q)(f, 1) = (lambda(q) f, q)."""
+    moved = G.multiply(WreathElement((), q), WreathElement(f, G.Q.identity()))
+    assert moved.q == q
+    return moved.phi
+
+
+def predicted_invariant_sets(G):
+    """For a finite wreath product: finite conjugation-invariant sets that
+    jointly cover every nontrivial conjugacy class.
+
+    One finite-orbit style set holds all (phi, 1) with phi != eps (values
+    range over the nontrivial base elements, a union of classes); each
+    nontrivial class C of the acting group contributes the full slab
+    {(phi, p) : p in C}.
+    """
+    if not G.is_finite:
+        raise PreconditionError("predicted invariant sets require a finite group")
+    one = G.Q.identity()
+    elements = list(G.elements())
+    sets = [frozenset(g for g in elements if g.phi and g.q == one)]
+    remaining = {g.q for g in elements} - {one}
+    while remaining:
+        q = min(remaining, key=G.Q.sort_key)
+        cls = set(class_closure(G.Q, q).report().elements)
+        remaining -= cls
+        sets.append(frozenset(g for g in elements if g.q in cls))
+    return sets
 
 
 @pytest.fixture

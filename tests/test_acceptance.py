@@ -15,14 +15,20 @@ from wricc.witness import (
     InfiniteFamilyCertificate,
     cert_finite_orbit,
     family_lambda_translation,
-    predicted_invariant_sets,
     verify_finite_certificate,
     verify_infinite_certificate,
     witness,
 )
 from wricc.wreath import WreathElement
 
-from conftest import CORPUS, load_instance, record_acceptance, word_ball
+from conftest import (
+    CORPUS,
+    lambda_translate,
+    load_instance,
+    predicted_invariant_sets,
+    record_acceptance,
+    word_ball,
+)
 
 LAW_INSTANCES = ["lamplighter", "f2-wr-z2", "z2-wr-s3", "mixed-union"]
 YES_INSTANCES = ["lamplighter", "f2-wr-z2", "mixed-union-icc-base"]
@@ -52,10 +58,10 @@ def test_criterion_1_action_law_suite():
             a, b, c = (G.random_element(rng) for _ in range(3))
             q1, q2 = G.Q.random_element(rng), G.Q.random_element(rng)
             f = G.random_element(rng).phi
-            # lambda-action laws
-            assert G.lambda_act(one, f) == f
-            assert G.lambda_act(G.Q.multiply(q1, q2), f) == G.lambda_act(
-                q1, G.lambda_act(q2, f)
+            # lambda-action laws, read off products by (eps, q)
+            assert lambda_translate(G, one, f) == f
+            assert lambda_translate(G, G.Q.multiply(q1, q2), f) == lambda_translate(
+                G, q1, lambda_translate(G, q2, f)
             )
             # group axioms
             assert G.multiply(G.multiply(a, b), c) == G.multiply(a, G.multiply(b, c))
@@ -66,7 +72,7 @@ def test_criterion_1_action_law_suite():
                 G.multiply(WreathElement((), q1), WreathElement(f, one)),
                 G.inverse(WreathElement((), q1)),
             )
-            assert lhs == WreathElement(G.lambda_act(q1, f), one)
+            assert lhs == WreathElement(lambda_translate(G, q1, f), one)
     dt = time.perf_counter() - t0
     ok = dt < 10.0
     assert record_acceptance(
@@ -262,17 +268,17 @@ def test_criterion_7_oracle_cross_check():
     if covered != elems:
         problems.append("z2-wr-s3 classes do not partition the group")
     dt = time.perf_counter() - t0
-    ok = not problems and dt < 60.0
+    ok = not problems and dt < 30.0
     if problems:
         detail = (
-            f"oracle cross-check in {dt:.1f}s (limit 60s): {len(problems)} problems: "
+            f"oracle cross-check in {dt:.1f}s (limit 30s): {len(problems)} problems: "
             + "; ".join(problems[:5])
         )
     else:
         detail = (
             f"oracle cross-check: growth >= 200 (radius 8, x4 up to 512), lamplighter "
             f"radius-8 counts equal to the word ball, exact z2-wr-s3 classes, "
-            f"in {dt:.1f}s (limit 60s)"
+            f"in {dt:.1f}s (limit 30s)"
         )
     assert record_acceptance("criterion-7", ok, detail), "; ".join(problems[:5])
 

@@ -46,7 +46,6 @@ CHECKED = {
     "orbit_infinite": ("point",),
     "fixes_all_points": ("q",),
     "zeta": ("value", "point"),
-    "lambda_act": ("q", "map"),
 }
 # key and format helpers: they run on what the group built and trust it
 TRUSTED = {"sort_key", "point_key", "format_element", "format_point"}
@@ -79,7 +78,7 @@ PINNED = {
     SymmetricGroup: GROUP_API,
     FreeGroup: GROUP_API,
     DirectProductGroup: GROUP_API,
-    WreathProduct: GROUP_API | {"zeta", "lambda_act", "random_nontrivial_element"},
+    WreathProduct: GROUP_API | {"zeta", "random_nontrivial_element"},
     RegularQSet: QSET_API,
     IntModQSet: QSET_API,
     TrivialQSet: QSET_API,

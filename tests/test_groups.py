@@ -182,6 +182,54 @@ def test_closure_moves_keep_the_listed_order(name):
     assert (len(moves) == len(gens)) == (name == "self-inverse")
 
 
+def _bfs_taking_every_move(start, moves, step, key, radius):
+    """`reached` as a BFS that applies every move to every element builds
+    it: rounds of new elements, each sorted by `key`."""
+    reached, frontier = {start: None}, [start]
+    for _ in range(radius):
+        fresh = []
+        for x in frontier:
+            for s in moves:
+                y = step(x, s)
+                if y not in reached:
+                    reached[y] = (x, s)
+                    fresh.append(y)
+        frontier = sorted(fresh, key=key)
+    return reached
+
+
+@pytest.mark.parametrize("kind", ["class", "ball"])
+@pytest.mark.parametrize(
+    "name, literal",
+    [("lamplighter", "{0:1}@1"), ("f2-wr-z2", "{0:a}@1"), ("z2-wr-s3", "{0:1}@[1,0,2]")],
+)
+def test_closure_never_steps_back_along_the_arriving_move(name, literal, kind):
+    # a spy on the step sees no move applied to x that inverts the move
+    # that reached x, and the closure still reaches what a BFS taking
+    # every move reaches, in the same order
+    G = load_instance(name).group
+    if kind == "class":
+        bfs = class_closure(G, G.parse_element(literal), 4)
+        inverse = lambda m: (m[1], m[0])
+    else:
+        bfs = Closure(G.identity(), G.generators, G._inverse, G._multiply, G.sort_key, 4)
+        inverse = G._inverse
+    step, steps = bfs._step, []
+
+    def spy(x, s):
+        steps.append((x, s))
+        return step(x, s)
+
+    bfs._step = spy
+    bfs.report()
+    for x, s in steps:
+        arrival = bfs.reached[x]
+        assert arrival is None or s != inverse(arrival[1])
+    start = next(iter(bfs.reached))
+    everything = _bfs_taking_every_move(start, bfs.moves, step, G.sort_key, bfs.rounds)
+    assert list(bfs.reached.items()) == list(everything.items())
+
+
 class TestFcContains:
     def test_integers(self):
         assert Z.fc_contains(17)

@@ -265,8 +265,8 @@ class TestResumedClosure:
 
     def test_closing_after_resumption_verifies_every_member(self, monkeypatch):
         # the class has 331 members after 6 rounds, open, and closes in
-        # round 9 with 384: the members past the subsample of the open run
-        # are verified once it closes
+        # round 9 with 384: every member but g is verified exactly once, in
+        # the order reached, those of the open run while it is open
         G = parse_instance("{D: cyclic 4; Q: symmetric 4; omega: natural}").group
         g = G.parse_element("{0:1}@[1,2,3,0]")
         checked = []
@@ -276,10 +276,25 @@ class TestResumedClosure:
             checked.append(law(x, h))
             return checked[-1]
 
+        # each run's members and the members checked before it, as the
+        # run is reported
+        runs = []
+        report = Closure.report
+
+        def report_spy(bfs):
+            rep = report(bfs)
+            runs.append((list(bfs.reached), list(checked)))
+            return rep
+
         monkeypatch.setattr(G, "_conjugate", spy)
+        monkeypatch.setattr(Closure, "report", report_spy)
         rep, radius = class_lower_bound(G, g, 5000, radius=6)
         assert (rep.status, rep.count, rep.rounds_used, radius) == (EXACT_FINITE, 384, 9, 24)
-        assert sorted(checked, key=G.sort_key) == list(rep.elements)
+        (opened, before_open), (closed, before_close) = runs
+        assert len(opened) == 331 and closed[:331] == opened and opened[0] == g
+        assert before_open == [] and before_close == opened[1:]
+        assert checked == closed[1:]
+        assert sorted(closed, key=G.sort_key) == list(rep.elements)
         assert rep == enumerate_class(G, g, 24, 5001)
 
     @pytest.mark.parametrize(
@@ -307,6 +322,26 @@ class TestResumedClosure:
         seen.clear()
         enumerate_class(G, g, radius, 201)
         assert seen == [g]
+
+    def test_product_corrupted_at_one_late_member_is_caught(self, lamplighter, monkeypatch):
+        # {0:1, 3:1}@1 has 350 conjugates within 8 rounds; the product is
+        # wrong only where it gives member 300, which is reached in the last
+        # round, so no later member is built from it
+        G = lamplighter
+        g = G.parse_element("{0:1, 3:1}@1")
+        bfs = class_closure(G, g, 8)
+        bfs.report()
+        assert len(bfs.reached) == 350
+        late = list(bfs.reached)[300]
+        product = G._multiply
+
+        def corrupted(a, b):
+            y = product(a, b)
+            return WreathElement(y.phi, y.q + 1) if y == late else y
+
+        monkeypatch.setattr(G, "_multiply", corrupted)
+        with pytest.raises(WriccError, match="bad conjugator"):
+            enumerate_class(G, g, 8, 10000)
 
     def test_law_broken_beyond_radius_8_is_caught(self, lamplighter, monkeypatch):
         # {}@1 has 129 conjugates within 8 rounds; the law is wrong only on

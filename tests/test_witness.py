@@ -21,14 +21,13 @@ from wricc.witness import (
     family_q_translation,
     family_value_conjugation,
     find_moved_point,
-    predicted_invariant_sets,
     verify_finite_certificate,
     verify_infinite_certificate,
     witness,
 )
 from wricc.wreath import WreathElement, WreathProduct, support
 
-from conftest import load_instance
+from conftest import load_instance, predicted_invariant_sets
 
 Z = IntegersGroup()
 S3 = SymmetricGroup(3)

@@ -13,7 +13,7 @@ from wricc.instances import build_wreath, parse_group, parse_instance
 from wricc.qsets import DisjointUnionQSet, IntModQSet, RegularQSet
 from wricc.wreath import WreathElement, WreathProduct, support
 
-from conftest import CORPUS, EXTRA, OpaqueQSet, load_instance
+from conftest import CORPUS, EXTRA, OpaqueQSet, lambda_translate, load_instance
 
 Z = IntegersGroup()
 Z2 = CyclicGroup(2)
@@ -54,26 +54,29 @@ class TestZetaAndMaps:
     def test_zeta_identity_value(self, G):
         assert G.zeta(0, 5) == ()
 
+    # the lambda-action is the map part of a product by (eps, q)
     def test_lambda_shifts_support(self, G):
         f = G.zeta(1, 0)
-        assert G.lambda_act(1, f) == ((1, 1),)
-        assert G.lambda_act(0, f) == f
+        assert lambda_translate(G, 1, f) == ((1, 1),)
+        assert lambda_translate(G, 0, f) == f
 
     def test_lambda_is_action(self, G):
         rng = random.Random(7)
         for _ in range(100):
             f = G.random_element(rng).phi
             q1, q2 = rng.randrange(-5, 6), rng.randrange(-5, 6)
-            assert G.lambda_act(q1 + q2, f) == G.lambda_act(q1, G.lambda_act(q2, f))
+            assert lambda_translate(G, q1 + q2, f) == lambda_translate(
+                G, q1, lambda_translate(G, q2, f)
+            )
 
     def test_lambda_validates_the_map(self, G):
         # an invalid value would be moved as it is, and a stored identity
         # would silently vanish
         for f in (((0, 7),), ((0, 0),), ((1, 1), (0, 1))):
             with pytest.raises(KindMismatch):
-                G.lambda_act(1, f)
+                G.multiply(WreathElement((), 1), WreathElement(f, 0))
         with pytest.raises(KindMismatch):
-            G.lambda_act(1.5, ((0, 1),))
+            G.multiply(WreathElement((), 1.5), WreathElement(((0, 1),), 0))
 
     def test_pointwise_mul_cancels(self, G):
         f = G._pointwise_mul(G.zeta(1, 0), G.zeta(1, 0))
@@ -139,7 +142,8 @@ class TestArithmetic:
                 G.multiply(WreathElement((), q), WreathElement(f, 0)),
                 WreathElement((), -q),
             )
-            assert lhs == WreathElement(G.lambda_act(q, f), 0)
+            # the carrier is regular: q.y = y + q
+            assert lhs == WreathElement(tuple((y + q, d) for y, d in f), 0)
 
 
 class TestCanonicalForm:
@@ -385,7 +389,8 @@ class TestFusedMultiply:
 
     @staticmethod
     def two_step(G, g1, g2):
-        phi = G._pointwise_mul(g1.phi, G.lambda_act(g1.q, g2.phi))
+        moved = G._canon((G.omega.act(g1.q, y), d) for y, d in g2.phi)
+        phi = G._pointwise_mul(g1.phi, moved)
         return WreathElement(phi, G.Q.multiply(g1.q, g2.q))
 
     @staticmethod
@@ -419,9 +424,8 @@ class TestFusedMultiply:
         two_points = WreathElement(((0, 1), (1, 1)), 0)
         with pytest.raises(KindMismatch):
             G.inverse(two_points)
-        with pytest.raises(KindMismatch):
-            G.lambda_act(1, two_points.phi)
-        for g1 in (G.identity(), WreathElement(((2, 1),), 1)):
+        # a product by (eps, q), the lambda-action, and by a general element
+        for g1 in (G.identity(), WreathElement((), 1), WreathElement(((2, 1),), 1)):
             with pytest.raises(KindMismatch):
                 G.multiply(g1, two_points)
             # the two points collapse whichever side they are on
@@ -445,7 +449,7 @@ class TestFusedMultiply:
         assert G._inverse(moved) == WreathElement(((-1, 1),), -1)
         assert G._conjugate(one, shift) == WreathElement(((-1, 1),), 0)
         assert G._conjugate(moved, one) == WreathElement(((1, 1),), 1)
-        assert G.lambda_act(2, one.phi) == ((2, 1),)
+        assert G._multiply(WreathElement((), 2), one) == WreathElement(((2, 1),), 2)
         assert calls == []
         assert G._multiply(moved, moved) == WreathElement(((0, 1), (1, 1)), 2)
         assert calls
