@@ -6,14 +6,13 @@ under conjugation by every generator of G.  The finite-orbit set S(O, xi)
 is data, the orbit O and the value set xi, with a membership test; it is
 checked by the two premises of its invariance lemma (see `OrbitMaps`),
 without listing its (|xi|+1)^|O| - 1 members.  Icc verdicts get an
-infinite family of conjugators whose conjugates are pairwise distinct,
-checked on a prefix.  A family is data: its conjugators come from Q's or
-D's generator ball, in ball order, so its prefixes are deterministic and
-restartable.  The group handle keeps the ball prefix already streamed, so
-listing a prefix again draws its conjugators without a BFS.  `members`
-validates the family's inputs once per call, and the verifier validates
-each conjugator once and recomputes each member from products.  The
-dispatcher mirrors the case analysis of the criterion's proof.
+infinite family of conjugators with pairwise distinct conjugates, as
+data: a kind, a base, a point and a seed.  The kind fixes the premise
+that makes the family infinite (its distinctness lemma's hypothesis),
+the key that tells its conjugates apart and, for g_d, a closed form.
+The builder refuses a family whose premise fails, and the verifier
+rejects it before it recomputes a prefix from products.  The dispatcher
+mirrors the case analysis of the criterion's proof.
 """
 
 from __future__ import annotations
@@ -21,6 +20,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Set
 from dataclasses import dataclass
+from operator import itemgetter
 
 from . import groups
 from .errors import CertificateBudget, PreconditionError, WriccError
@@ -31,6 +31,8 @@ from .wreath import WreathElement, WreathProduct, support
 # sizes of more bits are written without their value; by default Python
 # refuses to convert an int of more than 4,300 digits to a string
 _PRINTED_SIZE_BITS = 128
+# conjugators an infinite family may draw in a row without a fresh conjugate
+_SEARCH_BUDGET = 20000
 
 
 def format_size(n: int) -> str:
@@ -146,49 +148,34 @@ class VerificationResult:
 
 
 class InfiniteFamilyCertificate:
-    """An infinite family of conjugators with pairwise-distinct conjugates,
-    given as data.  Without a `point` the conjugators are (eps, q) for q
-    in Q's ball stream; with one they are (zeta(d, point), 1) for d in D's
-    ball stream.  A `seed_conjugator` s turns each conjugator h into s * h.
+    """An infinite family of conjugators with pairwise-distinct conjugates.
+    Without a `point` the conjugators are (eps, q) for q in Q's ball
+    stream; with one they are (zeta(d, point), 1) for d in D's.  A
+    `seed_conjugator` s turns each conjugator h into s * h.  The
+    `family_kind` fixes the rest (`_FAMILIES`).  Each `members` call starts
+    a new `Group.ball_stream`, so prefixes are restartable and
+    deterministic."""
 
-    The certificate holds no generation state: each `members` call starts
-    a new ball stream, so prefixes are restartable and deterministic.  The
-    ball elements come from the prefix the group handle already keeps,
-    and only those past it from a new BFS (`Group.ball_stream`); the
-    conjugates are computed afresh on every call.  When a closed form is
-    attached (the g_d family) every emission is self-checked against an
-    independent conjugation.
-    """
-
-    def __init__(
-        self,
-        group: WreathProduct,
-        base: WreathElement,
-        family_kind: str,
-        dedup: bool,
-        point=None,
-        dedup_key=None,
-        closed_form=None,
-        seed_conjugator: WreathElement | None = None,
-    ):
+    def __init__(self, group, base, family_kind: str, point=None, seed_conjugator=None):
         self.group = group
         self.base = base
         self.family_kind = family_kind
-        self.dedup = dedup
         self.point = point
         self.seed_conjugator = seed_conjugator
-        self._dedup_key = dedup_key
-        self._closed_form = closed_form
 
-    def members(self, count: int, search_budget: int = 20000):
-        """Yield up to `count` pairs (conjugator, conjugate).  The base, the
-        seed conjugator and the point are validated once per call; the
-        conjugators are built from them and from the group's own ball
-        elements, so they are trusted."""
+    def members(self, count: int):
+        """Yield up to `count` pairs (conjugator, conjugate), skipping a
+        conjugate whose key an earlier one has.  The base, the seed and the
+        point are validated once per call; the conjugators are built from
+        them and the group's own ball elements, so they are trusted."""
         if count < 1:
             raise PreconditionError("a certificate prefix needs at least 1 member")
-        G, seed, y = self.group, self.seed_conjugator, self.point
-        G.validate(self.base)
+        kind = self.family_kind
+        if kind not in _FAMILIES:
+            raise PreconditionError(f"unknown family kind {kind!r}")
+        _, key_of, formula_of = _FAMILIES[kind]
+        G, g, seed, y = self.group, self.base, self.seed_conjugator, self.point
+        G.validate(g)
         if seed is not None:
             G.validate(seed)
         # each inner conjugator is built in C, as the wreath kernels build
@@ -199,37 +186,31 @@ class InfiniteFamilyCertificate:
             G.omega.validate_point(y)
             one, zeta = G.Q.identity(), G._zeta
             inners = (new(WreathElement, (zeta(d, y), one)) for d in G.D.ball_stream())
+        key = key_of(G, y) if key_of else None
+        formula = formula_of(G, g, y) if formula_of else None
+        multiply, conjugate = G._multiply, G._conjugate
         seen = set()
-        emitted = 0
-        skipped = 0
+        emitted = skipped = 0
         for inner in inners:
-            h = G._multiply(seed, inner) if seed is not None else inner
-            conj = G._conjugate(self.base, h)
-            if self._closed_form is not None:
-                expect = self._closed_form(inner)
-                if expect != conj:
-                    raise WriccError(
-                        f"{self.family_kind}: closed form disagrees with conjugation"
-                    )
-            key = self._dedup_key(conj) if self._dedup_key is not None else conj
-            if key in seen:
-                if not self.dedup:
-                    raise WriccError(f"{self.family_kind}: unexpected duplicate conjugate")
+            h = multiply(seed, inner) if seed is not None else inner
+            conj = conjugate(g, h)
+            if formula is not None and formula(inner) != conj:
+                raise WriccError(f"{kind}: closed form disagrees with conjugation")
+            k = key(conj) if key is not None else conj
+            if k in seen:
+                if key is None:
+                    raise WriccError(f"{kind}: unexpected duplicate conjugate")
                 skipped += 1
-                if skipped > search_budget:
-                    raise CertificateBudget(
-                        f"{self.family_kind}: no fresh conjugate within {search_budget} draws"
-                    )
+                if skipped > _SEARCH_BUDGET:
+                    raise CertificateBudget(f"{kind}: no fresh conjugate in {_SEARCH_BUDGET} draws")
                 continue
-            seen.add(key)
+            seen.add(k)
             skipped = 0
             yield (h, conj)
             emitted += 1
             if emitted >= count:
                 return
-        raise CertificateBudget(
-            f"{self.family_kind}: conjugator stream exhausted after {emitted} members"
-        )
+        raise CertificateBudget(f"{kind}: conjugator stream exhausted after {emitted} members")
 
     def take(self, count: int):
         return list(self.members(count))
@@ -311,61 +292,55 @@ def cert_finite_orbit(G: WreathProduct, xi=None, orbit=None) -> FiniteClassCerti
 # ---------------------------------------------------------------------------
 
 
-def family_q_translation(G: WreathProduct, g: WreathElement) -> InfiniteFamilyCertificate:
-    """Conjugate by (eps, q_n): the acting part alone already has an
-    infinite class when it lies outside FC(Q)."""
-    G.validate(g)
-    if G.Q.fc_contains(g.q):
-        raise PreconditionError("q-translation family requires q outside FC(Q)")
-    return InfiniteFamilyCertificate(G, g, "q-translation", dedup=True, dedup_key=lambda c: c.q)
+def _q_translation(G: WreathProduct, g: WreathElement, y, seed) -> str | None:
+    """Conjugators (eps, q_n).  Premise: q is not in FC(Q); no point, no
+    seed.  Lemma: the acting part of the conjugate, q_n^-1 q q_n, runs
+    through q's class in Q, which the premise makes infinite."""
+    if y is not None or seed is not None:
+        return "takes no point and no seed"
+    return "q lies in FC(Q)" if G.Q.fc_contains(g.q) else None
 
 
-def family_lambda_translation(
-    G: WreathProduct, g: WreathElement, seed_conjugator: WreathElement | None = None
-) -> InfiniteFamilyCertificate:
-    """Translate a nonempty support through an infinite orbit; distinctness
-    is read off the conjugates' supports."""
-    G.validate(g)
-    probe = G.conjugate(g, seed_conjugator) if seed_conjugator is not None else g
-    if not probe.phi:
-        raise PreconditionError("lambda-translation family requires phi != eps")
-    if not any(G.omega.orbit_infinite(y) is Tri.YES for y in support(probe.phi)):
-        raise PreconditionError("no support point lies in a known-infinite orbit")
-    return InfiniteFamilyCertificate(
-        G,
-        g,
-        "lambda-translation",
-        dedup=True,
-        dedup_key=lambda c: support(c.phi),
-        seed_conjugator=seed_conjugator,
-    )
+def _lambda_translation(G: WreathProduct, g: WreathElement, y, seed) -> str | None:
+    """Conjugators s * (eps, q_n), s the seed if any.  Premise: s^-1 g s
+    has phi != eps and a support point in an infinite orbit; no point.
+    Lemma: the conjugates' supports are the translates of that finite
+    support, infinitely many when it meets an infinite orbit."""
+    if y is not None:
+        return "takes no point"
+    if seed is not None:
+        G.validate(seed)
+        g = G._conjugate(g, seed)
+    if not g.phi:
+        return "phi = eps after the seed"
+    if not any(G.omega.orbit_infinite(x) is Tri.YES for x in support(g.phi)):
+        return "no support point lies in a known-infinite orbit"
+    return None
 
 
-def family_gd(G: WreathProduct, g: WreathElement, y) -> InfiniteFamilyCertificate:
-    """Conjugators (zeta_d^y, 1) for distinct d; the conjugates differ at
-    the point q.y, so no dedup is needed.  Every emission is checked
-    against the closed forms for this family."""
-    G.validate(g)
-    G.omega.validate_point(y)
-    qy = G.omega.act(g.q, y)
-    if qy == y:
-        raise PreconditionError("y must be moved by the acting part of g")
+def _gd(G: WreathProduct, g: WreathElement, y, seed) -> str | None:
+    """Conjugators (zeta(d, y), 1).  Premise: D is infinite and q moves y;
+    no seed.  Lemma: the conjugate is phi with d^-1 phi(y) at y and
+    phi(q.y) d at q.y != y, so each of D's infinitely many d gives a new
+    conjugate, and a repeat is a fault."""
+    if seed is not None:
+        return "takes no seed"
+    if y is None:
+        return "needs a point"
     if G.D.is_finite:
-        raise PreconditionError("the g_d family needs an infinite base group")
-    D = G.D
-    phi = g.phi
-    c = G._map_value(phi, y)
-    e = D.identity()
+        return "D is finite"
+    return "q fixes the point" if G.omega.act(g.q, y) == y else None
 
-    # g and y are validated above, and `members` builds `inner` from y and
-    # D's own ball elements, so the closed form runs on D's unchecked
-    # arithmetic: phi with d^-1 c at y and phi(q.y) d at q.y.  The dict
-    # holds each point once, so dropping the identities and one sort make
-    # the map canonical, and the element is built in C as the kernels do
-    dmul, dinv, item_key, q = D._multiply, D._inverse, G._item_key, g.q
-    new = tuple.__new__
 
-    def closed_form(inner: WreathElement) -> WreathElement:
+def _gd_formula(G: WreathProduct, g: WreathElement, y):
+    """The g_d lemma's member for the inner conjugator (zeta(d, y), 1), on
+    D's unchecked arithmetic: `members` validated g and y and draws d from
+    D's ball.  Dropping identities and one sort make the map canonical."""
+    D, phi, q = G.D, g.phi, g.q
+    c, qy, e = G._map_value(phi, y), G.omega._act(q, y), D.identity()
+    dmul, dinv, item_key, new = D._multiply, D._inverse, G._item_key, tuple.__new__
+
+    def formula(inner: WreathElement) -> WreathElement:
         d = inner.phi[0][1] if inner.phi else e
         acc = dict(phi)
         acc[y] = dmul(dinv(d), c)
@@ -374,31 +349,55 @@ def family_gd(G: WreathProduct, g: WreathElement, y) -> InfiniteFamilyCertificat
         items.sort(key=item_key)
         return new(WreathElement, (tuple(items), q))
 
-    return InfiniteFamilyCertificate(G, g, "g_d", dedup=False, point=y, closed_form=closed_form)
+    return formula
 
 
-def family_value_conjugation(
-    G: WreathProduct, g: WreathElement, x0
-) -> InfiniteFamilyCertificate:
-    """Conjugate the value at a support point through its (infinite) class
-    in an icc base group; dedup on that value."""
-    G.validate(g)
+def _value_conjugation(G: WreathProduct, g: WreathElement, y, seed) -> str | None:
+    """Conjugators (zeta(d, y), 1).  Premise: D is icc, q = 1 and y is in
+    supp phi; no seed.  Lemma: the conjugate changes only the value at y,
+    to d^-1 phi(y) d, which runs through the infinite class of phi(y)."""
+    if seed is not None:
+        return "takes no seed"
     if g.q != G.Q.identity():
-        raise PreconditionError("value-conjugation family requires q = 1")
-    if not g.phi:
-        raise PreconditionError("value-conjugation family requires phi != eps")
-    if x0 not in support(g.phi):
-        raise PreconditionError("x0 must lie in the support of phi")
+        return "q != 1"
+    if y not in support(g.phi):
+        return "the point is not in supp phi"
     if G.D.icc_status().answer is not Tri.YES:
-        raise PreconditionError("value-conjugation family requires an icc base group")
-    return InfiniteFamilyCertificate(
-        G,
-        g,
-        "value-conjugation",
-        dedup=True,
-        point=x0,
-        dedup_key=lambda conj: G._map_value(conj.phi, x0),
-    )
+        return "D is not known to be icc"
+    return None
+
+
+# kind -> (premise, key, closed form).  A premise reads a validated base g,
+# the point y and the seed, and returns the reason it fails on G, or None;
+# its docstring states the lemma.  key(G, y) tells conjugates apart (None:
+# a repeat is a fault), and formula(G, g, y) checks each member (g_d only).
+_FAMILIES = {
+    "q-translation": (_q_translation, lambda G, y: itemgetter(1), None),
+    "lambda-translation": (_lambda_translation, lambda G, y: lambda c: support(c.phi), None),
+    "g_d": (_gd, None, _gd_formula),
+    "value-conjugation": (_value_conjugation, lambda G, y: lambda c: G._map_value(c.phi, y), None),
+}
+
+
+def _premise_failure(G: WreathProduct, cert: InfiniteFamilyCertificate) -> str | None:
+    """`premise: <kind>: <reason>` when the certificate's premise fails on G."""
+    kind = cert.family_kind
+    if kind not in _FAMILIES:
+        return f"premise: {kind}: unknown family kind"
+    reason = _FAMILIES[kind][0](G, cert.base, cert.point, cert.seed_conjugator)
+    return None if reason is None else f"premise: {kind}: {reason}"
+
+
+def build_family(
+    G: WreathProduct, g: WreathElement, kind: str, point=None, seed_conjugator=None
+) -> InfiniteFamilyCertificate:
+    """The family of `kind` for g, refused when its premise fails on G."""
+    G.validate(g)
+    cert = InfiniteFamilyCertificate(G, g, kind, point, seed_conjugator)
+    failure = _premise_failure(G, cert)
+    if failure is not None:
+        raise PreconditionError(failure)
+    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -439,25 +438,19 @@ def witness(G: WreathProduct, verdict, g: WreathElement | None = None):
     G.validate(g)
     q = g.q
     if not G.Q.fc_contains(q):
-        return family_q_translation(G, g)
+        return build_family(G, g, "q-translation")
     if verdict.cond_iii is Tri.YES:
         if g.phi:
-            return family_lambda_translation(G, g)
+            return build_family(G, g, "lambda-translation")
         # phi = eps, q in FC(Q) and q != 1: seed with (zeta_d^y, 1) where
-        # q moves y, then translate the now-nonempty support.
+        # q moves y, which gives the support {y, q.y}, then translate it
         y = find_moved_point(G, q)
-        d = G.D.first_nontrivial()
-        seed = WreathElement(G.zeta(d, y), G.Q.identity())
-        gprime = G.conjugate(g, seed)
-        qy = G.omega.act(q, y)
-        expected = G._pointwise_mul(G.zeta(G.D.inverse(d), y), G.zeta(d, qy))
-        if gprime.phi != expected or not gprime.phi:
-            raise WriccError("seeded conjugate does not have the expected support")
-        return family_lambda_translation(G, g, seed_conjugator=seed)
+        seed = WreathElement(G.zeta(G.D.first_nontrivial(), y), G.Q.identity())
+        return build_family(G, g, "lambda-translation", seed_conjugator=seed)
     if verdict.cond_ii is Tri.YES:
         if q != G.Q.identity():
-            return family_gd(G, g, find_moved_point(G, q))
-        return family_value_conjugation(G, g, g.phi[0][0])
+            return build_family(G, g, "g_d", find_moved_point(G, q))
+        return build_family(G, g, "value-conjugation", g.phi[0][0])
     raise PreconditionError("verdict does not match any certificate construction")
 
 
@@ -558,27 +551,34 @@ def _verify_orbit_maps(G: WreathProduct, S: OrbitMaps, base) -> VerificationResu
 def verify_infinite_certificate(
     G: WreathProduct, cert: InfiniteFamilyCertificate, N: int = 100
 ) -> VerificationResult:
-    """Recompute and compare the first N deduped conjugates; they must be
-    pairwise distinct and consistent with their recorded conjugators.
+    """The premise of the certificate's kind on G, which makes the family
+    infinite, then the first N deduped conjugates: pairwise distinct and
+    consistent with their recorded conjugators.  A false premise fails,
+    named, however distinct the prefix.
 
     The base is validated once and each conjugator once.  Each conjugate
     is recomputed from the product definition h^-1 * base * h, not with
     `_conjugate`, which `members` used: so every member also checks the
-    conjugation law against products.  The recorded conjugate is never
-    validated, so it is compared with that canonical recomputation as
-    stored.  The inverse-free test h * conj == base * h would not do: the
-    product canonicalises conj, so it accepts conj with its map unsorted,
-    and the distinctness test could then count one element twice."""
+    conjugation law against products.  The recorded conjugate is compared
+    with that canonical recomputation as stored.  The inverse-free test
+    h * conj == base * h would not do: the product canonicalises conj, so
+    it accepts conj with its map unsorted, and the distinctness test could
+    then count one element twice."""
     if N < 2:
         raise PreconditionError("N must be at least 2")
+    if cert.group != G:
+        return VerificationResult(False, "certificate is over another group")
     try:
+        G.validate(cert.base)
+        failure = _premise_failure(G, cert)
+        if failure is not None:
+            return VerificationResult(False, failure)
         prefix = cert.take(N)
-    except (CertificateBudget, WriccError) as e:
+    except WriccError as e:
         return VerificationResult(False, f"stream failed: {e}")
     if len(prefix) < N:
         return VerificationResult(False, f"stream exhausted after {len(prefix)} members")
     base = cert.base
-    G.validate(base)
     mul = G._multiply
     seen = {}
     for h, conj in prefix:

@@ -13,8 +13,8 @@ from wricc.oracle import AT_LEAST, class_lower_bound, enumerate_class
 from wricc.tri import Tri
 from wricc.witness import (
     InfiniteFamilyCertificate,
+    build_family,
     cert_finite_orbit,
-    family_lambda_translation,
     verify_finite_certificate,
     verify_infinite_certificate,
     witness,
@@ -293,14 +293,14 @@ def test_criterion_8_negative_controls():
     # corrupted conjugate stream
     L = load_instance("lamplighter").group
     g = WreathElement(L.zeta(1, 0), 0)
-    fam = family_lambda_translation(L, g)
+    fam = build_family(L, g, "lambda-translation")
 
     class Corrupt(InfiniteFamilyCertificate):
-        def members(self, count, search_budget=20000):
-            for i, (h, conj) in enumerate(fam.members(count, search_budget)):
+        def members(self, count):
+            for i, (h, conj) in enumerate(fam.members(count)):
                 yield (h, WreathElement(conj.phi, conj.q + 1) if i == 2 else conj)
 
-    bad = Corrupt(L, g, fam.family_kind, fam.dedup, fam.point, fam._dedup_key)
+    bad = Corrupt(L, g, fam.family_kind, fam.point, fam.seed_conjugator)
     res_inf = verify_infinite_certificate(L, bad, N=10)
     ok = (
         not res_fin

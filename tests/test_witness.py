@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import random
+import re
 
 import pytest
 
@@ -14,12 +15,9 @@ from wricc.witness import (
     FiniteClassCertificate,
     InfiniteFamilyCertificate,
     OrbitMaps,
+    build_family,
     cert_condition_i,
     cert_finite_orbit,
-    family_gd,
-    family_lambda_translation,
-    family_q_translation,
-    family_value_conjugation,
     find_moved_point,
     verify_finite_certificate,
     verify_infinite_certificate,
@@ -184,22 +182,22 @@ class TestQTranslation:
     def test_f2_acting(self):
         G = WreathProduct(CyclicGroup(2), FreeGroup(2), RegularQSet(FreeGroup(2)))
         g = WreathElement((), (1,))
-        fam = family_q_translation(G, g)
+        fam = build_family(G, g, "q-translation")
         assert fam.family_kind == "q-translation"
         prefix = fam.take(25)
         assert len({c for _, c in prefix}) == 25
         assert verify_infinite_certificate(G, fam, N=25)
 
     def test_rejects_fc_element(self, lamplighter):
-        with pytest.raises(PreconditionError):
-            family_q_translation(lamplighter, WreathElement((), 1))
+        with pytest.raises(PreconditionError, match="^premise: q-translation: q lies in FC"):
+            build_family(lamplighter, WreathElement((), 1), "q-translation")
 
 
 class TestLambdaTranslation:
     def test_supports_march(self, lamplighter):
         G = lamplighter
         g = WreathElement(G.zeta(1, 0), 0)
-        fam = family_lambda_translation(G, g)
+        fam = build_family(G, g, "lambda-translation")
         prefix = fam.take(9)
         sups = [support(c.phi) for _, c in prefix]
         assert len(set(sups)) == 9
@@ -209,18 +207,18 @@ class TestLambdaTranslation:
         G = lamplighter
         g = WreathElement((), 2)
         seed = WreathElement(G.zeta(1, 0), 0)
-        fam = family_lambda_translation(G, g, seed_conjugator=seed)
+        fam = build_family(G, g, "lambda-translation", seed_conjugator=seed)
         assert verify_infinite_certificate(G, fam, N=30)
 
     def test_rejects_empty_support(self, lamplighter):
-        with pytest.raises(PreconditionError):
-            family_lambda_translation(lamplighter, WreathElement((), 2))
+        with pytest.raises(PreconditionError, match="^premise: lambda-translation: phi = eps"):
+            build_family(lamplighter, WreathElement((), 2), "lambda-translation")
 
     def test_rejects_finite_orbit_support(self):
         G = load_instance("mixed-union-icc-base").group
         g = WreathElement(G.zeta((1,), (1, 0)), 0)  # supported on the 3-point part
-        with pytest.raises(PreconditionError):
-            family_lambda_translation(G, g)
+        with pytest.raises(PreconditionError, match="^premise: lambda-translation: no support"):
+            build_family(G, g, "lambda-translation")
 
 
 class TestGd:
@@ -228,34 +226,34 @@ class TestGd:
         G = f2_wr_z2
         # support avoiding y=0: the commuting branch
         g1 = WreathElement(G.zeta((1,), 1), 1)
-        fam1 = family_gd(G, g1, 0)
+        fam1 = build_family(G, g1, "g_d", 0)
         assert verify_infinite_certificate(G, fam1, N=40)
         # support containing y=0: the fused d^-1 c branch
         g2 = WreathElement(G.zeta((2,), 0), 1)
-        fam2 = family_gd(G, g2, 0)
+        fam2 = build_family(G, g2, "g_d", 0)
         assert verify_infinite_certificate(G, fam2, N=40)
 
     def test_conjugates_differ_at_qy(self, f2_wr_z2):
         G = f2_wr_z2
         g = WreathElement(G.zeta((1,), 1), 1)
-        vals = [G._map_value(c.phi, G.omega.act(g.q, 0)) for _, c in family_gd(G, g, 0).take(12)]
+        vals = [G._map_value(c.phi, G.omega.act(g.q, 0)) for _, c in build_family(G, g, "g_d", 0).take(12)]
         assert len(set(vals)) == 12
 
     def test_rejects_fixed_point(self, f2_wr_z2):
         G = f2_wr_z2
-        with pytest.raises(PreconditionError):
-            family_gd(G, WreathElement((), 0), 0)
+        with pytest.raises(PreconditionError, match="^premise: g_d: q fixes the point$"):
+            build_family(G, WreathElement((), 0), "g_d", 0)
 
     def test_rejects_finite_base(self, lamplighter):
-        with pytest.raises(PreconditionError):
-            family_gd(lamplighter, WreathElement((), 1), 0)
+        with pytest.raises(PreconditionError, match="^premise: g_d: D is finite$"):
+            build_family(lamplighter, WreathElement((), 1), "g_d", 0)
 
 
 class TestValueConjugation:
     def test_f2_values(self, f2_wr_z2):
         G = f2_wr_z2
         g = WreathElement(G.zeta((1,), 0), 0)
-        fam = family_value_conjugation(G, g, 0)
+        fam = build_family(G, g, "value-conjugation", 0)
         prefix = fam.take(30)
         vals = [G._map_value(c.phi, 0) for _, c in prefix]
         assert len(set(vals)) == 30
@@ -263,13 +261,13 @@ class TestValueConjugation:
 
     def test_rejects_moving_q(self, f2_wr_z2):
         G = f2_wr_z2
-        with pytest.raises(PreconditionError):
-            family_value_conjugation(G, WreathElement(G.zeta((1,), 0), 1), 0)
+        with pytest.raises(PreconditionError, match="^premise: value-conjugation: q != 1$"):
+            build_family(G, WreathElement(G.zeta((1,), 0), 1), "value-conjugation", 0)
 
     def test_rejects_non_icc_base(self, lamplighter):
         G = lamplighter
-        with pytest.raises(PreconditionError):
-            family_value_conjugation(G, WreathElement(G.zeta(1, 0), 0), 0)
+        with pytest.raises(PreconditionError, match="^premise: value-conjugation: D is not"):
+            build_family(G, WreathElement(G.zeta(1, 0), 0), "value-conjugation", 0)
 
 
 class TestDispatcher:
@@ -412,16 +410,16 @@ class TestNegativeControls:
     def test_corrupted_conjugates_fail(self, lamplighter):
         G = lamplighter
         g = WreathElement(G.zeta(1, 0), 0)
-        fam = family_lambda_translation(G, g)
+        fam = build_family(G, g, "lambda-translation")
 
         class Corrupt(InfiniteFamilyCertificate):
-            def members(self, count, search_budget=20000):
-                for i, (h, conj) in enumerate(fam.members(count, search_budget)):
+            def members(self, count):
+                for i, (h, conj) in enumerate(fam.members(count)):
                     if i == 3:
                         conj = WreathElement(conj.phi, conj.q + 1)
                     yield (h, conj)
 
-        bad = Corrupt(G, g, fam.family_kind, fam.dedup, fam.point, fam._dedup_key)
+        bad = Corrupt(G, g, fam.family_kind, fam.point, fam.seed_conjugator)
         res = verify_infinite_certificate(G, bad, N=10)
         assert not res and res.reason == "recorded conjugate does not match recomputation"
         h, conj, again = res.counterexample
@@ -431,7 +429,7 @@ class TestNegativeControls:
         # `members` conjugates with `_conjugate`; the verifier recomputes
         # with products, so a wrong conjugation law cannot confirm itself
         G = f2_wr_z2
-        fam = family_value_conjugation(G, WreathElement(G.zeta((1,), 0), 0), 0)
+        fam = build_family(G, WreathElement(G.zeta((1,), 0), 0), "value-conjugation", 0)
         assert verify_infinite_certificate(G, fam, N=10)
         law = G._conjugate
         monkeypatch.setattr(
@@ -443,41 +441,41 @@ class TestNegativeControls:
     def test_duplicated_conjugates_fail(self, lamplighter):
         G = lamplighter
         g = WreathElement(G.zeta(1, 0), 0)
-        fam = family_lambda_translation(G, g)
+        fam = build_family(G, g, "lambda-translation")
 
         class Repeats(InfiniteFamilyCertificate):
-            def members(self, count, search_budget=20000):
+            def members(self, count):
                 first = next(fam.members(1))
                 for _ in range(count):
                     yield first
 
-        bad = Repeats(G, g, fam.family_kind, fam.dedup, fam.point, fam._dedup_key)
+        bad = Repeats(G, g, fam.family_kind, fam.point, fam.seed_conjugator)
         res = verify_infinite_certificate(G, bad, N=10)
         assert not res and "duplicate" in res.reason
 
     def test_short_stream_fails(self, lamplighter):
         G = lamplighter
         g = WreathElement(G.zeta(1, 0), 0)
-        fam = family_lambda_translation(G, g)
+        fam = build_family(G, g, "lambda-translation")
 
         class Short(InfiniteFamilyCertificate):
-            def members(self, count, search_budget=20000):
-                yield from fam.members(min(count, 4), search_budget)
+            def members(self, count):
+                yield from fam.members(min(count, 4))
 
-        bad = Short(G, g, fam.family_kind, fam.dedup, fam.point, fam._dedup_key)
+        bad = Short(G, g, fam.family_kind, fam.point, fam.seed_conjugator)
         assert not verify_infinite_certificate(G, bad, N=10)
 
 
 def test_streams_are_restartable(lamplighter):
     G = lamplighter
-    fam = family_lambda_translation(G, WreathElement(G.zeta(1, 0), 0))
+    fam = build_family(G, WreathElement(G.zeta(1, 0), 0), "lambda-translation")
     assert fam.take(8) == fam.take(8)
 
 
 @pytest.mark.parametrize("count", [0, -3])
 def test_prefix_needs_a_member(lamplighter, count):
     G = lamplighter
-    fam = family_lambda_translation(G, WreathElement(G.zeta(1, 0), 0))
+    fam = build_family(G, WreathElement(G.zeta(1, 0), 0), "lambda-translation")
     with pytest.raises(PreconditionError):
         fam.take(count)
 
@@ -492,15 +490,18 @@ def test_members_validate_what_they_conjugate(lamplighter, monkeypatch):
     conjugated = []
     law = G._conjugate
     monkeypatch.setattr(G, "_conjugate", lambda x, y: conjugated.append(y) or law(x, y))
-    assert InfiniteFamilyCertificate(G, g, "probe", True, point=0).take(1) and conjugated
+    assert InfiniteFamilyCertificate(G, g, "value-conjugation", point=0).take(1) and conjugated
     conjugated.clear()
+    # a kind the table does not know has no key to stream by
+    with pytest.raises(PreconditionError, match="^unknown family kind 'probe'$"):
+        InfiniteFamilyCertificate(G, g, "probe", point=0).take(1)
     for base, seed, point in (
         (stored_identity, None, None),
         (g, stored_identity, None),
         (g, None, "0"),
         (g, None, 1.5),
     ):
-        fam = InfiniteFamilyCertificate(G, base, "probe", True, point=point, seed_conjugator=seed)
+        fam = InfiniteFamilyCertificate(G, base, "value-conjugation", point, seed)
         with pytest.raises(KindMismatch):
             fam.take(5)
     assert conjugated == []
@@ -514,17 +515,58 @@ DEDUP_KEYS = {
     "value-conjugation": lambda fam, c: fam.group._map_value(c.phi, fam.point),
 }
 
-# (group, element literal, family kind, point) for each kind of family;
-# the dispatcher picks the family
+# (group, element literal, family kind, point, tamperings) for each kind
+# of family; the dispatcher picks the family.  Each tampering changes one
+# field of the certificate, (field, value) with the seed as an element
+# literal, so that the premise of its (new) kind fails
 FAMILY_CASES = [
-    ("z2-wr-free2", "{}@a", "q-translation", None),
-    ("z2-wr-free2", "{1:1}@a*b", "q-translation", None),
-    ("lamplighter", "{0:1, 3:1}@0", "lambda-translation", None),
-    ("lamplighter", "{}@2", "lambda-translation", None),
-    ("f2-wr-z2", "{0:a*b}@1", "g_d", 0),
-    ("f2-wr-z2", "{0:a, 1:b}@0", "value-conjugation", 0),
-    ("mixed-union-icc-base", "{(1; 2):b}@1", "g_d", (0, 0)),
-    ("mixed-union-icc-base", "{(0; 0):a, (1; 1):b}@0", "value-conjugation", (0, 0)),
+    ("z2-wr-free2", "{}@a", "q-translation", None, (
+        ("family_kind", "lambda-translation"),  # phi = eps
+        ("point", ()),
+        ("family_kind", "probe"),
+    )),
+    ("z2-wr-free2", "{1:1}@a*b", "q-translation", None, (
+        ("seed_conjugator", "{}@b"),
+        ("family_kind", "value-conjugation"),  # q != 1
+    )),
+    ("lamplighter", "{0:1, 3:1}@0", "lambda-translation", None, (
+        ("point", 0),
+        ("family_kind", "g_d"),  # D is finite
+        ("family_kind", "q-translation"),  # q = 0 lies in FC(Z)
+    )),
+    ("lamplighter", "{}@2", "lambda-translation", None, (
+        ("seed_conjugator", "{}@0"),  # a seed that leaves phi empty
+        ("seed_conjugator", None),
+        ("family_kind", "probe"),
+    )),
+    ("f2-wr-z2", "{0:a*b}@1", "g_d", 0, (
+        ("seed_conjugator", "{0:a}@0"),
+        ("family_kind", "value-conjugation"),  # q != 1
+        ("point", None),
+    )),
+    ("f2-wr-z2", "{0:a, 1:b}@0", "value-conjugation", 0, (
+        ("family_kind", "g_d"),  # q = 1 fixes the point
+        ("seed_conjugator", "{0:a}@0"),
+        ("family_kind", "lambda-translation"),  # a point given
+    )),
+    ("mixed-union-icc-base", "{(1; 2):b}@1", "g_d", (0, 0), (
+        ("family_kind", "probe"),
+        ("family_kind", "q-translation"),  # q = 1 lies in FC(Z)
+    )),
+    ("mixed-union-icc-base", "{(0; 0):a, (1; 1):b}@0", "value-conjugation", (0, 0), (
+        ("point", (1, 2)),  # outside supp phi
+        ("point", (0, 5)),  # outside supp phi, in the infinite orbit
+    )),
+    ("mixed-union-icc-base", "{(1; 2):b}@3", "g_d", (0, 0), (
+        ("point", (1, 0)),  # 3 fixes the int-mod 3 part
+    )),
+]
+# the dispatcher's inputs and outputs, without the tamperings
+FAMILY_OUTPUTS = [case[:4] for case in FAMILY_CASES]
+TAMPERED = [
+    pytest.param(*case[:3], field, value, id=f"{case[0]}-{case[1]}-{field}={value}")
+    for case in FAMILY_CASES
+    for field, value in case[4]
 ]
 
 
@@ -557,7 +599,7 @@ def _documented_prefix(fam, count):
                 return prefix, drawn
 
 
-@pytest.mark.parametrize("name, literal, kind, point", FAMILY_CASES)
+@pytest.mark.parametrize("name, literal, kind, point", FAMILY_OUTPUTS)
 def test_members_are_the_documented_conjugators(name, literal, kind, point):
     G = _family_group(name)
     g = G.parse_element(literal)
@@ -574,7 +616,7 @@ def test_members_are_the_documented_conjugators(name, literal, kind, point):
     assert (drawn > 60) == (kind not in ("g_d", "lambda-translation"))
 
 
-@pytest.mark.parametrize("name, literal, kind, point", FAMILY_CASES)
+@pytest.mark.parametrize("name, literal, kind, point", FAMILY_OUTPUTS)
 def test_members_validate_once_per_call(name, literal, kind, point, monkeypatch):
     # `members` validates the base, then the seed, then the point, once per
     # call, and trusts the conjugators it builds from the group's balls
@@ -592,18 +634,71 @@ def test_members_validate_once_per_call(name, literal, kind, point, monkeypatch)
         points.clear()
 
 
+@pytest.mark.parametrize("name, literal, kind, field, value", TAMPERED)
+def test_tampered_certificates_fail_on_the_premise(name, literal, kind, field, value):
+    # the dispatcher's certificate verifies; with one field changed, the
+    # premise of its kind fails, in the builder and in the verifier alike,
+    # although the conjugates may well stay distinct
+    G = _family_group(name)
+    fam = witness(G, decide_icc(G), G.parse_element(literal))
+    assert fam.family_kind == kind and verify_infinite_certificate(G, fam, N=20)
+    if field == "seed_conjugator" and value is not None:
+        value = G.parse_element(value)
+    data = {"family_kind": kind, "point": fam.point, "seed_conjugator": fam.seed_conjugator}
+    data[field] = value
+    bad = InfiniteFamilyCertificate(G, fam.base, **data)
+    named = f"premise: {bad.family_kind}: "
+    res = verify_infinite_certificate(G, bad, N=20)
+    assert not res and res.reason.startswith(named), res.reason
+    with pytest.raises(PreconditionError, match=f"^{re.escape(named)}"):
+        build_family(G, bad.base, bad.family_kind, bad.point, bad.seed_conjugator)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_roadmap_probe_finite_class_on_z2_wr_s3(z2_wr_s3, n):
+    # {}@[1,0,2] has a class of 3 in a finite group, so a q-translation of
+    # it has a distinct prefix of 2 or 3 members, but its premise fails
+    G = z2_wr_s3
+    cert = InfiniteFamilyCertificate(G, G.parse_element("{}@[1,0,2]"), "q-translation")
+    assert len({c for _, c in cert.take(n)}) == n
+    res = verify_infinite_certificate(G, cert, N=n)
+    assert not res and res.reason == "premise: q-translation: q lies in FC(Q)"
+
+
+def test_roadmap_probe_transposition_in_s20():
+    # the class of a transposition of S20 has 190 members, more than the
+    # 100 that `wricc verify` checks, and the instance is not icc
+    G = parse_instance("{D: cyclic 2; Q: symmetric 20; omega: trivial 1}").group
+    g = G.parse_element("{}@[1,0," + ",".join(map(str, range(2, 20))) + "]")
+    assert decide_icc(G).answer is Tri.NO
+    cert = InfiniteFamilyCertificate(G, g, "q-translation")
+    res = verify_infinite_certificate(G, cert, N=100)
+    assert not res and res.reason == "premise: q-translation: q lies in FC(Q)"
+
+
+def test_certificate_over_another_group_fails():
+    # a q-translation built over the regular carrier of F2, checked against
+    # the trivial one: another group, however alike their elements
+    G = parse_instance("{D: cyclic 2; Q: free 2; omega: regular}").group
+    H = parse_instance("{D: cyclic 2; Q: free 2; omega: trivial 1}").group
+    fam = witness(G, decide_icc(G), G.parse_element("{}@a"))
+    assert verify_infinite_certificate(G, fam, N=20)
+    res = verify_infinite_certificate(H, fam, N=20)
+    assert not res and res.reason == "certificate is over another group"
+
+
 def test_verifier_validates_once_and_recomputes_by_products(f2_wr_z2, monkeypatch):
     # the base is validated once per certificate and each conjugator once
     # per member; no conjugate is recomputed with `_conjugate`
     G = f2_wr_z2
     g = WreathElement(G.zeta((1,), 1), 1)
-    prefix = family_gd(G, g, 0).take(30)
+    prefix = build_family(G, g, "g_d", 0).take(30)
 
     class Recorded(InfiniteFamilyCertificate):
-        def members(self, count, search_budget=20000):
+        def members(self, count):
             yield from prefix[:count]
 
-    cert = Recorded(G, g, "g_d", dedup=False, point=0)
+    cert = Recorded(G, g, "g_d", point=0)
     validated = []
     check = G.validate
     monkeypatch.setattr(G, "validate", lambda x: validated.append(x) or check(x))
@@ -628,17 +723,17 @@ def test_non_canonical_recorded_conjugate_fails(f2_wr_z2):
     # two forms; h * conj == base * h would re-sort conj and accept it
     G = f2_wr_z2
     g = WreathElement(G.zeta((1,), 1), 1)
-    prefix = family_gd(G, g, 0).take(10)
+    prefix = build_family(G, g, "g_d", 0).take(10)
     h, conj = prefix[3]
     assert len(conj.phi) == 2
     unsorted = WreathElement(conj.phi[::-1], conj.q)
     assert G._multiply(h, unsorted) == G._multiply(g, h)
 
     class Forged(InfiniteFamilyCertificate):
-        def members(self, count, search_budget=20000):
+        def members(self, count):
             yield from prefix[:3] + [(h, unsorted)] + prefix[4:count]
 
-    res = verify_infinite_certificate(G, Forged(G, g, "g_d", dedup=False, point=0), N=10)
+    res = verify_infinite_certificate(G, Forged(G, g, "g_d", point=0), N=10)
     assert not res and res.reason == "recorded conjugate does not match recomputation"
     assert res.counterexample == (h, unsorted, conj)
 
