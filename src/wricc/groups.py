@@ -17,6 +17,8 @@ closure is summed up by one `ClassReport`.
 
 Public arithmetic (`multiply`, `inverse`, `conjugate`) validates each
 operand once; `_multiply`, `_inverse` and `_conjugate` trust theirs.
+`ball_stream` validates each element once, as its BFS builds it, and its
+callers trust what it yields.
 """
 
 from __future__ import annotations
@@ -282,23 +284,33 @@ class Group(ABC):
         cap it carries on without keeping.  The BFS order is
         deterministic, so every stream yields the same sequence.  Once the
         closure has closed within the cap, the prefix is the whole group
-        and later streams run no BFS."""
+        and later streams run no BFS.
+
+        Each element beyond the prefix kept when the stream started is
+        validated as the BFS builds it, before it is yielded or kept, so
+        later streams yield a kept element with no check.  Past the cap
+        nothing is kept, and every stream that yields an element there
+        validates it.  So the callers trust what a stream yields, as they
+        trust the arithmetic."""
         ball, closed = self._ball, self._ball_closed
         yield from ball
         if closed:
             return
-        e = self.identity()
+        e, validate = self.identity(), self.validate
         bfs = Closure(e, self.generators, self._inverse, self._multiply, self.sort_key)
         sequence = itertools.chain([e], itertools.chain.from_iterable(bfs))
         more = []
         try:
             for x in itertools.islice(sequence, len(ball), _BALL_MEMO_CAP):
+                validate(x)
                 more.append(x)
                 yield x
             if len(ball) + len(more) < _BALL_MEMO_CAP:
                 self._ball_closed = True
             else:
-                yield from sequence
+                for x in sequence:
+                    validate(x)
+                    yield x
         finally:
             if len(ball) + len(more) > len(self._ball):
                 self._ball = ball + tuple(more)

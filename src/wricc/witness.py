@@ -7,12 +7,19 @@ is data, the orbit O and the value set xi, with a membership test; it is
 checked by the two premises of its invariance lemma (see `OrbitMaps`),
 without listing its (|xi|+1)^|O| - 1 members.  Icc verdicts get an
 infinite family of conjugators with pairwise distinct conjugates, as
-data: a kind, a base, a point and a seed.  The kind fixes the premise
-that makes the family infinite (its distinctness lemma's hypothesis),
-the key that tells its conjugates apart and, for g_d, a closed form.
-The builder refuses a family whose premise fails, and the verifier
-rejects it before it recomputes a prefix from products.  The dispatcher
-mirrors the case analysis of the criterion's proof.
+data: a kind, a base, a point and a seed.  The kind fixes whether the
+family takes a point and a seed, the premise that makes it infinite (its
+distinctness lemma's hypothesis), the key that tells its conjugates
+apart and, for g_d, a closed form.  The builder refuses a family whose
+premise fails, and the verifier rejects it before it recomputes a prefix
+from products.  The dispatcher mirrors the case analysis of the
+criterion's proof.
+
+A conjugator is validated where it is built: its ball element by
+`Group.ball_stream`, once per handle; a seeded conjugator by `members`,
+once per member.  The verifier trusts `members` for validity, as it
+trusts the group's arithmetic, and checks every conjugate it yields
+against products.
 """
 
 from __future__ import annotations
@@ -166,8 +173,12 @@ class InfiniteFamilyCertificate:
     def members(self, count: int):
         """Yield up to `count` pairs (conjugator, conjugate), skipping a
         conjugate whose key an earlier one has.  The base, the seed and the
-        point are validated once per call; the conjugators are built from
-        them and the group's own ball elements, so they are trusted."""
+        point are validated once per call, and a point or seed that the
+        kind does not take is refused, before anything is drawn.  Every
+        conjugator yielded is valid: an unseeded one, (eps, q) or
+        (zeta(d, y), 1), is built from a ball element that
+        `Group.ball_stream` validated, the point and Q's identity; a
+        seeded one, s * h, is validated as it is built."""
         if count < 1:
             raise PreconditionError("a certificate prefix needs at least 1 member")
         kind = self.family_kind
@@ -178,33 +189,39 @@ class InfiniteFamilyCertificate:
         G.validate(g)
         if seed is not None:
             G.validate(seed)
-        # each inner conjugator is built in C, as the wreath kernels build
+        if y is not None:
+            G.omega.validate_point(y)
+        shape = _shape_failure(kind, y, seed)
+        if shape is not None:
+            raise PreconditionError(f"{kind}: {shape}")
+        # each conjugator is built in C, as the wreath kernels build
         new = tuple.__new__
         if y is None:
-            inners = (new(WreathElement, ((), q)) for q in G.Q.ball_stream())
+            hs = (new(WreathElement, ((), q)) for q in G.Q.ball_stream())
         else:
-            G.omega.validate_point(y)
             one, zeta = G.Q.identity(), G._zeta
-            inners = (new(WreathElement, (zeta(d, y), one)) for d in G.D.ball_stream())
+            hs = (new(WreathElement, (zeta(d, y), one)) for d in G.D.ball_stream())
+        if seed is not None:
+            hs = _validated_products(G, seed, hs)
         key = key_of(G, y) if key_of else None
         formula = formula_of(G, g, y) if formula_of else None
-        multiply, conjugate = G._multiply, G._conjugate
+        conjugate = G._conjugate
+        # one hash per conjugate: a key is fresh iff adding it grows the set
         seen = set()
+        add = seen.add
         emitted = skipped = 0
-        for inner in inners:
-            h = multiply(seed, inner) if seed is not None else inner
+        for h in hs:
             conj = conjugate(g, h)
-            if formula is not None and formula(inner) != conj:
+            if formula is not None and formula(h) != conj:
                 raise WriccError(f"{kind}: closed form disagrees with conjugation")
-            k = key(conj) if key is not None else conj
-            if k in seen:
+            add(key(conj) if key is not None else conj)
+            if len(seen) == emitted:
                 if key is None:
                     raise WriccError(f"{kind}: unexpected duplicate conjugate")
                 skipped += 1
                 if skipped > _SEARCH_BUDGET:
                     raise CertificateBudget(f"{kind}: no fresh conjugate in {_SEARCH_BUDGET} draws")
                 continue
-            seen.add(k)
             skipped = 0
             yield (h, conj)
             emitted += 1
@@ -214,6 +231,15 @@ class InfiniteFamilyCertificate:
 
     def take(self, count: int):
         return list(self.members(count))
+
+
+def _validated_products(G: WreathProduct, s: WreathElement, hs):
+    """s * h for each h of `hs`, each validated as it is built."""
+    multiply, validate = G._multiply, G.validate
+    for h in hs:
+        sh = multiply(s, h)
+        validate(sh)
+        yield sh
 
 
 # ---------------------------------------------------------------------------
@@ -293,21 +319,17 @@ def cert_finite_orbit(G: WreathProduct, xi=None, orbit=None) -> FiniteClassCerti
 
 
 def _q_translation(G: WreathProduct, g: WreathElement, y, seed) -> str | None:
-    """Conjugators (eps, q_n).  Premise: q is not in FC(Q); no point, no
-    seed.  Lemma: the acting part of the conjugate, q_n^-1 q q_n, runs
-    through q's class in Q, which the premise makes infinite."""
-    if y is not None or seed is not None:
-        return "takes no point and no seed"
+    """Conjugators (eps, q_n).  Premise: q is not in FC(Q).  Lemma: the
+    acting part of the conjugate, q_n^-1 q q_n, runs through q's class in
+    Q, which the premise makes infinite."""
     return "q lies in FC(Q)" if G.Q.fc_contains(g.q) else None
 
 
 def _lambda_translation(G: WreathProduct, g: WreathElement, y, seed) -> str | None:
     """Conjugators s * (eps, q_n), s the seed if any.  Premise: s^-1 g s
-    has phi != eps and a support point in an infinite orbit; no point.
-    Lemma: the conjugates' supports are the translates of that finite
-    support, infinitely many when it meets an infinite orbit."""
-    if y is not None:
-        return "takes no point"
+    has phi != eps and a support point in an infinite orbit.  Lemma: the
+    conjugates' supports are the translates of that finite support,
+    infinitely many when it meets an infinite orbit."""
     if seed is not None:
         G.validate(seed)
         g = G._conjugate(g, seed)
@@ -319,29 +341,25 @@ def _lambda_translation(G: WreathProduct, g: WreathElement, y, seed) -> str | No
 
 
 def _gd(G: WreathProduct, g: WreathElement, y, seed) -> str | None:
-    """Conjugators (zeta(d, y), 1).  Premise: D is infinite and q moves y;
-    no seed.  Lemma: the conjugate is phi with d^-1 phi(y) at y and
-    phi(q.y) d at q.y != y, so each of D's infinitely many d gives a new
-    conjugate, and a repeat is a fault."""
-    if seed is not None:
-        return "takes no seed"
-    if y is None:
-        return "needs a point"
+    """Conjugators (zeta(d, y), 1).  Premise: D is infinite and q moves y.
+    Lemma: the conjugate is phi with d^-1 phi(y) at y and phi(q.y) d at
+    q.y != y, so each of D's infinitely many d gives a new conjugate, and
+    a repeat is a fault."""
     if G.D.is_finite:
         return "D is finite"
     return "q fixes the point" if G.omega.act(g.q, y) == y else None
 
 
 def _gd_formula(G: WreathProduct, g: WreathElement, y):
-    """The g_d lemma's member for the inner conjugator (zeta(d, y), 1), on
-    D's unchecked arithmetic: `members` validated g and y and draws d from
+    """The g_d lemma's member for the conjugator (zeta(d, y), 1), on D's
+    unchecked arithmetic: `members` validated g and y and draws d from
     D's ball.  Dropping identities and one sort make the map canonical."""
     D, phi, q = G.D, g.phi, g.q
     c, qy, e = G._map_value(phi, y), G.omega._act(q, y), D.identity()
     dmul, dinv, item_key, new = D._multiply, D._inverse, G._item_key, tuple.__new__
 
-    def formula(inner: WreathElement) -> WreathElement:
-        d = inner.phi[0][1] if inner.phi else e
+    def formula(h: WreathElement) -> WreathElement:
+        d = h.phi[0][1] if h.phi else e
         acc = dict(phi)
         acc[y] = dmul(dinv(d), c)
         acc[qy] = dmul(acc[qy], d) if qy in acc else d
@@ -354,10 +372,8 @@ def _gd_formula(G: WreathProduct, g: WreathElement, y):
 
 def _value_conjugation(G: WreathProduct, g: WreathElement, y, seed) -> str | None:
     """Conjugators (zeta(d, y), 1).  Premise: D is icc, q = 1 and y is in
-    supp phi; no seed.  Lemma: the conjugate changes only the value at y,
-    to d^-1 phi(y) d, which runs through the infinite class of phi(y)."""
-    if seed is not None:
-        return "takes no seed"
+    supp phi.  Lemma: the conjugate changes only the value at y, to
+    d^-1 phi(y) d, which runs through the infinite class of phi(y)."""
     if g.q != G.Q.identity():
         return "q != 1"
     if y not in support(g.phi):
@@ -368,9 +384,10 @@ def _value_conjugation(G: WreathProduct, g: WreathElement, y, seed) -> str | Non
 
 
 # kind -> (premise, key, closed form).  A premise reads a validated base g,
-# the point y and the seed, and returns the reason it fails on G, or None;
-# its docstring states the lemma.  key(G, y) tells conjugates apart (None:
-# a repeat is a fault), and formula(G, g, y) checks each member (g_d only).
+# a point y and a seed of the kind's shape (`_SHAPES`), and returns the
+# reason it fails on G, or None; its docstring states the lemma.  key(G, y)
+# tells conjugates apart (None: a repeat is a fault), and formula(G, g, y)
+# checks each member (g_d only).
 _FAMILIES = {
     "q-translation": (_q_translation, lambda G, y: itemgetter(1), None),
     "lambda-translation": (_lambda_translation, lambda G, y: lambda c: support(c.phi), None),
@@ -378,13 +395,38 @@ _FAMILIES = {
     "value-conjugation": (_value_conjugation, lambda G, y: lambda c: G._map_value(c.phi, y), None),
 }
 
+# kind -> (needs a point, may take a seed); a kind that needs no point
+# takes none
+_SHAPES = {
+    "q-translation": (False, False),
+    "lambda-translation": (False, True),
+    "g_d": (True, False),
+    "value-conjugation": (True, False),
+}
+
+
+def _shape_failure(kind: str, y, seed) -> str | None:
+    """Why a point or seed does not fit the kind, or None: a kind that
+    takes neither refuses both at once; otherwise a seed it does not take
+    comes first, then a missing or an extra point."""
+    point, seeded = _SHAPES[kind]
+    if not point and not seeded:
+        return None if y is None and seed is None else "takes no point and no seed"
+    if seed is not None and not seeded:
+        return "takes no seed"
+    if (y is None) == point:
+        return "needs a point" if point else "takes no point"
+    return None
+
 
 def _premise_failure(G: WreathProduct, cert: InfiniteFamilyCertificate) -> str | None:
-    """`premise: <kind>: <reason>` when the certificate's premise fails on G."""
+    """`premise: <kind>: <reason>` when the certificate's shape or premise
+    fails on G."""
     kind = cert.family_kind
     if kind not in _FAMILIES:
         return f"premise: {kind}: unknown family kind"
-    reason = _FAMILIES[kind][0](G, cert.base, cert.point, cert.seed_conjugator)
+    y, seed = cert.point, cert.seed_conjugator
+    reason = _shape_failure(kind, y, seed) or _FAMILIES[kind][0](G, cert.base, y, seed)
     return None if reason is None else f"premise: {kind}: {reason}"
 
 
@@ -556,14 +598,16 @@ def verify_infinite_certificate(
     consistent with their recorded conjugators.  A false premise fails,
     named, however distinct the prefix.
 
-    The base is validated once and each conjugator once.  Each conjugate
-    is recomputed from the product definition h^-1 * base * h, not with
-    `_conjugate`, which `members` used: so every member also checks the
-    conjugation law against products.  The recorded conjugate is compared
-    with that canonical recomputation as stored.  The inverse-free test
-    h * conj == base * h would not do: the product canonicalises conj, so
-    it accepts conj with its map unsorted, and the distinctness test could
-    then count one element twice."""
+    The base is validated once.  The conjugators are not validated again:
+    the verifier trusts `members` for their validity (the ball stream and
+    `members` validate them as they are built), as it trusts the group's
+    arithmetic.  Each conjugate is recomputed from the product definition
+    h^-1 * base * h, not with `_conjugate`, which `members` used: so every
+    member also checks the conjugation law against products.  The
+    recorded conjugate is compared with that canonical recomputation as
+    stored.  The inverse-free test h * conj == base * h would not do: the
+    product canonicalises conj, so it accepts conj with its map unsorted,
+    and the distinctness test could then count one element twice."""
     if N < 2:
         raise PreconditionError("N must be at least 2")
     if cert.group != G:
@@ -579,18 +623,16 @@ def verify_infinite_certificate(
     if len(prefix) < N:
         return VerificationResult(False, f"stream exhausted after {len(prefix)} members")
     base = cert.base
-    mul = G._multiply
+    mul, inv = G._multiply, G._inverse
+    # one hash per conjugate: it is fresh iff setdefault grows the dict
     seen = {}
-    for h, conj in prefix:
-        G.validate(h)
-        again = mul(mul(G._inverse(h), base), h)
+    for i, (h, conj) in enumerate(prefix):
+        again = mul(mul(inv(h), base), h)
         if again != conj:
             return VerificationResult(
                 False, "recorded conjugate does not match recomputation", (h, conj, again)
             )
-        if conj in seen:
-            return VerificationResult(
-                False, "duplicate conjugate in the prefix", (seen[conj], h, conj)
-            )
-        seen[conj] = h
+        first = seen.setdefault(conj, h)
+        if len(seen) == i:
+            return VerificationResult(False, "duplicate conjugate in the prefix", (first, h, conj))
     return VerificationResult(True)

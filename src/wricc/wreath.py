@@ -110,16 +110,6 @@ class WreathProduct(Group):
         """`zeta` for a value and a point already validated."""
         return () if d == self._e else ((y, d),)
 
-    def _pointwise_mul(self, f: tuple, g: tuple) -> tuple:
-        """(fg)(x) = f(x) g(x) for maps the group built; at shared keys the
-        left factor's value is multiplied by the right factor's (D may be
-        nonabelian)."""
-        acc = {y: d for y, d in f}
-        mul = self.D._multiply
-        for y, d in g:
-            acc[y] = mul(acc[y], d) if y in acc else d
-        return self._canon(acc.items())
-
     def _map_value(self, f: tuple, y):
         """f(y) for a map the group built."""
         for p, d in f:

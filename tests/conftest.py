@@ -94,6 +94,18 @@ def lambda_translate(G, q, f):
     return moved.phi
 
 
+def pointwise_mul(G, f, g):
+    """(fg)(x) = f(x) g(x) for two maps of the wreath product G, by a dict
+    merge and `_canon`, independently of the kernels: at a shared point the
+    left factor's value is multiplied by the right factor's (D may be
+    nonabelian)."""
+    acc = dict(f)
+    mul = G.D._multiply
+    for y, d in g:
+        acc[y] = mul(acc[y], d) if y in acc else d
+    return G._canon(acc.items())
+
+
 def predicted_invariant_sets(G):
     """For a finite wreath product: finite conjugation-invariant sets that
     jointly cover every nontrivial conjugacy class.

@@ -25,6 +25,7 @@ from conftest import (
     CORPUS,
     lambda_translate,
     load_instance,
+    pointwise_mul,
     predicted_invariant_sets,
     record_acceptance,
     word_ball,
@@ -98,11 +99,11 @@ def test_criterion_2_formula_fidelity():
             dinv = G.D.inverse(d)
             c = G._map_value(phi, y)
             if c == G.D.identity():
-                head = G._pointwise_mul(phi, G.zeta(dinv, y))
+                head = pointwise_mul(G, phi, G.zeta(dinv, y))
             else:
                 phi0 = tuple(item for item in phi if item[0] != y)
-                head = G._pointwise_mul(phi0, G.zeta(G.D.multiply(dinv, c), y))
-            closed = WreathElement(G._pointwise_mul(head, G.zeta(d, qy)), q)
+                head = pointwise_mul(G, phi0, G.zeta(G.D.multiply(dinv, c), y))
+            closed = WreathElement(pointwise_mul(G, head, G.zeta(d, qy)), q)
             direct = G.conjugate(g, WreathElement(G.zeta(d, y), one))
             if closed != direct:
                 mismatches += 1

@@ -437,6 +437,39 @@ def test_restreamed_prefix_multiplies_nothing(G):
         assert calls
 
 
+def record_validations(H):
+    """Make the handle H list each element it validates; return the list."""
+    validated = []
+    check = H.validate
+    H.validate = lambda x: validated.append(x) or check(x)
+    return validated
+
+
+@pytest.mark.parametrize("G", BALL_GROUPS, ids=lambda g: g.kind)
+def test_stream_validates_each_element_once_as_it_is_built(G):
+    # the first stream validates each element it builds, once and in
+    # stream order; a later stream within the kept prefix validates nothing
+    H = unstreamed(G)
+    validated = record_validations(H)
+    expect = bfs_prefix(G, 200)
+    assert list(itertools.islice(H.ball_stream(), 200)) == expect
+    assert validated == expect
+    validated.clear()
+    assert list(itertools.islice(H.ball_stream(), 200)) == expect
+    assert validated == []
+
+
+def test_stream_refuses_an_element_that_fails_validation():
+    # a product that leaves a cancelling pair in the word builds an
+    # invalid element, which the stream refuses before yielding or keeping
+    H = unstreamed(F2)
+    H._multiply = lambda u, v: u + (1, -1) + v
+    for _ in range(2):
+        with pytest.raises(KindMismatch, match="not freely reduced"):
+            list(itertools.islice(H.ball_stream(), 5))
+        assert H._ball == ((),)
+
+
 FINITE_GROUPS = [
     CyclicGroup(1),
     Z3,
@@ -548,3 +581,21 @@ def test_ball_memo_keeps_at_most_the_cap(G, monkeypatch):
     if H.is_finite:
         assert list(H.ball_stream()) == expect
         assert H._ball_closed is (H.order() < 50)
+
+
+@pytest.mark.parametrize(
+    "G",
+    [F2, SymmetricGroup(5), load_instance("lamplighter").group, load_instance("z2-wr-s3").group],
+    ids=lambda g: g.describe(),
+)
+def test_elements_past_the_memo_cap_are_validated_on_every_stream(G, monkeypatch):
+    # with a cap of 50 a kept element is validated once; one past the cap
+    # is not kept, so every stream that yields it validates it again
+    monkeypatch.setattr(groups, "_BALL_MEMO_CAP", 50)
+    H = unstreamed(G)
+    validated = record_validations(H)
+    expect = bfs_prefix(G, 130)
+    for built in (expect, expect[50:], expect[50:]):
+        assert list(itertools.islice(H.ball_stream(), 130)) == expect
+        assert validated == built
+        validated.clear()

@@ -507,6 +507,53 @@ def test_members_validate_what_they_conjugate(lamplighter, monkeypatch):
     assert conjugated == []
 
 
+# for each kind, a point or seed it does not take: (kind, point, seed
+# literal, reason)
+SHAPE_MISFITS = [
+    ("q-translation", 0, None, "takes no point and no seed"),
+    ("q-translation", None, "{}@1", "takes no point and no seed"),
+    ("lambda-translation", 0, None, "takes no point"),
+    ("g_d", None, None, "needs a point"),
+    ("g_d", 0, "{}@1", "takes no seed"),
+    ("value-conjugation", None, None, "needs a point"),
+    ("value-conjugation", 0, "{}@1", "takes no seed"),
+]
+
+
+@pytest.mark.parametrize("kind, point, seed, reason", SHAPE_MISFITS)
+def test_members_refuse_a_point_or_seed_the_kind_does_not_take(
+    f2_wr_z2, monkeypatch, kind, point, seed, reason
+):
+    # `members` refuses the shape, naming the kind, before it draws
+    # anything; the premise gives the same reason
+    G = f2_wr_z2
+    g = G.parse_element("{0:a*b}@1")
+    seed = None if seed is None else G.parse_element(seed)
+
+    def no_stream():
+        raise AssertionError("nothing may be drawn")
+
+    monkeypatch.setattr(G.D, "ball_stream", no_stream)
+    monkeypatch.setattr(G.Q, "ball_stream", no_stream)
+    cert = InfiniteFamilyCertificate(G, g, kind, point, seed)
+    with pytest.raises(PreconditionError, match=f"^{re.escape(kind)}: {reason}$"):
+        cert.take(3)
+    res = verify_infinite_certificate(G, cert, N=3)
+    assert not res and res.reason == f"premise: {kind}: {reason}"
+
+
+def test_a_ball_element_that_fails_validation_fails_the_stream(f2_wr_z2, monkeypatch):
+    # D's product, replaced after the wreath product bound its own, leaves
+    # a cancelling pair in each word it builds: D's ball stream refuses the
+    # first such element, and the verifier reports the failed stream
+    G = f2_wr_z2
+    fam = build_family(G, G.parse_element("{0:a, 1:b}@0"), "value-conjugation", 0)
+    monkeypatch.setattr(G.D, "_multiply", lambda u, v: u + (1, -1) + v)
+    res = verify_infinite_certificate(G, fam, N=20)
+    assert not res and res.reason.startswith("stream failed: "), res.reason
+    assert "not freely reduced" in res.reason
+
+
 # family kind -> the key its conjugates are deduplicated on (g_d: none)
 DEDUP_KEYS = {
     "q-translation": lambda fam, c: c.q,
@@ -527,7 +574,7 @@ FAMILY_CASES = [
     )),
     ("z2-wr-free2", "{1:1}@a*b", "q-translation", None, (
         ("seed_conjugator", "{}@b"),
-        ("family_kind", "value-conjugation"),  # q != 1
+        ("family_kind", "value-conjugation"),  # no point
     )),
     ("lamplighter", "{0:1, 3:1}@0", "lambda-translation", None, (
         ("point", 0),
@@ -619,16 +666,19 @@ def test_members_are_the_documented_conjugators(name, literal, kind, point):
 @pytest.mark.parametrize("name, literal, kind, point", FAMILY_OUTPUTS)
 def test_members_validate_once_per_call(name, literal, kind, point, monkeypatch):
     # `members` validates the base, then the seed, then the point, once per
-    # call, and trusts the conjugators it builds from the group's balls
+    # call; it trusts the conjugators it builds from the ball elements,
+    # which the ball stream validated, and validates each seeded product
+    # once as it builds it (these seeded families skip no conjugator)
     G = _family_group(name)
     fam = witness(G, decide_icc(G), G.parse_element(literal))
     validated, points = [], []
     monkeypatch.setattr(G, "validate", validated.append)
     monkeypatch.setattr(G.omega, "validate_point", points.append)
     for count in (1, 40):
-        fam.take(count)
+        taken = fam.take(count)
         seed = [] if fam.seed_conjugator is None else [fam.seed_conjugator]
-        assert validated == [fam.base] + seed
+        products = [h for h, _ in taken] if seed else []
+        assert validated == [fam.base] + seed + products
         assert points == ([] if point is None else [point])
         validated.clear()
         points.clear()
@@ -688,8 +738,8 @@ def test_certificate_over_another_group_fails():
 
 
 def test_verifier_validates_once_and_recomputes_by_products(f2_wr_z2, monkeypatch):
-    # the base is validated once per certificate and each conjugator once
-    # per member; no conjugate is recomputed with `_conjugate`
+    # the verifier validates the base only: it trusts `members` for the
+    # conjugators; no conjugate is recomputed with `_conjugate`
     G = f2_wr_z2
     g = WreathElement(G.zeta((1,), 1), 1)
     prefix = build_family(G, g, "g_d", 0).take(30)
@@ -712,7 +762,7 @@ def test_verifier_validates_once_and_recomputes_by_products(f2_wr_z2, monkeypatc
         op = getattr(G, name)
         monkeypatch.setattr(G, name, lambda *xs, name=name, op=op: calls.append(name) or op(*xs))
     assert verify_infinite_certificate(G, cert, N=30)
-    assert validated == [g] + [h for h, _ in prefix]
+    assert validated == [g]
     # each member costs h^-1, then two products
     assert calls.count("_multiply") == 2 * 30 and calls.count("_inverse") == 30
 
