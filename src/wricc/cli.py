@@ -111,15 +111,13 @@ def cmd_decide(args) -> int:
 def cmd_witness(args) -> int:
     spec = _load(args.instance)
     G = spec.group
+    # parsed whatever the verdict, so a malformed literal is always refused
+    g = G.parse_element(args.element) if args.element else None
     v = decide_icc(G)
     if v.answer is Tri.UNKNOWN:
         return _emit_unknown("witness", spec, v, args.json)
-    g = None
-    if v.answer is Tri.YES:
-        if args.element:
-            g = G.parse_element(args.element)
-        else:
-            g = G.first_nontrivial()
+    if v.answer is Tri.YES and g is None:
+        g = G.first_nontrivial()
     cert = witness(G, v, g)
     record = {
         "command": "witness",

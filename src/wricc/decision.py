@@ -56,17 +56,17 @@ def decide_icc(G: WreathProduct) -> IccVerdict:
 
 def decide_icc_free(G: WreathProduct) -> IccVerdict:
     """The free-action special case: icc iff the base is icc or Q is
-    infinite.  Must agree with decide_icc on every free-action instance."""
+    infinite.  Freeness gives (i), as only 1 fixes a point, and (iii), as
+    each orbit is a copy of Q.  Must agree with decide_icc on every field."""
     _check_hypotheses(G)
     free = G.omega.is_free_action()
     if free is not Tri.YES:
         raise NotFreeAction(f"the action is not (known) free: {free}")
-    cond_i = tri_not(G.omega.kernel_meets_fc()[0])
     cond_ii = G.D.icc_status().answer
-    cond_iii = G.omega.all_orbits_infinite()
-    answer = tri_or(cond_ii, tri_of(not G.Q.is_finite))
+    cond_iii = tri_of(not G.Q.is_finite)
+    answer = tri_or(cond_ii, cond_iii)
     reason = (
         f"free action: icc iff base icc or Q infinite "
         f"[base icc={cond_ii}, Q infinite={not G.Q.is_finite}]"
     )
-    return IccVerdict(answer, cond_i, cond_ii, cond_iii, reason, corollary_used=True)
+    return IccVerdict(answer, Tri.YES, cond_ii, cond_iii, reason, corollary_used=True)

@@ -12,7 +12,8 @@ Group descriptors: ``integers``, ``cyclic N``, ``symmetric N``, ``free N``,
 ``product(G, G, ...)``, ``wreath(G; G; OMEGA)``.  Carrier descriptors:
 ``regular``, ``trivial N``, ``int-mod N``, ``natural``,
 ``union(OMEGA, OMEGA, ...)``.  Nested wreath groups are allowed in the D
-position only: a Q that holds one at any depth is refused.
+position only: a Q that holds one at any depth is refused.  Products,
+unions and wreaths nest at most `_MAX_NESTING` levels deep.
 """
 
 from __future__ import annotations
@@ -41,6 +42,12 @@ from .qsets import (
 from .wreath import WreathProduct
 
 
+# the most products, unions and wreaths a descriptor may sit inside (its
+# `depth`): the parser and the groups' own methods recurse once per level
+_MAX_NESTING = 32
+_TOO_DEEP = f"descriptors nest more than {_MAX_NESTING} levels deep"
+
+
 def _int_arg(name: str, args: str | None) -> int:
     if args is None:
         raise ParseError(f"{name}: missing numeric argument")
@@ -50,7 +57,9 @@ def _int_arg(name: str, args: str | None) -> int:
         raise ParseError(f"{name}: bad numeric argument {args!r}")
 
 
-def parse_group(text: str) -> Group:
+def parse_group(text: str, depth: int = 0) -> Group:
+    if depth > _MAX_NESTING:
+        raise ParseError(_TOO_DEEP)
     name, args = head_and_args(text)
     name = name.lower()
     if name == "integers":
@@ -64,18 +73,22 @@ def parse_group(text: str) -> Group:
     if name == "product":
         if not args:
             raise ParseError("product: missing factors")
-        return DirectProductGroup(tuple(parse_group(p) for p in split_top(args, ",")))
+        parts = split_top(args, ",")
+        return DirectProductGroup(tuple(parse_group(p, depth + 1) for p in parts))
     if name == "wreath":
         if not args:
             raise ParseError("wreath: missing arguments")
         parts = split_top(args, ";")
         if len(parts) != 3:
             raise ParseError("wreath descriptor needs three ';'-separated parts: D; Q; omega")
-        return build_wreath(parse_group(parts[0]), parse_group(parts[1]), parts[2])
+        D, Q = parse_group(parts[0], depth + 1), parse_group(parts[1], depth + 1)
+        return build_wreath(D, Q, parts[2], depth + 1)
     raise ParseError(f"unknown group kind {name!r}")
 
 
-def parse_omega(text: str, Q: Group) -> QSet:
+def parse_omega(text: str, Q: Group, depth: int = 0) -> QSet:
+    if depth > _MAX_NESTING:
+        raise ParseError(_TOO_DEEP)
     name, args = head_and_args(text)
     name = name.lower()
     if name == "regular":
@@ -89,16 +102,17 @@ def parse_omega(text: str, Q: Group) -> QSet:
     if name == "union":
         if not args:
             raise ParseError("union: missing parts")
-        return DisjointUnionQSet(tuple(parse_omega(p, Q) for p in split_top(args, ",")))
+        parts = split_top(args, ",")
+        return DisjointUnionQSet(tuple(parse_omega(p, Q, depth + 1) for p in parts))
     raise ParseError(f"unknown carrier kind {name!r}")
 
 
-def build_wreath(D: Group, Q: Group, omega_text: str) -> WreathProduct:
+def build_wreath(D: Group, Q: Group, omega_text: str, depth: int = 0) -> WreathProduct:
     if "wreath" in Q.kind:  # a product's kind holds its factors' kinds
         raise UnsupportedQKind("wreath products cannot act, even as factors (no FC rule)")
     if D.is_trivial:
         raise TrivialD("D must be nontrivial")
-    return WreathProduct(D, Q, parse_omega(omega_text, Q))
+    return WreathProduct(D, Q, parse_omega(omega_text, Q, depth))
 
 
 @dataclass

@@ -7,13 +7,14 @@ is data, the orbit O and the value set xi, with a membership test; it is
 checked by the two premises of its invariance lemma (see `OrbitMaps`),
 without listing its (|xi|+1)^|O| - 1 members.  Icc verdicts get an
 infinite family of conjugators with pairwise distinct conjugates, as
-data: a kind, a base, a point and a seed.  The kind fixes whether the
-family takes a point and a seed, the premise that makes it infinite (its
-distinctness lemma's hypothesis), the key that tells its conjugates
-apart and, for g_d, a closed form.  The builder refuses a family whose
-premise fails, and the verifier rejects it before it recomputes a prefix
-from products.  The dispatcher mirrors the case analysis of the
-criterion's proof.
+data: a kind, a base, a point and a seed.  Each kind is one row of
+`_KINDS`: whether it takes a point and a seed, the premise that makes
+the family infinite (its distinctness lemma's hypothesis), the key that
+tells its conjugates apart and, for g_d, a closed form.  One check,
+`_failure`, fits a family to its row: the builder and `members` refuse a
+family that fails it before anything is drawn, and the verifier names
+the failure however distinct the prefix.  The dispatcher mirrors the
+case analysis of the criterion's proof.
 
 A conjugator is validated where it is built: its ball element by
 `Group.ball_stream`, once per handle; a seeded conjugator by `members`,
@@ -159,7 +160,7 @@ class InfiniteFamilyCertificate:
     Without a `point` the conjugators are (eps, q) for q in Q's ball
     stream; with one they are (zeta(d, point), 1) for d in D's.  A
     `seed_conjugator` s turns each conjugator h into s * h.  The
-    `family_kind` fixes the rest (`_FAMILIES`).  Each `members` call starts
+    `family_kind` fixes the rest (`_KINDS`).  Each `members` call starts
     a new `Group.ball_stream`, so prefixes are restartable and
     deterministic."""
 
@@ -172,28 +173,20 @@ class InfiniteFamilyCertificate:
 
     def members(self, count: int):
         """Yield up to `count` pairs (conjugator, conjugate), skipping a
-        conjugate whose key an earlier one has.  The base, the seed and the
-        point are validated once per call, and a point or seed that the
-        kind does not take is refused, before anything is drawn.  Every
-        conjugator yielded is valid: an unseeded one, (eps, q) or
-        (zeta(d, y), 1), is built from a ball element that
-        `Group.ball_stream` validated, the point and Q's identity; a
-        seeded one, s * h, is validated as it is built."""
+        conjugate whose key an earlier one has.  A family that fails its
+        kind's check (`_failure`) is refused before anything is drawn, so
+        one whose premise fails lists nothing.  Every conjugator yielded is
+        valid: an unseeded one, (eps, q) or (zeta(d, y), 1), is built from
+        a ball element that `Group.ball_stream` validated, the point and
+        Q's identity; a seeded one, s * h, is validated as it is built."""
         if count < 1:
             raise PreconditionError("a certificate prefix needs at least 1 member")
+        failure = _failure(self.group, self)
+        if failure is not None:
+            raise failure
         kind = self.family_kind
-        if kind not in _FAMILIES:
-            raise PreconditionError(f"unknown family kind {kind!r}")
-        _, key_of, formula_of = _FAMILIES[kind]
         G, g, seed, y = self.group, self.base, self.seed_conjugator, self.point
-        G.validate(g)
-        if seed is not None:
-            G.validate(seed)
-        if y is not None:
-            G.omega.validate_point(y)
-        shape = _shape_failure(kind, y, seed)
-        if shape is not None:
-            raise PreconditionError(f"{kind}: {shape}")
+        key_of, formula_of = _KINDS[kind][3:]
         # each conjugator is built in C, as the wreath kernels build
         new = tuple.__new__
         if y is None:
@@ -331,11 +324,10 @@ def _lambda_translation(G: WreathProduct, g: WreathElement, y, seed) -> str | No
     conjugates' supports are the translates of that finite support,
     infinitely many when it meets an infinite orbit."""
     if seed is not None:
-        G.validate(seed)
         g = G._conjugate(g, seed)
     if not g.phi:
         return "phi = eps after the seed"
-    if not any(G.omega.orbit_infinite(x) is Tri.YES for x in support(g.phi)):
+    if not any(G.omega._orbit_infinite(x) is Tri.YES for x in support(g.phi)):
         return "no support point lies in a known-infinite orbit"
     return None
 
@@ -347,13 +339,13 @@ def _gd(G: WreathProduct, g: WreathElement, y, seed) -> str | None:
     a repeat is a fault."""
     if G.D.is_finite:
         return "D is finite"
-    return "q fixes the point" if G.omega.act(g.q, y) == y else None
+    return "q fixes the point" if G.omega._act(g.q, y) == y else None
 
 
 def _gd_formula(G: WreathProduct, g: WreathElement, y):
     """The g_d lemma's member for the conjugator (zeta(d, y), 1), on D's
-    unchecked arithmetic: `members` validated g and y and draws d from
-    D's ball.  Dropping identities and one sort make the map canonical."""
+    unchecked arithmetic: g and y are valid and d comes from D's ball.
+    Dropping identities and one sort make the map canonical."""
     D, phi, q = G.D, g.phi, g.q
     c, qy, e = G._map_value(phi, y), G.omega._act(q, y), D.identity()
     dmul, dinv, item_key, new = D._multiply, D._inverse, G._item_key, tuple.__new__
@@ -383,62 +375,57 @@ def _value_conjugation(G: WreathProduct, g: WreathElement, y, seed) -> str | Non
     return None
 
 
-# kind -> (premise, key, closed form).  A premise reads a validated base g,
-# a point y and a seed of the kind's shape (`_SHAPES`), and returns the
-# reason it fails on G, or None; its docstring states the lemma.  key(G, y)
-# tells conjugates apart (None: a repeat is a fault), and formula(G, g, y)
-# checks each member (g_d only).
-_FAMILIES = {
-    "q-translation": (_q_translation, lambda G, y: itemgetter(1), None),
-    "lambda-translation": (_lambda_translation, lambda G, y: lambda c: support(c.phi), None),
-    "g_d": (_gd, None, _gd_formula),
-    "value-conjugation": (_value_conjugation, lambda G, y: lambda c: G._map_value(c.phi, y), None),
-}
-
-# kind -> (needs a point, may take a seed); a kind that needs no point
-# takes none
-_SHAPES = {
-    "q-translation": (False, False),
-    "lambda-translation": (False, True),
-    "g_d": (True, False),
-    "value-conjugation": (True, False),
+# kind -> (premise, needs a point, may take a seed, key, closed form).  A
+# premise reads a base, point and seed that `_failure` validated and fitted
+# to the row, and returns the reason it fails on G, or None; its docstring
+# states the lemma.  key(G, y) tells conjugates apart (None: a repeat is a
+# fault), and formula(G, g, y) checks each member (g_d only).
+_KINDS = {
+    "q-translation": (_q_translation, False, False, lambda G, y: itemgetter(1), None),
+    "lambda-translation": (
+        _lambda_translation, False, True, lambda G, y: lambda c: support(c.phi), None
+    ),
+    "g_d": (_gd, True, False, None, _gd_formula),
+    "value-conjugation": (
+        _value_conjugation, True, False, lambda G, y: lambda c: G._map_value(c.phi, y), None
+    ),
 }
 
 
-def _shape_failure(kind: str, y, seed) -> str | None:
-    """Why a point or seed does not fit the kind, or None: a kind that
-    takes neither refuses both at once; otherwise a seed it does not take
-    comes first, then a missing or an extra point."""
-    point, seeded = _SHAPES[kind]
-    if not point and not seeded:
-        return None if y is None and seed is None else "takes no point and no seed"
+def _failure(G: WreathProduct, cert: InfiniteFamilyCertificate) -> WriccError | None:
+    """The error that refuses the certificate on G, or None.  In order: an
+    unknown kind; a base, seed or point that fails validation (the error
+    keeps its type); a seed the kind does not take, then a missing or an
+    extra point; the premise.  Its message is `premise: <kind>: <reason>`."""
+    kind, g, y, seed = cert.family_kind, cert.base, cert.point, cert.seed_conjugator
+    if kind not in _KINDS:
+        return PreconditionError(f"premise: {kind}: unknown family kind")
+    premise, point, seeded = _KINDS[kind][:3]
+    try:
+        G.validate(g)
+        if seed is not None:
+            G.validate(seed)
+        if y is not None:
+            G.omega.validate_point(y)
+    except WriccError as e:
+        return type(e)(f"premise: {kind}: {e}")
     if seed is not None and not seeded:
-        return "takes no seed"
-    if (y is None) == point:
-        return "needs a point" if point else "takes no point"
-    return None
-
-
-def _premise_failure(G: WreathProduct, cert: InfiniteFamilyCertificate) -> str | None:
-    """`premise: <kind>: <reason>` when the certificate's shape or premise
-    fails on G."""
-    kind = cert.family_kind
-    if kind not in _FAMILIES:
-        return f"premise: {kind}: unknown family kind"
-    y, seed = cert.point, cert.seed_conjugator
-    reason = _shape_failure(kind, y, seed) or _FAMILIES[kind][0](G, cert.base, y, seed)
-    return None if reason is None else f"premise: {kind}: {reason}"
+        reason = "takes no seed"
+    elif (y is None) == point:
+        reason = "needs a point" if point else "takes no point"
+    else:
+        reason = premise(G, g, y, seed)
+    return None if reason is None else PreconditionError(f"premise: {kind}: {reason}")
 
 
 def build_family(
     G: WreathProduct, g: WreathElement, kind: str, point=None, seed_conjugator=None
 ) -> InfiniteFamilyCertificate:
-    """The family of `kind` for g, refused when its premise fails on G."""
-    G.validate(g)
+    """The family of `kind` for g, refused as `_failure` refuses it."""
     cert = InfiniteFamilyCertificate(G, g, kind, point, seed_conjugator)
-    failure = _premise_failure(G, cert)
+    failure = _failure(G, cert)
     if failure is not None:
-        raise PreconditionError(failure)
+        raise failure
     return cert
 
 
@@ -593,30 +580,30 @@ def _verify_orbit_maps(G: WreathProduct, S: OrbitMaps, base) -> VerificationResu
 def verify_infinite_certificate(
     G: WreathProduct, cert: InfiniteFamilyCertificate, N: int = 100
 ) -> VerificationResult:
-    """The premise of the certificate's kind on G, which makes the family
-    infinite, then the first N deduped conjugates: pairwise distinct and
-    consistent with their recorded conjugators.  A false premise fails,
-    named, however distinct the prefix.
+    """The check the builder and `members` use (`_failure`), whose premise
+    makes the family infinite, then the first N deduped conjugates:
+    pairwise distinct and consistent with their recorded conjugators.  A
+    family that fails the check fails with the reason they give, however
+    distinct its prefix.
 
-    The base is validated once.  The conjugators are not validated again:
-    the verifier trusts `members` for their validity (the ball stream and
-    `members` validate them as they are built), as it trusts the group's
-    arithmetic.  Each conjugate is recomputed from the product definition
-    h^-1 * base * h, not with `_conjugate`, which `members` used: so every
-    member also checks the conjugation law against products.  The
-    recorded conjugate is compared with that canonical recomputation as
-    stored.  The inverse-free test h * conj == base * h would not do: the
-    product canonicalises conj, so it accepts conj with its map unsorted,
-    and the distinctness test could then count one element twice."""
+    The conjugators are not validated again: the verifier trusts `members`
+    for their validity (the ball stream and `members` validate them as
+    they are built), as it trusts the group's arithmetic.  Each conjugate
+    is recomputed from the product definition h^-1 * base * h, not with
+    `_conjugate`, which `members` used: so every member also checks the
+    conjugation law against products.  The recorded conjugate is compared
+    with that canonical recomputation as stored.  The inverse-free test
+    h * conj == base * h would not do: the product canonicalises conj, so
+    it accepts conj with its map unsorted, and the distinctness test could
+    then count one element twice."""
     if N < 2:
         raise PreconditionError("N must be at least 2")
     if cert.group != G:
         return VerificationResult(False, "certificate is over another group")
     try:
-        G.validate(cert.base)
-        failure = _premise_failure(G, cert)
+        failure = _failure(G, cert)
         if failure is not None:
-            return VerificationResult(False, failure)
+            return VerificationResult(False, str(failure))
         prefix = cert.take(N)
     except WriccError as e:
         return VerificationResult(False, f"stream failed: {e}")

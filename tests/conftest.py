@@ -49,6 +49,14 @@ EXTRA = [
     ("intmod-cond-i", "no", "no", "no", "no"),
 ]
 
+# free actions beyond the shipped instances: one carrier of each kind
+FREE_CARRIERS = [
+    "{D: cyclic 2; Q: cyclic 4; omega: regular}",
+    "{D: cyclic 2; Q: symmetric 2; omega: natural}",
+    "{D: cyclic 2; Q: integers; omega: union(regular, regular)}",
+    "{D: cyclic 2; Q: cyclic 1; omega: trivial 3}",
+]
+
 
 def instance_text(name: str) -> str:
     res = importlib.resources.files("wricc") / "instances_data" / f"{name}.wri"

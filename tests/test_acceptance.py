@@ -9,6 +9,7 @@ import time
 
 from wricc.decision import decide_icc, decide_icc_free
 from wricc.groups import EXACT_FINITE
+from wricc.instances import parse_instance
 from wricc.oracle import AT_LEAST, class_lower_bound, enumerate_class
 from wricc.tri import Tri
 from wricc.witness import (
@@ -23,6 +24,7 @@ from wricc.wreath import WreathElement
 
 from conftest import (
     CORPUS,
+    FREE_CARRIERS,
     lambda_translate,
     load_instance,
     pointwise_mul,
@@ -136,19 +138,25 @@ def test_criterion_3_regression_corpus():
 
 
 def test_criterion_4_corollary_agreement():
+    # the corollary reads (i) and (iii) off freeness and decide_icc from
+    # the carrier's oracles, so all four fields must agree
     free_names = []
     agree = True
-    for name, *_ in CORPUS:
-        G = load_instance(name).group
+    fields = ("answer", "cond_i", "cond_ii", "cond_iii")
+    groups = [(name, load_instance(name).group) for name, *_ in CORPUS]
+    groups += [(text, parse_instance(text).group) for text in FREE_CARRIERS]
+    for name, G in groups:
         if G.omega.is_free_action() is Tri.YES:
             free_names.append(name)
-            if decide_icc_free(G).answer is not decide_icc(G).answer:
+            free, direct = decide_icc_free(G), decide_icc(G)
+            if any(getattr(free, f) is not getattr(direct, f) for f in fields):
                 agree = False
-    ok = agree and len(free_names) >= 1
+    ok = agree and len(free_names) == 2 + len(FREE_CARRIERS)
     assert record_acceptance(
         "criterion-4",
         ok,
-        f"corollary agreement on free-action instances {free_names}: exact",
+        f"corollary agreement on the verdict and (i)-(iii) for free-action instances "
+        f"{free_names}: exact",
     )
 
 

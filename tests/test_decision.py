@@ -11,7 +11,7 @@ from wricc.qsets import RegularQSet
 from wricc.tri import Tri, tri_and, tri_not, tri_of, tri_or
 from wricc.wreath import WreathProduct
 
-from conftest import CORPUS, EXTRA, OpaqueQSet, load_instance
+from conftest import CORPUS, EXTRA, FREE_CARRIERS, OpaqueQSet, load_instance
 
 Z = IntegersGroup()
 
@@ -87,14 +87,21 @@ class TestHypotheses:
             decide_icc(G)
 
 
+def check_free_corollary(G, name):
+    free, direct = decide_icc_free(G), decide_icc(G)
+    fields = ("answer", "cond_i", "cond_ii", "cond_iii")
+    assert [getattr(free, f) for f in fields] == [getattr(direct, f) for f in fields], name
+    assert free.corollary_used
+
+
 class TestFreeCorollary:
     def test_agrees_on_free_instances(self):
+        # (i) and (iii) come from freeness, not from the carrier's oracles
+        # that decide_icc reads, so every field is a cross-check
         for name in ("lamplighter", "f2-wr-z2"):
-            G = load_instance(name).group
-            direct = decide_icc(G)
-            free = decide_icc_free(G)
-            assert free.answer is direct.answer
-            assert free.corollary_used
+            check_free_corollary(load_instance(name).group, name)
+        for text in FREE_CARRIERS:
+            check_free_corollary(parse_instance(text).group, text)
 
     def test_rejects_non_free(self):
         for name in ("trivial-omega", "s3-wr-s3", "mixed-union"):

@@ -19,7 +19,21 @@ from wricc.wreath import WreathProduct
 import wricc.cli as cli
 from wricc.cli import EXIT_FAIL, EXIT_OK, EXIT_UNKNOWN, EXIT_USAGE, build_parser, main
 
-from conftest import OpaqueQSet, instance_text, load_instance
+from conftest import CORPUS, EXTRA, OpaqueQSet, instance_text, load_instance
+
+
+def nested_instance(kind, levels):
+    """An instance whose Q (product), carrier (union) or D (wreath) nests
+    `levels` descriptors of that kind."""
+    inner = {"product": "integers", "union": "regular", "wreath": "cyclic 2"}[kind]
+    for _ in range(levels):
+        inner = f"wreath({inner}; integers; regular)" if kind == "wreath" else f"{kind}({inner})"
+    d, q, omega = {
+        "product": ("cyclic 2", inner, "regular"),
+        "union": ("cyclic 2", "integers", inner),
+        "wreath": (inner, "integers", "regular"),
+    }[kind]
+    return f"{{D: {d}; Q: {q}; omega: {omega}}}"
 
 
 def write_instance(tmp_path, name, text=None):
@@ -77,6 +91,36 @@ class TestParseInstance:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith("error [unsupported-q-kind]: ")
+
+    @pytest.mark.parametrize("kind", ["product", "union"])
+    def test_32_levels_of_nesting_run(self, tmp_path, capsys, kind):
+        path = write_instance(tmp_path, "nested", nested_instance(kind, 32))
+        for cmd in ("decide", "witness", "verify"):
+            code, out, err = outcome([cmd, "-i", path], capsys)
+            assert (code, err) == (EXIT_OK, ""), err
+
+    @pytest.mark.parametrize("levels", [33, 5000])
+    @pytest.mark.parametrize("kind", ["product", "union", "wreath"])
+    def test_deeper_nesting_is_a_parse_error(self, tmp_path, capsys, kind, levels):
+        # refused as it is parsed, before the parser or a group method
+        # recurses past Python's limit
+        path = write_instance(tmp_path, "nested", nested_instance(kind, levels))
+        for argv in (["decide"], ["witness"], ["verify"], ["class", "-g", "{}@0"]):
+            code, out, err = outcome([*argv, "-i", path], capsys)
+            assert (code, out) == (EXIT_USAGE, "")
+            assert err == "error [parse-error]: descriptors nest more than 32 levels deep\n"
+
+    @pytest.mark.parametrize("unions, ok", [(31, True), (32, False)])
+    def test_a_wreath_carrier_nests_inside_the_wreath(self, unions, ok):
+        omega = "regular"
+        for _ in range(unions):
+            omega = f"union({omega})"
+        text = f"{{D: wreath(cyclic 2; integers; {omega}); Q: integers; omega: regular}}"
+        if ok:
+            assert parse_instance(text).group.D.omega.carrier_kind.count("union") == unions
+        else:
+            with pytest.raises(ParseError, match="^descriptors nest more than 32 levels deep$"):
+                parse_instance(text)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ParseError):
@@ -230,6 +274,22 @@ class TestWitnessCommand:
     def test_bad_element_literal(self, tmp_path, capsys):
         path = write_instance(tmp_path, "lamplighter")
         assert main(["witness", "-i", path, "-g", "{0:1@"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("name", [name for name, *_ in CORPUS + EXTRA])
+    def test_element_literal_parsed_on_every_verdict(self, tmp_path, capsys, name):
+        # a malformed literal is refused on a No verdict too, which takes
+        # no element; a well-formed one leaves a No record as it was
+        path = write_instance(tmp_path, name)
+        code, out, err = outcome(["witness", "-i", path, "-g", "garbage"], capsys)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error [parse-error]: ")
+        G = load_instance(name).group
+        literal = G.format_element(G.first_nontrivial())
+        plain = outcome(["witness", "--json", "-i", path], capsys)
+        given = outcome(["witness", "--json", "-i", path, "-g", literal], capsys)
+        assert plain[0] == given[0] == EXIT_OK
+        if json.loads(plain[1])["answer"] == "no":
+            assert given == plain
 
     @pytest.mark.parametrize("n", [20, 100000])
     def test_finite_orbit_over_budget(self, tmp_path, capsys, n):
@@ -516,8 +576,6 @@ class TestVerifyCommand:
 
 
 def test_decide_all_bundled_instances(tmp_path, capsys):
-    from conftest import CORPUS, EXTRA
-
     for name, answer, *_ in CORPUS + EXTRA:
         path = write_instance(tmp_path, name)
         assert main(["decide", "--json", "-i", path]) == EXIT_OK

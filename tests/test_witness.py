@@ -480,20 +480,20 @@ def test_prefix_needs_a_member(lamplighter, count):
         fam.take(count)
 
 
-def test_members_validate_what_they_conjugate(lamplighter, monkeypatch):
+def test_members_validate_what_they_conjugate(f2_wr_z2, monkeypatch):
     # a malformed base, seed conjugator or point is rejected before the
     # first conjugation; every conjugator is built from them and from the
     # group's own ball elements
-    G = lamplighter
-    g = WreathElement(G.zeta(1, 0), 0)
-    stored_identity = WreathElement(((0, 0),), 1)
+    G = f2_wr_z2
+    g = WreathElement(G.zeta((1,), 0), 0)
+    stored_identity = WreathElement(((0, ()),), 1)
     conjugated = []
     law = G._conjugate
     monkeypatch.setattr(G, "_conjugate", lambda x, y: conjugated.append(y) or law(x, y))
     assert InfiniteFamilyCertificate(G, g, "value-conjugation", point=0).take(1) and conjugated
     conjugated.clear()
     # a kind the table does not know has no key to stream by
-    with pytest.raises(PreconditionError, match="^unknown family kind 'probe'$"):
+    with pytest.raises(PreconditionError, match="^premise: probe: unknown family kind$"):
         InfiniteFamilyCertificate(G, g, "probe", point=0).take(1)
     for base, seed, point in (
         (stored_identity, None, None),
@@ -505,41 +505,6 @@ def test_members_validate_what_they_conjugate(lamplighter, monkeypatch):
         with pytest.raises(KindMismatch):
             fam.take(5)
     assert conjugated == []
-
-
-# for each kind, a point or seed it does not take: (kind, point, seed
-# literal, reason)
-SHAPE_MISFITS = [
-    ("q-translation", 0, None, "takes no point and no seed"),
-    ("q-translation", None, "{}@1", "takes no point and no seed"),
-    ("lambda-translation", 0, None, "takes no point"),
-    ("g_d", None, None, "needs a point"),
-    ("g_d", 0, "{}@1", "takes no seed"),
-    ("value-conjugation", None, None, "needs a point"),
-    ("value-conjugation", 0, "{}@1", "takes no seed"),
-]
-
-
-@pytest.mark.parametrize("kind, point, seed, reason", SHAPE_MISFITS)
-def test_members_refuse_a_point_or_seed_the_kind_does_not_take(
-    f2_wr_z2, monkeypatch, kind, point, seed, reason
-):
-    # `members` refuses the shape, naming the kind, before it draws
-    # anything; the premise gives the same reason
-    G = f2_wr_z2
-    g = G.parse_element("{0:a*b}@1")
-    seed = None if seed is None else G.parse_element(seed)
-
-    def no_stream():
-        raise AssertionError("nothing may be drawn")
-
-    monkeypatch.setattr(G.D, "ball_stream", no_stream)
-    monkeypatch.setattr(G.Q, "ball_stream", no_stream)
-    cert = InfiniteFamilyCertificate(G, g, kind, point, seed)
-    with pytest.raises(PreconditionError, match=f"^{re.escape(kind)}: {reason}$"):
-        cert.take(3)
-    res = verify_infinite_certificate(G, cert, N=3)
-    assert not res and res.reason == f"premise: {kind}: {reason}"
 
 
 def test_a_ball_element_that_fails_validation_fails_the_stream(f2_wr_z2, monkeypatch):
@@ -620,7 +585,91 @@ TAMPERED = [
 def _family_group(name):
     if name == "z2-wr-free2":
         return WreathProduct(CyclicGroup(2), FreeGroup(2), RegularQSet(FreeGroup(2)))
+    if name == "s20":
+        return parse_instance("{D: cyclic 2; Q: symmetric 20; omega: trivial 1}").group
     return load_instance(name).group
+
+
+# a transposition of S20, whose class has 190 members
+S20_TRANSPOSITION = "{}@[1,0," + ",".join(map(str, range(2, 20))) + "]"
+# every way a family can misfit its kind: (group, base, kind, point, seed,
+# the reason after `premise: <kind>: `); a base or seed is an element
+# literal, or an element as stored
+MISFITS = [
+    # a point or seed the kind does not take: the seed is named first
+    ("f2-wr-z2", "{0:a*b}@1", "q-translation", 0, None, "takes no point"),
+    ("f2-wr-z2", "{0:a*b}@1", "q-translation", None, "{}@1", "takes no seed"),
+    ("f2-wr-z2", "{0:a*b}@1", "q-translation", 0, "{}@1", "takes no seed"),
+    ("f2-wr-z2", "{0:a*b}@1", "lambda-translation", 0, None, "takes no point"),
+    ("f2-wr-z2", "{0:a*b}@1", "g_d", None, None, "needs a point"),
+    ("f2-wr-z2", "{0:a*b}@1", "g_d", 0, "{}@1", "takes no seed"),
+    ("f2-wr-z2", "{0:a*b}@1", "g_d", None, "{}@1", "takes no seed"),
+    ("f2-wr-z2", "{0:a}@0", "value-conjugation", None, None, "needs a point"),
+    ("f2-wr-z2", "{0:a}@0", "value-conjugation", 0, "{}@1", "takes no seed"),
+    # each premise reason of each kind
+    ("lamplighter", "{}@1", "q-translation", None, None, "q lies in FC(Q)"),
+    ("lamplighter", "{}@2", "lambda-translation", None, None, "phi = eps after the seed"),
+    ("lamplighter", "{}@2", "lambda-translation", None, "{}@0", "phi = eps after the seed"),
+    ("mixed-union-icc-base", "{(1; 0):a}@0", "lambda-translation", None, None,
+     "no support point lies in a known-infinite orbit"),
+    ("lamplighter", "{}@1", "g_d", 0, None, "D is finite"),
+    ("f2-wr-z2", "{}@0", "g_d", 0, None, "q fixes the point"),
+    ("f2-wr-z2", "{0:a}@1", "value-conjugation", 0, None, "q != 1"),
+    ("f2-wr-z2", "{0:a}@0", "value-conjugation", 1, None, "the point is not in supp phi"),
+    ("lamplighter", "{0:1}@0", "value-conjugation", 0, None, "D is not known to be icc"),
+    # a kind no row names, whatever its point
+    ("f2-wr-z2", "{0:a*b}@1", "probe", 0, None, "unknown family kind"),
+    # the ROADMAP's two probes: classes of 3 and of 190 in a finite Q
+    ("z2-wr-s3", "{}@[1,0,2]", "q-translation", None, None, "q lies in FC(Q)"),
+    ("s20", S20_TRANSPOSITION, "q-translation", None, None, "q lies in FC(Q)"),
+]
+# a base, seed or point that fails validation: refused before its shape,
+# with the validation error's type
+STORED_IDENTITY = WreathElement(((0, ()),), 1)
+INVALID = [
+    ("f2-wr-z2", STORED_IDENTITY, "g_d", 0, None,
+     "wreath(free(2); cyclic(2); regular over cyclic(2)): stored identity value at 0"),
+    ("f2-wr-z2", "{0:a}@1", "lambda-translation", None, STORED_IDENTITY,
+     "wreath(free(2); cyclic(2); regular over cyclic(2)): stored identity value at 0"),
+    ("f2-wr-z2", "{0:a}@0", "value-conjugation", "0", None, "cyclic(2): bad payload '0'"),
+    ("f2-wr-z2", "{0:a}@0", "q-translation", 1.5, None, "cyclic(2): bad payload 1.5"),
+]
+
+
+def _misfit(row, error):
+    name, base, kind, point, seed, reason = row
+    shown = seed if seed is None or isinstance(seed, str) else "stored"
+    where = "" if name == "f2-wr-z2" else f"{name}-"
+    return pytest.param(*row, error, id=f"{where}{kind}-{point}-{shown}-{reason}")
+
+
+@pytest.mark.parametrize(
+    "name, base, kind, point, seed, reason, error",
+    [_misfit(row, PreconditionError) for row in MISFITS]
+    + [_misfit(row, KindMismatch) for row in INVALID],
+)
+def test_members_refuse_a_point_or_seed_the_kind_does_not_take(
+    monkeypatch, name, base, kind, point, seed, reason, error
+):
+    # every misfit, of shape, premise, kind or validity, gets one reason
+    # from one check: `build_family` raises it, `take` raises it before
+    # anything is drawn, and the verifier reports it
+    G = _family_group(name)
+    base, seed = (G.parse_element(x) if isinstance(x, str) else x for x in (base, seed))
+    named = f"premise: {kind}: {reason}"
+    with pytest.raises(error, match=f"^{re.escape(named)}$"):
+        build_family(G, base, kind, point, seed)
+
+    def no_stream():
+        raise AssertionError("nothing may be drawn")
+
+    monkeypatch.setattr(G.D, "ball_stream", no_stream)
+    monkeypatch.setattr(G.Q, "ball_stream", no_stream)
+    cert = InfiniteFamilyCertificate(G, base, kind, point, seed)
+    with pytest.raises(error, match=f"^{re.escape(named)}$"):
+        cert.take(3)
+    res = verify_infinite_certificate(G, cert, N=3)
+    assert not res and res.reason == named
 
 
 def _documented_prefix(fam, count):
@@ -706,11 +755,14 @@ def test_tampered_certificates_fail_on_the_premise(name, literal, kind, field, v
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_roadmap_probe_finite_class_on_z2_wr_s3(z2_wr_s3, n):
-    # {}@[1,0,2] has a class of 3 in a finite group, so a q-translation of
-    # it has a distinct prefix of 2 or 3 members, but its premise fails
+    # {}@[1,0,2] has a class of 3 in a finite group, so the conjugates a
+    # q-translation of it would list have a distinct prefix of 2 or 3
+    # members, but its premise fails
     G = z2_wr_s3
-    cert = InfiniteFamilyCertificate(G, G.parse_element("{}@[1,0,2]"), "q-translation")
-    assert len({c for _, c in cert.take(n)}) == n
+    g = G.parse_element("{}@[1,0,2]")
+    conjugates = {G._conjugate(g, WreathElement((), q)) for q in G.Q.ball_stream()}
+    assert len(conjugates) == 3 >= n
+    cert = InfiniteFamilyCertificate(G, g, "q-translation")
     res = verify_infinite_certificate(G, cert, N=n)
     assert not res and res.reason == "premise: q-translation: q lies in FC(Q)"
 
