@@ -56,6 +56,8 @@ def head_and_args(text: str) -> tuple[str, str | None]:
     """Split a descriptor like `cyclic(2)`, `cyclic 2` or `regular` into
     (name, argument-text)."""
     text = text.strip()
+    if not text:
+        raise ParseError("empty descriptor")
     if "(" in text and (text.index("(") < len(text.split()[0]) or " " not in text):
         i = text.index("(")
         name = text[:i].strip()

@@ -100,7 +100,7 @@ def cmd_decide(args) -> int:
         {
             "command": "decide",
             "instance_hash": spec.instance_hash(),
-            "group": spec.group.describe(),
+            "group": spec.group.kind,
             **_verdict_fields(v),
         },
         args.json,
@@ -112,7 +112,7 @@ def cmd_witness(args) -> int:
     spec = _load(args.instance)
     G = spec.group
     # parsed whatever the verdict, so a malformed literal is always refused
-    g = G.parse_element(args.element) if args.element else None
+    g = G.parse_element(args.element) if args.element is not None else None
     v = decide_icc(G)
     if v.answer is Tri.UNKNOWN:
         return _emit_unknown("witness", spec, v, args.json)

@@ -39,7 +39,8 @@ AT_LEAST = "at-least"
 
 # the most ball elements a group handle keeps for later streams
 _BALL_MEMO_CAP = 65536
-# the most members ever listed; every user reads it at call time
+# the most members ever listed, and the largest symmetric degree and word
+# literal accepted; every user reads it at call time
 _FINITE_SET_CAP = 1_000_000
 
 
@@ -163,6 +164,8 @@ class Closure:
 
 
 class Group(ABC):
+    # the identity of the group: it spells out the constructor's arguments,
+    # and a wreath product's spells out D, Q and the carrier
     kind: str
     # do elements already sort by `sort_key` in native Python order?  A
     # kind that says so lets callers sort its elements with no key frame
@@ -226,18 +229,11 @@ class Group(ABC):
     def sort_key(self, x):
         ...
 
-    @abstractmethod
-    def descriptor(self) -> tuple:
-        ...
-
     def __eq__(self, other):
-        return isinstance(other, Group) and self.descriptor() == other.descriptor()
+        return isinstance(other, Group) and self.kind == other.kind
 
     def __hash__(self):
-        return hash(self.descriptor())
-
-    def describe(self) -> str:
-        return self.kind
+        return hash(self.kind)
 
     # ---- property oracles ---------------------------------------------
 
@@ -403,9 +399,6 @@ class IntegersGroup(Group):
     def sort_key(self, x):
         return x
 
-    def descriptor(self):
-        return ("integers",)
-
     def icc_status(self):
         return IccStatus(Tri.NO, "declared", "infinite abelian: every class is a singleton")
 
@@ -468,9 +461,6 @@ class CyclicGroup(_FiniteGroupMixin, Group):
     def sort_key(self, x):
         return x
 
-    def descriptor(self):
-        return ("cyclic", self.n)
-
     def random_element(self, rng):
         return rng.randrange(self.n)
 
@@ -500,8 +490,9 @@ class SymmetricGroup(_FiniteGroupMixin, Group):
     native_order = True
 
     def __init__(self, n: int):
-        if n < 1:
-            raise PreconditionError("symmetric: degree must be >= 1")
+        # refused before the two lists of n entries below are built
+        if not 1 <= n <= _FINITE_SET_CAP:
+            raise PreconditionError(f"symmetric: degree must be in 1..{_FINITE_SET_CAP}")
         self.n = n
         self.kind = f"symmetric({n})"
         self._points = list(range(n))
@@ -552,9 +543,6 @@ class SymmetricGroup(_FiniteGroupMixin, Group):
 
     def sort_key(self, x):
         return x
-
-    def descriptor(self):
-        return ("symmetric", self.n)
 
     def random_element(self, rng):
         return tuple(rng.sample(range(self.n), self.n))
@@ -628,9 +616,6 @@ class FreeGroup(Group):
     def sort_key(self, x):
         return (len(x), x)
 
-    def descriptor(self):
-        return ("free", self.rank)
-
     def icc_status(self):
         if self.rank >= 2:
             return IccStatus(Tri.YES, "declared", "nonabelian free group")
@@ -669,7 +654,7 @@ class FreeGroup(Group):
         text = text.strip()
         if text == "1":
             return ()
-        w = ()
+        w, length = (), 0
         for tok in text.split("*"):
             m = _WORD_TOKEN.match(tok.strip())
             if not m:
@@ -677,7 +662,14 @@ class FreeGroup(Group):
             idx = ord(m.group(1)) - ord("a") + 1
             if idx > self.rank:
                 raise ParseError(f"{self.kind}: generator {m.group(1)!r} out of rank")
-            exp = int(m.group(2)) if m.group(2) else 1
+            try:
+                exp = int(m.group(2) or 1)
+            except ValueError:  # more digits than Python converts
+                raise ParseError(f"{self.kind}: exponent of {len(m.group(2))} digits") from None
+            # refused before the run of letters is built
+            length += abs(exp)
+            if length > _FINITE_SET_CAP:
+                raise ParseError(f"{self.kind}: word literal of more than {_FINITE_SET_CAP} letters")
             letter = idx if exp > 0 else -idx
             w = _reduce_concat(w, (letter,) * abs(exp))
         return w
@@ -736,9 +728,6 @@ class DirectProductGroup(Group):
 
     def sort_key(self, x):
         return tuple(f.sort_key(c) for f, c in zip(self.factors, x))
-
-    def descriptor(self):
-        return ("product", tuple(f.descriptor() for f in self.factors))
 
     def icc_status(self):
         if self.is_trivial:

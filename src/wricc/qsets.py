@@ -35,6 +35,7 @@ from .tri import Tri, tri_and
 
 class QSet(ABC):
     Q: Group
+    # no equality of its own: a wreath product's kind spells out this one
     carrier_kind: str
     # do points already sort by `point_key` in native Python order?  A
     # carrier that says so lets the wreath kernels sort maps with no key
@@ -136,19 +137,6 @@ class QSet(ABC):
     # ---- misc ------------------------------------------------------------
 
     @abstractmethod
-    def descriptor(self) -> tuple:
-        ...
-
-    def __eq__(self, other):
-        return isinstance(other, QSet) and self.descriptor() == other.descriptor()
-
-    def __hash__(self):
-        return hash(self.descriptor())
-
-    def describe(self) -> str:
-        return self.carrier_kind
-
-    @abstractmethod
     def orbit_representatives(self):
         """One point of each orbit, in a fixed order, sized so that its length
         is known without listing it.  Every carrier of the catalog has
@@ -208,9 +196,6 @@ class RegularQSet(QSet):
 
     def _orbit_infinite(self, x):
         return Tri.NO if self.Q.is_finite else Tri.YES
-
-    def descriptor(self):
-        return ("regular", self.Q.descriptor())
 
     def orbit_representatives(self):
         return (self.Q.identity(),)
@@ -272,7 +257,7 @@ class IntModQSet(_IntPointQSet):
     """Omega = Z/n with Q = Z acting by translation; kernel = nZ."""
 
     def __init__(self, Q: Group, n: int):
-        if Q.descriptor() != ("integers",):
+        if Q.kind != "integers":
             raise PreconditionError("int-mod carrier requires Q = integers")
         if n < 1:
             raise EmptyOmega("int-mod carrier must have n >= 1")
@@ -288,9 +273,6 @@ class IntModQSet(_IntPointQSet):
 
     def is_free_action(self):
         return Tri.NO  # q = n fixes every residue
-
-    def descriptor(self):
-        return ("int-mod", self.size)
 
 
 class TrivialQSet(_IntPointQSet):
@@ -319,9 +301,6 @@ class TrivialQSet(_IntPointQSet):
     def is_free_action(self):
         return Tri.YES if self.Q.is_trivial else Tri.NO
 
-    def descriptor(self):
-        return ("trivial", self.size, self.Q.descriptor())
-
 
 class NaturalQSet(_IntPointQSet):
     """symmetric(n) permuting {0..n-1}: a permutation's image tuple is its
@@ -343,9 +322,6 @@ class NaturalQSet(_IntPointQSet):
     def is_free_action(self):
         # a transposition of two points fixes any third
         return Tri.YES if self.size <= 2 else Tri.NO
-
-    def descriptor(self):
-        return ("natural", self.size)
 
 
 def _interleave(streams):
@@ -464,9 +440,6 @@ class DisjointUnionQSet(QSet):
     def _orbit_infinite(self, x):
         i, p = x
         return self.parts[i]._orbit_infinite(p)
-
-    def descriptor(self):
-        return ("union", tuple(p.descriptor() for p in self.parts))
 
     def orbit_representatives(self):
         return _TaggedReps(self.parts)

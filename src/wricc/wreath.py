@@ -67,8 +67,6 @@ class WreathProduct(Group):
     enclosing wreath product (its FC element is its certificate's base).
     FC membership is unsupported, so it is rejected in the Q position."""
 
-    kind = "wreath"
-
     def __init__(self, D: Group, Q: Group, omega: QSet):
         if omega.Q != Q:
             raise PreconditionError("omega must be a Q-set for the given Q")
@@ -283,14 +281,6 @@ class WreathProduct(Group):
 
     def sort_key(self, x: WreathElement):
         return (self._map_key(x.phi), self.Q.sort_key(x.q))
-
-    def descriptor(self):
-        return (
-            "wreath",
-            self.D.descriptor(),
-            self.Q.descriptor(),
-            self.omega.descriptor(),
-        )
 
     # ---- property oracles ----------------------------------------------------
 

@@ -213,9 +213,6 @@ class OpaqueQSet(QSet):
     def _orbit_infinite(self, x):
         return Tri.UNKNOWN
 
-    def descriptor(self):
-        return ("opaque",)
-
     def orbit_representatives(self):
         return (0,)
 

@@ -52,7 +52,7 @@ TRUSTED = {"sort_key", "point_key", "format_element", "format_point"}
 # methods that take no element or point (literals, random generators,
 # structure and oracles of the whole group or carrier)
 NO_OPERAND = {
-    "identity", "order", "elements", "descriptor", "describe", "icc_status",
+    "identity", "order", "elements", "icc_status",
     "fc_nontrivial_element", "finite_invariant_set_example", "ball_stream",
     "first_nontrivial", "random_element", "parse_element", "random_nontrivial_element",
     "points_stream", "points", "all_orbits_infinite", "finite_orbit_example",
@@ -62,14 +62,14 @@ NO_OPERAND = {
 
 GROUP_API = {
     "identity", "multiply", "inverse", "conjugate", "validate", "order", "elements",
-    "sort_key", "descriptor", "describe", "icc_status", "fc_contains",
+    "sort_key", "icc_status", "fc_contains",
     "fc_nontrivial_element", "finite_invariant_set_example", "ball_stream",
     "first_nontrivial", "random_element", "format_element", "parse_element",
 }
 QSET_API = {
     "act", "validate_point", "point_key", "points_stream", "points",
     "all_orbits_infinite", "finite_orbit_example", "kernel_meets_fc", "is_free_action",
-    "kernel_description", "fixes_all_points", "orbit_infinite", "descriptor", "describe",
+    "kernel_description", "fixes_all_points", "orbit_infinite",
     "orbit_representatives", "random_point", "format_point", "parse_point",
 }
 PINNED = {

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from wricc import groups
-from wricc.errors import CertificateBudget, KindMismatch, PreconditionError, Unsupported
+from wricc.errors import CertificateBudget, KindMismatch, ParseError, PreconditionError, Unsupported
 from wricc.groups import (
     AT_LEAST,
     EXACT_FINITE,
@@ -18,6 +18,7 @@ from wricc.groups import (
     _reduce_concat,
     class_closure,
 )
+from wricc.instances import parse_group
 from wricc.qsets import RegularQSet
 from wricc.tri import Tri
 from wricc.wreath import WreathElement, WreathProduct
@@ -557,10 +558,99 @@ def test_free_literal_cancels_while_parsing():
     assert F2.parse_element("a*b*b^-1*a^-1") == ()
 
 
+def test_free_literal_refused_past_the_listing_cap(monkeypatch):
+    # the letters written are counted, before any is built or cancelled
+    monkeypatch.setattr(groups, "_FINITE_SET_CAP", 5)
+    assert F2.parse_element("a^3*b^-2") == (1, 1, 1, -2, -2)
+    for text in ("a^3*b^-3", "a^3*a^-3", "a^6", "a^1000000000000"):
+        with pytest.raises(ParseError, match=r"^free\(2\): word literal of more than 5 letters$"):
+            F2.parse_element(text)
+    # more digits than Python converts to an int
+    with pytest.raises(ParseError, match=r"^free\(2\): exponent of 5000 digits$"):
+        F2.parse_element("a^" + "9" * 5000)
+
+
+def test_symmetric_degree_refused_past_the_listing_cap(monkeypatch):
+    # refused before the degree's lists are built
+    monkeypatch.setattr(groups, "_FINITE_SET_CAP", 5)
+    assert SymmetricGroup(5).order() == 120
+    for n in (0, 6, 10**12):
+        with pytest.raises(PreconditionError, match=r"^symmetric: degree must be in 1\.\.5$"):
+            SymmetricGroup(n)
+
+
+# (descriptor, class): two groups are equal exactly when their classes
+# match, whichever way the descriptor was spelled or nested
+IDENTITY_CLASSES = [
+    ("integers", "Z"),
+    ("cyclic 1", "C1"),
+    ("cyclic 2", "C2"),
+    ("cyclic(2)", "C2"),
+    ("Cyclic 2", "C2"),
+    ("cyclic 3", "C3"),
+    ("symmetric 2", "S2"),
+    ("symmetric 3", "S3"),
+    ("symmetric(3)", "S3"),
+    ("free 1", "F1"),
+    ("free 2", "F2"),
+    ("free(2)", "F2"),
+    ("product(integers)", "P(Z)"),
+    ("product(cyclic 2)", "P(C2)"),
+    ("product(cyclic(2))", "P(C2)"),
+    ("product(product(cyclic 2))", "P(P(C2))"),
+    ("product(cyclic 2, cyclic 3)", "P(C2,C3)"),
+    ("product(cyclic(2),cyclic(3))", "P(C2,C3)"),
+    ("product(cyclic 3, cyclic 2)", "P(C3,C2)"),
+    ("product(product(cyclic 2), cyclic 3)", "P(P(C2),C3)"),
+    ("product(cyclic 2, product(cyclic 3))", "P(C2,P(C3))"),
+    ("product(cyclic 2, cyclic 3, integers)", "P(C2,C3,Z)"),
+    ("product(product(cyclic 2, cyclic 3), integers)", "P(P(C2,C3),Z)"),
+    ("product(cyclic 2, product(cyclic 3, integers))", "P(C2,P(C3,Z))"),
+    ("wreath(cyclic 2; integers; regular)", "W(C2;Z;reg)"),
+    ("wreath(cyclic(2); integers; regular)", "W(C2;Z;reg)"),
+    ("wreath(cyclic 3; integers; regular)", "W(C3;Z;reg)"),
+    ("wreath(cyclic 2; product(integers); regular)", "W(C2;P(Z);reg)"),
+    ("wreath(cyclic 2; cyclic 3; regular)", "W(C2;C3;reg)"),
+    ("wreath(cyclic 2; cyclic 3; trivial 1)", "W(C2;C3;T1)"),
+    ("wreath(cyclic 2; integers; trivial 1)", "W(C2;Z;T1)"),
+    ("wreath(cyclic 2; cyclic 3; trivial 2)", "W(C2;C3;T2)"),
+    ("wreath(cyclic 2; cyclic 1; trivial 1)", "W(C2;C1;T1)"),
+    ("wreath(cyclic 2; cyclic 1; regular)", "W(C2;C1;reg)"),
+    ("wreath(cyclic 2; integers; int-mod 3)", "W(C2;Z;M3)"),
+    ("wreath(cyclic 2; integers; intmod 3)", "W(C2;Z;M3)"),
+    ("wreath(cyclic 2; integers; mod(3))", "W(C2;Z;M3)"),
+    ("wreath(cyclic 2; integers; int-mod 4)", "W(C2;Z;M4)"),
+    ("wreath(cyclic 2; symmetric 3; natural)", "W(C2;S3;nat)"),
+    ("wreath(cyclic 2; symmetric 4; natural)", "W(C2;S4;nat)"),
+    ("wreath(cyclic 2; integers; union(regular))", "W(C2;Z;U(reg))"),
+    ("wreath(cyclic 2; integers; union(regular, int-mod 3))", "W(C2;Z;U(reg,M3))"),
+    ("wreath(cyclic 2; integers; union(int-mod 3, regular))", "W(C2;Z;U(M3,reg))"),
+    ("wreath(cyclic 2; integers; union(union(regular), int-mod 3))", "W(C2;Z;U(U(reg),M3))"),
+    ("wreath(cyclic 2; symmetric 3; union(natural, trivial 1))", "W(C2;S3;U(nat,T1))"),
+    ("wreath(cyclic 2; symmetric 3; union(trivial 1, natural))", "W(C2;S3;U(T1,nat))"),
+    ("wreath(free 2; integers; regular)", "W(F2;Z;reg)"),
+    ("wreath(wreath(cyclic 2; integers; regular); integers; regular)", "W(W(C2;Z;reg);Z;reg)"),
+    ("wreath(wreath(cyclic(2); integers; regular); integers; regular)", "W(W(C2;Z;reg);Z;reg)"),
+    ("wreath(wreath(cyclic 2; cyclic 3; regular); integers; regular)", "W(W(C2;C3;reg);Z;reg)"),
+    ("wreath(product(wreath(cyclic 2; integers; regular)); integers; regular)", "W(P(W);Z;reg)"),
+    ("product(wreath(cyclic 2; integers; regular), cyclic 2)", "P(W(C2;Z;reg),C2)"),
+]
+
+
+def test_group_identity_is_the_kind():
+    parsed = [(parse_group(text), cls) for text, cls in IDENTITY_CLASSES]
+    for G, a in parsed:
+        assert G != G.kind  # a group never equals its kind string
+        for H, b in parsed:
+            assert (G == H) is (a == b), (G.kind, H.kind)
+            if a == b:
+                assert hash(G) == hash(H)
+
+
 @pytest.mark.parametrize(
     "G",
     [F2, SymmetricGroup(5), load_instance("lamplighter").group, load_instance("z2-wr-s3").group],
-    ids=lambda g: g.describe(),
+    ids=lambda g: g.kind,
 )
 def test_ball_memo_keeps_at_most_the_cap(G, monkeypatch):
     # with a cap of 50, symmetric 5 (120 elements) is streamed past it and
@@ -586,7 +676,7 @@ def test_ball_memo_keeps_at_most_the_cap(G, monkeypatch):
 @pytest.mark.parametrize(
     "G",
     [F2, SymmetricGroup(5), load_instance("lamplighter").group, load_instance("z2-wr-s3").group],
-    ids=lambda g: g.describe(),
+    ids=lambda g: g.kind,
 )
 def test_elements_past_the_memo_cap_are_validated_on_every_stream(G, monkeypatch):
     # with a cap of 50 a kept element is validated once; one past the cap

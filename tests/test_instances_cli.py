@@ -50,7 +50,7 @@ class TestParseInstance:
 
     def test_one_liner(self):
         spec = parse_instance("{D: cyclic 2; Q: integers; omega: regular}")
-        assert spec.group.describe() == load_instance("lamplighter").group.describe()
+        assert spec.group.kind == load_instance("lamplighter").group.kind
 
     def test_comments_and_budgets(self):
         spec = parse_instance(
@@ -109,6 +109,37 @@ class TestParseInstance:
             code, out, err = outcome([*argv, "-i", path], capsys)
             assert (code, out) == (EXIT_USAGE, "")
             assert err == "error [parse-error]: descriptors nest more than 32 levels deep\n"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{D: cyclic 2; Q: integers; omega: }",
+            "{D: ; Q: integers; omega: regular}",
+            "{D: cyclic 2; Q: integers; omega: union(,)}",
+            "{D: cyclic 2; Q: integers; omega: union(regular, )}",
+            "{D: product(cyclic 2,); Q: integers; omega: regular}",
+        ],
+    )
+    def test_empty_descriptor_is_a_parse_error(self, tmp_path, capsys, text):
+        path = write_instance(tmp_path, "empty", text)
+        for argv in (["decide"], ["witness"], ["verify"], ["class", "-g", "{}@0"]):
+            code, out, err = outcome([*argv, "-i", path], capsys)
+            assert (code, out) == (EXIT_USAGE, "")
+            assert err == "error [parse-error]: empty descriptor\n"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{D: symmetric 1000000000000; Q: integers; omega: regular}",
+            "{D: cyclic 2; Q: symmetric 1000000000000; omega: natural}",
+        ],
+    )
+    def test_symmetric_degree_past_the_listing_cap_rejected(self, tmp_path, capsys, text):
+        path = write_instance(tmp_path, "huge-symmetric", text)
+        for cmd in ("decide", "witness", "verify"):
+            code, out, err = outcome([cmd, "-i", path], capsys)
+            assert (code, out) == (EXIT_USAGE, "")
+            assert err == "error [precondition]: symmetric: degree must be in 1..1000000\n"
 
     @pytest.mark.parametrize("unions, ok", [(31, True), (32, False)])
     def test_a_wreath_carrier_nests_inside_the_wreath(self, unions, ok):
@@ -275,14 +306,24 @@ class TestWitnessCommand:
         path = write_instance(tmp_path, "lamplighter")
         assert main(["witness", "-i", path, "-g", "{0:1@"]) == EXIT_USAGE
 
+    def test_word_literal_past_the_listing_cap_rejected(self, tmp_path, capsys):
+        # refused before the run of 10^12 letters is built
+        path = write_instance(tmp_path, "mixed-union-icc-base")
+        literal = "{(0; 1):a^1000000000000}@0"
+        code, out, err = outcome(["witness", "-i", path, "-g", literal], capsys)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error [parse-error]: free(2): word literal of more than 1000000 letters\n"
+
     @pytest.mark.parametrize("name", [name for name, *_ in CORPUS + EXTRA])
     def test_element_literal_parsed_on_every_verdict(self, tmp_path, capsys, name):
         # a malformed literal is refused on a No verdict too, which takes
-        # no element; a well-formed one leaves a No record as it was
+        # no element, and an empty one is malformed, not a missing one; a
+        # well-formed one leaves a No record as it was
         path = write_instance(tmp_path, name)
-        code, out, err = outcome(["witness", "-i", path, "-g", "garbage"], capsys)
-        assert (code, out) == (EXIT_USAGE, "")
-        assert err.startswith("error [parse-error]: ")
+        for bad in ("garbage", ""):
+            code, out, err = outcome(["witness", "-i", path, "-g", bad], capsys)
+            assert (code, out) == (EXIT_USAGE, "")
+            assert err.startswith("error [parse-error]: ")
         G = load_instance(name).group
         literal = G.format_element(G.first_nontrivial())
         plain = outcome(["witness", "--json", "-i", path], capsys)
