@@ -10,6 +10,7 @@ from .groups import AT_LEAST, EXACT_FINITE, ClassReport
 from .instances import InstanceSpec, parse_instance
 from .oracle import class_lower_bound, enumerate_class
 from .tri import Tri
+from .verify import VerifyReport, verify_instance
 from .witness import (
     FiniteClassCertificate,
     verify_finite_certificate,

@@ -9,11 +9,6 @@ The argument parser is built on the first `main` call and reused by every
 later one in the process.
 `--json` switches to line-delimited machine-readable records; the human
 format is derived from the same record.
-`verify` checks a finite certificate by exact closure under a generating
-set of G, or S(O, xi) by the premises of its invariance lemma; on a Yes
-verdict it draws `--elements` elements with `--seed` and checks a prefix
-of each one's family and its class growth.  Every PASS rests on at least
-one check.
 """
 
 from __future__ import annotations
@@ -21,32 +16,20 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
-import random
 import sys
 
 from .decision import decide_icc
-from .errors import CertificateBudget, ParseError, PreconditionError, WriccError
-from .groups import AT_LEAST, EXACT_FINITE
+from .errors import ParseError, WriccError
 from .instances import InstanceSpec, parse_instance
-from .oracle import class_lower_bound, enumerate_class
+from .oracle import enumerate_class
 from .tri import Tri
-from .witness import (
-    FiniteClassCertificate,
-    format_size,
-    verify_finite_certificate,
-    verify_infinite_certificate,
-    witness,
-)
+from .verify import check_budgets, verify_instance
+from .witness import FiniteClassCertificate, check_prefix, witness
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_UNKNOWN = 2
 EXIT_USAGE = 3
-
-# the most conjugates the oracle finds of a finite certificate's base
-# when the certificate has more members than that
-_CONTAINMENT_BUDGET = 2**17
 
 
 def _load(path: str) -> InstanceSpec:
@@ -109,6 +92,7 @@ def cmd_decide(args) -> int:
 
 
 def cmd_witness(args) -> int:
+    check_prefix(args.prefix)
     spec = _load(args.instance)
     G = spec.group
     # parsed whatever the verdict, so a malformed literal is always refused
@@ -139,7 +123,8 @@ def cmd_witness(args) -> int:
         if len(elems) > 20:
             record["elements_truncated"] = len(elems) - 20
     else:
-        prefix = cert.take(args.prefix)
+        # `witness` fitted the family to its kind: no second check
+        prefix = list(cert.members(args.prefix))
         record.update(
             {
                 "certificate": "infinite-family",
@@ -185,76 +170,32 @@ def cmd_class(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # with no element drawn, a Yes verdict would PASS on no checks at all
-    if args.elements < 1:
-        raise PreconditionError("verify: --elements must be at least 1")
+    check_budgets(args.elements, args.prefix, args.oracle_target)
     spec = _load(args.instance)
-    G = spec.group
     # a flag overrides the instance file, which overrides the default
     seed = args.seed if args.seed is not None else spec.budgets.get("seed", 0)
-    checks = []
-
-    def check(name, ok, detail=""):
-        checks.append((name, bool(ok), detail))
-
-    v = decide_icc(G)
-    if v.answer is Tri.UNKNOWN:
-        return _emit_unknown("verify", spec, v, args.json)
-
-    if v.answer is Tri.NO:
-        cert = witness(G, v)
-        res = verify_finite_certificate(G, cert)
-        check("finite-certificate", res, f"size {format_size(cert.size)}; {res.reason}")
-        # a class inside the set has at most |S| members, so the closure
-        # needs no round budget: it closes, or it passes |S| (a FAIL) or
-        # the conjugate budget
-        budget = min(cert.size, _CONTAINMENT_BUDGET)
-        rep = enumerate_class(G, cert.base, math.inf, budget + 1)
-        if rep.status != EXACT_FINITE and budget < cert.size:
-            # neither PASS nor FAIL: the class may still lie in the set
-            raise CertificateBudget(
-                f"oracle-containment: the class of the base has more than "
-                f"{_CONTAINMENT_BUDGET} conjugates, the oracle's budget"
-            )
-        S = cert.elements
-        contained = rep.status == EXACT_FINITE and all(x in S for x in rep.elements)
-        check(
-            "oracle-containment",
-            contained,
-            f"oracle {rep.status} count {rep.count} within certificate",
-        )
-    else:
-        rng = random.Random(seed)
-        for i in range(args.elements):
-            g = G.random_nontrivial_element(rng)
-            fam = witness(G, v, g)
-            res = verify_infinite_certificate(G, fam, N=args.prefix)
-            check(
-                f"infinite-family[{i}]",
-                res,
-                f"{fam.family_kind} on {G.format_element(g)}; {res.reason}",
-            )
-            rep, used = class_lower_bound(G, g, args.oracle_target)
-            ok = rep.status == AT_LEAST and rep.count >= args.oracle_target
-            check(
-                f"oracle-growth[{i}]",
-                ok,
-                f"{rep.count} distinct conjugates within radius {used}",
-            )
-
-    all_ok = all(ok for _, ok, _ in checks)
+    report = verify_instance(
+        spec.group,
+        seed=seed,
+        elements=args.elements,
+        prefix=args.prefix,
+        oracle_target=args.oracle_target,
+    )
+    if report.verdict.answer is Tri.UNKNOWN:
+        return _emit_unknown("verify", spec, report.verdict, args.json)
     record = {
         "command": "verify",
         "instance_hash": spec.instance_hash(),
-        "answer": str(v.answer),
-        "seed": seed,
+        "answer": str(report.verdict.answer),
+        "seed": report.seed,
         "checks": [
-            f"{'PASS' if ok else 'FAIL'} {name}: {detail}" for name, ok, detail in checks
+            f"{'PASS' if res else 'FAIL'} {name}: {res.reason}"
+            for name, res in report.checks.items()
         ],
-        "result": "PASS" if all_ok else "FAIL",
+        "result": "PASS" if report.ok else "FAIL",
     }
     _emit(record, args.json)
-    return EXIT_OK if all_ok else EXIT_FAIL
+    return EXIT_OK if report.ok else EXIT_FAIL
 
 
 class _Parser(argparse.ArgumentParser):

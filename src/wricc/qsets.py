@@ -19,8 +19,10 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 
+from . import groups
 from ._parsing import split_top, strip_outer
 from .errors import (
+    CertificateBudget,
     EmptyOmega,
     KindMismatch,
     ParseError,
@@ -84,6 +86,17 @@ class QSet(ABC):
     def finite_orbit_example(self):
         """A finite orbit as a tuple of points, or None."""
         return None
+
+    def _listed_orbit(self, size: int, points) -> tuple:
+        """The `size` points of a finite orbit as a tuple, refused past the
+        listing cap before any point is listed.  The refusal does not print
+        the size, which may have more digits than Python converts."""
+        if size > groups._FINITE_SET_CAP:
+            raise CertificateBudget(
+                f"{self.carrier_kind}: a finite orbit of more than "
+                f"{groups._FINITE_SET_CAP} points"
+            )
+        return tuple(points)
 
     def kernel_meets_fc(self) -> tuple:
         """(Tri, q0): YES comes with a concrete q0 != 1 lying in FC(Q) and
@@ -185,7 +198,7 @@ class RegularQSet(QSet):
 
     def finite_orbit_example(self):
         if self.Q.is_finite:
-            return tuple(self.Q.elements())
+            return self._listed_orbit(self.Q.order(), self.Q.elements())
         return None
 
     def kernel_description(self):
@@ -230,7 +243,7 @@ class _IntPointQSet(QSet):
         return iter(range(self.size))
 
     def finite_orbit_example(self):
-        return tuple(range(self.size))
+        return self._listed_orbit(self.size, range(self.size))
 
     def orbit_representatives(self):
         return (0,)

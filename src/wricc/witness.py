@@ -11,7 +11,7 @@ data: a kind, a base, a point and a seed.  Each kind is one row of
 `_KINDS`: whether it takes a point and a seed, the premise that makes
 the family infinite (its distinctness lemma's hypothesis), the key that
 tells its conjugates apart and, for g_d, a closed form.  One check,
-`_failure`, fits a family to its row: the builder and `members` refuse a
+`_failure`, fits a family to its row: the builder and `take` refuse a
 family that fails it before anything is drawn, and the verifier names
 the failure however distinct the prefix.  The dispatcher mirrors the
 case analysis of the criterion's proof.
@@ -173,17 +173,14 @@ class InfiniteFamilyCertificate:
 
     def members(self, count: int):
         """Yield up to `count` pairs (conjugator, conjugate), skipping a
-        conjugate whose key an earlier one has.  A family that fails its
-        kind's check (`_failure`) is refused before anything is drawn, so
-        one whose premise fails lists nothing.  Every conjugator yielded is
-        valid: an unseeded one, (eps, q) or (zeta(d, y), 1), is built from
-        a ball element that `Group.ball_stream` validated, the point and
-        Q's identity; a seeded one, s * h, is validated as it is built."""
-        if count < 1:
-            raise PreconditionError("a certificate prefix needs at least 1 member")
-        failure = _failure(self.group, self)
-        if failure is not None:
-            raise failure
+        conjugate whose key an earlier one has.  The family must fit its
+        kind: `build_family`, `take` and the verifier check it (`_failure`)
+        before they draw, so none of them lists a member of a family whose
+        premise fails.  Every conjugator yielded is valid: an unseeded one,
+        (eps, q) or (zeta(d, y), 1), is built from a ball element that
+        `Group.ball_stream` validated, the point and Q's identity; a seeded
+        one, s * h, is validated as it is built."""
+        check_prefix(count)
         kind = self.family_kind
         G, g, seed, y = self.group, self.base, self.seed_conjugator, self.point
         key_of, formula_of = _KINDS[kind][3:]
@@ -223,7 +220,18 @@ class InfiniteFamilyCertificate:
         raise CertificateBudget(f"{kind}: conjugator stream exhausted after {emitted} members")
 
     def take(self, count: int):
+        """The first `count` members; a family that fails its kind's check
+        is refused before anything is drawn."""
+        failure = _failure(self.group, self)
+        if failure is not None:
+            raise failure
         return list(self.members(count))
+
+
+def check_prefix(count: int) -> None:
+    """Refuse a prefix of no member."""
+    if count < 1:
+        raise PreconditionError("a certificate prefix needs at least 1 member")
 
 
 def _validated_products(G: WreathProduct, s: WreathElement, hs):
@@ -580,8 +588,9 @@ def _verify_orbit_maps(G: WreathProduct, S: OrbitMaps, base) -> VerificationResu
 def verify_infinite_certificate(
     G: WreathProduct, cert: InfiniteFamilyCertificate, N: int = 100
 ) -> VerificationResult:
-    """The check the builder and `members` use (`_failure`), whose premise
-    makes the family infinite, then the first N deduped conjugates:
+    """The check the builder and `take` use (`_failure`), run once, whose
+    premise makes the family infinite, then the first N deduped conjugates,
+    drawn through `members`:
     pairwise distinct and consistent with their recorded conjugators.  A
     family that fails the check fails with the reason they give, however
     distinct its prefix.
@@ -604,7 +613,7 @@ def verify_infinite_certificate(
         failure = _failure(G, cert)
         if failure is not None:
             return VerificationResult(False, str(failure))
-        prefix = cert.take(N)
+        prefix = list(cert.members(N))
     except WriccError as e:
         return VerificationResult(False, f"stream failed: {e}")
     if len(prefix) < N:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import importlib.resources
 import io
 import shlex
 import tempfile
@@ -29,6 +28,8 @@ from wricc import cli
 from wricc.decision import decide_icc
 from wricc.instances import parse_instance
 from wricc.witness import witness
+
+from conftest import instance_text
 
 RECORDS_DIR = Path(__file__).resolve().parent / "records"
 
@@ -100,16 +101,10 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def instance_text(record: Record) -> str:
-    if record.text is not None:
-        return record.text
-    return (importlib.resources.files("wricc") / "instances_data" / f"{record.instance}.wri").read_text()
-
-
 def render(record: Record, workdir: Path) -> str:
     """Run the record's command on a copy of its instance in `workdir`
     and return the text its file must hold."""
-    text = instance_text(record)
+    text = record.text if record.text is not None else instance_text(record.instance)
     path = Path(workdir) / f"{record.instance}.wri"
     path.write_text(text)
     out, err = io.StringIO(), io.StringIO()

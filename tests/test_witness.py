@@ -1,10 +1,12 @@
 import dataclasses
 import importlib
+import json
 import random
 import re
 
 import pytest
 
+from wricc.cli import main
 from wricc.decision import decide_icc
 from wricc.errors import CertificateBudget, KindMismatch, PreconditionError
 from wricc.groups import CyclicGroup, FreeGroup, IntegersGroup, SymmetricGroup
@@ -25,7 +27,7 @@ from wricc.witness import (
 )
 from wricc.wreath import WreathElement, WreathProduct, support
 
-from conftest import load_instance, predicted_invariant_sets
+from conftest import instance_text, load_instance, predicted_invariant_sets
 
 Z = IntegersGroup()
 S3 = SymmetricGroup(3)
@@ -787,6 +789,41 @@ def test_certificate_over_another_group_fails():
     assert verify_infinite_certificate(G, fam, N=20)
     res = verify_infinite_certificate(H, fam, N=20)
     assert not res and res.reason == "certificate is over another group"
+
+
+@pytest.mark.parametrize("name, literal, kind, point", FAMILY_OUTPUTS)
+def test_verifier_checks_the_family_once(name, literal, kind, point, monkeypatch):
+    # one run of the kind's check per verification, and the prefix drawn
+    # through `members`; a family that fails the check is not drawn from
+    G = _family_group(name)
+    fam = witness(G, decide_icc(G), G.parse_element(literal))
+    bad = InfiniteFamilyCertificate(G, fam.base, "probe", fam.point, fam.seed_conjugator)
+    checked, drawn = [], []
+    check, members = witness_module._failure, InfiniteFamilyCertificate.members
+    monkeypatch.setattr(witness_module, "_failure", lambda G, c: checked.append(c) or check(G, c))
+    monkeypatch.setattr(
+        InfiniteFamilyCertificate, "members", lambda c, n: drawn.append(c) or members(c, n)
+    )
+    assert verify_infinite_certificate(G, fam, N=20)
+    assert checked == drawn == [fam]
+    checked.clear()
+    drawn.clear()
+    res = verify_infinite_certificate(G, bad, N=20)
+    assert res.reason == "premise: probe: unknown family kind"
+    assert checked == [bad] and drawn == []
+
+
+def test_witness_command_checks_the_family_once(tmp_path, capsys, monkeypatch):
+    # the dispatcher builds the family through its kind's check, and the
+    # command lists its prefix without a second one
+    checked = []
+    check = witness_module._failure
+    monkeypatch.setattr(witness_module, "_failure", lambda G, c: checked.append(c) or check(G, c))
+    path = tmp_path / "f2-wr-z2.wri"
+    path.write_text(instance_text("f2-wr-z2"))
+    assert main(["witness", "--json", "-i", str(path), "-g", "{1:b*a^-1}@1"]) == 0
+    assert json.loads(capsys.readouterr().out)["distinct_prefix"] == 10
+    assert len(checked) == 1
 
 
 def test_verifier_validates_once_and_recomputes_by_products(f2_wr_z2, monkeypatch):
