@@ -5,7 +5,9 @@ Each file holds one command's exit code, stdout and stderr, run in-process
 through `cli.main` on one instance.  Long outputs are stored as a sha256
 digest.  The five `witness --prefix 300` records, one per family kind, also
 pin the digest of the 300 lines "conjugator -> conjugate" that the library
-lists for the family.  `test_records.py` runs every command again and
+lists for the family.  The instances CI runs beyond the shipped ones get
+`decide --json`, `witness --json` and `verify --json --seed 42` records,
+refusals included.  `test_records.py` runs every command again and
 compares the whole file, byte for byte.
 
 A change that alters an output on purpose regenerates the files from the
@@ -66,6 +68,17 @@ FAMILY_PINS = {
 }
 FAMILY_PREFIX = 300
 
+# instances CI runs that are not shipped: name -> text
+CI_INSTANCES = {
+    "nested-19": "{D: wreath(cyclic 2; integers; union(regular, int-mod 19)); Q: cyclic 2; omega: regular}",
+    "nested-25": "{D: wreath(cyclic 2; integers; union(regular, int-mod 25)); Q: cyclic 2; omega: regular}",
+    "union-int-mod-25": "{D: cyclic 2; Q: integers; omega: union(regular, int-mod 25)}",
+    "natural-9": "{D: cyclic 2; Q: symmetric 9; omega: natural}",
+    "product-q": "{D: cyclic 2; Q: product(wreath(cyclic 2; integers; regular), cyclic 2); omega: trivial 1}",
+    "trivial-d": "{D: cyclic 1; Q: integers; omega: regular}",
+}
+CI_COMMANDS = ("decide-json", "witness-json", "verify-json-seed42")
+
 
 @dataclass(frozen=True)
 class Record:
@@ -94,6 +107,10 @@ RECORDS = [
         family=element,
     )
     for kind, (name, text, element) in FAMILY_PINS.items()
+] + [
+    Record(name, label, tuple(COMMANDS[label][0]), text=text)
+    for name, text in CI_INSTANCES.items()
+    for label in CI_COMMANDS
 ]
 
 
