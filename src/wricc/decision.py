@@ -3,14 +3,16 @@
 The verdict combines three structural oracles in Kleene three-valued
 logic: (i) no nontrivial FC-element of Q fixes the carrier pointwise,
 (ii) the base group is icc, (iii) every Q-orbit is infinite.  The group is
-icc exactly when (i) holds together with (ii) or (iii).
+icc exactly when (i) holds together with (ii) or (iii).  The criterion's
+hypotheses, D nontrivial and the carrier nonempty, hold for every G:
+`WreathProduct` refuses any other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EmptyOmega, NotFreeAction, TrivialD
+from .errors import NotFreeAction
 from .tri import Tri, tri_and, tri_not, tri_of, tri_or
 from .wreath import WreathProduct
 
@@ -23,13 +25,6 @@ class IccVerdict:
     cond_iii: Tri
     reason: str
     corollary_used: bool = False
-
-
-def _check_hypotheses(G: WreathProduct) -> None:
-    if G.D.is_trivial:
-        raise TrivialD("the base group must be nontrivial (G would be just Q)")
-    if next(iter(G.omega.points_stream()), None) is None:
-        raise EmptyOmega("the carrier must be nonempty")
 
 
 def _reason(ci: Tri, cii: Tri, ciii: Tri, answer: Tri) -> str:
@@ -46,7 +41,6 @@ def _reason(ci: Tri, cii: Tri, ciii: Tri, answer: Tri) -> str:
 def decide_icc(G: WreathProduct) -> IccVerdict:
     """Apply the criterion directly; determined answers come only from the
     structural oracles, never from bounded searches."""
-    _check_hypotheses(G)
     cond_i = tri_not(G.omega.kernel_meets_fc()[0])
     cond_ii = G.D.icc_status().answer
     cond_iii = G.omega.all_orbits_infinite()
@@ -58,7 +52,6 @@ def decide_icc_free(G: WreathProduct) -> IccVerdict:
     """The free-action special case: icc iff the base is icc or Q is
     infinite.  Freeness gives (i), as only 1 fixes a point, and (iii), as
     each orbit is a copy of Q.  Must agree with decide_icc on every field."""
-    _check_hypotheses(G)
     free = G.omega.is_free_action()
     if free is not Tri.YES:
         raise NotFreeAction(f"the action is not (known) free: {free}")

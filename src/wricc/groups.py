@@ -220,6 +220,11 @@ class Group(ABC):
     def order(self) -> int:
         raise Unsupported(f"{self.kind}: infinite group has no order")
 
+    def _capped_order(self) -> int:
+        """min(order, _FINITE_SET_CAP + 1) for a finite group, with no
+        number built past the cap where the order could be huge."""
+        return min(self.order(), _FINITE_SET_CAP + 1)
+
     def elements(self):
         """All elements (finite kinds only); the catalog kinds yield them
         in sort_key order, which RegularQSet.finite_orbit_example uses."""
@@ -538,6 +543,14 @@ class SymmetricGroup(_FiniteGroupMixin, Group):
     def order(self):
         return math.factorial(self.n)
 
+    def _capped_order(self):
+        order = 1
+        for k in range(2, self.n + 1):
+            order *= k
+            if order > _FINITE_SET_CAP:
+                return _FINITE_SET_CAP + 1
+        return order
+
     def elements(self):
         return itertools.permutations(range(self.n))
 
@@ -722,6 +735,9 @@ class DirectProductGroup(Group):
 
     def order(self):
         return math.prod(f.order() for f in self.factors)
+
+    def _capped_order(self):
+        return min(math.prod(f._capped_order() for f in self.factors), _FINITE_SET_CAP + 1)
 
     def elements(self):
         return itertools.product(*(f.elements() for f in self.factors))

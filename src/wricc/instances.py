@@ -22,7 +22,7 @@ import hashlib
 from dataclasses import dataclass, field
 
 from ._parsing import head_and_args, split_top
-from .errors import ParseError, TrivialD, UnsupportedQKind
+from .errors import ParseError
 from .groups import (
     CyclicGroup,
     DirectProductGroup,
@@ -108,10 +108,6 @@ def parse_omega(text: str, Q: Group, depth: int = 0) -> QSet:
 
 
 def build_wreath(D: Group, Q: Group, omega_text: str, depth: int = 0) -> WreathProduct:
-    if "wreath" in Q.kind:  # a product's kind holds its factors' kinds
-        raise UnsupportedQKind("wreath products cannot act, even as factors (no FC rule)")
-    if D.is_trivial:
-        raise TrivialD("D must be nontrivial")
     return WreathProduct(D, Q, parse_omega(omega_text, Q, depth))
 
 

@@ -88,9 +88,9 @@ class QSet(ABC):
         return None
 
     def _listed_orbit(self, size: int, points) -> tuple:
-        """The `size` points of a finite orbit as a tuple, refused past the
-        listing cap before any point is listed.  The refusal does not print
-        the size, which may have more digits than Python converts."""
+        """The points of a finite orbit as a tuple, refused before any is
+        listed when `size` (its size, or a number past the cap for it)
+        passes the listing cap, which the refusal names instead."""
         if size > groups._FINITE_SET_CAP:
             raise CertificateBudget(
                 f"{self.carrier_kind}: a finite orbit of more than "
@@ -198,7 +198,7 @@ class RegularQSet(QSet):
 
     def finite_orbit_example(self):
         if self.Q.is_finite:
-            return self._listed_orbit(self.Q.order(), self.Q.elements())
+            return self._listed_orbit(self.Q._capped_order(), self.Q.elements())
         return None
 
     def kernel_description(self):

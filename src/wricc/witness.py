@@ -3,11 +3,11 @@
 Non-icc verdicts get a finite conjugation-invariant set of nontrivial
 elements.  An explicit set (condition (i)) is checked exactly: closed
 under conjugation by every generator of G.  The finite-orbit set S(O, xi)
-is data, the orbit O and the value set xi, with a membership test; it is
-checked by the two premises of its invariance lemma (see `OrbitMaps`),
-without listing its (|xi|+1)^|O| - 1 members.  Icc verdicts get an
-infinite family of conjugators with pairwise distinct conjugates, as
-data: a kind, a base, a point and a seed.  Each kind is one row of
+is a value, its data the orbit O and the value set xi; it is checked by
+the two premises of its invariance lemma (see `OrbitMaps`), without
+listing its (|xi|+1)^|O| - 1 members.  Icc verdicts get an infinite
+family of conjugators with pairwise distinct conjugates, as data: a
+kind, a base, a point and a seed.  Each kind is one row of
 `_KINDS`: whether it takes a point and a seed, the premise that makes
 the family infinite (its distinctness lemma's hypothesis), the key that
 tells its conjugates apart and, for g_d, a closed form.  One check,
@@ -26,7 +26,6 @@ against products.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Set
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -48,10 +47,14 @@ def format_size(n: int) -> str:
     return str(n) if n.bit_length() <= _PRINTED_SIZE_BITS else f"at least 2^{n.bit_length() - 1}"
 
 
-class OrbitMaps(Set):
+class OrbitMaps:
     """S(O, xi): every (phi, 1) with phi != eps, its support inside a
     finite orbit O and its values in a finite set xi of nontrivial
-    elements of D.  It holds only the orbit, xi and O's points.
+    elements of D.  It is a value: the group, O and xi are its data, which
+    `==` and `hash` read without listing a member.  It owns its size, read
+    off the formula (|xi|+1)^|O| - 1, a membership test in O(|supp phi|)
+    and its listing, which refuses more than `groups._FINITE_SET_CAP`
+    members before it builds one.
 
     Invariance lemma.  Let O be closed under every generator of Q, and xi
     under conjugation by every generator of D.  Then S(O, xi) is closed
@@ -62,10 +65,6 @@ class OrbitMaps(Set):
     d^-1 xi d, which is inside xi (and e stays e).  A finite set that is
     closed under an injective map is also closed under that map's
     inverse, and the generators generate G.
-
-    `in` costs O(|supp phi|) and `len` reads the formula (|xi|+1)^|O| - 1.
-    Only iteration lists the members, in `_maps_over` order; it and `len`
-    refuse more than `groups._FINITE_SET_CAP` members.
     """
 
     def __init__(self, group: WreathProduct, orbit, xi):
@@ -76,7 +75,16 @@ class OrbitMaps(Set):
             raise PreconditionError("the orbit lists a point twice")
         self.xi = frozenset(xi)
         self.size = (len(self.xi) + 1) ** len(self.orbit) - 1
+        self.formula = f"({len(self.xi)}+1)^{len(self.orbit)} - 1"
         self._one = group.Q.identity()
+
+    def __eq__(self, other):
+        if not isinstance(other, OrbitMaps):
+            return NotImplemented
+        return (self.group, self.orbit, self.xi) == (other.group, other.orbit, other.xi)
+
+    def __hash__(self):
+        return hash((self.group, self.orbit, self.xi))
 
     def first(self) -> WreathElement:
         """The first member in iteration order, found without listing: the
@@ -105,27 +113,22 @@ class OrbitMaps(Set):
         keys = [key(y) for y, _ in phi]
         return all(a < b for a, b in zip(keys, keys[1:]))
 
-    def _check_cap(self):
+    def __iter__(self):
+        """The members, refused past the cap before any is built.  The
+        choice at O's first point varies slowest, and "no value" comes
+        first, then xi in sort_key order; eps, no value anywhere, is skipped."""
         if self.size > groups._FINITE_SET_CAP:
             raise CertificateBudget(
-                f"certificate would have ({len(self.xi)}+1)^{len(self.orbit)} - 1 elements, "
+                f"certificate would have {self.formula} elements, "
                 f"more than {groups._FINITE_SET_CAP}"
             )
-
-    def __len__(self) -> int:
-        self._check_cap()
-        return self.size
-
-    def __bool__(self) -> bool:
-        return self.size > 0
-
-    def __iter__(self):
-        self._check_cap()
-        return _maps_over(self.group, self.orbit, self.xi)
-
-    @classmethod
-    def _from_iterable(cls, it):
-        return frozenset(it)
+        one, canon, pts = self._one, self.group._canon, self.orbit
+        choices = [None, *sorted(self.xi, key=self.group.D.sort_key)]
+        picks = itertools.islice(itertools.product(choices, repeat=len(pts)), 1, None)
+        return (
+            WreathElement(canon([(y, d) for y, d in zip(pts, pick) if d is not None]), one)
+            for pick in picks
+        )
 
     def __repr__(self):
         return f"OrbitMaps(|O|={len(self.orbit)}, |xi|={len(self.xi)})"
@@ -134,7 +137,7 @@ class OrbitMaps(Set):
 @dataclass(frozen=True)
 class FiniteClassCertificate:
     base: WreathElement
-    elements: Set  # a frozenset, or the data of S(O, xi)
+    elements: frozenset | OrbitMaps
     provenance: str  # "condition-i" | "finite-orbit"
     size_formula: str
 
@@ -270,19 +273,6 @@ def cert_condition_i(G: WreathProduct, q0) -> FiniteClassCertificate:
     )
 
 
-def _maps_over(G: WreathProduct, pts: tuple, values):
-    """Yield every (phi, 1) with phi != eps supported inside `pts` and
-    taking values in `values`, in a fixed order: the choice for the first
-    point varies slowest, and "no value" comes before the values in
-    sort_key order."""
-    one, canon = G.Q.identity(), G._canon
-    choices = [None] + sorted(values, key=G.D.sort_key)
-    for choice in itertools.product(choices, repeat=len(pts)):
-        items = [(y, d) for y, d in zip(pts, choice) if d is not None]
-        if items:
-            yield WreathElement(canon(items), one)
-
-
 def cert_finite_orbit(G: WreathProduct, xi=None, orbit=None) -> FiniteClassCertificate:
     """S(O, xi) for a finite orbit O and a finite invariant subset xi of
     the base, as data (`OrbitMaps`): nothing is listed, so no size is too
@@ -303,7 +293,7 @@ def cert_finite_orbit(G: WreathProduct, xi=None, orbit=None) -> FiniteClassCerti
     for y in orbit:
         G.omega.validate_point(y)
     S = OrbitMaps(G, orbit, xi)
-    formula = f"(|xi|+1)^|O| - 1 = ({len(xi)}+1)^{len(orbit)} - 1"
+    formula = f"(|xi|+1)^|O| - 1 = {S.formula}"
     if S.size.bit_length() <= _PRINTED_SIZE_BITS:
         formula += f" = {S.size}"
     return FiniteClassCertificate(
@@ -353,19 +343,17 @@ def _gd(G: WreathProduct, g: WreathElement, y, seed) -> str | None:
 def _gd_formula(G: WreathProduct, g: WreathElement, y):
     """The g_d lemma's member for the conjugator (zeta(d, y), 1), on D's
     unchecked arithmetic: g and y are valid and d comes from D's ball.
-    Dropping identities and one sort make the map canonical."""
+    The group's `_canon` makes the map canonical."""
     D, phi, q = G.D, g.phi, g.q
     c, qy, e = G._map_value(phi, y), G.omega._act(q, y), D.identity()
-    dmul, dinv, item_key, new = D._multiply, D._inverse, G._item_key, tuple.__new__
+    dmul, dinv, canon, new = D._multiply, D._inverse, G._canon, tuple.__new__
 
     def formula(h: WreathElement) -> WreathElement:
         d = h.phi[0][1] if h.phi else e
         acc = dict(phi)
         acc[y] = dmul(dinv(d), c)
         acc[qy] = dmul(acc[qy], d) if qy in acc else d
-        items = [yd for yd in acc.items() if yd[1] != e]
-        items.sort(key=item_key)
-        return new(WreathElement, (tuple(items), q))
+        return new(WreathElement, (canon(acc.items()), q))
 
     return formula
 
@@ -518,8 +506,6 @@ def verify_finite_certificate(
     ident = G.identity()
     if ident in S:
         return VerificationResult(False, "identity element in the set", (ident,))
-    if cert.base == ident:
-        return VerificationResult(False, "base element is the identity", (ident,))
     for x in S:
         G.validate(x)
     conj = G._conjugate

@@ -34,7 +34,8 @@ from typing import NamedTuple
 
 from . import groups
 from ._parsing import split_top, strip_outer
-from .errors import CertificateBudget, KindMismatch, ParseError, PreconditionError, Unsupported
+from .errors import CertificateBudget, EmptyOmega, KindMismatch, ParseError, PreconditionError
+from .errors import TrivialD, Unsupported, UnsupportedQKind
 from .groups import Group, IccStatus
 from .qsets import QSet
 from .tri import Tri
@@ -65,11 +66,21 @@ def support(f: tuple) -> tuple:
 class WreathProduct(Group):
     """Handle for D wr_Omega Q, also usable in the D position of an
     enclosing wreath product (its FC element is its certificate's base).
-    FC membership is unsupported, so it is rejected in the Q position."""
+    Every G is built here, so the criterion's hypotheses are checked here:
+    D is nontrivial and the carrier nonempty.  A Q that holds a wreath
+    product, which has no FC rule, at any depth is refused too."""
+
+    is_trivial = False  # D != 1 at a point of a nonempty carrier
 
     def __init__(self, D: Group, Q: Group, omega: QSet):
         if omega.Q != Q:
             raise PreconditionError("omega must be a Q-set for the given Q")
+        if "wreath" in Q.kind:  # a product's kind holds its factors' kinds
+            raise UnsupportedQKind("wreath products cannot act, even as factors (no FC rule)")
+        if D.is_trivial:
+            raise TrivialD("D must be nontrivial")
+        if next(iter(omega.points_stream()), None) is None:
+            raise EmptyOmega("the carrier must be nonempty")
         self.D = D
         self.Q = Q
         self.omega = omega
@@ -251,10 +262,6 @@ class WreathProduct(Group):
     @property
     def is_finite(self):
         return self.D.is_finite and self.Q.is_finite and self.omega.is_finite_carrier
-
-    @property
-    def is_trivial(self):
-        return self.D.is_trivial and self.Q.is_trivial
 
     def order(self):
         if not self.is_finite:

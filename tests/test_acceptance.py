@@ -170,8 +170,8 @@ def test_criterion_5_non_icc_certification():
             problems.append(f"{name}: verdict {v.answer}")
             continue
         cert = witness(G, v)
-        if len(cert.elements) != size or _formula_value(cert.size_formula) != size:
-            problems.append(f"{name}: size {len(cert.elements)} != {size}")
+        if cert.size != size or _formula_value(cert.size_formula) != size:
+            problems.append(f"{name}: size {cert.size} != {size}")
             continue
         first = verify_finite_certificate(G, cert)
         again = verify_finite_certificate(G, cert)

@@ -4,10 +4,10 @@ import time
 import pytest
 
 from wricc.decision import decide_icc, decide_icc_free
-from wricc.errors import EmptyOmega, NotFreeAction, TrivialD
+from wricc.errors import EmptyOmega, NotFreeAction, TrivialD, UnsupportedQKind
 from wricc.groups import CyclicGroup, FreeGroup, IntegersGroup
-from wricc.instances import parse_instance
-from wricc.qsets import RegularQSet
+from wricc.instances import parse_group, parse_instance
+from wricc.qsets import RegularQSet, TrivialQSet
 from wricc.tri import Tri, tri_and, tri_not, tri_of, tri_or
 from wricc.wreath import WreathProduct
 
@@ -59,22 +59,20 @@ def test_formula_matches_components():
 
 
 class TestHypotheses:
-    def test_trivial_base_rejected(self):
-        G = WreathProduct(CyclicGroup(1), Z, RegularQSet(Z))
-        with pytest.raises(TrivialD):
-            decide_icc(G)
-        with pytest.raises(TrivialD):
-            decide_icc_free(G)
+    """Every G is built by `WreathProduct`, which refuses it when the
+    criterion's hypotheses fail, with the messages the CLI prints."""
 
+    def test_trivial_base_rejected(self):
+        with pytest.raises(TrivialD, match="^D must be nontrivial$"):
+            WreathProduct(CyclicGroup(1), Z, RegularQSet(Z))
 
     def test_empty_carrier_rejected(self):
         class Empty(OpaqueQSet):
             def points_stream(self):
                 return iter(())
 
-        G = WreathProduct(CyclicGroup(2), Z, Empty(Z))
-        with pytest.raises(EmptyOmega):
-            decide_icc(G)
+        with pytest.raises(EmptyOmega, match="^the carrier must be nonempty$"):
+            WreathProduct(CyclicGroup(2), Z, Empty(Z))
 
     def test_faulty_points_stream_propagates(self):
         # a fault in the carrier's stream is not an empty carrier
@@ -82,9 +80,20 @@ class TestHypotheses:
             def points_stream(self):
                 raise RuntimeError("broken stream")
 
-        G = WreathProduct(CyclicGroup(2), Z, Faulty(Z))
         with pytest.raises(RuntimeError, match="broken stream"):
-            decide_icc(G)
+            WreathProduct(CyclicGroup(2), Z, Faulty(Z))
+
+    @pytest.mark.parametrize(
+        "q",
+        [
+            "wreath(cyclic 2; integers; regular)",
+            "product(cyclic 2, wreath(cyclic 2; integers; regular))",
+        ],
+    )
+    def test_wreath_in_q_rejected(self, q):
+        Q = parse_group(q)
+        with pytest.raises(UnsupportedQKind, match="^wreath products cannot act, even as factors"):
+            WreathProduct(CyclicGroup(2), Q, TrivialQSet(Q, 1))
 
 
 def check_free_corollary(G, name):

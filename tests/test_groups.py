@@ -579,6 +579,32 @@ def test_symmetric_degree_refused_past_the_listing_cap(monkeypatch):
             SymmetricGroup(n)
 
 
+@pytest.mark.parametrize(
+    "text, order",
+    [
+        ("cyclic 7", 7),
+        ("symmetric 4", 24),
+        ("symmetric 5", 120),
+        ("product(symmetric 3, cyclic 4)", 24),
+        ("product(cyclic 5, symmetric 3, cyclic 2)", 60),
+    ],
+)
+def test_capped_order_is_the_order_up_to_the_cap(monkeypatch, text, order):
+    # at the cap of 100 the order stands, one past it stands for more
+    monkeypatch.setattr(groups, "_FINITE_SET_CAP", 100)
+    G = parse_group(text)
+    assert G.order() == order
+    assert G._capped_order() == min(order, 101)
+
+
+def test_capped_order_builds_no_huge_factorial(monkeypatch):
+    # 900000! would take seconds to build; the capped order stops at 10!
+    monkeypatch.setattr(groups.math, "factorial", None)
+    for text in ("symmetric 900000", "product(cyclic 2, symmetric 900000)"):
+        assert parse_group(text)._capped_order() == groups._FINITE_SET_CAP + 1
+    assert parse_group("symmetric 9")._capped_order() == 362880
+
+
 # (descriptor, class): two groups are equal exactly when their classes
 # match, whichever way the descriptor was spelled or nested
 IDENTITY_CLASSES = [

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from wricc.decision import decide_icc
-from wricc.errors import ParseError, TrivialD, UnsupportedQKind
+from wricc.errors import EmptyOmega, ParseError, TrivialD, UnsupportedQKind
 from wricc.groups import CyclicGroup, IntegersGroup, SymmetricGroup
 from wricc.instances import InstanceSpec, parse_instance
 from wricc.witness import FiniteClassCertificate, witness
@@ -67,6 +67,12 @@ class TestParseInstance:
     def test_trivial_base_rejected(self):
         with pytest.raises(TrivialD):
             parse_instance("D: cyclic 1\nQ: integers\nomega: regular\n")
+
+    @pytest.mark.parametrize("omega, error", [("bogus", ParseError), ("trivial 0", EmptyOmega)])
+    def test_carrier_fault_reported_before_trivial_base(self, omega, error):
+        # the carrier is parsed before `WreathProduct` checks the hypotheses
+        with pytest.raises(error):
+            parse_instance(f"{{D: cyclic 1; Q: integers; omega: {omega}}}")
 
     def test_wreath_q_rejected(self):
         with pytest.raises(UnsupportedQKind):

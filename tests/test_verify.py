@@ -132,21 +132,24 @@ def test_bad_budget_flag_exits_3_before_the_file_is_read(tmp_path, capsys, argv,
 HUGE_ORBITS = [
     "{D: cyclic 2; Q: cyclic 1000000000000; omega: regular}",
     "{D: cyclic 2; Q: integers; omega: union(regular, int-mod 1000000000000)}",
+    # |Q| = 900000! is compared with the cap without being built
+    "{D: cyclic 2; Q: symmetric 900000; omega: regular}",
 ]
 _CHILD = r"""
-import contextlib, io, json, resource, sys, traceback
+import contextlib, io, json, resource, sys, time, traceback
 resource.setrlimit(resource.RLIMIT_AS, (1500 * 2**20, 1500 * 2**20))
 from wricc.cli import main
 results = []
 for path in sys.argv[1:]:
     for command in ("witness", "verify"):
         err = io.StringIO()
+        t0 = time.perf_counter()
         try:
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = main([command, "-i", path])
         except BaseException:
             code, err = None, io.StringIO(traceback.format_exc())
-        results.append([command, path, code, err.getvalue()])
+        results.append([command, path, code, err.getvalue(), time.perf_counter() - t0])
 print(json.dumps(results))
 """
 
@@ -166,9 +169,10 @@ def test_huge_finite_orbits_are_refused_before_they_are_listed(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     results = json.loads(done.stdout)
-    assert len(results) == 4
-    for command, path, code, err in results:
+    assert len(results) == 2 * len(HUGE_ORBITS)
+    for command, path, code, err, seconds in results:
         assert code == EXIT_USAGE, (command, path, err)
+        assert seconds < 2, (command, path, seconds)
         assert "Traceback" not in err
         assert err.startswith("error [certificate-budget]: ")
         assert err.endswith(": a finite orbit of more than 1000000 points\n")
