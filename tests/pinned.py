@@ -5,10 +5,11 @@ Each file holds one command's exit code, stdout and stderr, run in-process
 through `cli.main` on one instance.  Long outputs are stored as a sha256
 digest.  The five `witness --prefix 300` records, one per family kind, also
 pin the digest of the 300 lines "conjugator -> conjugate" that the library
-lists for the family.  The instances CI runs beyond the shipped ones get
-`decide --json`, `witness --json` and `verify --json --seed 42` records,
-refusals included.  `test_records.py` runs every command again and
-compares the whole file, byte for byte.
+lists for the family.  The instances CI runs beyond the shipped ones, and
+three whose D or Q is a direct product, get `decide --json`,
+`witness --json` and `verify --json --seed 42` records, refusals
+included.  `test_records.py` runs every command again and compares the
+whole file, byte for byte.
 
 A change that alters an output on purpose regenerates the files from the
 root of the checkout, and the diff of `tests/records/` shows each change:
@@ -68,7 +69,9 @@ FAMILY_PINS = {
 }
 FAMILY_PREFIX = 300
 
-# instances CI runs that are not shipped: name -> text
+# instances that are not shipped: name -> text.  The three product-*
+# instances reach the direct product's arithmetic, which no shipped
+# instance and no other record does
 CI_INSTANCES = {
     "nested-19": "{D: wreath(cyclic 2; integers; union(regular, int-mod 19)); Q: cyclic 2; omega: regular}",
     "nested-25": "{D: wreath(cyclic 2; integers; union(regular, int-mod 25)); Q: cyclic 2; omega: regular}",
@@ -76,8 +79,18 @@ CI_INSTANCES = {
     "natural-9": "{D: cyclic 2; Q: symmetric 9; omega: natural}",
     "product-q": "{D: cyclic 2; Q: product(wreath(cyclic 2; integers; regular), cyclic 2); omega: trivial 1}",
     "trivial-d": "{D: cyclic 1; Q: integers; omega: regular}",
+    "product-d": "{D: product(cyclic 2, integers); Q: integers; omega: regular}",
+    "product-q-free-d": "{D: free 2; Q: product(integers, cyclic 2); omega: union(regular, trivial 1)}",
+    "product-d-q": "{D: product(cyclic 2, symmetric 3); Q: product(cyclic 2, cyclic 3); omega: regular}",
+    "cyclic-20": "{D: cyclic 2; Q: cyclic 20; omega: regular}",
+    "symmetric-16": "{D: cyclic 2; Q: symmetric 16; omega: trivial 1}",
+    "trivial-20000": "{D: cyclic 2; Q: cyclic 3; omega: trivial 20000}",
+    "trivial-huge": "{D: cyclic 2; Q: cyclic 3; omega: trivial 99999999999}",
+    "union-int-mod-19": "{D: cyclic 2; Q: integers; omega: union(regular, int-mod 19)}",
 }
 CI_COMMANDS = ("decide-json", "witness-json", "verify-json-seed42")
+# not yet pinned: this listing sorts all 524,287 members of S(O, xi)
+UNPINNED = {("union-int-mod-19", "witness-json")}
 
 
 @dataclass(frozen=True)
@@ -111,6 +124,7 @@ RECORDS = [
     Record(name, label, tuple(COMMANDS[label][0]), text=text)
     for name, text in CI_INSTANCES.items()
     for label in CI_COMMANDS
+    if (name, label) not in UNPINNED
 ]
 
 
