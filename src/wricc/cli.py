@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 
@@ -24,7 +25,7 @@ from .instances import InstanceSpec, parse_instance
 from .oracle import enumerate_class
 from .tri import Tri
 from .verify import check_budgets, verify_instance
-from .witness import FiniteClassCertificate, check_prefix, witness
+from .witness import FiniteClassCertificate, OrbitMaps, check_prefix, witness
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -109,7 +110,9 @@ def cmd_witness(args) -> int:
         "answer": str(v.answer),
     }
     if isinstance(cert, FiniteClassCertificate):
-        elems = sorted(cert.elements, key=G.sort_key)
+        # S(O, xi) lists in the group's order; an explicit set is sorted
+        S = cert.elements
+        elems = S if isinstance(S, OrbitMaps) else sorted(S, key=G.sort_key)
         record.update(
             {
                 "certificate": "finite-class",
@@ -117,11 +120,11 @@ def cmd_witness(args) -> int:
                 "size": cert.size,
                 "size_formula": cert.size_formula,
                 "base": G.format_element(cert.base),
-                "elements": [G.format_element(e) for e in elems[:20]],
+                "elements": [G.format_element(e) for e in itertools.islice(elems, 20)],
             }
         )
-        if len(elems) > 20:
-            record["elements_truncated"] = len(elems) - 20
+        if cert.size > 20:
+            record["elements_truncated"] = cert.size - 20
     else:
         # `witness` fitted the family to its kind: no second check
         prefix = list(cert.members(args.prefix))

@@ -87,8 +87,8 @@ class OrbitMaps:
         return hash((self.group, self.orbit, self.xi))
 
     def first(self) -> WreathElement:
-        """The first member in iteration order, found without listing: the
-        last orbit point carrying the least value of xi."""
+        """The certificate's base, found without listing: the last point of
+        O, in the order O was given, carrying the least value of xi."""
         if not self.orbit or not self.xi:
             raise PreconditionError("S(O, xi) needs a nonempty orbit and xi")
         d = min(self.xi, key=self.group.D.sort_key)
@@ -114,21 +114,27 @@ class OrbitMaps:
         return all(a < b for a, b in zip(keys, keys[1:]))
 
     def __iter__(self):
-        """The members, refused past the cap before any is built.  The
-        choice at O's first point varies slowest, and "no value" comes
-        first, then xi in sort_key order; eps, no value anywhere, is skipped."""
+        """The members in the group's `sort_key` order, refused past the cap
+        before any is built: a depth-first walk over O in `point_key` order,
+        each point taking xi in `sort_key` order, so that a map comes
+        before its extensions."""
         if self.size > groups._FINITE_SET_CAP:
             raise CertificateBudget(
                 f"certificate would have {self.formula} elements, "
                 f"more than {groups._FINITE_SET_CAP}"
             )
-        one, canon, pts = self._one, self.group._canon, self.orbit
-        choices = [None, *sorted(self.xi, key=self.group.D.sort_key)]
-        picks = itertools.islice(itertools.product(choices, repeat=len(pts)), 1, None)
-        return (
-            WreathElement(canon([(y, d) for y, d in zip(pts, pick) if d is not None]), one)
-            for pick in picks
-        )
+        one, canon = self._one, self.group._canon
+        pts = sorted(self.orbit, key=self.group.omega.point_key)
+        values = sorted(self.xi, key=self.group.D.sort_key)
+
+        def walk(start, items):
+            for i in range(start, len(pts)):
+                for d in values:
+                    grown = [*items, (pts[i], d)]
+                    yield WreathElement(canon(grown), one)
+                    yield from walk(i + 1, grown)
+
+        return walk(0, ())
 
     def __repr__(self):
         return f"OrbitMaps(|O|={len(self.orbit)}, |xi|={len(self.xi)})"
