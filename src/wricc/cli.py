@@ -126,7 +126,7 @@ def cmd_witness(args) -> int:
         if cert.size > 20:
             record["elements_truncated"] = cert.size - 20
     else:
-        # `witness` fitted the family to its kind: no second check
+        # the family was checked against its kind when `witness` made it
         prefix = list(cert.members(args.prefix))
         record.update(
             {

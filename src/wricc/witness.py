@@ -10,11 +10,10 @@ family of conjugators with pairwise distinct conjugates, as data: a
 kind, a base, a point and a seed.  Each kind is one row of
 `_KINDS`: whether it takes a point and a seed, the premise that makes
 the family infinite (its distinctness lemma's hypothesis), the key that
-tells its conjugates apart and, for g_d, a closed form.  One check,
-`_failure`, fits a family to its row: the builder and `take` refuse a
-family that fails it before anything is drawn, and the verifier names
-the failure however distinct the prefix.  The dispatcher mirrors the
-case analysis of the criterion's proof.
+tells its conjugates apart and, for g_d, a closed form.  A family is
+fitted to its row when it is made, so one that does not fit cannot be
+built, and nothing that draws from it or verifies it checks it again.
+The dispatcher mirrors the case analysis of the criterion's proof.
 
 A conjugator is validated where it is built: its ball element by
 `Group.ball_stream`, once per handle; a seeded conjugator by `members`,
@@ -164,6 +163,7 @@ class VerificationResult:
         return self.ok
 
 
+@dataclass(frozen=True)
 class InfiniteFamilyCertificate:
     """An infinite family of conjugators with pairwise-distinct conjugates.
     Without a `point` the conjugators are (eps, q) for q in Q's ball
@@ -171,24 +171,49 @@ class InfiniteFamilyCertificate:
     `seed_conjugator` s turns each conjugator h into s * h.  The
     `family_kind` fixes the rest (`_KINDS`).  Each `members` call starts
     a new `Group.ball_stream`, so prefixes are restartable and
-    deterministic."""
+    deterministic.  Families compare and hash by their data."""
 
-    def __init__(self, group, base, family_kind: str, point=None, seed_conjugator=None):
-        self.group = group
-        self.base = base
-        self.family_kind = family_kind
-        self.point = point
-        self.seed_conjugator = seed_conjugator
+    group: WreathProduct
+    base: WreathElement
+    family_kind: str
+    point: object = None
+    seed_conjugator: WreathElement | None = None
+
+    def __post_init__(self):
+        """Refuse a family that does not fit its kind.  In order: an
+        unknown kind; a base, seed or point that fails validation (the
+        error keeps its type); a seed the kind does not take, then a
+        missing or an extra point; the premise.  The message is
+        `premise: <kind>: <reason>`."""
+        G, kind, g = self.group, self.family_kind, self.base
+        y, seed = self.point, self.seed_conjugator
+        if kind not in _KINDS:
+            raise PreconditionError(f"premise: {kind}: unknown family kind")
+        premise, point, seeded = _KINDS[kind][:3]
+        try:
+            G.validate(g)
+            if seed is not None:
+                G.validate(seed)
+            if y is not None:
+                G.omega.validate_point(y)
+        except WriccError as e:
+            raise type(e)(f"premise: {kind}: {e}") from None
+        if seed is not None and not seeded:
+            reason = "takes no seed"
+        elif (y is None) == point:
+            reason = "needs a point" if point else "takes no point"
+        else:
+            reason = premise(G, g, y, seed)
+        if reason is not None:
+            raise PreconditionError(f"premise: {kind}: {reason}")
 
     def members(self, count: int):
         """Yield up to `count` pairs (conjugator, conjugate), skipping a
-        conjugate whose key an earlier one has.  The family must fit its
-        kind: `build_family`, `take` and the verifier check it (`_failure`)
-        before they draw, so none of them lists a member of a family whose
-        premise fails.  Every conjugator yielded is valid: an unseeded one,
-        (eps, q) or (zeta(d, y), 1), is built from a ball element that
-        `Group.ball_stream` validated, the point and Q's identity; a seeded
-        one, s * h, is validated as it is built."""
+        conjugate whose key an earlier one has.  Every conjugator yielded
+        is valid: an unseeded one, (eps, q) or (zeta(d, y), 1), is built
+        from a ball element that `Group.ball_stream` validated, the point
+        and Q's identity; a seeded one, s * h, is validated as it is
+        built."""
         check_prefix(count)
         kind = self.family_kind
         G, g, seed, y = self.group, self.base, self.seed_conjugator, self.point
@@ -229,11 +254,7 @@ class InfiniteFamilyCertificate:
         raise CertificateBudget(f"{kind}: conjugator stream exhausted after {emitted} members")
 
     def take(self, count: int):
-        """The first `count` members; a family that fails its kind's check
-        is refused before anything is drawn."""
-        failure = _failure(self.group, self)
-        if failure is not None:
-            raise failure
+        """The first `count` members."""
         return list(self.members(count))
 
 
@@ -378,9 +399,9 @@ def _value_conjugation(G: WreathProduct, g: WreathElement, y, seed) -> str | Non
 
 
 # kind -> (premise, needs a point, may take a seed, key, closed form).  A
-# premise reads a base, point and seed that `_failure` validated and fitted
-# to the row, and returns the reason it fails on G, or None; its docstring
-# states the lemma.  key(G, y) tells conjugates apart (None: a repeat is a
+# premise reads a base, point and seed that the family's construction
+# validated and fitted to the row, and returns the reason it fails on G,
+# or None; its docstring states the lemma.  key(G, y) tells conjugates apart (None: a repeat is a
 # fault), and formula(G, g, y) checks each member (g_d only).
 _KINDS = {
     "q-translation": (_q_translation, False, False, lambda G, y: itemgetter(1), None),
@@ -392,43 +413,6 @@ _KINDS = {
         _value_conjugation, True, False, lambda G, y: lambda c: G._map_value(c.phi, y), None
     ),
 }
-
-
-def _failure(G: WreathProduct, cert: InfiniteFamilyCertificate) -> WriccError | None:
-    """The error that refuses the certificate on G, or None.  In order: an
-    unknown kind; a base, seed or point that fails validation (the error
-    keeps its type); a seed the kind does not take, then a missing or an
-    extra point; the premise.  Its message is `premise: <kind>: <reason>`."""
-    kind, g, y, seed = cert.family_kind, cert.base, cert.point, cert.seed_conjugator
-    if kind not in _KINDS:
-        return PreconditionError(f"premise: {kind}: unknown family kind")
-    premise, point, seeded = _KINDS[kind][:3]
-    try:
-        G.validate(g)
-        if seed is not None:
-            G.validate(seed)
-        if y is not None:
-            G.omega.validate_point(y)
-    except WriccError as e:
-        return type(e)(f"premise: {kind}: {e}")
-    if seed is not None and not seeded:
-        reason = "takes no seed"
-    elif (y is None) == point:
-        reason = "needs a point" if point else "takes no point"
-    else:
-        reason = premise(G, g, y, seed)
-    return None if reason is None else PreconditionError(f"premise: {kind}: {reason}")
-
-
-def build_family(
-    G: WreathProduct, g: WreathElement, kind: str, point=None, seed_conjugator=None
-) -> InfiniteFamilyCertificate:
-    """The family of `kind` for g, refused as `_failure` refuses it."""
-    cert = InfiniteFamilyCertificate(G, g, kind, point, seed_conjugator)
-    failure = _failure(G, cert)
-    if failure is not None:
-        raise failure
-    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -469,19 +453,19 @@ def witness(G: WreathProduct, verdict, g: WreathElement | None = None):
     G.validate(g)
     q = g.q
     if not G.Q.fc_contains(q):
-        return build_family(G, g, "q-translation")
+        return InfiniteFamilyCertificate(G, g, "q-translation")
     if verdict.cond_iii is Tri.YES:
         if g.phi:
-            return build_family(G, g, "lambda-translation")
+            return InfiniteFamilyCertificate(G, g, "lambda-translation")
         # phi = eps, q in FC(Q) and q != 1: seed with (zeta_d^y, 1) where
         # q moves y, which gives the support {y, q.y}, then translate it
         y = find_moved_point(G, q)
         seed = WreathElement(G.zeta(G.D.first_nontrivial(), y), G.Q.identity())
-        return build_family(G, g, "lambda-translation", seed_conjugator=seed)
+        return InfiniteFamilyCertificate(G, g, "lambda-translation", seed_conjugator=seed)
     if verdict.cond_ii is Tri.YES:
         if q != G.Q.identity():
-            return build_family(G, g, "g_d", find_moved_point(G, q))
-        return build_family(G, g, "value-conjugation", g.phi[0][0])
+            return InfiniteFamilyCertificate(G, g, "g_d", find_moved_point(G, q))
+        return InfiniteFamilyCertificate(G, g, "value-conjugation", g.phi[0][0])
     raise PreconditionError("verdict does not match any certificate construction")
 
 
@@ -500,8 +484,9 @@ def verify_finite_certificate(
     by every generator of G must land in the set.  That proves
     G-invariance: conjugation by s is injective, so it maps a finite set
     closed under it onto the set, and so does its inverse; the generators
-    generate G.  Each member is validated once, and the |gens| * |S|
-    conjugations trust them and the generators, which `zeta` built."""
+    generate G.  Each member is validated once, a member that fails named,
+    and the |gens| * |S| conjugations trust them and the generators, which
+    `zeta` built."""
     S = cert.elements
     if isinstance(S, OrbitMaps):
         return _verify_orbit_maps(G, S, cert.base)
@@ -513,7 +498,10 @@ def verify_finite_certificate(
     if ident in S:
         return VerificationResult(False, "identity element in the set", (ident,))
     for x in S:
-        G.validate(x)
+        try:
+            G.validate(x)
+        except WriccError:
+            return VerificationResult(False, f"set holds {x!r}, not an element of G", (x,))
     conj = G._conjugate
     for s in G.generators:
         for x in S:
@@ -580,12 +568,10 @@ def _verify_orbit_maps(G: WreathProduct, S: OrbitMaps, base) -> VerificationResu
 def verify_infinite_certificate(
     G: WreathProduct, cert: InfiniteFamilyCertificate, N: int = 100
 ) -> VerificationResult:
-    """The check the builder and `take` use (`_failure`), run once, whose
-    premise makes the family infinite, then the first N deduped conjugates,
-    drawn through `members`:
-    pairwise distinct and consistent with their recorded conjugators.  A
-    family that fails the check fails with the reason they give, however
-    distinct its prefix.
+    """The first N deduped conjugates, drawn through `members`: pairwise
+    distinct and consistent with their recorded conjugators.  The premise
+    that makes the family infinite is not evaluated here: the family was
+    checked against its kind when it was made.
 
     The conjugators are not validated again: the verifier trusts `members`
     for their validity (the ball stream and `members` validate them as
@@ -602,9 +588,6 @@ def verify_infinite_certificate(
     if cert.group != G:
         return VerificationResult(False, "certificate is over another group")
     try:
-        failure = _failure(G, cert)
-        if failure is not None:
-            return VerificationResult(False, str(failure))
         prefix = list(cert.members(N))
     except WriccError as e:
         return VerificationResult(False, f"stream failed: {e}")

@@ -14,7 +14,6 @@ from wricc.oracle import AT_LEAST, class_lower_bound, enumerate_class
 from wricc.tri import Tri
 from wricc.witness import (
     InfiniteFamilyCertificate,
-    build_family,
     cert_finite_orbit,
     verify_finite_certificate,
     verify_infinite_certificate,
@@ -302,7 +301,7 @@ def test_criterion_8_negative_controls():
     # corrupted conjugate stream
     L = load_instance("lamplighter").group
     g = WreathElement(L.zeta(1, 0), 0)
-    fam = build_family(L, g, "lambda-translation")
+    fam = InfiniteFamilyCertificate(L, g, "lambda-translation")
 
     class Corrupt(InfiniteFamilyCertificate):
         def members(self, count):

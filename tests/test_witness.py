@@ -17,7 +17,6 @@ from wricc.witness import (
     FiniteClassCertificate,
     InfiniteFamilyCertificate,
     OrbitMaps,
-    build_family,
     cert_condition_i,
     cert_finite_orbit,
     find_moved_point,
@@ -33,7 +32,6 @@ Z = IntegersGroup()
 S3 = SymmetricGroup(3)
 P123 = (1, 2, 0)
 P132 = (2, 0, 1)
-witness_module = importlib.import_module("wricc.witness")
 groups_module = importlib.import_module("wricc.groups")
 
 
@@ -184,7 +182,7 @@ class TestQTranslation:
     def test_f2_acting(self):
         G = WreathProduct(CyclicGroup(2), FreeGroup(2), RegularQSet(FreeGroup(2)))
         g = WreathElement((), (1,))
-        fam = build_family(G, g, "q-translation")
+        fam = InfiniteFamilyCertificate(G, g, "q-translation")
         assert fam.family_kind == "q-translation"
         prefix = fam.take(25)
         assert len({c for _, c in prefix}) == 25
@@ -192,14 +190,14 @@ class TestQTranslation:
 
     def test_rejects_fc_element(self, lamplighter):
         with pytest.raises(PreconditionError, match="^premise: q-translation: q lies in FC"):
-            build_family(lamplighter, WreathElement((), 1), "q-translation")
+            InfiniteFamilyCertificate(lamplighter, WreathElement((), 1), "q-translation")
 
 
 class TestLambdaTranslation:
     def test_supports_march(self, lamplighter):
         G = lamplighter
         g = WreathElement(G.zeta(1, 0), 0)
-        fam = build_family(G, g, "lambda-translation")
+        fam = InfiniteFamilyCertificate(G, g, "lambda-translation")
         prefix = fam.take(9)
         sups = [support(c.phi) for _, c in prefix]
         assert len(set(sups)) == 9
@@ -209,18 +207,18 @@ class TestLambdaTranslation:
         G = lamplighter
         g = WreathElement((), 2)
         seed = WreathElement(G.zeta(1, 0), 0)
-        fam = build_family(G, g, "lambda-translation", seed_conjugator=seed)
+        fam = InfiniteFamilyCertificate(G, g, "lambda-translation", seed_conjugator=seed)
         assert verify_infinite_certificate(G, fam, N=30)
 
     def test_rejects_empty_support(self, lamplighter):
         with pytest.raises(PreconditionError, match="^premise: lambda-translation: phi = eps"):
-            build_family(lamplighter, WreathElement((), 2), "lambda-translation")
+            InfiniteFamilyCertificate(lamplighter, WreathElement((), 2), "lambda-translation")
 
     def test_rejects_finite_orbit_support(self):
         G = load_instance("mixed-union-icc-base").group
         g = WreathElement(G.zeta((1,), (1, 0)), 0)  # supported on the 3-point part
         with pytest.raises(PreconditionError, match="^premise: lambda-translation: no support"):
-            build_family(G, g, "lambda-translation")
+            InfiniteFamilyCertificate(G, g, "lambda-translation")
 
 
 class TestGd:
@@ -228,34 +226,35 @@ class TestGd:
         G = f2_wr_z2
         # support avoiding y=0: the commuting branch
         g1 = WreathElement(G.zeta((1,), 1), 1)
-        fam1 = build_family(G, g1, "g_d", 0)
+        fam1 = InfiniteFamilyCertificate(G, g1, "g_d", 0)
         assert verify_infinite_certificate(G, fam1, N=40)
         # support containing y=0: the fused d^-1 c branch
         g2 = WreathElement(G.zeta((2,), 0), 1)
-        fam2 = build_family(G, g2, "g_d", 0)
+        fam2 = InfiniteFamilyCertificate(G, g2, "g_d", 0)
         assert verify_infinite_certificate(G, fam2, N=40)
 
     def test_conjugates_differ_at_qy(self, f2_wr_z2):
         G = f2_wr_z2
         g = WreathElement(G.zeta((1,), 1), 1)
-        vals = [G._map_value(c.phi, G.omega.act(g.q, 0)) for _, c in build_family(G, g, "g_d", 0).take(12)]
+        fam = InfiniteFamilyCertificate(G, g, "g_d", 0)
+        vals = [G._map_value(c.phi, G.omega.act(g.q, 0)) for _, c in fam.take(12)]
         assert len(set(vals)) == 12
 
     def test_rejects_fixed_point(self, f2_wr_z2):
         G = f2_wr_z2
         with pytest.raises(PreconditionError, match="^premise: g_d: q fixes the point$"):
-            build_family(G, WreathElement((), 0), "g_d", 0)
+            InfiniteFamilyCertificate(G, WreathElement((), 0), "g_d", 0)
 
     def test_rejects_finite_base(self, lamplighter):
         with pytest.raises(PreconditionError, match="^premise: g_d: D is finite$"):
-            build_family(lamplighter, WreathElement((), 1), "g_d", 0)
+            InfiniteFamilyCertificate(lamplighter, WreathElement((), 1), "g_d", 0)
 
 
 class TestValueConjugation:
     def test_f2_values(self, f2_wr_z2):
         G = f2_wr_z2
         g = WreathElement(G.zeta((1,), 0), 0)
-        fam = build_family(G, g, "value-conjugation", 0)
+        fam = InfiniteFamilyCertificate(G, g, "value-conjugation", 0)
         prefix = fam.take(30)
         vals = [G._map_value(c.phi, 0) for _, c in prefix]
         assert len(set(vals)) == 30
@@ -264,12 +263,12 @@ class TestValueConjugation:
     def test_rejects_moving_q(self, f2_wr_z2):
         G = f2_wr_z2
         with pytest.raises(PreconditionError, match="^premise: value-conjugation: q != 1$"):
-            build_family(G, WreathElement(G.zeta((1,), 0), 1), "value-conjugation", 0)
+            InfiniteFamilyCertificate(G, WreathElement(G.zeta((1,), 0), 1), "value-conjugation", 0)
 
     def test_rejects_non_icc_base(self, lamplighter):
         G = lamplighter
         with pytest.raises(PreconditionError, match="^premise: value-conjugation: D is not"):
-            build_family(G, WreathElement(G.zeta(1, 0), 0), "value-conjugation", 0)
+            InfiniteFamilyCertificate(G, WreathElement(G.zeta(1, 0), 0), "value-conjugation", 0)
 
 
 class TestDispatcher:
@@ -409,10 +408,21 @@ class TestNegativeControls:
         )
         assert not verify_finite_certificate(G, bad)
 
+    def test_member_that_is_not_an_element_fails(self):
+        # named with the member as its counterexample, as the S(O, xi)
+        # verifier names a point that is not a carrier point
+        G = load_instance("intmod-cond-i").group
+        cert = cert_condition_i(G, 3)
+        stray = WreathElement((), "x")
+        bad = dataclasses.replace(cert, elements=cert.elements | {stray})
+        res = verify_finite_certificate(G, bad)
+        assert not res and res.reason == f"set holds {stray!r}, not an element of G"
+        assert res.counterexample == (stray,)
+
     def test_corrupted_conjugates_fail(self, lamplighter):
         G = lamplighter
         g = WreathElement(G.zeta(1, 0), 0)
-        fam = build_family(G, g, "lambda-translation")
+        fam = InfiniteFamilyCertificate(G, g, "lambda-translation")
 
         class Corrupt(InfiniteFamilyCertificate):
             def members(self, count):
@@ -431,7 +441,8 @@ class TestNegativeControls:
         # `members` conjugates with `_conjugate`; the verifier recomputes
         # with products, so a wrong conjugation law cannot confirm itself
         G = f2_wr_z2
-        fam = build_family(G, WreathElement(G.zeta((1,), 0), 0), "value-conjugation", 0)
+        g = WreathElement(G.zeta((1,), 0), 0)
+        fam = InfiniteFamilyCertificate(G, g, "value-conjugation", 0)
         assert verify_infinite_certificate(G, fam, N=10)
         law = G._conjugate
         monkeypatch.setattr(
@@ -443,7 +454,7 @@ class TestNegativeControls:
     def test_duplicated_conjugates_fail(self, lamplighter):
         G = lamplighter
         g = WreathElement(G.zeta(1, 0), 0)
-        fam = build_family(G, g, "lambda-translation")
+        fam = InfiniteFamilyCertificate(G, g, "lambda-translation")
 
         class Repeats(InfiniteFamilyCertificate):
             def members(self, count):
@@ -458,7 +469,7 @@ class TestNegativeControls:
     def test_short_stream_fails(self, lamplighter):
         G = lamplighter
         g = WreathElement(G.zeta(1, 0), 0)
-        fam = build_family(G, g, "lambda-translation")
+        fam = InfiniteFamilyCertificate(G, g, "lambda-translation")
 
         class Short(InfiniteFamilyCertificate):
             def members(self, count):
@@ -470,22 +481,22 @@ class TestNegativeControls:
 
 def test_streams_are_restartable(lamplighter):
     G = lamplighter
-    fam = build_family(G, WreathElement(G.zeta(1, 0), 0), "lambda-translation")
+    fam = InfiniteFamilyCertificate(G, WreathElement(G.zeta(1, 0), 0), "lambda-translation")
     assert fam.take(8) == fam.take(8)
 
 
 @pytest.mark.parametrize("count", [0, -3])
 def test_prefix_needs_a_member(lamplighter, count):
     G = lamplighter
-    fam = build_family(G, WreathElement(G.zeta(1, 0), 0), "lambda-translation")
+    fam = InfiniteFamilyCertificate(G, WreathElement(G.zeta(1, 0), 0), "lambda-translation")
     with pytest.raises(PreconditionError):
         fam.take(count)
 
 
 def test_members_validate_what_they_conjugate(f2_wr_z2, monkeypatch):
-    # a malformed base, seed conjugator or point is rejected before the
-    # first conjugation; every conjugator is built from them and from the
-    # group's own ball elements
+    # a malformed base, seed conjugator or point is refused when the family
+    # is made, before the first conjugation; every conjugator is built from
+    # them and from the group's own ball elements
     G = f2_wr_z2
     g = WreathElement(G.zeta((1,), 0), 0)
     stored_identity = WreathElement(((0, ()),), 1)
@@ -496,16 +507,15 @@ def test_members_validate_what_they_conjugate(f2_wr_z2, monkeypatch):
     conjugated.clear()
     # a kind the table does not know has no key to stream by
     with pytest.raises(PreconditionError, match="^premise: probe: unknown family kind$"):
-        InfiniteFamilyCertificate(G, g, "probe", point=0).take(1)
+        InfiniteFamilyCertificate(G, g, "probe", point=0)
     for base, seed, point in (
         (stored_identity, None, None),
         (g, stored_identity, None),
         (g, None, "0"),
         (g, None, 1.5),
     ):
-        fam = InfiniteFamilyCertificate(G, base, "value-conjugation", point, seed)
         with pytest.raises(KindMismatch):
-            fam.take(5)
+            InfiniteFamilyCertificate(G, base, "value-conjugation", point, seed)
     assert conjugated == []
 
 
@@ -514,7 +524,7 @@ def test_a_ball_element_that_fails_validation_fails_the_stream(f2_wr_z2, monkeyp
     # a cancelling pair in each word it builds: D's ball stream refuses the
     # first such element, and the verifier reports the failed stream
     G = f2_wr_z2
-    fam = build_family(G, G.parse_element("{0:a, 1:b}@0"), "value-conjugation", 0)
+    fam = InfiniteFamilyCertificate(G, G.parse_element("{0:a, 1:b}@0"), "value-conjugation", 0)
     monkeypatch.setattr(G.D, "_multiply", lambda u, v: u + (1, -1) + v)
     res = verify_infinite_certificate(G, fam, N=20)
     assert not res and res.reason.startswith("stream failed: "), res.reason
@@ -582,6 +592,14 @@ TAMPERED = [
     for case in FAMILY_CASES
     for field, value in case[4]
 ]
+
+
+def _forbid_drawing(monkeypatch, G):
+    def no_stream():
+        raise AssertionError("nothing may be drawn")
+
+    monkeypatch.setattr(G.D, "ball_stream", no_stream)
+    monkeypatch.setattr(G.Q, "ball_stream", no_stream)
 
 
 def _family_group(name):
@@ -654,24 +672,14 @@ def test_members_refuse_a_point_or_seed_the_kind_does_not_take(
     monkeypatch, name, base, kind, point, seed, reason, error
 ):
     # every misfit, of shape, premise, kind or validity, gets one reason
-    # from one check: `build_family` raises it, `take` raises it before
-    # anything is drawn, and the verifier reports it
+    # from one check, made when the family is: no such family exists to
+    # draw from or to verify, and nothing is drawn
     G = _family_group(name)
     base, seed = (G.parse_element(x) if isinstance(x, str) else x for x in (base, seed))
+    _forbid_drawing(monkeypatch, G)
     named = f"premise: {kind}: {reason}"
     with pytest.raises(error, match=f"^{re.escape(named)}$"):
-        build_family(G, base, kind, point, seed)
-
-    def no_stream():
-        raise AssertionError("nothing may be drawn")
-
-    monkeypatch.setattr(G.D, "ball_stream", no_stream)
-    monkeypatch.setattr(G.Q, "ball_stream", no_stream)
-    cert = InfiniteFamilyCertificate(G, base, kind, point, seed)
-    with pytest.raises(error, match=f"^{re.escape(named)}$"):
-        cert.take(3)
-    res = verify_infinite_certificate(G, cert, N=3)
-    assert not res and res.reason == named
+        InfiniteFamilyCertificate(G, base, kind, point, seed)
 
 
 def _documented_prefix(fam, count):
@@ -716,68 +724,85 @@ def test_members_are_the_documented_conjugators(name, literal, kind, point):
 
 @pytest.mark.parametrize("name, literal, kind, point", FAMILY_OUTPUTS)
 def test_members_validate_once_per_call(name, literal, kind, point, monkeypatch):
-    # `members` validates the base, then the seed, then the point, once per
-    # call; it trusts the conjugators it builds from the ball elements,
-    # which the ball stream validated, and validates each seeded product
-    # once as it builds it (these seeded families skip no conjugator)
+    # making the family validates the base, then the seed, then the point,
+    # once; `members` trusts the conjugators it builds from the ball
+    # elements, which the ball stream validated, and validates each seeded
+    # product once per call as it builds it (these seeded families skip no
+    # conjugator)
     G = _family_group(name)
     fam = witness(G, decide_icc(G), G.parse_element(literal))
     validated, points = [], []
     monkeypatch.setattr(G, "validate", validated.append)
     monkeypatch.setattr(G.omega, "validate_point", points.append)
+    seed = [] if fam.seed_conjugator is None else [fam.seed_conjugator]
+    assert dataclasses.replace(fam) == fam
+    assert validated == [fam.base] + seed
+    assert points == ([] if point is None else [point])
     for count in (1, 40):
-        taken = fam.take(count)
-        seed = [] if fam.seed_conjugator is None else [fam.seed_conjugator]
-        products = [h for h, _ in taken] if seed else []
-        assert validated == [fam.base] + seed + products
-        assert points == ([] if point is None else [point])
         validated.clear()
         points.clear()
+        taken = fam.take(count)
+        assert validated == ([h for h, _ in taken] if seed else [])
+        assert points == []
 
 
 @pytest.mark.parametrize("name, literal, kind, field, value", TAMPERED)
-def test_tampered_certificates_fail_on_the_premise(name, literal, kind, field, value):
+def test_tampered_certificates_fail_on_the_premise(
+    name, literal, kind, field, value, monkeypatch
+):
     # the dispatcher's certificate verifies; with one field changed, the
-    # premise of its kind fails, in the builder and in the verifier alike,
-    # although the conjugates may well stay distinct
+    # premise of its (new) kind fails when the family is made, although
+    # the conjugates may well stay distinct
     G = _family_group(name)
     fam = witness(G, decide_icc(G), G.parse_element(literal))
     assert fam.family_kind == kind and verify_infinite_certificate(G, fam, N=20)
     if field == "seed_conjugator" and value is not None:
         value = G.parse_element(value)
-    data = {"family_kind": kind, "point": fam.point, "seed_conjugator": fam.seed_conjugator}
-    data[field] = value
-    bad = InfiniteFamilyCertificate(G, fam.base, **data)
-    named = f"premise: {bad.family_kind}: "
-    res = verify_infinite_certificate(G, bad, N=20)
-    assert not res and res.reason.startswith(named), res.reason
+    _forbid_drawing(monkeypatch, G)
+    named = f"premise: {value if field == 'family_kind' else kind}: "
     with pytest.raises(PreconditionError, match=f"^{re.escape(named)}"):
-        build_family(G, bad.base, bad.family_kind, bad.point, bad.seed_conjugator)
+        dataclasses.replace(fam, **{field: value})
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_roadmap_probe_finite_class_on_z2_wr_s3(z2_wr_s3, n):
+def test_roadmap_probe_finite_class_on_z2_wr_s3(z2_wr_s3, n, monkeypatch):
     # {}@[1,0,2] has a class of 3 in a finite group, so the conjugates a
     # q-translation of it would list have a distinct prefix of 2 or 3
-    # members, but its premise fails
+    # members, but its premise fails: no such family can be made
     G = z2_wr_s3
     g = G.parse_element("{}@[1,0,2]")
     conjugates = {G._conjugate(g, WreathElement((), q)) for q in G.Q.ball_stream()}
     assert len(conjugates) == 3 >= n
-    cert = InfiniteFamilyCertificate(G, g, "q-translation")
-    res = verify_infinite_certificate(G, cert, N=n)
-    assert not res and res.reason == "premise: q-translation: q lies in FC(Q)"
+    _forbid_drawing(monkeypatch, G)
+    with pytest.raises(PreconditionError, match=r"^premise: q-translation: q lies in FC\(Q\)$"):
+        InfiniteFamilyCertificate(G, g, "q-translation")
 
 
-def test_roadmap_probe_transposition_in_s20():
+def test_roadmap_probe_transposition_in_s20(monkeypatch):
     # the class of a transposition of S20 has 190 members, more than the
     # 100 that `wricc verify` checks, and the instance is not icc
     G = parse_instance("{D: cyclic 2; Q: symmetric 20; omega: trivial 1}").group
     g = G.parse_element("{}@[1,0," + ",".join(map(str, range(2, 20))) + "]")
     assert decide_icc(G).answer is Tri.NO
-    cert = InfiniteFamilyCertificate(G, g, "q-translation")
-    res = verify_infinite_certificate(G, cert, N=100)
-    assert not res and res.reason == "premise: q-translation: q lies in FC(Q)"
+    _forbid_drawing(monkeypatch, G)
+    with pytest.raises(PreconditionError, match=r"^premise: q-translation: q lies in FC\(Q\)$"):
+        InfiniteFamilyCertificate(G, g, "q-translation")
+
+
+def test_families_compare_and_hash_by_their_data():
+    # two witness runs on two parses make equal families with equal
+    # hashes; a family over other data differs, and none can be changed
+    fams = []
+    for _ in range(2):
+        G = load_instance("f2-wr-z2").group
+        fams.append(witness(G, decide_icc(G), G.parse_element("{0:a, 1:b}@0")))
+    a, b = fams
+    assert a is not b and a.group is not b.group
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    other = dataclasses.replace(a, point=1)
+    assert other != a and other.take(5) != a.take(5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.point = 1
 
 
 def test_certificate_over_another_group_fails():
@@ -791,56 +816,63 @@ def test_certificate_over_another_group_fails():
     assert not res and res.reason == "certificate is over another group"
 
 
+def _count_constructions(monkeypatch):
+    """The families made from now on, each recorded as its check starts."""
+    made = []
+    check = InfiniteFamilyCertificate.__post_init__
+    monkeypatch.setattr(
+        InfiniteFamilyCertificate, "__post_init__", lambda c: made.append(c) or check(c)
+    )
+    return made
+
+
 @pytest.mark.parametrize("name, literal, kind, point", FAMILY_OUTPUTS)
 def test_verifier_checks_the_family_once(name, literal, kind, point, monkeypatch):
-    # one run of the kind's check per verification, and the prefix drawn
-    # through `members`; a family that fails the check is not drawn from
+    # the family's one check ran when it was made: the verifier makes no
+    # family and draws the prefix through `members` once; a family that
+    # fails the check is never made, so nothing is drawn from it
     G = _family_group(name)
     fam = witness(G, decide_icc(G), G.parse_element(literal))
-    bad = InfiniteFamilyCertificate(G, fam.base, "probe", fam.point, fam.seed_conjugator)
-    checked, drawn = [], []
-    check, members = witness_module._failure, InfiniteFamilyCertificate.members
-    monkeypatch.setattr(witness_module, "_failure", lambda G, c: checked.append(c) or check(G, c))
+    made, drawn = _count_constructions(monkeypatch), []
+    members = InfiniteFamilyCertificate.members
     monkeypatch.setattr(
         InfiniteFamilyCertificate, "members", lambda c, n: drawn.append(c) or members(c, n)
     )
     assert verify_infinite_certificate(G, fam, N=20)
-    assert checked == drawn == [fam]
-    checked.clear()
+    assert made == [] and drawn == [fam]
     drawn.clear()
-    res = verify_infinite_certificate(G, bad, N=20)
-    assert res.reason == "premise: probe: unknown family kind"
-    assert checked == [bad] and drawn == []
+    with pytest.raises(PreconditionError, match="^premise: probe: unknown family kind$"):
+        dataclasses.replace(fam, family_kind="probe")
+    assert len(made) == 1 and drawn == []
 
 
 def test_witness_command_checks_the_family_once(tmp_path, capsys, monkeypatch):
-    # the dispatcher builds the family through its kind's check, and the
-    # command lists its prefix without a second one
-    checked = []
-    check = witness_module._failure
-    monkeypatch.setattr(witness_module, "_failure", lambda G, c: checked.append(c) or check(G, c))
+    # the dispatcher makes the family, which checks it against its kind,
+    # and the command lists its prefix without a second check
+    made = _count_constructions(monkeypatch)
     path = tmp_path / "f2-wr-z2.wri"
     path.write_text(instance_text("f2-wr-z2"))
     assert main(["witness", "--json", "-i", str(path), "-g", "{1:b*a^-1}@1"]) == 0
     assert json.loads(capsys.readouterr().out)["distinct_prefix"] == 10
-    assert len(checked) == 1
+    assert len(made) == 1
 
 
 def test_verifier_validates_once_and_recomputes_by_products(f2_wr_z2, monkeypatch):
-    # the verifier validates the base only: it trusts `members` for the
-    # conjugators; no conjugate is recomputed with `_conjugate`
+    # the base is validated once, when the family is made: the verifier
+    # trusts the family for it and `members` for the conjugators; no
+    # conjugate is recomputed with `_conjugate`
     G = f2_wr_z2
     g = WreathElement(G.zeta((1,), 1), 1)
-    prefix = build_family(G, g, "g_d", 0).take(30)
+    prefix = InfiniteFamilyCertificate(G, g, "g_d", 0).take(30)
 
     class Recorded(InfiniteFamilyCertificate):
         def members(self, count):
             yield from prefix[:count]
 
-    cert = Recorded(G, g, "g_d", point=0)
     validated = []
     check = G.validate
     monkeypatch.setattr(G, "validate", lambda x: validated.append(x) or check(x))
+    cert = Recorded(G, g, "g_d", point=0)
 
     def no_conjugate(x, y):
         raise AssertionError("the verifier must recompute with products")
@@ -862,7 +894,7 @@ def test_non_canonical_recorded_conjugate_fails(f2_wr_z2):
     # two forms; h * conj == base * h would re-sort conj and accept it
     G = f2_wr_z2
     g = WreathElement(G.zeta((1,), 1), 1)
-    prefix = build_family(G, g, "g_d", 0).take(10)
+    prefix = InfiniteFamilyCertificate(G, g, "g_d", 0).take(10)
     h, conj = prefix[3]
     assert len(conj.phi) == 2
     unsorted = WreathElement(conj.phi[::-1], conj.q)
