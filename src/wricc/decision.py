@@ -10,15 +10,14 @@ hypotheses, D nontrivial and the carrier nonempty, hold for every G:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NotFreeAction
 from .tri import Tri, tri_and, tri_not, tri_of, tri_or
 from .wreath import WreathProduct
 
 
-@dataclass(frozen=True)
-class IccVerdict:
+class IccVerdict(NamedTuple):
     answer: Tri
     cond_i: Tri
     cond_ii: Tri

@@ -27,8 +27,8 @@ import itertools
 import math
 import re
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from operator import add, neg
+from typing import NamedTuple
 
 from ._parsing import split_top, strip_outer
 from .errors import CertificateBudget, KindMismatch, ParseError, PreconditionError, Unsupported
@@ -39,20 +39,19 @@ AT_LEAST = "at-least"
 
 # the most ball elements a group handle keeps for later streams
 _BALL_MEMO_CAP = 65536
-# the most members ever listed, and the largest symmetric degree and word
-# literal accepted; every user reads it at call time
+# the most members ever listed, and the largest symmetric degree, word
+# literal, family prefix and oracle target accepted; every user reads it
+# at call time
 _FINITE_SET_CAP = 1_000_000
 
 
-@dataclass(frozen=True)
-class IccStatus:
+class IccStatus(NamedTuple):
     answer: Tri
     provenance: str  # "declared" | "computed" | "criterion-derived"
     justification: str
 
 
-@dataclass(frozen=True)
-class ClassReport:
+class ClassReport(NamedTuple):
     """Result of a bounded closure: a conjugacy class or an orbit.
 
     `exact-finite` means a round added nothing, and `elements` holds the

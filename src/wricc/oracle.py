@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import PreconditionError, WriccError
+from . import groups
+from .errors import CertificateBudget, PreconditionError, WriccError
 from .groups import AT_LEAST, ClassReport, Closure, class_closure
 from .wreath import WreathElement, WreathProduct
 
@@ -54,6 +55,17 @@ def enumerate_class(
     return _verify(G, class_closure(G, g, radius, max_size), 1)
 
 
+def check_target(target: int) -> None:
+    """Refuse a target below 1, which tests nothing, or past the listing
+    cap, before any conjugate is built: the closure keeps `target + 1`."""
+    if target < 1:
+        raise PreconditionError("class_lower_bound: target must be at least 1")
+    if target > groups._FINITE_SET_CAP:
+        raise CertificateBudget(
+            f"class_lower_bound: target of more than {groups._FINITE_SET_CAP} conjugates"
+        )
+
+
 def class_lower_bound(
     G: WreathProduct, g: WreathElement, target: int, radius: int = 8
 ) -> tuple[ClassReport, int]:
@@ -71,8 +83,7 @@ def class_lower_bound(
     equal those of `enumerate_class(G, g, radius, target + 1)` at that
     final budget.
     """
-    if target < 1:
-        raise PreconditionError("class_lower_bound: target must be at least 1")
+    check_target(target)
     if radius > _MAX_RADIUS:
         raise PreconditionError(f"class_lower_bound: radius exceeds {_MAX_RADIUS}")
     bfs = class_closure(G, g, radius, target + 1)

@@ -16,15 +16,16 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .decision import IccVerdict, decide_icc
 from .errors import CertificateBudget, PreconditionError
 from .groups import AT_LEAST, EXACT_FINITE
-from .oracle import class_lower_bound, enumerate_class
+from .oracle import check_target, class_lower_bound, enumerate_class
 from .tri import Tri
 from .witness import (
     VerificationResult,
+    check_prefix,
     format_size,
     verify_finite_certificate,
     verify_infinite_certificate,
@@ -37,8 +38,7 @@ from .wreath import WreathProduct
 _CONTAINMENT_BUDGET = 2**17
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     """The verdict, the seed the elements were drawn with, and each check
     by name, in the order it ran."""
 
@@ -55,13 +55,15 @@ class VerifyReport:
 def check_budgets(elements: int, prefix: int, oracle_target: int) -> None:
     """Refuse a budget that cannot back a Yes verdict, whatever G's verdict
     turns out to be: no element drawn would PASS on no check at all, and
-    a family prefix below 2 or an oracle target below 1 tests nothing."""
+    a family prefix below 2 or an oracle target below 1 tests nothing.  A
+    prefix or a target past the listing cap is refused as the prefix
+    (`check_prefix`) and the oracle (`class_lower_bound`) refuse it."""
     if elements < 1:
         raise PreconditionError("verify: --elements must be at least 1")
     if prefix < 2:
         raise PreconditionError("N must be at least 2")
-    if oracle_target < 1:
-        raise PreconditionError("class_lower_bound: target must be at least 1")
+    check_prefix(prefix)
+    check_target(oracle_target)
 
 
 def verify_instance(

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
 from . import groups
 from .errors import CertificateBudget, PreconditionError, WriccError
@@ -66,12 +67,25 @@ class OrbitMaps:
     """
 
     def __init__(self, group: WreathProduct, orbit, xi):
+        """Refuse data that is not S(O, xi) of some O and xi, before the
+        size is read: O must be a nonempty tuple of distinct valid points,
+        xi a nonempty set of valid nontrivial elements of D (a validation
+        error keeps its type).  That O and xi are closed is the lemma's
+        premise, which the verifier checks (`_verify_orbit_maps`)."""
         self.group = group
         self.orbit = tuple(orbit)
+        if not self.orbit:
+            raise PreconditionError("the orbit O is empty")
+        for y in self.orbit:
+            group.omega.validate_point(y)
         self.points = frozenset(self.orbit)
         if len(self.points) != len(self.orbit):
             raise PreconditionError("the orbit lists a point twice")
         self.xi = frozenset(xi)
+        if not self.xi or group.D.identity() in self.xi:
+            raise PreconditionError("xi must be a nonempty set of nontrivial elements")
+        for x in self.xi:
+            group.D.validate(x)
         self.size = (len(self.xi) + 1) ** len(self.orbit) - 1
         self.formula = f"({len(self.xi)}+1)^{len(self.orbit)} - 1"
         self._one = group.Q.identity()
@@ -87,8 +101,6 @@ class OrbitMaps:
     def first(self) -> WreathElement:
         """The certificate's base, found without listing: the last point of
         O, in the order O was given, carrying the least value of xi."""
-        if not self.orbit or not self.xi:
-            raise PreconditionError("S(O, xi) needs a nonempty orbit and xi")
         d = min(self.xi, key=self.group.D.sort_key)
         return WreathElement(self.group._canon([(self.orbit[-1], d)]), self._one)
 
@@ -152,8 +164,7 @@ class FiniteClassCertificate:
         return S.size if isinstance(S, OrbitMaps) else len(S)
 
 
-@dataclass(frozen=True)
-class VerificationResult:
+class VerificationResult(NamedTuple):
     ok: bool
     reason: str = "ok"
     counterexample: tuple | None = None
@@ -258,9 +269,14 @@ class InfiniteFamilyCertificate:
 
 
 def check_prefix(count: int) -> None:
-    """Refuse a prefix of no member."""
+    """Refuse a prefix of no member, or of more members than the listing
+    cap, before any member is built."""
     if count < 1:
         raise PreconditionError("a certificate prefix needs at least 1 member")
+    if count > groups._FINITE_SET_CAP:
+        raise CertificateBudget(
+            f"a certificate prefix of more than {groups._FINITE_SET_CAP} members"
+        )
 
 
 def _validated_products(G: WreathProduct, s: WreathElement, hs):
@@ -301,8 +317,8 @@ def cert_condition_i(G: WreathProduct, q0) -> FiniteClassCertificate:
 
 def cert_finite_orbit(G: WreathProduct, xi=None, orbit=None) -> FiniteClassCertificate:
     """S(O, xi) for a finite orbit O and a finite invariant subset xi of
-    the base, as data (`OrbitMaps`): nothing is listed, so no size is too
-    large.  O and xi are validated; that O is closed under the action is
+    the base, as data (`OrbitMaps`, which validates O and xi): nothing is
+    listed, so no size is too large.  That O is closed under the action is
     the verifier's check (`_verify_orbit_maps`), which names the failure."""
     if xi is None:
         xi = G.D.finite_invariant_set_example()
@@ -310,14 +326,6 @@ def cert_finite_orbit(G: WreathProduct, xi=None, orbit=None) -> FiniteClassCerti
         orbit = G.omega.finite_orbit_example()
         if orbit is None:
             raise PreconditionError("no finite orbit available")
-    xi = frozenset(xi)
-    if not xi or G.D.identity() in xi:
-        raise PreconditionError("xi must be a nonempty set of nontrivial elements")
-    orbit = tuple(orbit)
-    for x in xi:
-        G.D.validate(x)
-    for y in orbit:
-        G.omega.validate_point(y)
     S = OrbitMaps(G, orbit, xi)
     formula = f"(|xi|+1)^|O| - 1 = {S.formula}"
     if S.size.bit_length() <= _PRINTED_SIZE_BITS:
@@ -515,21 +523,15 @@ def verify_finite_certificate(
 
 
 def _verify_orbit_maps(G: WreathProduct, S: OrbitMaps, base) -> VerificationResult:
-    """The premises of the invariance lemma, each failure named: O is a
-    nonempty set of valid points closed under every generator of Q; xi is
-    a nonempty set of valid nontrivial elements closed under conjugation
-    by every generator of D.  Then the base must be a member."""
+    """The premises of the invariance lemma, each failure named: O is
+    closed under every generator of Q, and xi under conjugation by every
+    generator of D.  Then the base must be a member.  That O and xi are
+    nonempty and valid, and that e is not in xi, `OrbitMaps` checked when
+    S was made."""
     if S.group != G:
         return VerificationResult(False, "certificate is over another group")
-    Q, D, omega = G.Q, G.D, G.omega
-    if not S.orbit:
-        return VerificationResult(False, "orbit O is empty")
-    for y in S.orbit:
-        try:
-            omega.validate_point(y)
-        except WriccError:
-            return VerificationResult(False, f"orbit O holds {y!r}, not a carrier point", (y,))
-    act = omega._act
+    Q, D = G.Q, G.D
+    act = G.omega._act
     for s in Q.generators:
         for y in S.orbit:
             z = act(s, y)
@@ -539,16 +541,6 @@ def _verify_orbit_maps(G: WreathProduct, S: OrbitMaps, base) -> VerificationResu
                     f"orbit O not closed under the generator {Q.format_element(s)} of Q",
                     (y, s, z),
                 )
-    if not S.xi:
-        return VerificationResult(False, "xi is empty")
-    for x in S.xi:
-        try:
-            D.validate(x)
-        except WriccError:
-            return VerificationResult(False, f"xi holds {x!r}, not an element of D", (x,))
-    e = D.identity()
-    if e in S.xi:
-        return VerificationResult(False, "xi holds the identity of D", (e,))
     values = sorted(S.xi, key=D.sort_key)
     for t in D.generators:
         for x in values:
@@ -584,6 +576,7 @@ def verify_infinite_certificate(
     then count one element twice."""
     if N < 2:
         raise PreconditionError("N must be at least 2")
+    check_prefix(N)
     if cert.group != G:
         return VerificationResult(False, "certificate is over another group")
     try:

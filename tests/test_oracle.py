@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 import wricc.oracle as oracle
 from wricc.decision import decide_icc
-from wricc.errors import PreconditionError, WriccError
+from wricc import groups
+from wricc.errors import CertificateBudget, PreconditionError, WriccError
 from wricc.groups import EXACT_FINITE, ClassReport, Closure, SymmetricGroup, class_closure
 from wricc.instances import parse_instance
 from wricc.oracle import AT_LEAST, class_lower_bound, enumerate_class
@@ -207,6 +208,20 @@ class TestClassLowerBound:
     def test_target_below_one_rejected(self, lamplighter, target):
         with pytest.raises(PreconditionError):
             class_lower_bound(lamplighter, lamplighter.parse_element("{0:1}@0"), target)
+
+    def test_target_past_the_cap_refused_before_a_conjugate(self, lamplighter, monkeypatch):
+        # the closure would keep target + 1 conjugates; none is built
+        def no_closure(*args):
+            raise AssertionError("a closure was started")
+
+        monkeypatch.setattr(oracle, "class_closure", no_closure)
+        g = lamplighter.parse_element("{0:1}@0")
+        with pytest.raises(
+            CertificateBudget, match="^class_lower_bound: target of more than 1000000 conjugates$"
+        ):
+            class_lower_bound(lamplighter, g, groups._FINITE_SET_CAP + 1)
+        with pytest.raises(AssertionError):
+            class_lower_bound(lamplighter, g, groups._FINITE_SET_CAP)
 
     def test_stops_on_exact_finite_class(self, z2_wr_s3, radii):
         G = z2_wr_s3

@@ -13,10 +13,10 @@ import pytest
 import wricc.verify
 from wricc.cli import EXIT_USAGE, main
 from wricc.decision import decide_icc
-from wricc.errors import PreconditionError
+from wricc.errors import CertificateBudget, PreconditionError
 from wricc.groups import CyclicGroup, IntegersGroup
 from wricc.tri import Tri
-from wricc.verify import VerifyReport, verify_instance
+from wricc.verify import VerifyReport, check_budgets, verify_instance
 from wricc.witness import FiniteClassCertificate, VerificationResult, witness
 from wricc.wreath import WreathProduct
 
@@ -105,6 +105,42 @@ def test_bad_budget_refused_on_every_verdict(name, budget, message):
         verify_instance(G, seed=0, **budget)
 
 
+# a prefix or a target past the listing cap is refused before G is
+# decided, so before any member or conjugate is built
+CAP = 1_000_000
+PREFIX_PAST_CAP = "a certificate prefix of more than 1000000 members"
+TARGET_PAST_CAP = "class_lower_bound: target of more than 1000000 conjugates"
+
+
+@pytest.mark.parametrize("name", ["z2-wr-s3", "lamplighter", "unknown"])
+@pytest.mark.parametrize(
+    "budget, message",
+    [({"prefix": CAP + 1}, PREFIX_PAST_CAP), ({"oracle_target": CAP + 1}, TARGET_PAST_CAP)],
+)
+def test_budget_past_the_cap_refused_on_every_verdict(name, budget, message):
+    G = unknown_group() if name == "unknown" else load_instance(name).group
+    with pytest.raises(CertificateBudget, match=f"^{message}$"):
+        verify_instance(G, seed=0, **budget)
+
+
+def test_budgets_at_the_cap_are_accepted():
+    check_budgets(1, CAP, CAP)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["witness", "--prefix", str(CAP + 1)], PREFIX_PAST_CAP),
+        (["verify", "--prefix", str(CAP + 1)], PREFIX_PAST_CAP),
+        (["verify", "--oracle-target", str(CAP + 1)], TARGET_PAST_CAP),
+    ],
+)
+def test_budget_flag_past_the_cap_exits_3_before_the_file_is_read(tmp_path, capsys, argv, message):
+    assert main([*argv, "-i", str(tmp_path / "missing.wri")]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error [certificate-budget]: {message}\n")
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -128,7 +164,8 @@ def test_bad_budget_flag_exits_3_before_the_file_is_read(tmp_path, capsys, argv,
 
 
 # run in a child process under a 1.5 GB address-space limit: listing either
-# orbit used to raise MemoryError with a traceback (exit 1)
+# orbit used to raise MemoryError with a traceback (exit 1), and so did a
+# prefix of 10^9 members and an oracle target of 10^8 conjugates
 HUGE_ORBITS = [
     "{D: cyclic 2; Q: cyclic 1000000000000; omega: regular}",
     "{D: cyclic 2; Q: integers; omega: union(regular, int-mod 1000000000000)}",
@@ -140,28 +177,25 @@ import contextlib, io, json, resource, sys, time, traceback
 resource.setrlimit(resource.RLIMIT_AS, (1500 * 2**20, 1500 * 2**20))
 from wricc.cli import main
 results = []
-for path in sys.argv[1:]:
-    for command in ("witness", "verify"):
-        err = io.StringIO()
-        t0 = time.perf_counter()
-        try:
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                code = main([command, "-i", path])
-        except BaseException:
-            code, err = None, io.StringIO(traceback.format_exc())
-        results.append([command, path, code, err.getvalue(), time.perf_counter() - t0])
+for argv in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    t0 = time.perf_counter()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except BaseException:
+        code, err = None, io.StringIO(traceback.format_exc())
+    results.append([argv, code, err.getvalue(), time.perf_counter() - t0])
 print(json.dumps(results))
 """
 
 
-def test_huge_finite_orbits_are_refused_before_they_are_listed(tmp_path):
-    paths = []
-    for i, text in enumerate(HUGE_ORBITS):
-        paths.append(tmp_path / f"huge-{i}.wri")
-        paths[-1].write_text(text)
+def _run_limited(argvs):
+    """[argv, exit code, stderr, seconds] of each `main(argv)`, run in one
+    child process under the address-space limit."""
     src = str(Path(wricc.verify.__file__).resolve().parents[1])
     done = subprocess.run(
-        [sys.executable, "-c", _CHILD, *map(str, paths)],
+        [sys.executable, "-c", _CHILD, json.dumps(argvs)],
         capture_output=True,
         text=True,
         timeout=60,
@@ -169,10 +203,33 @@ def test_huge_finite_orbits_are_refused_before_they_are_listed(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     results = json.loads(done.stdout)
-    assert len(results) == 2 * len(HUGE_ORBITS)
-    for command, path, code, err, seconds in results:
-        assert code == EXIT_USAGE, (command, path, err)
-        assert seconds < 2, (command, path, seconds)
+    assert len(results) == len(argvs)
+    for argv, code, err, seconds in results:
+        assert code == EXIT_USAGE, (argv, err)
+        assert seconds < 2, (argv, seconds)
         assert "Traceback" not in err
         assert err.startswith("error [certificate-budget]: ")
+    return results
+
+
+def test_huge_finite_orbits_are_refused_before_they_are_listed(tmp_path):
+    argvs = []
+    for i, text in enumerate(HUGE_ORBITS):
+        path = tmp_path / f"huge-{i}.wri"
+        path.write_text(text)
+        argvs += [[command, "-i", str(path)] for command in ("witness", "verify")]
+    for argv, code, err, seconds in _run_limited(argvs):
         assert err.endswith(": a finite orbit of more than 1000000 points\n")
+
+
+def test_huge_budgets_are_refused_before_anything_is_built(tmp_path):
+    data = Path(wricc.verify.__file__).parent / "instances_data"
+    lamplighter, f2_wr_z2 = str(data / "lamplighter.wri"), str(data / "f2-wr-z2.wri")
+    argvs = [
+        ["witness", "-i", lamplighter, "--prefix", str(10**9)],
+        ["verify", "-i", lamplighter, "--prefix", str(10**9)],
+        ["verify", "-i", f2_wr_z2, "--elements", "1", "--oracle-target", str(10**8)],
+    ]
+    messages = [PREFIX_PAST_CAP, PREFIX_PAST_CAP, TARGET_PAST_CAP]
+    for (argv, code, err, seconds), message in zip(_run_limited(argvs), messages):
+        assert err == f"error [certificate-budget]: {message}\n"

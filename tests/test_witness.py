@@ -493,6 +493,24 @@ def test_prefix_needs_a_member(lamplighter, count):
         fam.take(count)
 
 
+def test_prefix_past_the_cap_refused_before_a_member(lamplighter, monkeypatch):
+    G = lamplighter
+    fam = InfiniteFamilyCertificate(G, WreathElement(G.zeta(1, 0), 0), "lambda-translation")
+
+    def no_stream():
+        raise AssertionError("a conjugator was drawn")
+
+    monkeypatch.setattr(G.Q, "ball_stream", no_stream)
+    message = "^a certificate prefix of more than 1000000 members$"
+    with pytest.raises(CertificateBudget, match=message):
+        next(fam.members(groups_module._FINITE_SET_CAP + 1))
+    # refused by the verifier too, not reported as a failed stream
+    with pytest.raises(CertificateBudget, match=message):
+        verify_infinite_certificate(G, fam, N=groups_module._FINITE_SET_CAP + 1)
+    with pytest.raises(AssertionError):
+        next(fam.members(groups_module._FINITE_SET_CAP))
+
+
 def test_members_validate_what_they_conjugate(f2_wr_z2, monkeypatch):
     # a malformed base, seed conjugator or point is refused when the family
     # is made, before the first conjugation; every conjugator is built from
@@ -983,18 +1001,11 @@ def _s3_wr_s3_transposition_only():
     return G, _orbit_maps_cert(G, (0, 1, 2), {(1, 0, 2)})
 
 
-def _s3_wr_s3_identity_in_xi():
-    G = load_instance("s3-wr-s3").group
-    S = cert_finite_orbit(G).elements
-    return G, _orbit_maps_cert(G, S.orbit, S.xi | {G.D.identity()})
-
-
 @pytest.mark.parametrize(
     "make, reason",
     [
         (_s3_wr_s3_open_orbit, "orbit O not closed under the generator [1,2,0] of Q"),
         (_s3_wr_s3_transposition_only, "xi not closed under conjugation by the generator"),
-        (_s3_wr_s3_identity_in_xi, "xi holds the identity of D"),
     ],
 )
 def test_negative_controls_name_the_premise(make, reason):
@@ -1020,6 +1031,34 @@ def test_orbit_listing_a_point_twice_is_refused():
     G = load_instance("s3-wr-s3").group
     with pytest.raises(PreconditionError):
         OrbitMaps(G, (0, 1, 2, 0), {(1, 0, 2)})
+
+
+def test_identity_in_xi_is_refused_when_made():
+    # with e in xi the formula counts maps that take the value e, which are
+    # no canonical maps: on s3-wr-s3 it said 124 members where 64 are
+    # distinct, and the listing held the identity while `in` said it did not
+    G = load_instance("s3-wr-s3").group
+    S = cert_finite_orbit(G).elements
+    with pytest.raises(PreconditionError, match="^xi must be a nonempty set of nontrivial"):
+        OrbitMaps(G, S.orbit, S.xi | {G.D.identity()})
+
+
+@pytest.mark.parametrize(
+    "orbit, xi, error, message",
+    [
+        ((), {(1, 0, 2)}, PreconditionError, "the orbit O is empty"),
+        ((0, 3), {(1, 0, 2)}, KindMismatch, None),
+        ((0, 1, 2), set(), PreconditionError, "xi must be a nonempty set"),
+        ((0, 1, 2), {(1, 0, 2), (0, 0, 0)}, KindMismatch, None),
+    ],
+)
+def test_orbit_maps_refuse_invalid_data_when_made(orbit, xi, error, message):
+    # the verifier checked these once; S(O, xi) over such data is no value
+    G = load_instance("s3-wr-s3").group
+    with pytest.raises(error) as info:
+        OrbitMaps(G, orbit, xi)
+    if message is not None:
+        assert str(info.value).startswith(message)
 
 
 def test_size_beyond_printing_and_listing():
