@@ -149,7 +149,8 @@ def cmd_class(args) -> int:
     G = spec.group
     g = G.parse_element(args.element)
     # a flag overrides the instance file, which overrides the default; a
-    # zero flag reaches enumerate_class, which rejects it
+    # zero budget, or a max_size past the listing cap, reaches
+    # enumerate_class, which refuses it
     radius = args.radius if args.radius is not None else spec.budgets.get("radius", 8)
     max_size = (
         args.max_size if args.max_size is not None else spec.budgets.get("max_size", 10000)

@@ -51,7 +51,13 @@ def enumerate_class(
     G: WreathProduct, g: WreathElement, radius: int = 8, max_size: int = 10000
 ) -> ClassReport:
     """The class of g explored for at most `radius` rounds and `max_size`
-    conjugates, each member re-verified as the module docstring says."""
+    conjugates, each member re-verified as the module docstring says.  A
+    `max_size` past the listing cap is refused before the closure starts,
+    as `check_target` refuses a target."""
+    if max_size > groups._FINITE_SET_CAP:
+        raise CertificateBudget(
+            f"enumerate_class: max_size of more than {groups._FINITE_SET_CAP} conjugates"
+        )
     return _verify(G, class_closure(G, g, radius, max_size), 1)
 
 

@@ -18,6 +18,7 @@ import math
 import random
 from typing import NamedTuple
 
+from . import groups
 from .decision import IccVerdict, decide_icc
 from .errors import CertificateBudget, PreconditionError
 from .groups import AT_LEAST, EXACT_FINITE
@@ -56,10 +57,14 @@ def check_budgets(elements: int, prefix: int, oracle_target: int) -> None:
     """Refuse a budget that cannot back a Yes verdict, whatever G's verdict
     turns out to be: no element drawn would PASS on no check at all, and
     a family prefix below 2 or an oracle target below 1 tests nothing.  A
-    prefix or a target past the listing cap is refused as the prefix
-    (`check_prefix`) and the oracle (`class_lower_bound`) refuse it."""
+    number of elements past the listing cap is refused before any is
+    drawn, as the report keeps two checks for each; a prefix or a target
+    past the cap is refused as the prefix (`check_prefix`) and the oracle
+    (`class_lower_bound`) refuse it."""
     if elements < 1:
         raise PreconditionError("verify: --elements must be at least 1")
+    if elements > groups._FINITE_SET_CAP:
+        raise CertificateBudget(f"verify: --elements of more than {groups._FINITE_SET_CAP}")
     if prefix < 2:
         raise PreconditionError("N must be at least 2")
     check_prefix(prefix)

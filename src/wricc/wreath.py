@@ -16,12 +16,20 @@ bound once per handle.  Each of the three makes one pass over each map: it
 moves each point by the action as it multiplies or inverts its value,
 sorts the result once, and builds the element in C.  A map of fewer than
 two points is already sorted, so it is not sorted again; two points that
-the action sends to one are a `KindMismatch`.  When the carrier declares
-that its points sort natively (`QSet.native_order`), maps sort by the
-point itself, read in C by `operator.itemgetter`, and by the carrier's
-`point_key` otherwise; the integers' product and inverse are the C
-builtins `operator.add` and `operator.neg`, and a regular carrier acts
-through Q's product with no frame of its own.  Conjugation follows its
+the action sends to one are a `KindMismatch`.  The map a kernel moves
+(phi2, the inverted phi, psi) nearly always has at most one point, as
+every generator, g_d and seed conjugator has, so a map of one point is
+moved as one pair, with no list and no collapse check: one point meets
+no other moved point.  When that pair lands on a point of phi1, it
+replaces or deletes the value there and the copy of phi1 stays sorted;
+only a point new to phi1 is sorted in.  Maps of two or more points take
+the general path, with the collapse check wherever two points could
+meet.  When the carrier declares that its points sort natively
+(`QSet.native_order`), maps sort by the point itself, read in C by
+`operator.itemgetter`, and by the carrier's `point_key` otherwise; the
+integers' product and inverse are the C builtins `operator.add` and
+`operator.neg`, and a regular carrier acts through Q's product with no
+frame of its own.  Conjugation follows its
 own law, not the product of three factors, so the certificate verifier
 and the oracle, which recompute conjugates as products, check it.
 """
@@ -135,43 +143,65 @@ class WreathProduct(Group):
         """(phi1, q1)(phi2, q2) = (phi1 * lambda(q1) phi2, q1 q2), in one
         pass over phi2: each point is moved by q1 and its value multiplied
         into a copy of phi1.  Operands are canonical, so an empty map on
-        either side needs no merge."""
+        either side needs no merge.  A phi2 of one point meets no other
+        moved point, so it needs no collapse check; landing on a point of
+        phi1, it replaces or deletes that value, which keeps phi1's order,
+        and only a point new to phi1 needs the sort."""
         phi1, q1 = g1
         phi2, q2 = g2
         q = self._qmul(q1, q2)
         if not phi2:
             return _new(WreathElement, (phi1, q))
         act = self._act
-        moved = [(act(q1, y), d) for y, d in phi2]
-        if len(moved) > 1 and len(dict(moved)) < len(moved):
-            raise KindMismatch(_COLLAPSED)
-        if phi1:
+        if len(phi2) == 1:
+            ((y, d),) = phi2
+            y = act(q1, y)
+            if not phi1:
+                return _new(WreathElement, (((y, d),), q))
             acc = dict(phi1)
-            mul, e = self._dmul, self._e
-            for y, d in moved:
-                if y in acc:
-                    d = mul(acc[y], d)
-                    if d == e:
-                        del acc[y]
-                        continue
-                acc[y] = d
+            if y in acc:
+                d = self._dmul(acc[y], d)
+                if d == self._e:
+                    del acc[y]
+                else:
+                    acc[y] = d
+                return _new(WreathElement, (tuple(acc.items()), q))
+            acc[y] = d
             moved = list(acc.items())
+        else:
+            moved = [(act(q1, y), d) for y, d in phi2]
+            if len(dict(moved)) < len(moved):
+                raise KindMismatch(_COLLAPSED)
+            if phi1:
+                acc = dict(phi1)
+                mul, e = self._dmul, self._e
+                for y, d in moved:
+                    if y in acc:
+                        d = mul(acc[y], d)
+                        if d == e:
+                            del acc[y]
+                            continue
+                    acc[y] = d
+                moved = list(acc.items())
         if len(moved) > 1:
             moved.sort(key=self._item_key)
         return _new(WreathElement, (tuple(moved), q))
 
     def _inverse(self, g: WreathElement) -> WreathElement:
-        """(phi, q)^-1 = (lambda(q^-1) phi^-1, q^-1)."""
+        """(phi, q)^-1 = (lambda(q^-1) phi^-1, q^-1); a phi of one point
+        is moved as one pair."""
         phi, q = g
         qinv = self._qinv(q)
         if not phi:
             return _new(WreathElement, ((), qinv))
         act, dinv = self._act, self._dinv
+        if len(phi) == 1:
+            ((y, d),) = phi
+            return _new(WreathElement, (((act(qinv, y), dinv(d)),), qinv))
         moved = [(act(qinv, y), dinv(d)) for y, d in phi]
-        if len(moved) > 1:
-            if len(dict(moved)) < len(moved):
-                raise KindMismatch(_COLLAPSED)
-            moved.sort(key=self._item_key)
+        if len(dict(moved)) < len(moved):
+            raise KindMismatch(_COLLAPSED)
+        moved.sort(key=self._item_key)
         return _new(WreathElement, (tuple(moved), qinv))
 
     def _conjugate(self, x: WreathElement, y: WreathElement) -> WreathElement:
@@ -188,7 +218,10 @@ class WreathProduct(Group):
         So the values are multiplied pointwise, left to right (D may be
         nonabelian), in one dict: psi^-1, then phi, then psi moved by q.
         The identities are dropped as the result is moved by p^-1, and it
-        is sorted once.  An empty psi leaves (lambda(p^-1) phi, p^-1 q p)."""
+        is sorted once.  A psi of one point is merged as one pair, with no
+        collapse check, as it meets no other moved point of psi.  An empty
+        psi leaves (lambda(p^-1) phi, p^-1 q p), and a phi of one point is
+        then moved as one pair."""
         phi, q = x
         psi, p = y
         qmul, act = self._qmul, self._act
@@ -196,15 +229,23 @@ class WreathProduct(Group):
         r = qmul(qmul(pinv, q), p)
         if psi:
             dinv, mul, e = self._dinv, self._dmul, self._e
-            acc = {z: dinv(d) for z, d in psi}
+            if len(psi) == 1:
+                ((w, c),) = psi
+                acc = {w: dinv(c)}
+                moved = ((act(q, w), c),)
+            else:
+                acc = {z: dinv(d) for z, d in psi}
+                moved = [(act(q, z), d) for z, d in psi]
+                if len(dict(moved)) < len(moved):
+                    raise KindMismatch(_COLLAPSED)
             for z, d in phi:
                 acc[z] = mul(acc[z], d) if z in acc else d
-            moved = [(act(q, z), d) for z, d in psi]
-            if len(moved) > 1 and len(dict(moved)) < len(moved):
-                raise KindMismatch(_COLLAPSED)
             for z, d in moved:
                 acc[z] = mul(acc[z], d) if z in acc else d
             moved = [(act(pinv, z), d) for z, d in acc.items() if d != e]
+        elif len(phi) == 1:
+            ((z, d),) = phi
+            return _new(WreathElement, (((act(pinv, z), d),), r))
         else:
             moved = [(act(pinv, z), d) for z, d in phi]
         if len(moved) > 1:

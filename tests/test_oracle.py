@@ -131,6 +131,20 @@ class TestInfiniteClasses:
         with pytest.raises(PreconditionError):
             enumerate_class(lamplighter, lamplighter.identity(), radius=0)
 
+    def test_max_size_past_the_cap_refused_before_a_conjugate(self, lamplighter, monkeypatch):
+        # the closure would keep up to max_size conjugates; none is built
+        g = lamplighter.parse_element("{0:1}@1")
+        assert enumerate_class(lamplighter, g, 2, groups._FINITE_SET_CAP).count == 6
+
+        def no_closure(*args):
+            raise AssertionError("a closure was started")
+
+        monkeypatch.setattr(oracle, "class_closure", no_closure)
+        with pytest.raises(
+            CertificateBudget, match="^enumerate_class: max_size of more than 1000000 conjugates$"
+        ):
+            enumerate_class(lamplighter, g, 2, groups._FINITE_SET_CAP + 1)
+
 
 class TestLamplighterRadius8:
     """Exact radius-8 class counts on the lamplighter, pinned against the

@@ -105,17 +105,23 @@ def test_bad_budget_refused_on_every_verdict(name, budget, message):
         verify_instance(G, seed=0, **budget)
 
 
-# a prefix or a target past the listing cap is refused before G is
-# decided, so before any member or conjugate is built
+# a number of elements, a prefix or a target past the listing cap is
+# refused before G is decided, so before any member or conjugate is built
 CAP = 1_000_000
 PREFIX_PAST_CAP = "a certificate prefix of more than 1000000 members"
 TARGET_PAST_CAP = "class_lower_bound: target of more than 1000000 conjugates"
+ELEMENTS_PAST_CAP = "verify: --elements of more than 1000000"
+MAX_SIZE_PAST_CAP = "enumerate_class: max_size of more than 1000000 conjugates"
 
 
 @pytest.mark.parametrize("name", ["z2-wr-s3", "lamplighter", "unknown"])
 @pytest.mark.parametrize(
     "budget, message",
-    [({"prefix": CAP + 1}, PREFIX_PAST_CAP), ({"oracle_target": CAP + 1}, TARGET_PAST_CAP)],
+    [
+        ({"elements": CAP + 1}, ELEMENTS_PAST_CAP),
+        ({"prefix": CAP + 1}, PREFIX_PAST_CAP),
+        ({"oracle_target": CAP + 1}, TARGET_PAST_CAP),
+    ],
 )
 def test_budget_past_the_cap_refused_on_every_verdict(name, budget, message):
     G = unknown_group() if name == "unknown" else load_instance(name).group
@@ -124,7 +130,7 @@ def test_budget_past_the_cap_refused_on_every_verdict(name, budget, message):
 
 
 def test_budgets_at_the_cap_are_accepted():
-    check_budgets(1, CAP, CAP)
+    check_budgets(CAP, CAP, CAP)
 
 
 @pytest.mark.parametrize(
@@ -133,6 +139,7 @@ def test_budgets_at_the_cap_are_accepted():
         (["witness", "--prefix", str(CAP + 1)], PREFIX_PAST_CAP),
         (["verify", "--prefix", str(CAP + 1)], PREFIX_PAST_CAP),
         (["verify", "--oracle-target", str(CAP + 1)], TARGET_PAST_CAP),
+        (["verify", "--elements", str(CAP + 1)], ELEMENTS_PAST_CAP),
     ],
 )
 def test_budget_flag_past_the_cap_exits_3_before_the_file_is_read(tmp_path, capsys, argv, message):
@@ -165,7 +172,9 @@ def test_bad_budget_flag_exits_3_before_the_file_is_read(tmp_path, capsys, argv,
 
 # run in a child process under a 1.5 GB address-space limit: listing either
 # orbit used to raise MemoryError with a traceback (exit 1), and so did a
-# prefix of 10^9 members and an oracle target of 10^8 conjugates
+# prefix of 10^9 members, an oracle target of 10^8 conjugates, a class
+# budget of 10^9 conjugates, from a flag or from the file, and 10^9 drawn
+# elements
 HUGE_ORBITS = [
     "{D: cyclic 2; Q: cyclic 1000000000000; omega: regular}",
     "{D: cyclic 2; Q: integers; omega: union(regular, int-mod 1000000000000)}",
@@ -225,11 +234,18 @@ def test_huge_finite_orbits_are_refused_before_they_are_listed(tmp_path):
 def test_huge_budgets_are_refused_before_anything_is_built(tmp_path):
     data = Path(wricc.verify.__file__).parent / "instances_data"
     lamplighter, f2_wr_z2 = str(data / "lamplighter.wri"), str(data / "f2-wr-z2.wri")
+    budget_file = tmp_path / "lamplighter-budget.wri"
+    budget_file.write_text(instance_text("lamplighter") + f"max-size: {10**9}\n")
+    lamp_class = ["class", "-g", "{0:1}@1", "--radius", "100000"]
     argvs = [
         ["witness", "-i", lamplighter, "--prefix", str(10**9)],
         ["verify", "-i", lamplighter, "--prefix", str(10**9)],
         ["verify", "-i", f2_wr_z2, "--elements", "1", "--oracle-target", str(10**8)],
+        [*lamp_class, "-i", lamplighter, "--max-size", str(10**9)],
+        [*lamp_class, "-i", str(budget_file)],
+        ["verify", "-i", lamplighter, "--elements", str(10**9)],
     ]
     messages = [PREFIX_PAST_CAP, PREFIX_PAST_CAP, TARGET_PAST_CAP]
+    messages += [MAX_SIZE_PAST_CAP, MAX_SIZE_PAST_CAP, ELEMENTS_PAST_CAP]
     for (argv, code, err, seconds), message in zip(_run_limited(argvs), messages):
         assert err == f"error [certificate-budget]: {message}\n"

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wricc.errors import CertificateBudget, KindMismatch
-from wricc.groups import CyclicGroup, FreeGroup, IntegersGroup, SymmetricGroup
+from wricc.groups import CyclicGroup, FreeGroup, Group, IntegersGroup, SymmetricGroup
 from wricc.instances import build_wreath, parse_group, parse_instance
 from wricc.qsets import DisjointUnionQSet, IntModQSet, RegularQSet
 from wricc.wreath import WreathElement, WreathProduct, support
@@ -439,8 +439,10 @@ class TestFusedMultiply:
         # a map of fewer than two points is canonical as it is; the same
         # results as sorted, with no call of the point key
         calls = []
-        key = G._item_key
-        monkeypatch.setattr(G, "_item_key", lambda yd: calls.append(yd) or key(yd))
+        ZwrZ = build_wreath(Z, Z, "regular")
+        for H in (G, ZwrZ):
+            key = H._item_key
+            monkeypatch.setattr(H, "_item_key", lambda yd, key=key: calls.append(yd) or key(yd))
         one = WreathElement(((0, 1),), 0)
         shift = WreathElement((), 1)
         moved = WreathElement(((0, 1),), 1)
@@ -451,9 +453,97 @@ class TestFusedMultiply:
         assert G._conjugate(one, shift) == WreathElement(((-1, 1),), 0)
         assert G._conjugate(moved, one) == WreathElement(((1, 1),), 1)
         assert G._multiply(WreathElement((), 2), one) == WreathElement(((2, 1),), 2)
+        # a one-point phi2 moved onto a point of phi1 cancels the value
+        # there (D = Z2) or replaces it (D = Z), and phi1's order stands
+        two = WreathElement(((0, 1), (1, 1)), 1)
+        assert G._multiply(two, WreathElement(((0, 1),), 0)) == WreathElement(((0, 1),), 1)
+        assert G._multiply(two, WreathElement(((-1, 1),), 3)) == WreathElement(((1, 1),), 4)
+        three = WreathElement(((-2, 5), (0, 1), (1, 1)), 1)
+        assert ZwrZ._multiply(three, WreathElement(((-1, 2),), 0)) == WreathElement(
+            ((-2, 5), (0, 3), (1, 1)), 1
+        )
+        assert ZwrZ._multiply(three, WreathElement(((0, -1),), 0)) == WreathElement(
+            ((-2, 5), (0, 1)), 1
+        )
         assert calls == []
+        # a point new to phi1 is sorted in, and so are two moved points
+        assert ZwrZ._multiply(three, WreathElement(((-2, 7),), 0)) == WreathElement(
+            ((-2, 5), (-1, 7), (0, 1), (1, 1)), 1
+        )
+        assert calls
+        calls.clear()
         assert G._multiply(moved, moved) == WreathElement(((0, 1), (1, 1)), 2)
         assert calls
+
+
+# the groups the kernels' branches for maps of at most one point are
+# checked on: points in native order (lamplighter), free-group values on
+# two points (f2-wr-z2), a union carrier (mixed-union-icc-base) and free-group
+# points acted on by a free Q (z2-wr-free2)
+SMALL_MAP_GROUPS = ["lamplighter", "f2-wr-z2", "mixed-union-icc-base", "z2-wr-free2"]
+
+
+def _value(D, rng):
+    """A random value of D other than the identity."""
+    e = D.identity()
+    return next(d for d in (D.random_element(rng) for _ in range(64)) if d != e)
+
+
+def _operand(G, rng, size, first=None):
+    """A random element of G whose map has `size` points, or every point
+    of a smaller carrier, the (point, value) pair `first` among them when
+    it is given."""
+    items = dict([first] if first else [])
+    for _ in range(64):
+        if len(items) >= size:
+            break
+        items.setdefault(G.omega.random_point(rng), _value(G.D, rng))
+    return WreathElement(G._canon(items.items()), G.Q.random_element(rng))
+
+
+@pytest.mark.parametrize("name", SMALL_MAP_GROUPS)
+@settings(settings.get_profile("wricc"), max_examples=60)
+@given(
+    sizes=st.tuples(st.sampled_from([0, 1, 2, 3]), st.sampled_from([0, 1, 2, 3])),
+    meet=st.sampled_from(["apart", "replace", "cancel"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_small_maps_follow_the_product_law(name, sizes, meet, seed):
+    """Operands with 0, 1 and 2+ points on each side.  Unless `meet` is
+    "apart", the second operand's first point meets a point of the first
+    operand's map inside the kernel, with a value that replaces or
+    cancels the value there.  Each kernel gives a canonical element: the
+    product equals the two-step product, x x^-1 = x^-1 x = e, and
+    conjugation equals the generic law y^-1 x y of `Group._conjugate`."""
+    G = _group(name)
+    rng = random.Random(seed)
+    dinv, e = G.D._inverse, G.identity()
+    x = _operand(G, rng, sizes[0])
+
+    def onto(move, cancelling):
+        """A pair that `move` sends onto a point z of x's map, with the
+        value `cancelling` gives for x's value there, or a random one."""
+        if meet == "apart" or not x.phi or not sizes[1]:
+            return None
+        z, d = x.phi[rng.randrange(len(x.phi))]
+        return move(z), cancelling(d) if meet == "cancel" else _value(G.D, rng)
+
+    # the product moves y's points by x's acting part onto x's map
+    qinv = G.Q._inverse(x.q)
+    y = _operand(G, rng, sizes[1], onto(lambda z: G.omega._act(qinv, z), dinv))
+    out = G._multiply(x, y)
+    assert out == TestFusedMultiply.two_step(G, x, y)
+    TestFusedMultiply.assert_canonical(G, out)
+    for a in (x, y):
+        ainv = G._inverse(a)
+        TestFusedMultiply.assert_canonical(G, ainv)
+        assert G._multiply(a, ainv) == e == G._multiply(ainv, a)
+    # conjugation merges psi^-1 with phi at the points they share
+    y = _operand(G, rng, sizes[1], onto(lambda z: z, lambda d: d))
+    for a, b in ((x, y), (y, x)):
+        out = G._conjugate(a, b)
+        assert out == Group._conjugate(G, a, b)
+        TestFusedMultiply.assert_canonical(G, out)
 
 
 def _word(G, rng):
