@@ -7,25 +7,23 @@ is a value, its data the orbit O and the value set xi; it is checked by
 the two premises of its invariance lemma (see `OrbitMaps`), without
 listing its (|xi|+1)^|O| - 1 members.  Icc verdicts get an infinite
 family of conjugators with pairwise distinct conjugates, as data: a
-kind, a base, a point and a seed.  Each kind is one row of
-`_KINDS`: whether it takes a point and a seed, the premise that makes
-the family infinite (its distinctness lemma's hypothesis), the key that
-tells its conjugates apart and, for g_d, a closed form.  A family is
-fitted to its row when it is made, so one that does not fit cannot be
-built, and nothing that draws from it or verifies it checks it again.
-The dispatcher mirrors the case analysis of the criterion's proof.
+kind, a base, a point and a seed.  Each kind is one row of `_KINDS`:
+the premise of its distinctness lemma, whether it takes a point and a
+seed, the conjugators the lemma walks and, for g_d, a closed form.  A
+family is fitted to its row when it is made, and nothing that draws
+from it or verifies it checks it again.  The dispatcher mirrors the
+case analysis of the criterion's proof.
 
-A conjugator is validated where it is built: its ball element by
-`Group.ball_stream`, once per handle; a seeded conjugator by `members`,
-once per member.  The verifier trusts `members` for validity, as it
-trusts the group's arithmetic, and checks every conjugate it yields
-against products.
+A conjugator is valid as it is built: from ball elements that
+`Group.ball_stream` validated, or by the group's arithmetic from a
+valid start; a seeded one is validated once per member.  The verifier
+trusts `members` for validity, as it trusts the arithmetic, and checks
+every conjugate against products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import NamedTuple
 
 from . import groups
@@ -37,8 +35,6 @@ from .wreath import WreathElement, WreathProduct, support
 # sizes of more bits are written without their value; by default Python
 # refuses to convert an int of more than 4,300 digits to a string
 _PRINTED_SIZE_BITS = 128
-# conjugators an infinite family may draw in a row without a fresh conjugate
-_SEARCH_BUDGET = 20000
 
 
 def format_size(n: int) -> str:
@@ -175,13 +171,10 @@ class VerificationResult(NamedTuple):
 
 @dataclass(frozen=True)
 class InfiniteFamilyCertificate:
-    """An infinite family of conjugators with pairwise-distinct conjugates.
-    Without a `point` the conjugators are (eps, q) for q in Q's ball
-    stream; with one they are (zeta(d, point), 1) for d in D's.  A
-    `seed_conjugator` s turns each conjugator h into s * h.  The
-    `family_kind` fixes the rest (`_KINDS`).  Each `members` call starts
-    a new `Group.ball_stream`, so prefixes are restartable and
-    deterministic.  Families compare and hash by their data."""
+    """An infinite family of conjugators with pairwise-distinct conjugates,
+    which its `family_kind` fixes (`_KINDS`).  Each `members` call starts a
+    new walk, so prefixes are restartable and deterministic.  Families
+    compare and hash by their data."""
 
     group: WreathProduct
     base: WreathElement
@@ -218,50 +211,29 @@ class InfiniteFamilyCertificate:
             raise PreconditionError(f"premise: {kind}: {reason}")
 
     def members(self, count: int):
-        """Yield up to `count` pairs (conjugator, conjugate), skipping a
-        conjugate whose key an earlier one has.  Every conjugator yielded
-        is valid: an unseeded one, (eps, q) or (zeta(d, y), 1), is built
-        from a ball element that `Group.ball_stream` validated, the point
-        and Q's identity; a seeded one, s * h, is validated as it is
-        built."""
+        """Yield the first `count` pairs (conjugator, conjugate) of the
+        kind's conjugators, each valid (see the module docstring).  The
+        kind's lemma makes the conjugates distinct, so a repeat is a fault,
+        as is a g_d member that its closed form contradicts."""
         check_prefix(count)
         kind = self.family_kind
-        G, g, seed, y = self.group, self.base, self.seed_conjugator, self.point
-        key_of, formula_of = _KINDS[kind][3:]
-        # each conjugator is built in C, as the wreath kernels build
-        new = tuple.__new__
-        if y is None:
-            hs = (new(WreathElement, ((), q)) for q in G.Q.ball_stream())
-        else:
-            one, zeta = G.Q.identity(), G._zeta
-            hs = (new(WreathElement, (zeta(d, y), one)) for d in G.D.ball_stream())
-        if seed is not None:
-            hs = _validated_products(G, seed, hs)
-        key = key_of(G, y) if key_of else None
+        G, g, y = self.group, self.base, self.point
+        conjugators, formula_of = _KINDS[kind][3:]
         formula = formula_of(G, g, y) if formula_of else None
-        conjugate = G._conjugate
-        # one hash per conjugate: a key is fresh iff adding it grows the set
+        # one hash per conjugate: it is fresh iff adding it grows the set
         seen = set()
         add = seen.add
-        emitted = skipped = 0
-        for h in hs:
-            conj = conjugate(g, h)
+        for h, conj in conjugators(G, g, y, self.seed_conjugator):
             if formula is not None and formula(h) != conj:
                 raise WriccError(f"{kind}: closed form disagrees with conjugation")
-            add(key(conj) if key is not None else conj)
-            if len(seen) == emitted:
-                if key is None:
-                    raise WriccError(f"{kind}: unexpected duplicate conjugate")
-                skipped += 1
-                if skipped > _SEARCH_BUDGET:
-                    raise CertificateBudget(f"{kind}: no fresh conjugate in {_SEARCH_BUDGET} draws")
-                continue
-            skipped = 0
+            n = len(seen)
+            add(conj)
+            if len(seen) == n:
+                raise WriccError(f"{kind}: unexpected duplicate conjugate")
             yield (h, conj)
-            emitted += 1
-            if emitted >= count:
+            if n + 1 == count:
                 return
-        raise CertificateBudget(f"{kind}: conjugator stream exhausted after {emitted} members")
+        raise CertificateBudget(f"{kind}: conjugator stream exhausted after {len(seen)} members")
 
     def take(self, count: int):
         """The first `count` members."""
@@ -277,15 +249,6 @@ def check_prefix(count: int) -> None:
         raise CertificateBudget(
             f"a certificate prefix of more than {groups._FINITE_SET_CAP} members"
         )
-
-
-def _validated_products(G: WreathProduct, s: WreathElement, hs):
-    """s * h for each h of `hs`, each validated as it is built."""
-    multiply, validate = G._multiply, G.validate
-    for h in hs:
-        sh = multiply(s, h)
-        validate(sh)
-        yield sh
 
 
 # ---------------------------------------------------------------------------
@@ -343,18 +306,45 @@ def cert_finite_orbit(G: WreathProduct, xi=None, orbit=None) -> FiniteClassCerti
 # ---------------------------------------------------------------------------
 
 
+def _class_walk(G: WreathProduct, g: WreathElement, y, seed):
+    """(h, h^-1 g h) for h = (eps, c), c walking q's class in Q or, at a
+    point y, h = (zeta(c, y), 1), c walking phi(y)'s class in D, in
+    `class_closure`'s order.  The start's c is 1; a member reached from z
+    by the move (s, s^-1) is s^-1 z s, so its c is z's times s: one
+    product per member, each member once, so the conjugates are distinct."""
+    new, one, zeta = tuple.__new__, G.Q.identity(), G._zeta
+    if y is None:
+        H, x, parts = G.Q, g.q, (lambda c: ((), c))
+    else:
+        H, x, parts = G.D, G._map_value(g.phi, y), (lambda c: (zeta(c, y), one))
+    bfs = groups.class_closure(H, x)
+    reached, mul, conjugate = bfs.reached, H._multiply, G._conjugate
+    by = {x: H.identity()}
+    h = new(WreathElement, parts(by[x]))
+    yield h, conjugate(g, h)
+    for fresh in bfs:
+        for v in fresh:
+            z, (s, _) = reached[v]
+            c = by[v] = mul(by[z], s)
+            h = new(WreathElement, parts(c))
+            yield h, conjugate(g, h)
+
+
 def _q_translation(G: WreathProduct, g: WreathElement, y, seed) -> str | None:
-    """Conjugators (eps, q_n).  Premise: q is not in FC(Q).  Lemma: the
-    acting part of the conjugate, q_n^-1 q q_n, runs through q's class in
-    Q, which the premise makes infinite."""
+    """Conjugators (eps, c), c walking q's class in Q.  Premise: q is not
+    in FC(Q).  Lemma: the acting part of the conjugate is c^-1 q c, a new
+    member of q's class each time, which the premise makes infinite."""
     return "q lies in FC(Q)" if G.Q.fc_contains(g.q) else None
 
 
 def _lambda_translation(G: WreathProduct, g: WreathElement, y, seed) -> str | None:
-    """Conjugators s * (eps, q_n), s the seed if any.  Premise: s^-1 g s
-    has phi != eps and a support point in an infinite orbit.  Lemma: the
-    conjugates' supports are the translates of that finite support,
-    infinitely many when it meets an infinite orbit."""
+    """Conjugators s * (eps, q) for q in Q's ball, s the seed if any,
+    skipping each whose conjugate's support repeats an earlier one.
+    Premise: s^-1 g s has phi != eps and a support point in an infinite
+    orbit.  Lemma: the supports are the translates of that finite support,
+    infinitely many.  The skips need no budget: infinite orbits lie only
+    on regular parts, where Q acts freely, so at most |supp| elements of
+    Q fix a support as a set, and each support recurs at most that often."""
     if seed is not None:
         g = G._conjugate(g, seed)
     if not g.phi:
@@ -364,14 +354,34 @@ def _lambda_translation(G: WreathProduct, g: WreathElement, y, seed) -> str | No
     return None
 
 
+def _lambda_conjugators(G: WreathProduct, g: WreathElement, y, seed):
+    new, conjugate, multiply, validate = tuple.__new__, G._conjugate, G._multiply, G.validate
+    supports = set()
+    for q in G.Q.ball_stream():
+        h = new(WreathElement, ((), q))
+        if seed is not None:
+            h = multiply(seed, h)
+            validate(h)
+        conj = conjugate(g, h)
+        key = support(conj.phi)
+        if key not in supports:
+            supports.add(key)
+            yield h, conj
+
+
 def _gd(G: WreathProduct, g: WreathElement, y, seed) -> str | None:
-    """Conjugators (zeta(d, y), 1).  Premise: D is infinite and q moves y.
-    Lemma: the conjugate is phi with d^-1 phi(y) at y and phi(q.y) d at
-    q.y != y, so each of D's infinitely many d gives a new conjugate, and
-    a repeat is a fault."""
+    """Conjugators (zeta(d, y), 1) for d in D's ball.  Premise: D is
+    infinite and q moves y.  Lemma: the conjugate is phi with d^-1 phi(y)
+    at y and phi(q.y) d at q.y != y, a new one for each d."""
     if G.D.is_finite:
         return "D is finite"
     return "q fixes the point" if G.omega._act(g.q, y) == y else None
+
+
+def _gd_conjugators(G: WreathProduct, g: WreathElement, y, seed):
+    new, one, zeta, conjugate = tuple.__new__, G.Q.identity(), G._zeta, G._conjugate
+    hs = (new(WreathElement, (zeta(d, y), one)) for d in G.D.ball_stream())
+    return ((h, conjugate(g, h)) for h in hs)
 
 
 def _gd_formula(G: WreathProduct, g: WreathElement, y):
@@ -393,9 +403,9 @@ def _gd_formula(G: WreathProduct, g: WreathElement, y):
 
 
 def _value_conjugation(G: WreathProduct, g: WreathElement, y, seed) -> str | None:
-    """Conjugators (zeta(d, y), 1).  Premise: D is icc, q = 1 and y is in
-    supp phi.  Lemma: the conjugate changes only the value at y, to
-    d^-1 phi(y) d, which runs through the infinite class of phi(y)."""
+    """Conjugators (zeta(d, y), 1), d walking phi(y)'s class in D.  Premise:
+    D is icc, q = 1 and y is in supp phi.  Lemma: the conjugate changes
+    only phi(y), to d^-1 phi(y) d, each time a new member of its class."""
     if g.q != G.Q.identity():
         return "q != 1"
     if y not in support(g.phi):
@@ -405,20 +415,16 @@ def _value_conjugation(G: WreathProduct, g: WreathElement, y, seed) -> str | Non
     return None
 
 
-# kind -> (premise, needs a point, may take a seed, key, closed form).  A
-# premise reads a base, point and seed that the family's construction
-# validated and fitted to the row, and returns the reason it fails on G,
-# or None; its docstring states the lemma.  key(G, y) tells conjugates apart (None: a repeat is a
-# fault), and formula(G, g, y) checks each member (g_d only).
+# kind -> (premise, needs a point, may take a seed, conjugators, closed
+# form).  A premise reads a base, point and seed that the family's
+# construction validated and fitted to the row, and returns the reason it
+# fails on G, or None; its docstring states the lemma.  The conjugators
+# yield the pairs (h, h^-1 g h), and formula(G, g, y) checks each (g_d).
 _KINDS = {
-    "q-translation": (_q_translation, False, False, lambda G, y: itemgetter(1), None),
-    "lambda-translation": (
-        _lambda_translation, False, True, lambda G, y: lambda c: support(c.phi), None
-    ),
-    "g_d": (_gd, True, False, None, _gd_formula),
-    "value-conjugation": (
-        _value_conjugation, True, False, lambda G, y: lambda c: G._map_value(c.phi, y), None
-    ),
+    "q-translation": (_q_translation, False, False, _class_walk, None),
+    "lambda-translation": (_lambda_translation, False, True, _lambda_conjugators, None),
+    "g_d": (_gd, True, False, _gd_conjugators, _gd_formula),
+    "value-conjugation": (_value_conjugation, True, False, _class_walk, None),
 }
 
 
@@ -559,21 +565,15 @@ def _verify_orbit_maps(G: WreathProduct, S: OrbitMaps, base) -> VerificationResu
 def verify_infinite_certificate(
     G: WreathProduct, cert: InfiniteFamilyCertificate, N: int = 100
 ) -> VerificationResult:
-    """The first N deduped conjugates, drawn through `members`: pairwise
-    distinct and consistent with their recorded conjugators.  The premise
-    that makes the family infinite is not evaluated here: the family was
-    checked against its kind when it was made.
-
-    The conjugators are not validated again: the verifier trusts `members`
-    for their validity (the ball stream and `members` validate them as
-    they are built), as it trusts the group's arithmetic.  Each conjugate
-    is recomputed from the product definition h^-1 * base * h, not with
-    `_conjugate`, which `members` used: so every member also checks the
-    conjugation law against products.  The recorded conjugate is compared
-    with that canonical recomputation as stored.  The inverse-free test
-    h * conj == base * h would not do: the product canonicalises conj, so
-    it accepts conj with its map unsorted, and the distinctness test could
-    then count one element twice."""
+    """The first N members, drawn through `members`: pairwise distinct
+    conjugates, each consistent with its recorded conjugator.  The premise
+    was checked when the family was made, and the conjugators' validity
+    is trusted (see the module docstring).  Each conjugate is recomputed
+    from the product definition h^-1 * base * h, not with `_conjugate`,
+    which `members` used, so every member also checks the conjugation law;
+    it is compared as stored.  The inverse-free test h * conj == base * h
+    would not do: the product canonicalises conj, so it would accept an
+    unsorted map, which the distinctness test could count twice."""
     if N < 2:
         raise PreconditionError("N must be at least 2")
     check_prefix(N)

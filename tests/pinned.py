@@ -3,13 +3,13 @@ how each one runs and how its file is written.
 
 Each file holds one command's exit code, stdout and stderr, run in-process
 through `cli.main` on one instance.  Long outputs are stored as a sha256
-digest.  The five `witness --prefix 300` records, one per family kind, also
-pin the digest of the 300 lines "conjugator -> conjugate" that the library
-lists for the family.  The instances CI runs beyond the shipped ones, and
-three whose D or Q is a direct product, get `decide --json`,
-`witness --json` and `verify --json --seed 42` records, refusals
-included.  `test_records.py` runs every command again and compares the
-whole file, byte for byte.
+digest.  The six `witness --prefix 300` records, one or two per family
+kind, also pin the digest of the 300 lines "conjugator -> conjugate" that
+the library lists for the family.  The instances CI runs beyond the
+shipped ones, and three whose D or Q is a direct product, get
+`decide --json`, `witness --json` and `verify --json --seed 42` records,
+refusals included.  `test_records.py` runs every command again and
+compares the whole file, byte for byte.
 
 A change that alters an output on purpose regenerates the files from the
 root of the checkout, and the diff of `tests/records/` shows each change:
@@ -66,6 +66,12 @@ FAMILY_PINS = {
     "g_d": ("f2-wr-z2", None, "{1:b*a^-1}@1"),
     "value-conjugation": ("f2-wr-z2", None, "{0:a*b}@0"),
     "q-translation": ("z2-wr-f2", "{D: cyclic 2; Q: free 2; omega: regular}", "{}@a*b"),
+    # the class walk in a D that is not free
+    "value-conjugation-wreath-d": (
+        "lamplighter-d",
+        "{D: wreath(cyclic 2; integers; regular); Q: free 2; omega: trivial 1}",
+        "{0:{0:1}@0}@1",
+    ),
 }
 FAMILY_PREFIX = 300
 

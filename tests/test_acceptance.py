@@ -209,8 +209,8 @@ def test_criterion_6_icc_certification():
     assert record_acceptance(
         "criterion-6",
         ok,
-        f"icc certificates: 20 elements x {len(YES_INSTANCES)} instances, 100 deduped "
-        f"members each, distinct and re-verified, in {dt:.1f}s (limit 60s)"
+        f"icc certificates: 20 elements x {len(YES_INSTANCES)} instances, 100 members "
+        f"each, pairwise distinct and re-verified, in {dt:.1f}s (limit 60s)"
         f"{'; ' + '; '.join(problems[:3]) if problems else ''}",
     )
 

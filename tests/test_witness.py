@@ -539,23 +539,17 @@ def test_members_validate_what_they_conjugate(f2_wr_z2, monkeypatch):
 
 def test_a_ball_element_that_fails_validation_fails_the_stream(f2_wr_z2, monkeypatch):
     # D's product, replaced after the wreath product bound its own, leaves
-    # a cancelling pair in each word it builds: D's ball stream refuses the
-    # first such element, and the verifier reports the failed stream
+    # a cancelling pair in each product of two nontrivial words: D's ball
+    # stream, which a g_d family draws, refuses the first such element of
+    # its second round, and the verifier reports the failed stream.  With
+    # phi(y) = 1 the closed form multiplies by 1 only, so it never meets
+    # the broken product
     G = f2_wr_z2
-    fam = InfiniteFamilyCertificate(G, G.parse_element("{0:a, 1:b}@0"), "value-conjugation", 0)
-    monkeypatch.setattr(G.D, "_multiply", lambda u, v: u + (1, -1) + v)
+    fam = InfiniteFamilyCertificate(G, G.parse_element("{}@1"), "g_d", 0)
+    monkeypatch.setattr(G.D, "_multiply", lambda u, v: u + (1, -1) + v if u and v else u + v)
     res = verify_infinite_certificate(G, fam, N=20)
     assert not res and res.reason.startswith("stream failed: "), res.reason
     assert "not freely reduced" in res.reason
-
-
-# family kind -> the key its conjugates are deduplicated on (g_d: none)
-DEDUP_KEYS = {
-    "q-translation": lambda fam, c: c.q,
-    "lambda-translation": lambda fam, c: support(c.phi),
-    "g_d": lambda fam, c: c,
-    "value-conjugation": lambda fam, c: fam.group._map_value(c.phi, fam.point),
-}
 
 # (group, element literal, family kind, point, tamperings) for each kind
 # of family; the dispatcher picks the family.  Each tampering changes one
@@ -700,27 +694,54 @@ def test_members_refuse_a_point_or_seed_the_kind_does_not_take(
         InfiniteFamilyCertificate(G, base, kind, point, seed)
 
 
+def _class_walk(H, x):
+    """(c, c^-1 x c) for one c per member of x's class in H, with public
+    arithmetic: breadth first from (1, x), each round's new members in
+    `sort_key` order, each reached first from the earliest member of the
+    round before by the generators, then by their inverses not listed."""
+    moves = list(H.generators)
+    moves += [t for t in dict.fromkeys(map(H.inverse, H.generators)) if t not in moves]
+    frontier, seen = [(H.identity(), x)], {x}
+    while frontier:
+        yield from frontier
+        fresh = {}
+        for c, v in frontier:
+            for t in moves:
+                w = H.conjugate(v, t)
+                if w not in seen:
+                    seen.add(w)
+                    fresh[w] = H.multiply(c, t)
+        frontier = sorted(((c, w) for w, c in fresh.items()), key=lambda m: H.sort_key(m[1]))
+
+
 def _documented_prefix(fam, count):
-    """The first `count` members of `fam` built as its docstring defines
-    them, with public arithmetic: conjugators in ball order, each after
-    the seed, keeping the first conjugate of each dedup key.  Also returns
-    the number of conjugators drawn."""
-    G = fam.group
-    if fam.point is None:
+    """The first `count` members of `fam` built as its kind's docstring
+    defines them, with public arithmetic: q-translation and
+    value-conjugation walk a class; g_d and lambda-translation take
+    conjugators in ball order, each after the seed, and lambda-translation
+    keeps the first conjugate of each support."""
+    G, y, one = fam.group, fam.point, fam.group.Q.identity()
+    if fam.family_kind == "q-translation":
+        hs = (WreathElement((), c) for c, _ in _class_walk(G.Q, fam.base.q))
+    elif fam.family_kind == "value-conjugation":
+        walk = _class_walk(G.D, dict(fam.base.phi)[y])
+        hs = (WreathElement(G.zeta(c, y), one) for c, _ in walk)
+    elif y is None:
         hs = (WreathElement((), q) for q in G.Q.ball_stream())
     else:
-        hs = (WreathElement(G.zeta(d, fam.point), G.Q.identity()) for d in G.D.ball_stream())
-    prefix, keys = [], set()
-    for drawn, h in enumerate(hs, 1):
+        hs = (WreathElement(G.zeta(d, y), one) for d in G.D.ball_stream())
+    prefix, supports = [], set()
+    for h in hs:
         if fam.seed_conjugator is not None:
             h = G.multiply(fam.seed_conjugator, h)
         conj = G.conjugate(fam.base, h)
-        key = DEDUP_KEYS[fam.family_kind](fam, conj)
-        if key not in keys:
-            keys.add(key)
-            prefix.append((h, conj))
-            if len(prefix) == count:
-                return prefix, drawn
+        if fam.family_kind == "lambda-translation":
+            if support(conj.phi) in supports:
+                continue
+            supports.add(support(conj.phi))
+        prefix.append((h, conj))
+        if len(prefix) == count:
+            return prefix
 
 
 @pytest.mark.parametrize("name, literal, kind, point", FAMILY_OUTPUTS)
@@ -730,14 +751,11 @@ def test_members_are_the_documented_conjugators(name, literal, kind, point):
     fam = witness(G, decide_icc(G), g)
     assert (fam.family_kind, fam.point) == (kind, point)
     assert (fam.seed_conjugator is not None) == (literal == "{}@2")
-    expected, drawn = _documented_prefix(fam, 60)
     taken = fam.take(60)
-    assert taken == expected
+    assert taken == _documented_prefix(fam, 60)
+    assert len({conj for _, conj in taken}) == 60
     # elements, not bare tuples, which compare equal but do not validate
     assert {type(x) for member in taken for x in member} == {WreathElement}
-    # q-translation and value-conjugation skip repeated keys here; g_d
-    # never skips, and these lambda-translations need not
-    assert (drawn > 60) == (kind not in ("g_d", "lambda-translation"))
 
 
 @pytest.mark.parametrize("name, literal, kind, point", FAMILY_OUTPUTS)
@@ -873,6 +891,54 @@ def test_witness_command_checks_the_family_once(tmp_path, capsys, monkeypatch):
     assert main(["witness", "--json", "-i", str(path), "-g", "{1:b*a^-1}@1"]) == 0
     assert json.loads(capsys.readouterr().out)["distinct_prefix"] == 10
     assert len(made) == 1
+
+
+# Yes verdicts whose value-conjugation or q-translation families draw many
+# conjugators per fresh conjugate in D's or Q's ball: (instance, command)
+WALKED_FAMILIES = [
+    ("{D: wreath(cyclic 2; integers; regular); Q: cyclic 1; omega: trivial 1}",
+     ["verify", "--seed", "7"]),
+    ("{D: wreath(cyclic 2; integers; regular); Q: free 2; omega: trivial 1}",
+     ["witness", "-g", "{0:{0:1}@0}@1", "--prefix", "2000"]),
+    ("{D: wreath(cyclic 3; free 1; regular); Q: product(free 2); omega: union(union(trivial 1))}",
+     ["verify", "--seed", "3"]),
+    ("{D: product(free 2, free 2); Q: cyclic 1; omega: trivial 1}",
+     ["witness", "-g", "{0:(a; 1)}@0", "--prefix", "2000"]),
+    ("{D: cyclic 2; Q: product(free 2, free 2); omega: regular}",
+     ["witness", "-g", "{}@(a; 1)", "--prefix", "2000"]),
+]
+
+
+@pytest.mark.parametrize(
+    "text, argv", WALKED_FAMILIES, ids=[" ".join(argv) for _, argv in WALKED_FAMILIES]
+)
+def test_walked_families_list_and_verify(tmp_path, capsys, text, argv):
+    # the class walk reaches a new conjugate with every conjugator, however
+    # many of D's or Q's ball elements would repeat one
+    path = tmp_path / "instance.wri"
+    path.write_text(text)
+    assert main([*argv, "--json", "-i", str(path)]) == 0
+    record = json.loads(capsys.readouterr().out)
+    if argv[0] == "witness":
+        assert record["distinct_prefix"] == 2000
+    else:
+        assert record["result"] == "PASS"
+
+
+def test_lambda_translation_skips_repeated_supports_without_a_budget(monkeypatch):
+    # on Z x C2 acting regularly, (n; 0) and (n; 1) translate the support
+    # {(0; 0), (0; 1)} alike: nearly every other ball conjugator repeats a
+    # support and is skipped, and 2000 distinct conjugates still come out
+    G = parse_instance("{D: cyclic 2; Q: product(integers, cyclic 2); omega: regular}").group
+    fam = witness(G, decide_icc(G), G.parse_element("{(0; 0):1, (0; 1):1}@(0; 0)"))
+    assert fam.family_kind == "lambda-translation" and fam.seed_conjugator is None
+    drawn, stream = [], G.Q.ball_stream
+    monkeypatch.setattr(G.Q, "ball_stream", lambda: (drawn.append(q) or q for q in stream()))
+    taken = fam.take(2000)
+    assert len({conj for _, conj in taken}) == 2000
+    assert len(drawn) == 3997
+    assert len({support(conj.phi) for _, conj in taken}) == 2000
+    assert verify_infinite_certificate(G, fam, N=2000)
 
 
 def test_verifier_validates_once_and_recomputes_by_products(f2_wr_z2, monkeypatch):
