@@ -18,7 +18,10 @@ unions and wreaths nest at most `_MAX_NESTING` levels deep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from functools import cache
+from types import MappingProxyType
+from typing import NamedTuple
 
 from ._parsing import head_and_args, split_top
 from .errors import ParseError
@@ -110,26 +113,45 @@ def build_wreath(D: Group, Q: Group, omega_text: str, depth: int = 0) -> WreathP
     return WreathProduct(D, Q, parse_omega(omega_text, Q, depth))
 
 
-@dataclass
-class InstanceSpec:
+class InstanceSpec(NamedTuple):
+    """A parsed instance: its group, the three descriptors it was written
+    with and its budgets, a read-only mapping.  It compares and hashes by
+    its data."""
+
     group: WreathProduct
     d_text: str
     q_text: str
     omega_text: str
-    budgets: dict = field(default_factory=dict)
+    budgets: Mapping[str, int] = MappingProxyType({})
+
+    def __hash__(self):
+        return hash((*self[:4], frozenset(self.budgets.items())))
 
     def instance_hash(self) -> str:
-        # imported here, the one place that hashes: importing hashlib maps
-        # OpenSSL's libcrypto, about 3.6 MB of peak RSS and 4 ms (CPython
-        # 3.11, 2 vCPUs), so a process that prints no record never pays it
-        import hashlib
-
         # the empty last field stood for a key that no longer exists; it
         # stays so that the hashes of existing records do not move
         canon = "|".join(
             [self.d_text.strip(), self.q_text.strip(), self.omega_text.strip(), ""]
         )
-        return hashlib.sha256(canon.encode()).hexdigest()[:12]
+        return _sha256()(canon.encode()).hexdigest()[:12]
+
+
+@cache
+def _sha256():
+    """The SHA-256 constructor of the interpreter's own small module
+    (`_sha256` to CPython 3.11, `_sha2` from 3.12), as `random` takes its
+    SHA-512: importing `hashlib` maps OpenSSL's libcrypto, about 3.6 MB of
+    peak RSS and 3 ms (CPython 3.11, 2 vCPUs), for one short digest per
+    record.  `hashlib` only where neither module was built; the digest is
+    the same."""
+    for name in ("_sha256", "_sha2"):
+        try:
+            return __import__(name).sha256
+        except ImportError:
+            pass
+    from hashlib import sha256
+
+    return sha256
 
 
 # a tuple, so that budgets are read in a fixed order
@@ -174,5 +196,5 @@ def parse_instance(text: str) -> InstanceSpec:
         d_text=fields["d"],
         q_text=fields["q"],
         omega_text=fields["omega"],
-        budgets=budgets,
+        budgets=MappingProxyType(budgets),
     )

@@ -23,7 +23,6 @@ every conjugate against products.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import groups
@@ -146,8 +145,7 @@ class OrbitMaps:
         return f"OrbitMaps(|O|={len(self.orbit)}, |xi|={len(self.xi)})"
 
 
-@dataclass(frozen=True)
-class FiniteClassCertificate:
+class FiniteClassCertificate(NamedTuple):
     base: WreathElement
     elements: frozenset | OrbitMaps
     provenance: str  # "condition-i" | "finite-orbit"
@@ -169,20 +167,34 @@ class VerificationResult(NamedTuple):
         return self.ok
 
 
-@dataclass(frozen=True)
-class InfiniteFamilyCertificate:
-    """An infinite family of conjugators with pairwise-distinct conjugates,
-    which its `family_kind` fixes (`_KINDS`).  Each `members` call starts a
-    new walk, so prefixes are restartable and deterministic.  Families
-    compare and hash by their data."""
-
+class _Family(NamedTuple):
     group: WreathProduct
     base: WreathElement
     family_kind: str
     point: object = None
     seed_conjugator: WreathElement | None = None
 
-    def __post_init__(self):
+
+class InfiniteFamilyCertificate(_Family):
+    """An infinite family of conjugators with pairwise-distinct conjugates,
+    which its `family_kind` fixes (`_KINDS`).  Each `members` call starts a
+    new walk, so prefixes are restartable and deterministic.  Families
+    compare and hash by their data.  Every way of making one, `_replace`
+    and `_make` too, runs `_check`."""
+
+    __slots__ = ()
+
+    def __new__(cls, group, base, family_kind, point=None, seed_conjugator=None):
+        self = super().__new__(cls, group, base, family_kind, point, seed_conjugator)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # a NamedTuple's `_make`, which `_replace` calls, skips `__new__`
+        return cls(*iterable)
+
+    def _check(self):
         """Refuse a family that does not fit its kind.  In order: an
         unknown kind; a base, seed or point that fails validation (the
         error keeps its type); a seed the kind does not take, then a

@@ -1,4 +1,3 @@
-import dataclasses
 import importlib
 import json
 import random
@@ -414,7 +413,7 @@ class TestNegativeControls:
         G = load_instance("intmod-cond-i").group
         cert = cert_condition_i(G, 3)
         stray = WreathElement((), "x")
-        bad = dataclasses.replace(cert, elements=cert.elements | {stray})
+        bad = cert._replace(elements=cert.elements | {stray})
         res = verify_finite_certificate(G, bad)
         assert not res and res.reason == f"set holds {stray!r}, not an element of G"
         assert res.counterexample == (stray,)
@@ -771,7 +770,7 @@ def test_members_validate_once_per_call(name, literal, kind, point, monkeypatch)
     monkeypatch.setattr(G, "validate", validated.append)
     monkeypatch.setattr(G.omega, "validate_point", points.append)
     seed = [] if fam.seed_conjugator is None else [fam.seed_conjugator]
-    assert dataclasses.replace(fam) == fam
+    assert fam._replace() == fam
     assert validated == [fam.base] + seed
     assert points == ([] if point is None else [point])
     for count in (1, 40):
@@ -797,7 +796,7 @@ def test_tampered_certificates_fail_on_the_premise(
     _forbid_drawing(monkeypatch, G)
     named = f"premise: {value if field == 'family_kind' else kind}: "
     with pytest.raises(PreconditionError, match=f"^{re.escape(named)}"):
-        dataclasses.replace(fam, **{field: value})
+        fam._replace(**{field: value})
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -835,9 +834,9 @@ def test_families_compare_and_hash_by_their_data():
     a, b = fams
     assert a is not b and a.group is not b.group
     assert a == b and hash(a) == hash(b) and len({a, b}) == 1
-    other = dataclasses.replace(a, point=1)
+    other = a._replace(point=1)
     assert other != a and other.take(5) != a.take(5)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         a.point = 1
 
 
@@ -855,10 +854,8 @@ def test_certificate_over_another_group_fails():
 def _count_constructions(monkeypatch):
     """The families made from now on, each recorded as its check starts."""
     made = []
-    check = InfiniteFamilyCertificate.__post_init__
-    monkeypatch.setattr(
-        InfiniteFamilyCertificate, "__post_init__", lambda c: made.append(c) or check(c)
-    )
+    check = InfiniteFamilyCertificate._check
+    monkeypatch.setattr(InfiniteFamilyCertificate, "_check", lambda c: made.append(c) or check(c))
     return made
 
 
@@ -878,7 +875,7 @@ def test_verifier_checks_the_family_once(name, literal, kind, point, monkeypatch
     assert made == [] and drawn == [fam]
     drawn.clear()
     with pytest.raises(PreconditionError, match="^premise: probe: unknown family kind$"):
-        dataclasses.replace(fam, family_kind="probe")
+        fam._replace(family_kind="probe")
     assert len(made) == 1 and drawn == []
 
 
@@ -1010,7 +1007,7 @@ def _finite_orbit_group(case):
 def _listed(cert):
     """The same certificate with its set listed as a frozenset, which the
     verifier checks by exact closure."""
-    return dataclasses.replace(cert, elements=frozenset(cert.elements))
+    return cert._replace(elements=frozenset(cert.elements))
 
 
 FINITE_ORBIT_CASES = [
@@ -1086,7 +1083,7 @@ def test_premises_are_checked_at_the_base_too():
     G = load_instance("s3-wr-s3").group
     cert = cert_finite_orbit(G)
     outside = WreathElement(((0, (1, 0, 2)), (1, (1, 0, 2))), (1, 0, 2))
-    res = verify_finite_certificate(G, dataclasses.replace(cert, base=outside))
+    res = verify_finite_certificate(G, cert._replace(base=outside))
     assert not res and res.reason == "base element missing from the set"
     other = load_instance("z2-wr-s3").group
     assert not verify_finite_certificate(other, cert)
