@@ -18,7 +18,8 @@ A conjugator is valid as it is built: from ball elements that
 `Group.ball_stream` validated, or by the group's arithmetic from a
 valid start; a seeded one is validated once per member.  The verifier
 trusts `members` for validity, as it trusts the arithmetic, and checks
-every conjugate against products.
+against products every conjugate: conjugated by `_conjugate` for g_d
+and lambda-translation, read off the class walk for the other kinds.
 """
 
 from __future__ import annotations
@@ -223,10 +224,10 @@ class InfiniteFamilyCertificate(_Family):
             raise PreconditionError(f"premise: {kind}: {reason}")
 
     def members(self, count: int):
-        """Yield the first `count` pairs (conjugator, conjugate) of the
-        kind's conjugators, each valid (see the module docstring).  The
-        kind's lemma makes the conjugates distinct, so a repeat is a fault,
-        as is a g_d member that its closed form contradicts."""
+        """Yield the first `count` pairs (conjugator, conjugate), each valid
+        and conjugated or walked as its kind does (see the module
+        docstring).  The kind's lemma makes the conjugates distinct, so a
+        repeat is a fault, as is a g_d member its closed form contradicts."""
         check_prefix(count)
         kind = self.family_kind
         G, g, y = self.group, self.base, self.point
@@ -322,24 +323,32 @@ def _class_walk(G: WreathProduct, g: WreathElement, y, seed):
     """(h, h^-1 g h) for h = (eps, c), c walking q's class in Q or, at a
     point y, h = (zeta(c, y), 1), c walking phi(y)'s class in D, in
     `class_closure`'s order.  The start's c is 1; a member reached from z
-    by the move (s, s^-1) is s^-1 z s, so its c is z's times s: one
-    product per member, each member once, so the conjugates are distinct."""
-    new, one, zeta = tuple.__new__, G.Q.identity(), G._zeta
+    by the move (s, s^-1) is v = s^-1 z s = c^-1 x c for c z's times s:
+    one product per member, each once, so the conjugates are distinct and
+    read off v: (lambda(c^-1) phi, v), moved by `_move`, or phi with v at y."""
+    new, phi, one = tuple.__new__, g.phi, G.Q.identity()
     if y is None:
-        H, x, parts = G.Q, g.q, (lambda c: ((), c))
+        H, x, inv, move = G.Q, g.q, G.Q._inverse, G._move
+
+        def member(c, v):
+            return new(WreathElement, ((), c)), new(WreathElement, (move(phi, inv(c)), v))
     else:
-        H, x, parts = G.D, G._map_value(g.phi, y), (lambda c: (zeta(c, y), one))
+        H, x, zeta = G.D, G._map_value(phi, y), G._zeta
+        i = support(phi).index(y)
+        head, tail = phi[:i], phi[i + 1:]
+
+        def member(c, v):
+            h = new(WreathElement, (zeta(c, y), one))
+            return h, new(WreathElement, (head + ((y, v),) + tail, one))
     bfs = groups.class_closure(H, x)
-    reached, mul, conjugate = bfs.reached, H._multiply, G._conjugate
+    reached, mul = bfs.reached, H._multiply
     by = {x: H.identity()}
-    h = new(WreathElement, parts(by[x]))
-    yield h, conjugate(g, h)
+    yield member(by[x], x)
     for fresh in bfs:
         for v in fresh:
             z, (s, _) = reached[v]
             c = by[v] = mul(by[z], s)
-            h = new(WreathElement, parts(c))
-            yield h, conjugate(g, h)
+            yield member(c, v)
 
 
 def _q_translation(G: WreathProduct, g: WreathElement, y, seed) -> str | None:
@@ -581,8 +590,8 @@ def verify_infinite_certificate(
     conjugates, each consistent with its recorded conjugator.  The premise
     was checked when the family was made, and the conjugators' validity
     is trusted (see the module docstring).  Each conjugate is recomputed
-    from the product definition h^-1 * base * h, not with `_conjugate`,
-    which `members` used, so every member also checks the conjugation law;
+    from the product definition h^-1 * base * h, not with `_conjugate` or
+    the walk that `members` used, so every member also checks those;
     it is compared as stored.  The inverse-free test h * conj == base * h
     would not do: the product canonicalises conj, so it would accept an
     unsorted map, which the distinctness test could count twice."""

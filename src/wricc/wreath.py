@@ -68,7 +68,7 @@ _new = tuple.__new__
 
 def support(f: tuple) -> tuple:
     """The support of a canonical finitely-supported map: its stored keys."""
-    return tuple(y for y, _ in f)
+    return tuple(map(itemgetter(0), f))
 
 
 class WreathProduct(Group):
@@ -217,18 +217,17 @@ class WreathProduct(Group):
         as lambda is an action by automorphisms of the pointwise product.
         So the values are multiplied pointwise, left to right (D may be
         nonabelian), in one dict: psi^-1, then phi, then psi moved by q.
-        The identities are dropped as the result is moved by p^-1, and it
-        is sorted once.  A psi of one point is merged as one pair, with no
-        collapse check, as it meets no other moved point of psi.  An empty
-        psi leaves (lambda(p^-1) phi, p^-1 q p), and a phi of one point is
-        then moved as one pair."""
+        A psi of one point is merged as one pair, with no collapse check,
+        as it meets no other moved point of psi.  An empty psi leaves
+        (lambda(p^-1) phi, p^-1 q p).  Either map is moved by p^-1 with
+        `_move`, which drops the identities and sorts once."""
         phi, q = x
         psi, p = y
-        qmul, act = self._qmul, self._act
+        qmul = self._qmul
         pinv = self._qinv(p)
         r = qmul(qmul(pinv, q), p)
         if psi:
-            dinv, mul, e = self._dinv, self._dmul, self._e
+            act, dinv, mul = self._act, self._dinv, self._dmul
             if len(psi) == 1:
                 ((w, c),) = psi
                 acc = {w: dinv(c)}
@@ -242,17 +241,23 @@ class WreathProduct(Group):
                 acc[z] = mul(acc[z], d) if z in acc else d
             for z, d in moved:
                 acc[z] = mul(acc[z], d) if z in acc else d
-            moved = [(act(pinv, z), d) for z, d in acc.items() if d != e]
-        elif len(phi) == 1:
-            ((z, d),) = phi
-            return _new(WreathElement, (((act(pinv, z), d),), r))
-        else:
-            moved = [(act(pinv, z), d) for z, d in phi]
+            phi = acc.items()
+        return _new(WreathElement, (self._move(phi, pinv), r))
+
+    def _move(self, f, p) -> tuple:
+        """lambda(p) f as a canonical map, for the pairs f of a map that may
+        hold identities, which are dropped.  A map of one point is moved as
+        one pair; two points that p sends to one are a `KindMismatch`."""
+        act, e = self._act, self._e
+        if len(f) == 1:
+            ((z, d),) = f
+            return ((act(p, z), d),) if d != e else ()
+        moved = [(act(p, z), d) for z, d in f if d != e]
         if len(moved) > 1:
             if len(dict(moved)) < len(moved):
                 raise KindMismatch(_COLLAPSED)
             moved.sort(key=self._item_key)
-        return _new(WreathElement, (tuple(moved), r))
+        return tuple(moved)
 
     def validate(self, x):
         if not isinstance(x, WreathElement):

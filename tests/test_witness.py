@@ -436,19 +436,54 @@ class TestNegativeControls:
         h, conj, again = res.counterexample
         assert again == G.conjugate(g, h) != conj
 
-    def test_broken_conjugation_law_fails(self, f2_wr_z2, monkeypatch):
-        # `members` conjugates with `_conjugate`; the verifier recomputes
-        # with products, so a wrong conjugation law cannot confirm itself
-        G = f2_wr_z2
-        g = WreathElement(G.zeta((1,), 0), 0)
-        fam = InfiniteFamilyCertificate(G, g, "value-conjugation", 0)
+    @pytest.mark.parametrize("name, literal, kind, point, reason", [
+        ("lamplighter", "{0:1}@0", "lambda-translation", None,
+         "recorded conjugate does not match recomputation"),
+        # the closed form, which agrees with the products, refuses it first
+        ("f2-wr-z2", "{0:a*b}@1", "g_d", 0,
+         "stream failed: g_d: closed form disagrees with conjugation"),
+    ])
+    def test_broken_conjugation_law_fails(self, name, literal, kind, point, reason, monkeypatch):
+        # lambda-translation and g_d members conjugate with `_conjugate`;
+        # the verifier recomputes with products, so a wrong conjugation
+        # law cannot confirm itself
+        G = load_instance(name).group
+        g = G.parse_element(literal)
+        fam = InfiniteFamilyCertificate(G, g, kind, point)
         assert verify_infinite_certificate(G, fam, N=10)
         law = G._conjugate
-        monkeypatch.setattr(
-            G, "_conjugate", lambda x, y: WreathElement(law(x, y).phi, x.q + 1)
-        )
+        monkeypatch.setattr(G, "_conjugate", lambda x, y: WreathElement(law(x, y).phi, x.q + 1))
         res = verify_infinite_certificate(G, fam, N=10)
+        assert not res and res.reason == reason
+
+    @pytest.mark.parametrize("name, literal, kind, point", [
+        ("f2-wr-z2", "{0:a, 1:b}@0", "value-conjugation", 0),
+        ("z2-wr-free2", "{1:1}@a*b", "q-translation", None),
+    ])
+    def test_wrong_walked_member_fails(self, name, literal, kind, point):
+        # a walked member is read off the class walk, not conjugated: the
+        # third member given the fourth's value at the point, or its acting
+        # part, fails the verifier's recomputation by products
+        G = _family_group(name)
+        g = G.parse_element(literal)
+        fam = InfiniteFamilyCertificate(G, g, kind, point)
+        assert verify_infinite_certificate(G, fam, N=10)
+        prefix = fam.take(10)
+        (h, conj), (_, after) = prefix[3:5]
+        if point is None:
+            wrong = WreathElement(conj.phi, after.q)
+        else:
+            value = G._map_value(after.phi, point)
+            wrong = WreathElement(G._canon({**dict(conj.phi), point: value}.items()), conj.q)
+        assert wrong != conj
+
+        class Wrong(InfiniteFamilyCertificate):
+            def members(self, count):
+                yield from prefix[:3] + [(h, wrong)] + prefix[4:count]
+
+        res = verify_infinite_certificate(G, Wrong(G, g, kind, point), N=10)
         assert not res and res.reason == "recorded conjugate does not match recomputation"
+        assert res.counterexample == (h, wrong, conj)
 
     def test_duplicated_conjugates_fail(self, lamplighter):
         G = lamplighter
@@ -512,16 +547,16 @@ def test_prefix_past_the_cap_refused_before_a_member(lamplighter, monkeypatch):
 
 def test_members_validate_what_they_conjugate(f2_wr_z2, monkeypatch):
     # a malformed base, seed conjugator or point is refused when the family
-    # is made, before the first conjugation; every conjugator is built from
-    # them and from the group's own ball elements
+    # is made, before any arithmetic of its walk; every conjugator is built
+    # from them and from the group's own ball or class elements
     G = f2_wr_z2
     g = WreathElement(G.zeta((1,), 0), 0)
     stored_identity = WreathElement(((0, ()),), 1)
-    conjugated = []
-    law = G._conjugate
-    monkeypatch.setattr(G, "_conjugate", lambda x, y: conjugated.append(y) or law(x, y))
-    assert InfiniteFamilyCertificate(G, g, "value-conjugation", point=0).take(1) and conjugated
-    conjugated.clear()
+    multiplied = []
+    mul = G.D._multiply
+    monkeypatch.setattr(G.D, "_multiply", lambda u, v: multiplied.append(v) or mul(u, v))
+    assert InfiniteFamilyCertificate(G, g, "value-conjugation", point=0).take(2) and multiplied
+    multiplied.clear()
     # a kind the table does not know has no key to stream by
     with pytest.raises(PreconditionError, match="^premise: probe: unknown family kind$"):
         InfiniteFamilyCertificate(G, g, "probe", point=0)
@@ -533,7 +568,7 @@ def test_members_validate_what_they_conjugate(f2_wr_z2, monkeypatch):
     ):
         with pytest.raises(KindMismatch):
             InfiniteFamilyCertificate(G, base, "value-conjugation", point, seed)
-    assert conjugated == []
+    assert multiplied == []
 
 
 def test_a_ball_element_that_fails_validation_fails_the_stream(f2_wr_z2, monkeypatch):
@@ -920,6 +955,46 @@ def test_walked_families_list_and_verify(tmp_path, capsys, text, argv):
         assert record["distinct_prefix"] == 2000
     else:
         assert record["result"] == "PASS"
+
+
+# more value-conjugation and q-translation inputs, as WALKED_FAMILIES
+WALKED_BASES = [
+    (instance_text("f2-wr-z2"), ["witness", "-g", "{0:a, 1:b}@0"]),
+    (instance_text("mixed-union-icc-base"), ["witness", "-g", "{(0; 0):a, (1; 1):b}@0"]),
+    ("{D: cyclic 2; Q: free 2; omega: regular}", ["witness", "-g", "{1:1}@a*b"]),
+]
+
+
+@pytest.mark.parametrize(
+    "text, argv",
+    WALKED_FAMILIES + WALKED_BASES,
+    ids=[" ".join(argv) for _, argv in WALKED_FAMILIES + WALKED_BASES],
+)
+def test_walked_members_are_the_conjugates(text, argv, monkeypatch):
+    # value-conjugation and q-translation read each conjugate off their
+    # class walk, with no call of `_conjugate`; member by member, the first
+    # 2000 are what the public, validating `conjugate` gives, for the
+    # element given or each that `verify` draws with its seed
+    G = parse_instance(text).group
+    if argv[0] == "witness":
+        elements = [G.parse_element(argv[2])]
+    else:
+        rng = random.Random(int(argv[2]))
+        elements = [G.random_nontrivial_element(rng) for _ in range(5)]
+    verdict = decide_icc(G)
+    fams = [witness(G, verdict, g) for g in elements]
+    fams = [fam for fam in fams if fam.family_kind in ("value-conjugation", "q-translation")]
+    assert fams
+
+    def no_conjugate(x, y):
+        raise AssertionError("a walked member was conjugated")
+
+    with monkeypatch.context() as m:
+        m.setattr(G, "_conjugate", no_conjugate)
+        prefixes = [fam.take(2000) for fam in fams]
+    for fam, prefix in zip(fams, prefixes):
+        for h, conj in prefix:
+            assert conj == G.conjugate(fam.base, h)
 
 
 def test_lambda_translation_skips_repeated_supports_without_a_budget(monkeypatch):

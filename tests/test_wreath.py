@@ -164,6 +164,12 @@ class TestCanonicalForm:
         g = G.multiply(WreathElement(G.zeta(1, 0), 1), WreathElement(G.zeta(1, 1), -1))
         assert support(g.phi) == (0, 2)
 
+    @pytest.mark.parametrize("points", [(), (4,), (-3, 0, 5)])
+    def test_support_lists_the_stored_points_in_order(self, G, points):
+        phi = G._canon((y, 1) for y in points)
+        assert len(phi) == len(points)
+        assert support(phi) == points and type(support(phi)) is tuple
+
 
 class TestFiniteWreath:
     def test_order(self, z2_wr_s3):
