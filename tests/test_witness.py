@@ -439,14 +439,11 @@ class TestNegativeControls:
     @pytest.mark.parametrize("name, literal, kind, point, reason", [
         ("lamplighter", "{0:1}@0", "lambda-translation", None,
          "recorded conjugate does not match recomputation"),
-        # the closed form, which agrees with the products, refuses it first
-        ("f2-wr-z2", "{0:a*b}@1", "g_d", 0,
-         "stream failed: g_d: closed form disagrees with conjugation"),
     ])
     def test_broken_conjugation_law_fails(self, name, literal, kind, point, reason, monkeypatch):
-        # lambda-translation and g_d members conjugate with `_conjugate`;
-        # the verifier recomputes with products, so a wrong conjugation
-        # law cannot confirm itself
+        # lambda-translation members conjugate with `_conjugate`; the
+        # verifier recomputes with products, so a wrong conjugation law
+        # cannot confirm itself
         G = load_instance(name).group
         g = G.parse_element(literal)
         fam = InfiniteFamilyCertificate(G, g, kind, point)
@@ -459,11 +456,13 @@ class TestNegativeControls:
     @pytest.mark.parametrize("name, literal, kind, point", [
         ("f2-wr-z2", "{0:a, 1:b}@0", "value-conjugation", 0),
         ("z2-wr-free2", "{1:1}@a*b", "q-translation", None),
+        ("f2-wr-z2", "{0:a*b}@1", "g_d", 0),
     ])
     def test_wrong_walked_member_fails(self, name, literal, kind, point):
-        # a walked member is read off the class walk, not conjugated: the
-        # third member given the fourth's value at the point, or its acting
-        # part, fails the verifier's recomputation by products
+        # walked and g_d members are read off the walk or the lemma, not
+        # conjugated: the third member given the fourth's value at q.y
+        # (y itself when q = 1), or its acting part, fails the verifier's
+        # recomputation by products
         G = _family_group(name)
         g = G.parse_element(literal)
         fam = InfiniteFamilyCertificate(G, g, kind, point)
@@ -473,8 +472,9 @@ class TestNegativeControls:
         if point is None:
             wrong = WreathElement(conj.phi, after.q)
         else:
-            value = G._map_value(after.phi, point)
-            wrong = WreathElement(G._canon({**dict(conj.phi), point: value}.items()), conj.q)
+            at = G.omega._act(g.q, point)
+            value = G._map_value(after.phi, at)
+            wrong = WreathElement(G._canon({**dict(conj.phi), at: value}.items()), conj.q)
         assert wrong != conj
 
         class Wrong(InfiniteFamilyCertificate):
@@ -576,8 +576,8 @@ def test_a_ball_element_that_fails_validation_fails_the_stream(f2_wr_z2, monkeyp
     # a cancelling pair in each product of two nontrivial words: D's ball
     # stream, which a g_d family draws, refuses the first such element of
     # its second round, and the verifier reports the failed stream.  With
-    # phi(y) = 1 the closed form multiplies by 1 only, so it never meets
-    # the broken product
+    # phi(y) = phi(q.y) = 1 the splice multiplies by 1 only, so it never
+    # meets the broken product
     G = f2_wr_z2
     fam = InfiniteFamilyCertificate(G, G.parse_element("{}@1"), "g_d", 0)
     monkeypatch.setattr(G.D, "_multiply", lambda u, v: u + (1, -1) + v if u and v else u + v)
@@ -995,6 +995,55 @@ def test_walked_members_are_the_conjugates(text, argv, monkeypatch):
     for fam, prefix in zip(fams, prefixes):
         for h, conj in prefix:
             assert conj == G.conjugate(fam.base, h)
+
+
+# (instance, base, point, whether some d != 1 cancels the value at y and
+# some the value at q.y) for g_d: y and q.y both in supp phi, one of them,
+# neither; q.y sorting before y; union carriers; D a wreath or a direct
+# product.  A value in D's ball, or whose inverse is, cancels on it
+GD_BASES = [
+    ("f2-wr-z2", "{0:a, 1:b}@1", 0, True),
+    ("f2-wr-z2", "{0:a, 1:b}@1", 1, True),
+    ("f2-wr-z2", "{0:a*b}@1", 0, True),
+    ("f2-wr-z2", "{1:b*b}@1", 0, True),
+    ("f2-wr-z2", "{}@1", 0, False),
+    ("f2-wr-z2", "{}@1", 1, False),
+    ("mixed-union-icc-base", "{(0; 0):a, (0; 1):b, (1; 1):a}@1", "(0; 0)", True),
+    ("mixed-union-icc-base", "{(0; -3):a, (1; 0):b, (1; 1):a, (1; 2):b^-1}@1", "(1; 2)", True),
+    ("mixed-union-icc-base", "{(0; 5):a}@2", "(1; 1)", False),
+    ("{D: wreath(cyclic 2; integers; regular); Q: cyclic 2; omega: regular}",
+     "{0:{0:1}@0, 1:{}@1}@1", 0, True),
+    ("{D: wreath(cyclic 2; integers; regular); Q: cyclic 2; omega: regular}",
+     "{1:{-1:1}@1}@1", 1, True),
+    ("{D: product(free 2, free 2); Q: cyclic 2; omega: regular}",
+     "{0:(a; 1), 1:(b; b^-1)}@1", 0, True),
+]
+
+
+@pytest.mark.parametrize("name, literal, point, cancels", GD_BASES)
+def test_gd_members_are_the_conjugates(name, literal, point, cancels, monkeypatch):
+    # g_d builds each member from the lemma's closed form, with no call of
+    # `_conjugate` and no `_canon`; member by member, the first 2000 are
+    # what the public, validating `conjugate` gives
+    G = (parse_instance(name) if name.startswith("{") else load_instance(name)).group
+    if isinstance(point, str):
+        point = G.omega.parse_point(point)
+    g = G.parse_element(literal)
+    fam = InfiniteFamilyCertificate(G, g, "g_d", point)
+
+    def no_call(*args):
+        raise AssertionError("a g_d member was conjugated or canonicalised")
+
+    with monkeypatch.context() as m:
+        m.setattr(G, "_conjugate", no_call)
+        m.setattr(G, "_canon", no_call)
+        prefix = fam.take(2000)
+    for h, conj in prefix:
+        assert conj == G.conjugate(g, h)
+    # past d = 1, a point drops out of the map only where its value cancels
+    for z in (point, G.omega._act(g.q, point)):
+        dropped = any(z not in support(conj.phi) for _, conj in prefix[1:])
+        assert dropped == (cancels and z in support(g.phi))
 
 
 def test_lambda_translation_skips_repeated_supports_without_a_budget(monkeypatch):
