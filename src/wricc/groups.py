@@ -13,7 +13,8 @@ class of its nontrivial FC element, closed exactly (`finite_class`).
 
 `Closure` is the one breadth-first search of the package: generator balls
 and conjugacy classes (`class_closure`) run through it, and a bounded
-closure is summed up by one `ClassReport`.
+closure is summed up by one `ClassReport`: iteration yields sorted rounds,
+while `report()` expands in the order reached and sorts a closed class once.
 
 Public arithmetic (`multiply`, `inverse`, `conjugate`) validates each
 operand once; `_multiply`, `_inverse` and `_conjugate` trust theirs.
@@ -73,11 +74,12 @@ class Closure:
     moves s are `gens` followed by each inverse not already listed.
 
     Iterating yields each round's new elements sorted by `key`, the order
-    in which the next round expands them.  It ends when a round adds
-    nothing (`stopped_by` "closed"), after `radius` rounds ("radius"), or
-    as soon as `max_size` elements are known ("max_size"; that unfinished
-    round is not yielded, and a `max_size` of 1 stops before the first
-    round).  `reached` maps each element to the
+    in which the next round expands them; `report()` expands the rounds
+    in the order it reaches them and sorts only a closed class, once.  It
+    ends when a round adds nothing (`stopped_by` "closed"), after `radius`
+    rounds ("radius"), or as soon as `max_size` elements are known
+    ("max_size"; that unfinished round is not yielded, and a `max_size` of
+    1 stops before the first round).  `reached` maps each element to the
     (element, move) pair that first reached it, and `start` to None.
 
     The step is an action: `step(step(x, m), inverse(m)) == x` for every
@@ -101,7 +103,7 @@ class Closure:
             raise PreconditionError("closure budgets must be positive")
         self.moves = list(gens)
         # each listed move by value beside the list, so that set-up is
-        # linear in |gens|; and each move's listed inverse, the step back
+        # linear in |gens|; and, by each listed move's identity, the step back
         listed = {s: s for s in self.moves}
         self._back = back = {}
         for s in gens:
@@ -109,7 +111,7 @@ class Closure:
             if inv not in listed:
                 listed[inv] = inv
                 self.moves.append(inv)
-            back[s], back[inv] = listed[inv], listed[s]
+            back[id(s)], back[id(listed[inv])] = listed[inv], listed[s]
         self.reached = {start: None}
         self.rounds = 0
         self.radius = radius
@@ -120,11 +122,17 @@ class Closure:
         self._max_size = max_size
 
     def __iter__(self):
+        return self._rounds(self._key)
+
+    def _rounds(self, key):
+        """The rounds, sorted by `key` unless it is None; a stepped element
+        is new iff `setdefault` grows `reached`, so it is hashed once."""
         reached, step, moves, back = self.reached, self._step, self.moves, self._back
         max_size = self._max_size
         if self.stopped_by == "closed":
             return
-        if len(reached) >= max_size:
+        n = len(reached)
+        if n >= max_size:
             self.stopped_by = "max_size"
             return
         frontier = self._frontier
@@ -133,27 +141,32 @@ class Closure:
             fresh = []
             for x in frontier:
                 arrival = reached[x]
-                skip = None if arrival is None else back[arrival[1]]
+                skip = None if arrival is None else back[id(arrival[1])]
                 for s in moves:
                     if s is skip:
                         continue
                     y = step(x, s)
-                    if y not in reached:
-                        reached[y] = (x, s)
+                    reached.setdefault(y, (x, s))
+                    if len(reached) > n:
+                        n += 1
                         fresh.append(y)
-                        if len(reached) >= max_size:
+                        if n >= max_size:
                             self.stopped_by = "max_size"
                             return
             if not fresh:
                 self.stopped_by = "closed"
                 return
-            frontier = self._frontier = sorted(fresh, key=self._key)
-            yield frontier
+            if key is not None:
+                fresh.sort(key=key)
+            frontier = self._frontier = fresh
+            yield fresh
         self.stopped_by = "radius"
 
     def report(self) -> ClassReport:
-        """Run the closure to its end and sum it up."""
-        for _ in self:
+        """Run the closure to its end, expanding in the order reached, and
+        sum it up: a finished round is the whole sphere in any order, and a
+        `max_size` stop lands on the same count in the same round."""
+        for _ in self._rounds(None):
             pass
         count = len(self.reached)
         if self.stopped_by == "closed":

@@ -9,6 +9,8 @@ the move (s, s^-1) that first reached it, through the conjugation law:
 `_conjugate(x, s)` must give y.  By induction from g, every member is so
 re-verified as a conjugate of g, in exact and truncated runs alike, with
 no subsample.
+It counts with `Closure.report()`, which sorts no round, only a closed
+class once; the count, rounds and stop are those of sorted rounds.
 `class_lower_bound` asks whether a class has more than `target` members:
 one closure stops at `target + 1` conjugates, and for slowly growing
 classes it is resumed with a larger round budget, so that only the newly

@@ -18,9 +18,9 @@ A conjugator is valid as it is built: from ball elements that
 `Group.ball_stream` validated, or by the group's arithmetic from a
 valid start; a seeded one is validated once per member.  The verifier
 trusts `members` for validity, as it trusts the arithmetic, and checks
-against products every conjugate: conjugated by `_conjugate` for
-lambda-translation, built from the lemma's closed form for g_d, read off
-the class walk for the other kinds.
+against products every conjugate: built from the lemma's closed form for
+g_d and lambda-translation, whose base is conjugated by its seed once,
+read off the class walk for the other kinds.
 """
 
 from __future__ import annotations
@@ -374,18 +374,23 @@ def _lambda_translation(G: WreathProduct, g: WreathElement, y, seed) -> str | No
 
 
 def _lambda_conjugators(G: WreathProduct, g: WreathElement, y, seed):
-    new, conjugate, multiply, validate = tuple.__new__, G._conjugate, G._multiply, G.validate
+    """The lemma's members: for g' = s^-1 g s = (phi', q'), conjugated
+    once, the conjugate by s * (eps, c) = (s.phi, s.q c) is
+    (lambda(c^-1) phi', c^-1 q' c); a seeded conjugator is validated."""
+    new, move, validate = tuple.__new__, G._move, G.validate
+    qmul, qinv = G.Q._multiply, G.Q._inverse
+    phi, q = g if seed is None else G._conjugate(g, seed)
     supports = set()
-    for q in G.Q.ball_stream():
-        h = new(WreathElement, ((), q))
-        if seed is not None:
-            h = multiply(seed, h)
-            validate(h)
-        conj = conjugate(g, h)
-        key = support(conj.phi)
+    for c in G.Q.ball_stream():
+        cinv = qinv(c)
+        f = move(phi, cinv)
+        key = support(f)
         if key not in supports:
             supports.add(key)
-            yield h, conj
+            h = new(WreathElement, ((), c) if seed is None else (seed.phi, qmul(seed.q, c)))
+            if seed is not None:
+                validate(h)
+            yield h, new(WreathElement, (f, qmul(qmul(cinv, q), c)))
 
 
 def _gd(G: WreathProduct, g: WreathElement, y, seed) -> str | None:
@@ -438,7 +443,7 @@ def _value_conjugation(G: WreathProduct, g: WreathElement, y, seed) -> str | Non
 # premise reads a base, point and seed that the family's construction
 # validated and fitted to the row, and returns the reason it fails on G,
 # or None; its docstring states the lemma.  The conjugators yield the
-# pairs (h, h^-1 g h): by `_conjugate`, walked, or spliced (g_d).
+# pairs (h, h^-1 g h): walked, or built from the lemma.
 _KINDS = {
     "q-translation": (_q_translation, False, False, _class_walk),
     "lambda-translation": (_lambda_translation, False, True, _lambda_conjugators),

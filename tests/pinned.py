@@ -8,7 +8,10 @@ kind, also pin the digest of the 300 lines "conjugator -> conjugate" that
 the library lists for the family.  The instances CI runs beyond the
 shipped ones, and three whose D or Q is a direct product, get
 `decide --json`, `witness --json` and `verify --json --seed 42` records,
-refusals included.  `test_records.py` runs every command again and
+refusals included.  `class --json` is pinned on one element of each of
+five shipped instances: an open class (`--max-size 201`) on each icc
+instance and a closed one, listed in sorted order, on each finite one.
+`test_records.py` runs every command again and
 compares the whole file, byte for byte.
 
 A change that alters an output on purpose regenerates the files from the
@@ -75,6 +78,15 @@ FAMILY_PINS = {
 }
 FAMILY_PREFIX = 300
 
+# shipped instance -> the element and budget of its `class --json` record
+CLASS_PINS = {
+    "lamplighter": ("{}@18", "--max-size", "201"),
+    "f2-wr-z2": ("{0:a*b}@1", "--max-size", "201"),
+    "mixed-union-icc-base": ("{(0; 0):a, (1; 0):a}@0", "--max-size", "201"),
+    "z2-wr-s3": ("{0:1, 1:1}@[1,0,2]",),
+    "s3-wr-s3": ("{0:[1,0,2], 1:[1,2,0]}@[1,0,2]",),
+}
+
 # instances that are not shipped: name -> text.  The three product-*
 # instances reach the direct product's arithmetic, which no shipped
 # instance and no other record does
@@ -124,6 +136,9 @@ RECORDS = [
         family=element,
     )
     for kind, (name, text, element) in FAMILY_PINS.items()
+] + [
+    Record(name, "class-json", ("class", "--json", "-g", *args))
+    for name, args in CLASS_PINS.items()
 ] + [
     Record(name, label, tuple(COMMANDS[label][0]), text=text)
     for name, text in CI_INSTANCES.items()

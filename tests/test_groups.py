@@ -185,7 +185,8 @@ def test_closure_moves_keep_the_listed_order(name):
 
 def _bfs_taking_every_move(start, moves, step, key, radius):
     """`reached` as a BFS that applies every move to every element builds
-    it: rounds of new elements, each sorted by `key`."""
+    it: rounds of new elements, each sorted by `key`, or expanded in the
+    order reached for a key of None."""
     reached, frontier = {start: None}, [start]
     for _ in range(radius):
         fresh = []
@@ -195,19 +196,21 @@ def _bfs_taking_every_move(start, moves, step, key, radius):
                 if y not in reached:
                     reached[y] = (x, s)
                     fresh.append(y)
-        frontier = sorted(fresh, key=key)
+        frontier = fresh if key is None else sorted(fresh, key=key)
     return reached
 
 
+@pytest.mark.parametrize("run", ["report", "iterate"])
 @pytest.mark.parametrize("kind", ["class", "ball"])
 @pytest.mark.parametrize(
     "name, literal",
     [("lamplighter", "{0:1}@1"), ("f2-wr-z2", "{0:a}@1"), ("z2-wr-s3", "{0:1}@[1,0,2]")],
 )
-def test_closure_never_steps_back_along_the_arriving_move(name, literal, kind):
+def test_closure_never_steps_back_along_the_arriving_move(name, literal, kind, run):
     # a spy on the step sees no move applied to x that inverts the move
     # that reached x, and the closure still reaches what a BFS taking
-    # every move reaches, in the same order
+    # every move reaches, in the same order: the order reached when it is
+    # only reported, sorted rounds when it is iterated
     G = load_instance(name).group
     if kind == "class":
         bfs = class_closure(G, G.parse_element(literal), 4)
@@ -222,12 +225,16 @@ def test_closure_never_steps_back_along_the_arriving_move(name, literal, kind):
         return step(x, s)
 
     bfs._step = spy
-    bfs.report()
+    if run == "report":
+        bfs.report()
+    else:
+        list(bfs)
     for x, s in steps:
         arrival = bfs.reached[x]
         assert arrival is None or s != inverse(arrival[1])
     start = next(iter(bfs.reached))
-    everything = _bfs_taking_every_move(start, bfs.moves, step, G.sort_key, bfs.rounds)
+    key = G.sort_key if run == "iterate" else None
+    everything = _bfs_taking_every_move(start, bfs.moves, step, key, bfs.rounds)
     assert list(bfs.reached.items()) == list(everything.items())
 
 

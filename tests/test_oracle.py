@@ -1,4 +1,5 @@
 import ast
+import itertools
 import random
 from pathlib import Path
 
@@ -441,6 +442,79 @@ class TestCrossChecks:
         g = WreathElement(G.zeta((1,), 0), 1)
         rep = enumerate_class(G, g, radius=8, max_size=300)
         assert rep.status == AT_LEAST and rep.count >= 300
+
+
+class TestReportOrder:
+    """`report()` only counts: it expands the rounds in the order reached
+    and sorts a closed class once, at the end."""
+
+    @pytest.mark.parametrize(
+        "name, literal",
+        [
+            ("lamplighter", "{}@18"),  # escalates to 32 rounds
+            ("f2-wr-z2", "{0:a*b}@1"),
+            ("mixed-union-icc-base", "{(0; 0):a, (1; 0):a}@0"),
+        ],
+    )
+    def test_an_open_class_calls_no_sort_key(self, monkeypatch, name, literal):
+        G = load_instance(name).group
+        g = G.parse_element(literal)
+        calls = []
+        key = G.sort_key
+        monkeypatch.setattr(G, "sort_key", lambda x: calls.append(x) or key(x))
+        rep, _ = class_lower_bound(G, g, 200)
+        assert rep.status == AT_LEAST and rep.count == 201
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "name, literal",
+        [("z2-wr-s3", "{0:1, 1:1}@[1,0,2]"), ("s3-wr-s3", "{0:[1,0,2], 1:[1,2,0]}@[1,0,2]")],
+    )
+    def test_a_closed_class_is_sorted_once(self, monkeypatch, name, literal):
+        G = load_instance(name).group
+        bfs = class_closure(G, G.parse_element(literal))
+        calls = []
+        key = G.sort_key
+        monkeypatch.setattr(bfs, "_key", lambda x: calls.append(x) or key(x))
+        rep = bfs.report()
+        assert rep.status == EXACT_FINITE and rep.count > 1
+        assert rep.elements == tuple(sorted(bfs.reached, key=G.sort_key))
+        # one key per member: the closed class is sorted once, no round is
+        assert sorted(calls, key=key) == list(rep.elements)
+
+    @settings(max_examples=60)
+    @given(
+        name=st.sampled_from(ICC + ["z2-wr-s3"]),
+        seed=st.integers(0, 2**32 - 1),
+        radius=st.integers(1, 6),
+        max_size=st.sampled_from([1, 7, 60, 201, 1500]),
+        iterated=st.integers(0, 3),
+    )
+    def test_reported_equals_iterated_then_reported(self, name, seed, radius, max_size, iterated):
+        # a closure that is only reported, and one that first yields up to
+        # `iterated` sorted rounds, then is reported, agree on everything
+        # the report says and on the set reached; a `max_size` stop keeps
+        # a part of its last round that depends on the order, and the
+        # rounds before it
+        G = load_instance(name).group
+        g = G.random_element(random.Random(seed))
+        only = class_closure(G, g, radius, max_size)
+        rep = only.report()
+        walked = class_closure(G, g, radius, max_size)
+        rounds = list(itertools.islice(walked, iterated))
+        assert all(r == sorted(r, key=G.sort_key) for r in rounds)
+        assert walked.report() == rep
+        last = rep.rounds_used if rep.stopped_by == "max_size" else rep.rounds_used + 1
+        assert _within(walked.reached, last) == _within(only.reached, last)
+
+
+def _within(reached, rounds):
+    """The elements of a closure's `reached` found in fewer than `rounds`
+    rounds, read off the chain of moves that reached each."""
+    depth = {}
+    for y, arrival in reached.items():
+        depth[y] = 0 if arrival is None else depth[arrival[0]] + 1
+    return {y for y, d in depth.items() if d < rounds}
 
 
 def test_deterministic(lamplighter):

@@ -436,17 +436,17 @@ class TestNegativeControls:
         h, conj, again = res.counterexample
         assert again == G.conjugate(g, h) != conj
 
-    @pytest.mark.parametrize("name, literal, kind, point, reason", [
-        ("lamplighter", "{0:1}@0", "lambda-translation", None,
+    @pytest.mark.parametrize("name, literal, kind, seed, reason", [
+        ("lamplighter", "{}@16", "lambda-translation", "{0:1}@0",
          "recorded conjugate does not match recomputation"),
     ])
-    def test_broken_conjugation_law_fails(self, name, literal, kind, point, reason, monkeypatch):
-        # lambda-translation members conjugate with `_conjugate`; the
-        # verifier recomputes with products, so a wrong conjugation law
-        # cannot confirm itself
+    def test_broken_conjugation_law_fails(self, name, literal, kind, seed, reason, monkeypatch):
+        # a seeded lambda-translation conjugates its base by the seed once
+        # with `_conjugate`, as its premise does; the verifier recomputes
+        # with products, so a wrong conjugation law cannot confirm itself
         G = load_instance(name).group
         g = G.parse_element(literal)
-        fam = InfiniteFamilyCertificate(G, g, kind, point)
+        fam = InfiniteFamilyCertificate(G, g, kind, seed_conjugator=G.parse_element(seed))
         assert verify_infinite_certificate(G, fam, N=10)
         law = G._conjugate
         monkeypatch.setattr(G, "_conjugate", lambda x, y: WreathElement(law(x, y).phi, x.q + 1))
@@ -457,19 +457,23 @@ class TestNegativeControls:
         ("f2-wr-z2", "{0:a, 1:b}@0", "value-conjugation", 0),
         ("z2-wr-free2", "{1:1}@a*b", "q-translation", None),
         ("f2-wr-z2", "{0:a*b}@1", "g_d", 0),
+        ("lamplighter", "{0:1, 3:1}@5", "lambda-translation", None),
     ])
     def test_wrong_walked_member_fails(self, name, literal, kind, point):
-        # walked and g_d members are read off the walk or the lemma, not
-        # conjugated: the third member given the fourth's value at q.y
-        # (y itself when q = 1), or its acting part, fails the verifier's
-        # recomputation by products
+        # walked, g_d and lambda-translation members are read off the walk
+        # or the lemma, not conjugated: the third member given the fourth's
+        # value at q.y (y itself when q = 1), its acting part or, for
+        # lambda-translation, whose acting part does not move in an abelian
+        # Q, its map, fails the verifier's recomputation by products
         G = _family_group(name)
         g = G.parse_element(literal)
         fam = InfiniteFamilyCertificate(G, g, kind, point)
         assert verify_infinite_certificate(G, fam, N=10)
         prefix = fam.take(10)
         (h, conj), (_, after) = prefix[3:5]
-        if point is None:
+        if kind == "lambda-translation":
+            wrong = WreathElement(after.phi, conj.q)
+        elif point is None:
             wrong = WreathElement(conj.phi, after.q)
         else:
             at = G.omega._act(g.q, point)
@@ -1044,6 +1048,36 @@ def test_gd_members_are_the_conjugates(name, literal, point, cancels, monkeypatc
     for z in (point, G.omega._act(g.q, point)):
         dropped = any(z not in support(conj.phi) for _, conj in prefix[1:])
         assert dropped == (cancels and z in support(g.phi))
+
+
+# (instance, base) of lambda-translation families, seeded when phi = eps;
+# in Z x S3 the acting part of the conjugate moves through q's class
+_Z = "{D: cyclic 2; Q: integers; omega: regular}"
+_Z_S3 = "{D: cyclic 2; Q: product(integers, symmetric 3); omega: regular}"
+LAMBDA_FAMILIES = [
+    (_Z, "{0:1, 3:1}@5"),
+    (_Z, "{}@16"),
+    (_Z_S3, "{(0; [0,1,2]):1}@(0; [1,0,2])"),
+    (_Z_S3, "{}@(0; [1,0,2])"),
+]
+
+
+@pytest.mark.parametrize("text, literal", LAMBDA_FAMILIES)
+def test_lambda_members_are_read_off_the_lemma(text, literal, monkeypatch):
+    # `_conjugate` runs once, on the seed, or not at all; member by member,
+    # the first 2000 are what the public, validating `conjugate` gives
+    G = parse_instance(text).group
+    fam = witness(G, decide_icc(G), G.parse_element(literal))
+    seed = fam.seed_conjugator
+    assert fam.family_kind == "lambda-translation" and (seed is None) == ("{}" not in literal)
+    conjugated, law = [], G._conjugate
+    with monkeypatch.context() as m:
+        m.setattr(G, "_conjugate", lambda x, y: conjugated.append(y) or law(x, y))
+        prefix = fam.take(2000)
+    assert conjugated == ([] if seed is None else [seed])
+    for h, conj in prefix:
+        assert conj == G.conjugate(fam.base, h)
+    assert len({conj.q for _, conj in prefix}) == (1 if text == _Z else 3)
 
 
 def test_lambda_translation_skips_repeated_supports_without_a_budget(monkeypatch):

@@ -1,6 +1,7 @@
 import functools
 import importlib
 import itertools
+import math
 import random
 from operator import itemgetter
 
@@ -431,8 +432,11 @@ class TestFusedMultiply:
         two_points = WreathElement(((0, 1), (1, 1)), 0)
         with pytest.raises(KindMismatch):
             G.inverse(two_points)
-        # a product by (eps, q), the lambda-action, and by a general element
-        for g1 in (G.identity(), WreathElement((), 1), WreathElement(((2, 1),), 1)):
+        # a product by (eps, q), the lambda-action, and by general elements:
+        # a left map of one point merges into the moved right map, one of
+        # three takes the moved right map into a copy of itself
+        three_points = WreathElement(((0, 1), (1, 1), (2, 1)), 1)
+        for g1 in (G.identity(), WreathElement((), 1), WreathElement(((2, 1),), 1), three_points):
             with pytest.raises(KindMismatch):
                 G.multiply(g1, two_points)
             # the two points collapse whichever side they are on
@@ -550,6 +554,60 @@ def test_small_maps_follow_the_product_law(name, sizes, meet, seed):
         out = G._conjugate(a, b)
         assert out == Group._conjugate(G, a, b)
         TestFusedMultiply.assert_canonical(G, out)
+
+
+def _dict_product(G, g1, g2):
+    """(phi1 * lambda(q1) phi2, q1 q2) through one dict, with public
+    arithmetic: phi1's values, then each point of phi2 moved by q1, its
+    value multiplied on the right of the value there; identities dropped
+    and points sorted at the end."""
+    values = dict(g1.phi)
+    for y, d in g2.phi:
+        z = G.omega.act(g1.q, y)
+        values[z] = G.D.multiply(values[z], d) if z in values else d
+    e = G.D.identity()
+    kept = [(z, d) for z, d in values.items() if d != e]
+    kept.sort(key=lambda item: G.omega.point_key(item[0]))
+    return WreathElement(tuple(kept), G.Q.multiply(g1.q, g2.q))
+
+
+@pytest.mark.parametrize("right", [0, 1, 2, 3])
+@pytest.mark.parametrize("left", [0, 1, 3])
+@pytest.mark.parametrize("name", ["f2-wr-z2", "mixed-union-icc-base", "s3-wr-s3"])
+def test_products_equal_a_dict_product(name, left, right):
+    """D = F2 and D = S3, both nonabelian: a left map of 0, 1 or 3 points
+    (f2-wr-z2 has two, so mixed-union-icc-base gives F2 three) times a
+    right map of 0-3 points.  The right map's first point, moved by the
+    left acting part, meets a point of the left map with a value that
+    stays or cancels there, or no moved point meets one.  Whichever map
+    the kernel merges into the other, the product is the dict product."""
+    G = _group(name)
+    rng = random.Random(f"{name} {left} {right}")
+    missed = 0
+    for meet in ("meet", "cancel", "miss"):
+        for _ in range(12):
+            x = _operand(G, rng, left)
+            first = z = None
+            if meet != "miss" and x.phi and right:
+                z, d = x.phi[rng.randrange(len(x.phi))]
+                value = G.D.inverse(d) if meet == "cancel" else _value(G.D, rng)
+                first = (G.omega.act(G.Q.inverse(x.q), z), value)
+            y = _operand(G, rng, right, first)
+            moved = {G.omega.act(x.q, p) for p in support(y.phi)}
+            if meet == "miss" and moved & set(support(x.phi)):
+                continue
+            out = G.multiply(x, y)
+            assert out == _dict_product(G, x, y)
+            assert type(out) is WreathElement
+            if meet == "cancel" and z is not None:
+                assert z not in support(out.phi)
+            if meet == "miss":
+                missed += 1
+                assert len(out.phi) == len(x.phi) + len(y.phi)
+    # two maps miss each other unless together they need more points than
+    # the carrier has
+    points = {"f2-wr-z2": 2, "s3-wr-s3": 3}.get(name, math.inf)
+    assert missed or min(left, points) + min(right, points) > points
 
 
 def _word(G, rng):
