@@ -89,8 +89,11 @@ class Closure:
     takes it; it reaches what it would reach otherwise, in the same order.
 
     The closure keeps its frontier, so it is resumable after a "radius"
-    stop: raise `radius` and iterate again to carry on with the next
-    round, exactly as one run with the larger budget would.  After a
+    stop: raise `radius` and iterate (or report) again to carry on with
+    the next round.  Resumed in the mode it ran in, it goes on exactly as
+    one run with the larger budget would; mixing the modes keeps the
+    count, but not the order of `reached` or which move first reached an
+    element.  After a
     "closed" or "max_size" stop, iterating again yields nothing.
 
     A move may carry what the step needs besides the generator, as long

@@ -24,9 +24,8 @@ no other moved point.  When that pair lands on a point of phi1, it
 replaces or deletes the value there and the copy of phi1 stays sorted;
 only a point new to phi1 is sorted in.  Maps of two or more points take
 the general path, with the collapse check wherever two points could
-meet.  A product merges a phi1 of no more points, its values on the
-left, into the dict its collapse check builds, as in the oracle's step
-s^-1 x and the verifier's h^-1 base.  When the carrier declares that its
+meet.  A product merges phi1, its values on the left, into the dict
+its collapse check builds.  When the carrier declares that its
 points sort natively (`QSet.native_order`), maps sort by the point
 itself, read in C by `operator.itemgetter`, and by the carrier's
 `point_key` otherwise; the integers' product and inverse are the C
@@ -149,8 +148,8 @@ class WreathProduct(Group):
         moved point, so it needs no collapse check; landing on a point of
         phi1, it replaces or deletes that value, which keeps phi1's order,
         and only a point new to phi1 needs the sort.  A longer phi2 keeps
-        the dict its collapse check builds, and a phi1 of no more points
-        merges into it, its values on the left (D may be nonabelian)."""
+        the dict its collapse check builds, and phi1 merges into it, its
+        values on the left (D may be nonabelian)."""
         phi1, q1 = g1
         phi2, q2 = g2
         q = self._qmul(q1, q2)
@@ -178,12 +177,10 @@ class WreathProduct(Group):
             if len(acc) < len(moved):
                 raise KindMismatch(_COLLAPSED)
             if phi1:
-                left = len(phi1) <= len(moved)
-                pairs, acc = (phi1, acc) if left else (moved, dict(phi1))
                 mul, e = self._dmul, self._e
-                for y, d in pairs:
+                for y, d in phi1:
                     if y in acc:
-                        d = mul(d, acc[y]) if left else mul(acc[y], d)
+                        d = mul(d, acc[y])
                         if d == e:
                             del acc[y]
                             continue

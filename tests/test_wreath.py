@@ -432,9 +432,8 @@ class TestFusedMultiply:
         two_points = WreathElement(((0, 1), (1, 1)), 0)
         with pytest.raises(KindMismatch):
             G.inverse(two_points)
-        # a product by (eps, q), the lambda-action, and by general elements:
-        # a left map of one point merges into the moved right map, one of
-        # three takes the moved right map into a copy of itself
+        # a product by (eps, q), the lambda-action, and by general elements
+        # whose maps of one and three points merge into the moved right map
         three_points = WreathElement(((0, 1), (1, 1), (2, 1)), 1)
         for g1 in (G.identity(), WreathElement((), 1), WreathElement(((2, 1),), 1), three_points):
             with pytest.raises(KindMismatch):
@@ -579,8 +578,8 @@ def test_products_equal_a_dict_product(name, left, right):
     (f2-wr-z2 has two, so mixed-union-icc-base gives F2 three) times a
     right map of 0-3 points.  The right map's first point, moved by the
     left acting part, meets a point of the left map with a value that
-    stays or cancels there, or no moved point meets one.  Whichever map
-    the kernel merges into the other, the product is the dict product."""
+    stays or cancels there, or no moved point meets one.  The product is
+    the dict product."""
     G = _group(name)
     rng = random.Random(f"{name} {left} {right}")
     missed = 0
