@@ -164,6 +164,8 @@ def cmd_class(args) -> int:
         "count": rep.count,
         "radius": radius,
         "max_size": max_size,
+        "rounds_used": rep.rounds_used,
+        "stopped_by": rep.stopped_by,
     }
     if rep.elements is not None:
         record["elements"] = [G.format_element(e) for e in rep.elements[:20]]

@@ -86,7 +86,10 @@ class Closure:
     move m, as for the multiplication of a ball, for conjugation and for
     the action on a carrier's points.  So the inverse of the move that
     reached x leads back to where x came from, and the closure never
-    takes it; it reaches what it would reach otherwise, in the same order.
+    takes it.  And a move m that fixes x, `step(x, m) == x`, is fixed by
+    inverse(m) too, so once the closure has stepped m from x it skips
+    inverse(m) from x.  Either way it reaches what it would reach
+    otherwise, in the same order and from the same parents.
 
     The closure keeps its frontier, so it is resumable after a "radius"
     stop: raise `radius` and iterate (or report) again to carry on with
@@ -129,7 +132,9 @@ class Closure:
 
     def _rounds(self, key):
         """The rounds, sorted by `key` unless it is None; a stepped element
-        is new iff `setdefault` grows `reached`, so it is hashed once."""
+        is new iff `setdefault` grows `reached`, so it is hashed once.  It
+        returns x's own arrival only when y is x, as every other element
+        holds a pair of its own, so a move that fixes x is seen for free."""
         reached, step, moves, back = self.reached, self._step, self.moves, self._back
         max_size = self._max_size
         if self.stopped_by == "closed":
@@ -145,12 +150,17 @@ class Closure:
             for x in frontier:
                 arrival = reached[x]
                 skip = None if arrival is None else back[id(arrival[1])]
+                # the ids of the inverses of the moves that fixed x
+                fixed = None
                 for s in moves:
-                    if s is skip:
+                    if s is skip or fixed and id(s) in fixed:
                         continue
                     y = step(x, s)
-                    reached.setdefault(y, (x, s))
-                    if len(reached) > n:
+                    if reached.setdefault(y, (x, s)) is arrival:
+                        if fixed is None:
+                            fixed = set()
+                        fixed.add(id(back[id(s)]))
+                    elif len(reached) > n:
                         n += 1
                         fresh.append(y)
                         if n >= max_size:

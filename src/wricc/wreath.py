@@ -20,15 +20,15 @@ the action sends to one are a `KindMismatch`.  The map a kernel moves
 (phi2, the inverted phi, psi) nearly always has at most one point, as
 every generator, g_d and seed conjugator has, so a map of one point is
 moved as one pair, with no list and no collapse check: one point meets
-no other moved point.  When that pair lands on a point of phi1, it
-replaces or deletes the value there and the copy of phi1 stays sorted;
-only a point new to phi1 is sorted in.  Maps of two or more points take
-the general path, with the collapse check wherever two points could
-meet.  A product merges phi1, its values on the left, into the dict
-its collapse check builds.  When the carrier declares that its
-points sort natively (`QSet.native_order`), maps sort by the point
-itself, read in C by `operator.itemgetter`, and by the carrier's
-`point_key` otherwise; the integers' product and inverse are the C
+no other moved point.  A product splices that pair into phi1 at the
+place `bisect_left` finds for it: it replaces or deletes the value of a
+point of phi1, or goes in as a new point, with no dict and no sort.
+Maps of two or more points take the general path, with the collapse
+check wherever two points could meet.  A product merges phi1, its values
+on the left, into the dict its collapse check builds.  When the carrier
+declares that its points sort natively (`QSet.native_order`), maps
+sort by the point itself, read in C by `operator.itemgetter`, and by the
+carrier's `point_key` otherwise; the integers' product and inverse are the C
 builtins `operator.add` and `operator.neg`, and a regular carrier acts
 through Q's product with no frame of its own.  Conjugation follows its
 own law, not the product of three factors, so the certificate verifier
@@ -38,6 +38,7 @@ and the oracle, which recompute conjugates as products, check it.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -145,9 +146,10 @@ class WreathProduct(Group):
         pass over phi2: each point is moved by q1 and its value multiplied
         into a copy of phi1.  Operands are canonical, so an empty map on
         either side needs no merge.  A phi2 of one point meets no other
-        moved point, so it needs no collapse check; landing on a point of
-        phi1, it replaces or deletes that value, which keeps phi1's order,
-        and only a point new to phi1 needs the sort.  A longer phi2 keeps
+        moved point, so it needs no collapse check: it is spliced into
+        phi1 at its `bisect_left` place by the sort key, where it replaces
+        or deletes the value of the same point or goes in as a new point,
+        and phi1's order stands with no sort.  A longer phi2 keeps
         the dict its collapse check builds, and phi1 merges into it, its
         values on the left (D may be nonabelian)."""
         phi1, q1 = g1
@@ -158,34 +160,31 @@ class WreathProduct(Group):
         act = self._act
         if len(phi2) == 1:
             ((y, d),) = phi2
-            y = act(q1, y)
+            item = (act(q1, y), d)
             if not phi1:
-                return _new(WreathElement, (((y, d),), q))
-            acc = dict(phi1)
-            if y in acc:
-                d = self._dmul(acc[y], d)
-                if d == self._e:
-                    del acc[y]
-                else:
-                    acc[y] = d
-                return _new(WreathElement, (tuple(acc.items()), q))
-            acc[y] = d
+                return _new(WreathElement, ((item,), q))
+            key = self._item_key
+            i = bisect_left(phi1, key(item), key=key)
+            if i == len(phi1) or phi1[i][0] != item[0]:
+                return _new(WreathElement, (phi1[:i] + (item,) + phi1[i:], q))
+            d = self._dmul(phi1[i][1], d)
+            if d == self._e:
+                return _new(WreathElement, (phi1[:i] + phi1[i + 1 :], q))
+            return _new(WreathElement, (phi1[:i] + ((item[0], d),) + phi1[i + 1 :], q))
+        moved = [(act(q1, y), d) for y, d in phi2]
+        acc = dict(moved)
+        if len(acc) < len(moved):
+            raise KindMismatch(_COLLAPSED)
+        if phi1:
+            mul, e = self._dmul, self._e
+            for y, d in phi1:
+                if y in acc:
+                    d = mul(d, acc[y])
+                    if d == e:
+                        del acc[y]
+                        continue
+                acc[y] = d
             moved = list(acc.items())
-        else:
-            moved = [(act(q1, y), d) for y, d in phi2]
-            acc = dict(moved)
-            if len(acc) < len(moved):
-                raise KindMismatch(_COLLAPSED)
-            if phi1:
-                mul, e = self._dmul, self._e
-                for y, d in phi1:
-                    if y in acc:
-                        d = mul(d, acc[y])
-                        if d == e:
-                            del acc[y]
-                            continue
-                    acc[y] = d
-                moved = list(acc.items())
         if len(moved) > 1:
             moved.sort(key=self._item_key)
         return _new(WreathElement, (tuple(moved), q))

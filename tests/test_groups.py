@@ -1,5 +1,6 @@
 import copy
 import itertools
+import math
 import random
 
 import pytest
@@ -183,12 +184,15 @@ def test_closure_moves_keep_the_listed_order(name):
     assert (len(moves) == len(gens)) == (name == "self-inverse")
 
 
-def _bfs_taking_every_move(start, moves, step, key, radius):
-    """`reached` as a BFS that applies every move to every element builds
-    it: rounds of new elements, each sorted by `key`, or expanded in the
-    order reached for a key of None."""
+def _bfs_taking_every_move(start, moves, step, key, radius, max_size):
+    """`reached`, the rounds run and the stop of a BFS that applies every
+    move to every element: rounds of new elements, each sorted by `key`,
+    or expanded in the order reached for a key of None, stopped as
+    `Closure` documents."""
     reached, frontier = {start: None}, [start]
-    for _ in range(radius):
+    if max_size <= 1:
+        return reached, 0, "max_size"
+    for rounds in range(1, radius + 1):
         fresh = []
         for x in frontier:
             for s in moves:
@@ -196,27 +200,50 @@ def _bfs_taking_every_move(start, moves, step, key, radius):
                 if y not in reached:
                     reached[y] = (x, s)
                     fresh.append(y)
+                    if len(reached) >= max_size:
+                        return reached, rounds, "max_size"
+        if not fresh:
+            return reached, rounds, "closed"
         frontier = fresh if key is None else sorted(fresh, key=key)
-    return reached
+    return reached, radius, "radius"
 
 
+@pytest.mark.parametrize("resume", [False, True])
 @pytest.mark.parametrize("run", ["report", "iterate"])
 @pytest.mark.parametrize("kind", ["class", "ball"])
 @pytest.mark.parametrize(
-    "name, literal",
-    [("lamplighter", "{0:1}@1"), ("f2-wr-z2", "{0:a}@1"), ("z2-wr-s3", "{0:1}@[1,0,2]")],
+    "name, literal, max_size",
+    [
+        ("lamplighter", "{0:1}@1", math.inf),
+        ("f2-wr-z2", "{0:a}@1", math.inf),
+        # every move of z2-wr-s3 but one 3-cycle is its own inverse, and
+        # the class closes
+        ("z2-wr-s3", "{0:1}@[1,0,2]", math.inf),
+        # conjugation by each zeta at (0; 0) fixes the element, as the
+        # oracle's growth check meets it, with its budget of 201
+        ("mixed-union-icc-base", "{(1; 0):a^-2*b^-1*a*b^-1}@0", 201),
+    ],
 )
-def test_closure_never_steps_back_along_the_arriving_move(name, literal, kind, run):
+def test_closure_never_steps_back_along_the_arriving_move(
+    name, literal, max_size, kind, run, resume
+):
     # a spy on the step sees no move applied to x that inverts the move
-    # that reached x, and the closure still reaches what a BFS taking
-    # every move reaches, in the same order: the order reached when it is
-    # only reported, sorted rounds when it is iterated
+    # that reached x, nor one that inverts a move that fixed x, and the
+    # closure still reaches what a BFS taking every move reaches, in the
+    # same order and from the same parents, in as many rounds and with
+    # the same stop: the order reached when it is only reported, sorted
+    # rounds when it is iterated; resumed after a "radius" stop in the
+    # same mode, it runs as one longer run
     G = load_instance(name).group
+    radius = 4
+    first = 2 if resume else radius
     if kind == "class":
-        bfs = class_closure(G, G.parse_element(literal), 4)
+        bfs = class_closure(G, G.parse_element(literal), first, max_size)
         inverse = lambda m: (m[1], m[0])
     else:
-        bfs = Closure(G.identity(), G.generators, G._inverse, G._multiply, G.sort_key, 4)
+        bfs = Closure(
+            G.identity(), G.generators, G._inverse, G._multiply, G.sort_key, first, max_size
+        )
         inverse = G._inverse
     step, steps = bfs._step, []
 
@@ -225,17 +252,29 @@ def test_closure_never_steps_back_along_the_arriving_move(name, literal, kind, r
         return step(x, s)
 
     bfs._step = spy
-    if run == "report":
-        bfs.report()
-    else:
-        list(bfs)
+    for _ in range(2 if resume else 1):
+        if run == "report":
+            bfs.report()
+        else:
+            list(bfs)
+        bfs.radius = radius
+    fixing = {}
     for x, s in steps:
         arrival = bfs.reached[x]
         assert arrival is None or s != inverse(arrival[1])
+        assert all(s != inverse(m) for m in fixing.get(x, ()))
+        if step(x, s) == x:
+            fixing.setdefault(x, []).append(s)
+    # a product by a generator fixes nothing; of the classes, those of
+    # z2-wr-s3 and mixed-union-icc-base meet moves that fix a member
+    assert bool(fixing) == (kind == "class" and name in ("z2-wr-s3", "mixed-union-icc-base"))
     start = next(iter(bfs.reached))
     key = G.sort_key if run == "iterate" else None
-    everything = _bfs_taking_every_move(start, bfs.moves, step, key, bfs.rounds)
+    everything, rounds, stopped_by = _bfs_taking_every_move(
+        start, bfs.moves, step, key, radius, max_size
+    )
     assert list(bfs.reached.items()) == list(everything.items())
+    assert (bfs.rounds, bfs.stopped_by) == (rounds, stopped_by)
 
 
 class TestFcContains:

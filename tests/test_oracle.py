@@ -219,6 +219,26 @@ class TestClassLowerBound:
         )
         assert built and all(len(bfs.reached) <= target + 1 for bfs in built)
 
+    def test_moves_that_fix_a_member_skip_their_inverses(self, mixed_union_icc, monkeypatch):
+        # conjugation by each zeta at (0; 0) returns this element itself,
+        # and so would its inverse; a closure stepping every move but the
+        # one back took 607 steps of two products to reach 201 members
+        G = mixed_union_icc
+        products = 0
+        multiply = G._multiply
+
+        def spy(a, b):
+            nonlocal products
+            products += 1
+            return multiply(a, b)
+
+        monkeypatch.setattr(G, "_multiply", spy)
+        rep, radius = class_lower_bound(G, G.parse_element("{(1; 0):a^-2*b^-1*a*b^-1}@0"), 200)
+        assert (rep.status, rep.count, rep.rounds_used, rep.stopped_by, radius) == (
+            AT_LEAST, 201, 4, "max_size", 8
+        )
+        assert products <= 2 * 419
+
     @pytest.mark.parametrize("target", [0, -5])
     def test_target_below_one_rejected(self, lamplighter, target):
         with pytest.raises(PreconditionError):

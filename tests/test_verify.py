@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -86,6 +87,26 @@ def test_a_failing_check_fails_the_report(monkeypatch):
     report = verify_instance(load_instance("s3-wr-s3").group, seed=0)
     assert report.checks["oracle-containment"] == VerificationResult(
         False, "oracle at-least count 5 within certificate"
+    )
+    assert not report.ok
+
+
+def test_growth_fails_on_a_class_that_closes_at_the_target(monkeypatch):
+    # a Yes verdict forced on z2-wr-s3 meets its base, whose class closes
+    # at 3 members: with a target of 3 the count reaches the target, but
+    # a closed class is finite, so the growth check fails
+    G = load_instance("z2-wr-s3").group
+    v = decide_icc(G)
+    base = witness(G, v).base
+    monkeypatch.setattr(wricc.verify, "decide_icc", lambda G: v._replace(answer=Tri.YES))
+    family = SimpleNamespace(family_kind="forced")
+    monkeypatch.setattr(wricc.verify, "witness", lambda G, v, g: family)
+    passed = VerificationResult(True, "ok")
+    monkeypatch.setattr(wricc.verify, "verify_infinite_certificate", lambda G, fam, N: passed)
+    monkeypatch.setattr(G, "random_nontrivial_element", lambda rng: base)
+    report = verify_instance(G, seed=0, elements=1, oracle_target=3)
+    assert report.checks["oracle-growth[0]"] == VerificationResult(
+        False, "3 distinct conjugates within radius 8"
     )
     assert not report.ok
 

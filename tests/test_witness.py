@@ -1241,8 +1241,11 @@ def test_premises_are_checked_at_the_base_too():
     G = load_instance("s3-wr-s3").group
     cert = cert_finite_orbit(G)
     outside = WreathElement(((0, (1, 0, 2)), (1, (1, 0, 2))), (1, 0, 2))
-    res = verify_finite_certificate(G, cert._replace(base=outside))
-    assert not res and res.reason == "base element missing from the set"
+    # S(O, xi) and the same set listed, which is checked by exact closure
+    for S in (cert, _listed(cert)):
+        res = verify_finite_certificate(G, S._replace(base=outside))
+        assert not res and res.reason == "base element missing from the set"
+        assert res.counterexample == (outside,)
     other = load_instance("z2-wr-s3").group
     assert not verify_finite_certificate(other, cert)
 

@@ -455,31 +455,35 @@ class TestFusedMultiply:
         one = WreathElement(((0, 1),), 0)
         shift = WreathElement((), 1)
         moved = WreathElement(((0, 1),), 1)
-        assert G._multiply(one, one) == G.identity()
         assert G._multiply(shift, one) == WreathElement(((1, 1),), 1)
         assert G._multiply(one, shift) == moved
         assert G._inverse(moved) == WreathElement(((-1, 1),), -1)
         assert G._conjugate(one, shift) == WreathElement(((-1, 1),), 0)
         assert G._conjugate(moved, one) == WreathElement(((1, 1),), 1)
         assert G._multiply(WreathElement((), 2), one) == WreathElement(((2, 1),), 2)
-        # a one-point phi2 moved onto a point of phi1 cancels the value
-        # there (D = Z2) or replaces it (D = Z), and phi1's order stands
-        two = WreathElement(((0, 1), (1, 1)), 1)
-        assert G._multiply(two, WreathElement(((0, 1),), 0)) == WreathElement(((0, 1),), 1)
-        assert G._multiply(two, WreathElement(((-1, 1),), 3)) == WreathElement(((1, 1),), 4)
-        three = WreathElement(((-2, 5), (0, 1), (1, 1)), 1)
-        assert ZwrZ._multiply(three, WreathElement(((-1, 2),), 0)) == WreathElement(
-            ((-2, 5), (0, 3), (1, 1)), 1
-        )
-        assert ZwrZ._multiply(three, WreathElement(((0, -1),), 0)) == WreathElement(
-            ((-2, 5), (0, 1)), 1
-        )
         assert calls == []
-        # a point new to phi1 is sorted in, and so are two moved points
-        assert ZwrZ._multiply(three, WreathElement(((-2, 7),), 0)) == WreathElement(
-            ((-2, 5), (-1, 7), (0, 1), (1, 1)), 1
-        )
-        assert calls
+
+        def spliced(H, g1, g2, want):
+            # a one-point phi2 is spliced into phi1 at its bisected place:
+            # the key is read for the moved point and for at most
+            # 1 + log2 |phi1| points of phi1, where a sort reads all of them
+            calls.clear()
+            assert H._multiply(g1, g2) == want
+            assert 0 < len(calls) <= 1 + len(g1.phi).bit_length()
+
+        # the moved point lands on a point of phi1 and cancels the value
+        # there (D = Z2) or replaces it (D = Z), or is new to phi1
+        two = WreathElement(((0, 1), (1, 1)), 1)
+        spliced(G, two, WreathElement(((0, 1),), 0), WreathElement(((0, 1),), 1))
+        spliced(G, two, WreathElement(((-1, 1),), 3), WreathElement(((1, 1),), 4))
+        three = WreathElement(((-2, 5), (0, 1), (1, 1)), 1)
+        for right, product in [
+            ((-1, 2), ((-2, 5), (0, 3), (1, 1))),
+            ((0, -1), ((-2, 5), (0, 1))),
+            ((-2, 7), ((-2, 5), (-1, 7), (0, 1), (1, 1))),
+        ]:
+            spliced(ZwrZ, three, WreathElement((right,), 0), WreathElement(product, 1))
+        # two moved points are sorted
         calls.clear()
         assert G._multiply(moved, moved) == WreathElement(((0, 1), (1, 1)), 2)
         assert calls
@@ -607,6 +611,55 @@ def test_products_equal_a_dict_product(name, left, right):
     # the carrier has
     points = {"f2-wr-z2": 2, "s3-wr-s3": 3}.get(name, math.inf)
     assert missed or min(left, points) + min(right, points) > points
+
+
+@pytest.mark.parametrize("where", ["before", "between", "after", "on", "cancel"])
+@pytest.mark.parametrize("name", ["z-wr-z", "s3-union", "s3-wr-free2-union"])
+def test_spliced_product_equals_the_general_path(name, where, monkeypatch):
+    """A right map of one point, moved by the left acting part before,
+    between or after the 6 points of the left map, or onto one of them
+    with a value that stays or cancels there, is spliced into the left
+    map.  A second right point that lands on no point of either takes the
+    product through the general path; with that point dropped, it is the
+    spliced product.  Points in native order, of Z and of a union, and by
+    a `point_key` (F2 beside two fixed points), with values in Z and in S3,
+    which is nonabelian."""
+    G = build_wreath(Z, Z, "regular") if name == "z-wr-z" else _group(name)
+    rng = random.Random(f"{name} {where}")
+    calls = []
+    key = G._item_key
+    monkeypatch.setattr(G, "_item_key", lambda yd: calls.append(yd) or key(yd))
+    e = G.D.identity()
+    for _ in range(10):
+        points = {G.omega.random_point(rng) for _ in range(64)}
+        points = rng.sample(sorted(points, key=G.omega.point_key), 7)
+        points.sort(key=G.omega.point_key)
+        z = {"before": points[0], "between": points[3], "after": points[-1]}.get(where)
+        if z is None:
+            z = points[rng.randrange(6)]
+            points.pop()
+        else:
+            points.remove(z)
+        x = WreathElement(tuple((p, _value(G.D, rng)) for p in points), G.Q.random_element(rng))
+        d = G._map_value(x.phi, z)
+        if where == "cancel":
+            value = G.D.inverse(d)
+        else:
+            values = (_value(G.D, rng) for _ in range(64))
+            value = next(v for v in values if G.D.multiply(d, v) != e)
+        qinv = G.Q.inverse(x.q)
+        y = WreathElement(((G.omega.act(qinv, z), value),), G.Q.random_element(rng))
+        calls.clear()
+        out = G.multiply(x, y)
+        assert len(calls) <= 1 + len(x.phi).bit_length()
+        others = (G.omega.random_point(rng) for _ in range(64))
+        w = next(p for p in others if p != z and p not in points)
+        two = G._canon([y.phi[0], (G.omega.act(qinv, w), _value(G.D, rng))])
+        general = G.multiply(x, WreathElement(two, y.q))
+        assert out == WreathElement(tuple(item for item in general.phi if item[0] != w), general.q)
+        assert out == _dict_product(G, x, y)
+        grown = {"on": 0, "cancel": -1}.get(where, 1)
+        assert len(out.phi) == len(x.phi) + grown and (z in support(out.phi)) == (grown >= 0)
 
 
 def _word(G, rng):
