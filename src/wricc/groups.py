@@ -276,9 +276,10 @@ class Group(ABC):
         """Does x have a finite conjugacy class?"""
         ...
 
+    @abstractmethod
     def fc_nontrivial_element(self):
         """Some FC element != 1, or None when FC is trivial."""
-        raise Unsupported(f"{self.kind}: no FC rule")
+        ...
 
     def finite_invariant_set_example(self) -> frozenset:
         """The class of `fc_nontrivial_element()`, the smallest finite
@@ -348,16 +349,19 @@ class Group(ABC):
                 return x
         raise PreconditionError(f"{self.kind}: trivial group")
 
+    @abstractmethod
     def random_element(self, rng):
-        raise Unsupported(f"{self.kind}: no random element strategy")
+        ...
 
     # ---- literals -------------------------------------------------------
 
+    @abstractmethod
     def format_element(self, x) -> str:
-        raise Unsupported(f"{self.kind}: no element formatter")
+        ...
 
+    @abstractmethod
     def parse_element(self, text: str):
-        raise Unsupported(f"{self.kind}: no element parser")
+        ...
 
 
 def class_closure(G: Group, x, radius=math.inf, max_size=math.inf) -> Closure:

@@ -83,9 +83,10 @@ class QSet(ABC):
             return Tri.NO
         return tri_and(*(self._orbit_infinite(y) for y in self.orbit_representatives()))
 
+    @abstractmethod
     def finite_orbit_example(self):
         """A finite orbit as a tuple of points, or None."""
-        return None
+        ...
 
     def _listed_orbit(self, size: int, points) -> tuple:
         """The points of a finite orbit as a tuple, refused before any is

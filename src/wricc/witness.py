@@ -50,8 +50,8 @@ class OrbitMaps:
     elements of D.  It is a value: the group, O and xi are its data, which
     `==` and `hash` read without listing a member.  It owns its size, read
     off the formula (|xi|+1)^|O| - 1, a membership test in O(|supp phi|)
-    and its listing, which refuses more than `groups._FINITE_SET_CAP`
-    members before it builds one.
+    and its listing, which builds each map canonical with no sort and
+    refuses more than `groups._FINITE_SET_CAP` members before it builds one.
 
     Invariance lemma.  Let O be closed under every generator of Q, and xi
     under conjugation by every generator of D.  Then S(O, xi) is closed
@@ -100,7 +100,7 @@ class OrbitMaps:
         """The certificate's base, found without listing: the last point of
         O, in the order O was given, carrying the least value of xi."""
         d = min(self.xi, key=self.group.D.sort_key)
-        return WreathElement(self.group._canon([(self.orbit[-1], d)]), self._one)
+        return WreathElement(((self.orbit[-1], d),), self._one)
 
     def __contains__(self, x) -> bool:
         """q = 1, phi nonempty and canonical, every point in O and every
@@ -131,15 +131,15 @@ class OrbitMaps:
                 f"certificate would have {self.formula} elements, "
                 f"more than {groups._FINITE_SET_CAP}"
             )
-        one, canon = self._one, self.group._canon
+        one = self._one
         pts = sorted(self.orbit, key=self.group.omega.point_key)
         values = sorted(self.xi, key=self.group.D.sort_key)
 
         def walk(start, items):
             for i in range(start, len(pts)):
                 for d in values:
-                    grown = [*items, (pts[i], d)]
-                    yield WreathElement(canon(grown), one)
+                    grown = (*items, (pts[i], d))
+                    yield WreathElement(grown, one)
                     yield from walk(i + 1, grown)
 
         return walk(0, ())
@@ -289,17 +289,15 @@ def cert_condition_i(G: WreathProduct, q0) -> FiniteClassCertificate:
     )
 
 
-def cert_finite_orbit(G: WreathProduct, xi=None, orbit=None) -> FiniteClassCertificate:
-    """S(O, xi) for a finite orbit O and a finite invariant subset xi of
-    the base, as data (`OrbitMaps`, which validates O and xi): nothing is
-    listed, so no size is too large.  That O is closed under the action is
-    the verifier's check (`_verify_orbit_maps`), which names the failure."""
-    if xi is None:
-        xi = G.D.finite_invariant_set_example()
+def cert_finite_orbit(G: WreathProduct) -> FiniteClassCertificate:
+    """S(O, xi) for the carrier's finite orbit O and the base's finite
+    invariant set xi, as data (`OrbitMaps`): nothing is listed, so no size
+    is too large.  Other data make an `OrbitMaps` directly, and the
+    verifier (`_verify_orbit_maps`) names the premise that they fail."""
+    xi = G.D.finite_invariant_set_example()
+    orbit = G.omega.finite_orbit_example()
     if orbit is None:
-        orbit = G.omega.finite_orbit_example()
-        if orbit is None:
-            raise PreconditionError("no finite orbit available")
+        raise PreconditionError("no finite orbit available")
     S = OrbitMaps(G, orbit, xi)
     formula = f"(|xi|+1)^|O| - 1 = {S.formula}"
     if S.size.bit_length() <= _PRINTED_SIZE_BITS:

@@ -12,27 +12,28 @@ immutable and hashable.
 The public `multiply`, `inverse` and `conjugate` (from `Group`) validate
 each operand in depth once; `_multiply`, `_inverse` and `_conjugate` trust
 their operands and call the unchecked arithmetic of D, Q and the carrier,
-bound once per handle.  Each of the three makes one pass over each map: it
-moves each point by the action as it multiplies or inverts its value,
-sorts the result once, and builds the element in C.  A map of fewer than
-two points is already sorted, so it is not sorted again; two points that
-the action sends to one are a `KindMismatch`.  The map a kernel moves
-(phi2, the inverted phi, psi) nearly always has at most one point, as
-every generator, g_d and seed conjugator has, so a map of one point is
-moved as one pair, with no list and no collapse check: one point meets
-no other moved point.  A product splices that pair into phi1 at the
-place `bisect_left` finds for it: it replaces or deletes the value of a
-point of phi1, or goes in as a new point, with no dict and no sort.
-Maps of two or more points take the general path, with the collapse
-check wherever two points could meet.  A product merges phi1, its values
-on the left, into the dict its collapse check builds.  When the carrier
-declares that its points sort natively (`QSet.native_order`), maps
-sort by the point itself, read in C by `operator.itemgetter`, and by the
-carrier's `point_key` otherwise; the integers' product and inverse are the C
-builtins `operator.add` and `operator.neg`, and a regular carrier acts
-through Q's product with no frame of its own.  Conjugation follows its
-own law, not the product of three factors, so the certificate verifier
-and the oracle, which recompute conjugates as products, check it.
+bound once per handle.  Each of the three moves each point by the
+action, multiplies or inverts its value, sorts the result once, and
+builds the element in C.  A map of fewer than two points is already
+sorted, so it is not sorted again; two points that the action sends to
+one are a `KindMismatch`.  The map a kernel moves (phi2, the inverted
+phi, psi) nearly always has at most one point, as every generator, g_d
+and seed conjugator has, so a map of one point is moved as one pair,
+with no list and no collapse check: one point meets no other moved
+point.  A product splices that pair into phi1 at the place `bisect_left`
+finds for it: it replaces or deletes the value of a point of phi1, or
+goes in as a new point, with no dict and no sort.  A longer map takes
+the general path, and the collapse check lives in two places only: the
+product merges phi1, its values on the left, into the dict that its
+check builds, and the other kernels move the map with `_move`, which
+checks and sorts it.  When the carrier declares that its points sort
+natively (`QSet.native_order`), maps sort by the point itself, read in C
+by `operator.itemgetter`, and by the carrier's `point_key` otherwise;
+the integers' product and inverse are the C builtins `operator.add` and
+`operator.neg`, and a regular carrier acts through Q's product with no
+frame of its own.  Conjugation follows its own law, not the product of
+three factors, so the certificate verifier and the oracle, which
+recompute conjugates as products, check it.
 """
 
 from __future__ import annotations
@@ -191,7 +192,7 @@ class WreathProduct(Group):
 
     def _inverse(self, g: WreathElement) -> WreathElement:
         """(phi, q)^-1 = (lambda(q^-1) phi^-1, q^-1); a phi of one point
-        is moved as one pair."""
+        is moved as one pair, a longer one by `_move`."""
         phi, q = g
         qinv = self._qinv(q)
         if not phi:
@@ -200,11 +201,7 @@ class WreathProduct(Group):
         if len(phi) == 1:
             ((y, d),) = phi
             return _new(WreathElement, (((act(qinv, y), dinv(d)),), qinv))
-        moved = [(act(qinv, y), dinv(d)) for y, d in phi]
-        if len(dict(moved)) < len(moved):
-            raise KindMismatch(_COLLAPSED)
-        moved.sort(key=self._item_key)
-        return _new(WreathElement, (tuple(moved), qinv))
+        return _new(WreathElement, (self._move([(y, dinv(d)) for y, d in phi], qinv), qinv))
 
     def _conjugate(self, x: WreathElement, y: WreathElement) -> WreathElement:
         """y^-1 x y for x = (phi, q) and y = (psi, p), in one pass over
@@ -220,9 +217,10 @@ class WreathProduct(Group):
         So the values are multiplied pointwise, left to right (D may be
         nonabelian), in one dict: psi^-1, then phi, then psi moved by q.
         A psi of one point is merged as one pair, with no collapse check,
-        as it meets no other moved point of psi.  An empty psi leaves
-        (lambda(p^-1) phi, p^-1 q p).  Either map is moved by p^-1 with
-        `_move`, which drops the identities and sorts once."""
+        as it meets no other moved point of psi; a longer psi is moved by q
+        with `_move`.  An empty psi leaves (lambda(p^-1) phi, p^-1 q p).
+        Either map is moved by p^-1 with `_move`, which drops the
+        identities and sorts once."""
         phi, q = x
         psi, p = y
         qmul = self._qmul
@@ -236,9 +234,7 @@ class WreathProduct(Group):
                 moved = ((act(q, w), c),)
             else:
                 acc = {z: dinv(d) for z, d in psi}
-                moved = [(act(q, z), d) for z, d in psi]
-                if len(dict(moved)) < len(moved):
-                    raise KindMismatch(_COLLAPSED)
+                moved = self._move(psi, q)
             for z, d in phi:
                 acc[z] = mul(acc[z], d) if z in acc else d
             for z, d in moved:

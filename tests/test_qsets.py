@@ -2,7 +2,15 @@ import random
 
 import pytest
 
-from wricc.errors import KindMismatch, Unsupported
+import wricc.groups
+from wricc.decision import decide_icc
+from wricc.errors import (
+    CertificateBudget,
+    EmptyOmega,
+    KindMismatch,
+    PreconditionError,
+    Unsupported,
+)
 from wricc.groups import (
     AT_LEAST,
     EXACT_FINITE,
@@ -22,7 +30,9 @@ from wricc.qsets import (
 )
 from wricc.tri import Tri
 
-from conftest import orbit_closure
+from wricc.wreath import WreathProduct
+
+from conftest import OpaqueQSet, orbit_closure
 
 Z = IntegersGroup()
 S3 = SymmetricGroup(3)
@@ -302,3 +312,59 @@ def test_derived_oracles_match_the_action(S):
 def test_infinite_carrier_has_no_point_list(S):
     with pytest.raises(Unsupported):
         S.points()
+
+
+@pytest.mark.parametrize("opaque_first", [False, True])
+def test_union_with_an_unknown_kernel_stays_unknown(opaque_first):
+    # a part with no kernel rule leaves the union's kernel unknown, so the
+    # derived oracles answer Unknown and so does condition (i)
+    parts = (RegularQSet(Z), OpaqueQSet(Z))
+    S = DisjointUnionQSet(parts[::-1] if opaque_first else parts)
+    assert S.kernel_description() is None
+    assert S.kernel_meets_fc() == (Tri.UNKNOWN, None)
+    assert S.fixes_all_points(1) is Tri.UNKNOWN
+    assert decide_icc(WreathProduct(CyclicGroup(2), Z, S)).cond_i is Tri.UNKNOWN
+
+
+@pytest.mark.parametrize("parts", [(MOD3, TRIV), (TRIV, MOD3)], ids=["mod-first", "trivial-first"])
+def test_union_kernel_meets_the_full_kernel(parts):
+    # the full kernel of a trivial part leaves the other part's kernel
+    S = DisjointUnionQSet(parts)
+    assert S.kernel_description() == ("nZ", 3)
+    assert S.kernel_meets_fc() == (Tri.YES, 3)
+    assert S.fixes_all_points(6) is Tri.YES and S.fixes_all_points(2) is Tri.NO
+
+
+def test_full_kernel_over_an_unknown_fc_is_unknown():
+    # a trivial carrier asks Q for an FC element; a wreath Q whose own
+    # verdict is Unknown has no FC rule, so condition (i) is Unknown
+    W = WreathProduct(CyclicGroup(2), Z, OpaqueQSet(Z))
+    assert decide_icc(W).answer is Tri.UNKNOWN
+    assert TrivialQSet(W, 1).kernel_meets_fc() == (Tri.UNKNOWN, None)
+
+
+@pytest.mark.parametrize(
+    "make, error",
+    [
+        (lambda: IntModQSet(S3, 3), PreconditionError),
+        (lambda: IntModQSet(Z, 0), EmptyOmega),
+        (lambda: DisjointUnionQSet(()), EmptyOmega),
+        (lambda: DisjointUnionQSet((REG_Z, RegularQSet(S3))), PreconditionError),
+    ],
+    ids=["int-mod-over-S3", "int-mod-0", "empty-union", "union-over-two-Qs"],
+)
+def test_construction_refusals(make, error):
+    with pytest.raises(error):
+        make()
+
+
+def test_finite_orbit_past_the_cap_is_refused(monkeypatch):
+    # the size is compared with the cap before any point is listed
+    monkeypatch.setattr(wricc.groups, "_FINITE_SET_CAP", 39)
+    assert len(IntModQSet(Z, 39).finite_orbit_example()) == 39
+    with pytest.raises(CertificateBudget, match="a finite orbit of more than 39 points$"):
+        IntModQSet(Z, 40).finite_orbit_example()
+
+
+def test_union_of_infinite_orbits_has_no_finite_orbit():
+    assert DisjointUnionQSet((REG_Z, RegularQSet(Z))).finite_orbit_example() is None

@@ -7,7 +7,7 @@ import pytest
 
 from wricc.cli import main
 from wricc.decision import decide_icc
-from wricc.errors import CertificateBudget, KindMismatch, PreconditionError
+from wricc.errors import CertificateBudget, KindMismatch, PreconditionError, WriccError
 from wricc.groups import CyclicGroup, FreeGroup, IntegersGroup, SymmetricGroup
 from wricc.instances import parse_instance
 from wricc.qsets import IntModQSet, RegularQSet, TrivialQSet
@@ -32,6 +32,7 @@ S3 = SymmetricGroup(3)
 P123 = (1, 2, 0)
 P132 = (2, 0, 1)
 groups_module = importlib.import_module("wricc.groups")
+witness_module = importlib.import_module("wricc.witness")
 
 
 def _no_listing(*args):
@@ -110,9 +111,9 @@ class TestFiniteOrbitCert:
             assert all(y[0] == 1 for y in support(g.phi))
 
     def test_rejects_open_orbit(self):
-        # the builder takes O as given; the verifier names the open orbit
+        # S(O, xi) takes O as given; the verifier names the open orbit
         G = load_instance("mixed-union").group
-        cert = cert_finite_orbit(G, orbit=((1, 0), (1, 1)))
+        cert = _orbit_maps_cert(G, ((1, 0), (1, 1)), G.D.finite_invariant_set_example())
         res = verify_finite_certificate(G, cert)
         assert not res
         assert res.reason == "orbit O not closed under the generator 1 of Q"
@@ -123,7 +124,7 @@ class TestFiniteOrbitCert:
         # verifier's closure check, and none of the 2^30 - 1 maps is built
         G = WreathProduct(CyclicGroup(2), Z, IntModQSet(Z, 40))
         monkeypatch.setattr(OrbitMaps, "__iter__", _no_listing)
-        cert = cert_finite_orbit(G, xi={1}, orbit=tuple(range(30)))
+        cert = _orbit_maps_cert(G, tuple(range(30)), {1})
         res = verify_finite_certificate(G, cert)
         assert not res
         assert res.reason == "orbit O not closed under the generator 1 of Q"
@@ -132,7 +133,7 @@ class TestFiniteOrbitCert:
     def test_rejects_xi_with_identity(self):
         G = load_instance("mixed-union").group
         with pytest.raises(PreconditionError):
-            cert_finite_orbit(G, xi={0, 1})
+            _orbit_maps_cert(G, G.omega.finite_orbit_example(), {0, 1})
 
     def test_no_finite_orbit(self, lamplighter):
         with pytest.raises(PreconditionError):
@@ -170,7 +171,7 @@ class TestFiniteOrbitCert:
         ).group
         xi = G.D.finite_invariant_set_example()
         base = WreathElement(G.D._canon([((1, 18), 1)]), 0)
-        cert = cert_finite_orbit(G, xi=xi - {base})
+        cert = _orbit_maps_cert(G, G.omega.finite_orbit_example(), xi - {base})
         res = verify_finite_certificate(G, cert)
         assert not res
         assert res.reason == "xi not closed under conjugation by the generator {}@1 of D"
@@ -1331,3 +1332,57 @@ def test_orbit_map_certificates_compare_and_hash_by_their_data(monkeypatch):
     assert OrbitMaps(S.group, S.orbit[:-1], S.xi) != S
     assert OrbitMaps(S.group, S.orbit[::-1], S.xi) != S
     assert S != frozenset() and len({a, b}) == 1
+
+
+def _stream_of(pairs):
+    """A q-translation row whose conjugators are the given (h, conjugate)
+    pairs, so that `members` meets what no lemma's walk yields."""
+    row = witness_module._KINDS["q-translation"]
+    return (*row[:3], lambda G, g, y, seed: iter(pairs))
+
+
+def test_members_fault_on_a_repeat_and_on_an_exhausted_stream(monkeypatch):
+    G = _family_group("z2-wr-free2")
+    g = G.parse_element("{}@a")
+    pairs = InfiniteFamilyCertificate(G, g, "q-translation").take(2)
+    monkeypatch.setitem(witness_module._KINDS, "q-translation", _stream_of(pairs + pairs[:1]))
+    fam = InfiniteFamilyCertificate(G, g, "q-translation")
+    with pytest.raises(WriccError, match="^q-translation: unexpected duplicate conjugate$"):
+        fam.take(3)
+    res = verify_infinite_certificate(G, fam, N=3)
+    assert not res and res.reason == "stream failed: q-translation: unexpected duplicate conjugate"
+    monkeypatch.setitem(witness_module._KINDS, "q-translation", _stream_of(pairs))
+    assert fam.take(2) == pairs
+    exhausted = "^q-translation: conjugator stream exhausted after 2 members$"
+    with pytest.raises(CertificateBudget, match=exhausted):
+        fam.take(3)
+
+
+def test_no_certificate_for_an_unknown_verdict(lamplighter):
+    verdict = decide_icc(lamplighter)._replace(answer=Tri.UNKNOWN)
+    with pytest.raises(PreconditionError, match="^no certificate for an Unknown verdict$"):
+        witness(lamplighter, verdict, lamplighter.parse_element("{0:1}@0"))
+
+
+def test_a_yes_verdict_without_ii_or_iii_matches_no_construction(lamplighter):
+    # q = 0 lies in FC(Z), so only (ii) or (iii) could pick the family
+    verdict = decide_icc(lamplighter)._replace(cond_ii=Tri.UNKNOWN, cond_iii=Tri.UNKNOWN)
+    with pytest.raises(PreconditionError, match="^verdict does not match any certificate"):
+        witness(lamplighter, verdict, lamplighter.parse_element("{0:1}@0"))
+
+
+def test_an_empty_explicit_set_fails(z2_wr_s3):
+    g = z2_wr_s3.parse_element("{0:1}@[0,1,2]")
+    cert = FiniteClassCertificate(g, frozenset(), "condition-i", "")
+    res = verify_finite_certificate(z2_wr_s3, cert)
+    assert not res and res.reason == "certificate set is empty"
+
+
+def test_a_prefix_of_one_member_is_refused(lamplighter):
+    fam = witness(lamplighter, decide_icc(lamplighter), lamplighter.parse_element("{0:1}@0"))
+    with pytest.raises(PreconditionError, match="^N must be at least 2$"):
+        verify_infinite_certificate(lamplighter, fam, N=1)
+
+
+def test_orbit_maps_repr_names_its_sizes(z2_wr_s3):
+    assert repr(cert_finite_orbit(z2_wr_s3).elements) == "OrbitMaps(|O|=3, |xi|=1)"
