@@ -85,7 +85,9 @@ class QSet(ABC):
 
     @abstractmethod
     def finite_orbit_example(self):
-        """A finite orbit as a tuple of points, or None."""
+        """One finite orbit as a tuple of its points, or None.  It is a
+        single orbit, so its length is the orbit size of each of its points,
+        which the containment check of `wricc verify` reads."""
         ...
 
     def _listed_orbit(self, size: int, points) -> tuple:

@@ -4,12 +4,15 @@
 it checks the finite certificate by exact closure under a generating set
 of G, or S(O, xi) by the premises of its invariance lemma
 (`finite-certificate`), and asks the oracle whether the base's class lies
-in the set (`oracle-containment`).  On Yes it draws `elements` elements
-with `random.Random(seed)` and checks, for each, a prefix of its family
-(`infinite-family[i]`) and that its class has more than `oracle_target`
-conjugates (`oracle-growth[i]`).  An Unknown verdict gets no check.  Every
-check is a `VerificationResult` whose reason is the detail the record
-prints, and every PASS rests on at least one check.
+in the set (`oracle-containment`).  The oracle gives up past
+`_CONTAINMENT_BUDGET` conjugates; the base of S(O, xi) has at least |O|
+conjugates, so an orbit past that budget is refused before the oracle
+starts.  On Yes it draws `elements` elements with `random.Random(seed)`
+and checks, for each, a prefix of its family (`infinite-family[i]`) and
+that its class has more than `oracle_target` conjugates
+(`oracle-growth[i]`).  An Unknown verdict gets no check.  Every check is
+a `VerificationResult` whose reason is the detail the record prints, and
+every PASS rests on at least one check.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .groups import AT_LEAST, EXACT_FINITE
 from .oracle import check_target, class_lower_bound, enumerate_class
 from .tri import Tri
 from .witness import (
+    OrbitMaps,
     VerificationResult,
     check_prefix,
     format_size,
@@ -66,8 +70,10 @@ def check_budgets(elements: int, prefix: int, oracle_target: int) -> None:
     if elements > groups._FINITE_SET_CAP:
         raise CertificateBudget(f"verify: --elements of more than {groups._FINITE_SET_CAP}")
     if prefix < 2:
-        raise PreconditionError("N must be at least 2")
+        raise PreconditionError("verify: --prefix must be at least 2")
     check_prefix(prefix)
+    if oracle_target < 1:
+        raise PreconditionError("verify: --oracle-target must be at least 1")
     check_target(oracle_target)
 
 
@@ -76,7 +82,8 @@ def verify_instance(
 ) -> VerifyReport:
     """Decide G and run the checks its verdict gets (see the module
     docstring).  A containment check that neither passes nor fails within
-    `_CONTAINMENT_BUDGET` conjugates raises `CertificateBudget`."""
+    `_CONTAINMENT_BUDGET` conjugates raises `CertificateBudget`, before
+    the oracle starts when the base's orbit alone passes that budget."""
     check_budgets(elements, prefix, oracle_target)
     v = decide_icc(G)
     checks = {}
@@ -86,6 +93,17 @@ def verify_instance(
         checks["finite-certificate"] = VerificationResult(
             res.ok, f"size {format_size(cert.size)}; {res.reason}", res.counterexample
         )
+        S = cert.elements
+        too_large = (
+            f"oracle-containment: the class of the base has more than "
+            f"{_CONTAINMENT_BUDGET} conjugates, the oracle's budget"
+        )
+        # the base (zeta(d, y), 1) conjugated by (eps, p) is
+        # (zeta(d, p^-1 y), 1), so its class has at least as many members
+        # as y's orbit, which S lists (`finite_orbit_example` gives one
+        # orbit): refused before a conjugate is built
+        if isinstance(S, OrbitMaps) and len(S.orbit) > _CONTAINMENT_BUDGET:
+            raise CertificateBudget(too_large)
         # a class inside the set has at most |S| members, so the closure
         # needs no round budget: it closes, or it passes |S| (a FAIL) or
         # the conjugate budget
@@ -93,11 +111,7 @@ def verify_instance(
         rep = enumerate_class(G, cert.base, math.inf, budget + 1)
         if rep.status != EXACT_FINITE and budget < cert.size:
             # neither PASS nor FAIL: the class may still lie in the set
-            raise CertificateBudget(
-                f"oracle-containment: the class of the base has more than "
-                f"{_CONTAINMENT_BUDGET} conjugates, the oracle's budget"
-            )
-        S = cert.elements
+            raise CertificateBudget(too_large)
         contained = rep.status == EXACT_FINITE and all(x in S for x in rep.elements)
         checks["oracle-containment"] = VerificationResult(
             contained, f"oracle {rep.status} count {rep.count} within certificate"

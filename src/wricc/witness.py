@@ -25,6 +25,7 @@ read off the class walk for the other kinds.
 
 from __future__ import annotations
 
+import gc
 from bisect import bisect_left
 from typing import NamedTuple
 
@@ -595,29 +596,45 @@ def verify_infinite_certificate(
     the walk that `members` used, so every member also checks those;
     it is compared as stored.  The inverse-free test h * conj == base * h
     would not do: the product canonicalises conj, so it would accept an
-    unsorted map, which the distinctness test could count twice."""
+    unsorted map, which the distinctness test could count twice.
+
+    The cyclic garbage collector is paused while the prefix is drawn and
+    checked, and the caller's setting is restored on every return and
+    exception.  Members, conjugators and products are tuples that hold no
+    reference cycle, so reference counting frees them; the collector would
+    only rescan the prefix, about three tracked objects per member, and
+    free nothing.  The pause is process-wide while the call runs, and
+    `wricc` starts no thread."""
     if N < 2:
         raise PreconditionError("N must be at least 2")
     check_prefix(N)
     if cert.group != G:
         return VerificationResult(False, "certificate is over another group")
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        prefix = list(cert.members(N))
-    except WriccError as e:
-        return VerificationResult(False, f"stream failed: {e}")
-    if len(prefix) < N:
-        return VerificationResult(False, f"stream exhausted after {len(prefix)} members")
-    base = cert.base
-    mul, inv = G._multiply, G._inverse
-    # one hash per conjugate: it is fresh iff setdefault grows the dict
-    seen = {}
-    for i, (h, conj) in enumerate(prefix):
-        again = mul(mul(inv(h), base), h)
-        if again != conj:
-            return VerificationResult(
-                False, "recorded conjugate does not match recomputation", (h, conj, again)
-            )
-        first = seen.setdefault(conj, h)
-        if len(seen) == i:
-            return VerificationResult(False, "duplicate conjugate in the prefix", (first, h, conj))
-    return VerificationResult(True)
+        try:
+            prefix = list(cert.members(N))
+        except WriccError as e:
+            return VerificationResult(False, f"stream failed: {e}")
+        if len(prefix) < N:
+            return VerificationResult(False, f"stream exhausted after {len(prefix)} members")
+        base = cert.base
+        mul, inv = G._multiply, G._inverse
+        # one hash per conjugate: it is fresh iff setdefault grows the dict
+        seen = {}
+        for i, (h, conj) in enumerate(prefix):
+            again = mul(mul(inv(h), base), h)
+            if again != conj:
+                return VerificationResult(
+                    False, "recorded conjugate does not match recomputation", (h, conj, again)
+                )
+            first = seen.setdefault(conj, h)
+            if len(seen) == i:
+                return VerificationResult(
+                    False, "duplicate conjugate in the prefix", (first, h, conj)
+                )
+        return VerificationResult(True)
+    finally:
+        if enabled:
+            gc.enable()

@@ -566,9 +566,10 @@ class TestVerifyCommand:
     def test_containment_class_over_budget_is_a_budget_error(
         self, tmp_path, capsys, monkeypatch
     ):
-        # the base has 2000 conjugates, more than the budget of 1000 but not
-        # than the 2^2000 - 1 members: no PASS and no FAIL, and the size is
-        # never printed
+        # the base has 2000 conjugates, one per point of its orbit, more
+        # than the budget of 1000 but not than the 2^2000 - 1 members: no
+        # PASS and no FAIL, refused before the oracle starts, and the size
+        # is never printed
         monkeypatch.setattr(wricc.verify, "_CONTAINMENT_BUDGET", 1000)
         text = "{D: cyclic 2; Q: cyclic 2000; omega: regular}"
         path = write_instance(tmp_path, "cyclic-2000", text)
@@ -578,6 +579,21 @@ class TestVerifyCommand:
         assert captured.err == (
             "error [certificate-budget]: oracle-containment: the class of the base "
             "has more than 1000 conjugates, the oracle's budget\n"
+        )
+
+    def test_containment_oracle_past_its_budget_is_a_budget_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # an orbit of 3 points within the budget of 8, but the base has 9
+        # conjugates and the set 63 members: the oracle gives up
+        monkeypatch.setattr(wricc.verify, "_CONTAINMENT_BUDGET", 8)
+        path = write_instance(tmp_path, "s3-wr-s3")
+        assert main(["verify", "--json", "-i", path]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error [certificate-budget]: oracle-containment: the class of the base "
+            "has more than 8 conjugates, the oracle's budget\n"
         )
 
     def test_closed_class_outside_the_set_fails(self, tmp_path, capsys, monkeypatch):

@@ -241,7 +241,9 @@ class TestClassLowerBound:
 
     @pytest.mark.parametrize("target", [0, -5])
     def test_target_below_one_rejected(self, lamplighter, target):
-        with pytest.raises(PreconditionError):
+        # the library's message; `wricc verify` names its own flag
+        message = "^class_lower_bound: target must be at least 1$"
+        with pytest.raises(PreconditionError, match=message):
             class_lower_bound(lamplighter, lamplighter.parse_element("{0:1}@0"), target)
 
     def test_target_past_the_cap_refused_before_a_conjugate(self, lamplighter, monkeypatch):

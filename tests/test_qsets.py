@@ -308,6 +308,27 @@ def test_derived_oracles_match_the_action(S):
     assert set(orb) == set(orbit_closure(S, orb[0], len(pts) + 1).elements)
 
 
+@pytest.mark.parametrize(
+    "S",
+    [
+        RegularQSet(S3),
+        NAT4,
+        IntModQSet(Z, 5),
+        TrivialQSet(S3, 3),
+        UNION,
+        DisjointUnionQSet((TrivialQSet(C6, 2), RegularQSet(C6))),
+    ],
+    ids=lambda s: s.carrier_kind,
+)
+def test_finite_orbit_example_is_one_orbit(S):
+    # `wricc verify` reads the size of the base point's orbit as the
+    # example's length, so every point of it has exactly that orbit
+    orb = S.finite_orbit_example()
+    for y in orb:
+        rep = orbit_closure(S, y, len(orb) + 1)
+        assert rep.status == EXACT_FINITE and set(rep.elements) == set(orb)
+
+
 @pytest.mark.parametrize("S", [REG_Z, UNION], ids=lambda s: s.carrier_kind)
 def test_infinite_carrier_has_no_point_list(S):
     with pytest.raises(Unsupported):

@@ -16,6 +16,7 @@ from wricc.cli import EXIT_USAGE, main
 from wricc.decision import decide_icc
 from wricc.errors import CertificateBudget, PreconditionError
 from wricc.groups import CyclicGroup, IntegersGroup
+from wricc.instances import parse_instance
 from wricc.tri import Tri
 from wricc.verify import VerifyReport, check_budgets, verify_instance
 from wricc.witness import FiniteClassCertificate, VerificationResult, witness
@@ -91,6 +92,48 @@ def test_a_failing_check_fails_the_report(monkeypatch):
     assert not report.ok
 
 
+NATURAL_9 = "{D: cyclic 2; Q: symmetric 9; omega: natural}"
+
+
+def _spy_on_the_oracle(monkeypatch):
+    calls = []
+    enumerate_class = wricc.verify.enumerate_class
+    monkeypatch.setattr(
+        wricc.verify,
+        "enumerate_class",
+        lambda *args: calls.append(args) or enumerate_class(*args),
+    )
+    return calls
+
+
+def test_an_orbit_past_the_containment_budget_is_refused_before_the_oracle(
+    tmp_path, capsys, monkeypatch
+):
+    # the base's class has one member per point of its orbit of 9, so a
+    # budget of 8 cannot be met and no conjugate is built
+    monkeypatch.setattr(wricc.verify, "_CONTAINMENT_BUDGET", 8)
+    calls = _spy_on_the_oracle(monkeypatch)
+    path = tmp_path / "natural-9.wri"
+    path.write_text(NATURAL_9)
+    assert main(["verify", "-i", str(path)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error [certificate-budget]: oracle-containment: the class of the base has "
+        "more than 8 conjugates, the oracle's budget\n"
+    )
+    assert calls == []
+
+
+def test_an_orbit_within_the_containment_budget_runs_the_oracle(monkeypatch):
+    monkeypatch.setattr(wricc.verify, "_CONTAINMENT_BUDGET", 9)
+    calls = _spy_on_the_oracle(monkeypatch)
+    report = verify_instance(parse_instance(NATURAL_9).group, seed=0)
+    assert report.checks["oracle-containment"] == VerificationResult(
+        True, "oracle exact-finite count 9 within certificate"
+    )
+    assert len(calls) == 1 and report.ok
+
+
 def test_growth_fails_on_a_class_that_closes_at_the_target(monkeypatch):
     # a Yes verdict forced on z2-wr-s3 meets its base, whose class closes
     # at 3 members: with a target of 3 the count reaches the target, but
@@ -113,8 +156,8 @@ def test_growth_fails_on_a_class_that_closes_at_the_target(monkeypatch):
 
 BAD_BUDGETS = [
     ({"elements": 0}, "verify: --elements must be at least 1"),
-    ({"prefix": 1}, "N must be at least 2"),
-    ({"oracle_target": 0}, "class_lower_bound: target must be at least 1"),
+    ({"prefix": 1}, "verify: --prefix must be at least 2"),
+    ({"oracle_target": 0}, "verify: --oracle-target must be at least 1"),
 ]
 
 
@@ -173,8 +216,8 @@ def test_budget_flag_past_the_cap_exits_3_before_the_file_is_read(tmp_path, caps
     "argv, message",
     [
         (["verify", "--elements", "0"], "verify: --elements must be at least 1"),
-        (["verify", "--prefix", "1"], "N must be at least 2"),
-        (["verify", "--oracle-target", "0"], "class_lower_bound: target must be at least 1"),
+        (["verify", "--prefix", "1"], "verify: --prefix must be at least 2"),
+        (["verify", "--oracle-target", "0"], "verify: --oracle-target must be at least 1"),
         (["witness", "--prefix", "0"], "a certificate prefix needs at least 1 member"),
     ],
 )
@@ -250,6 +293,22 @@ def test_huge_finite_orbits_are_refused_before_they_are_listed(tmp_path):
         argvs += [[command, "-i", str(path)] for command in ("witness", "verify")]
     for argv, code, err, seconds in _run_limited(argvs):
         assert err.endswith(": a finite orbit of more than 1000000 points\n")
+
+
+def test_a_natural_orbit_past_the_containment_budget_exits_3(tmp_path):
+    # the 900000 points are listed, but their 2^900000 - 1 maps are not,
+    # and the oracle, which used to run out of memory conjugating the
+    # base's 900000 conjugates, is refused before it starts
+    path = tmp_path / "natural-900000.wri"
+    path.write_text("{D: cyclic 2; Q: symmetric 900000; omega: natural}")
+    argvs = [[command, "-i", str(path)] for command in ("witness", "verify")]
+    messages = [
+        "certificate would have (1+1)^900000 - 1 elements, more than 1000000",
+        "oracle-containment: the class of the base has more than 131072 conjugates, "
+        "the oracle's budget",
+    ]
+    for (argv, code, err, seconds), message in zip(_run_limited(argvs), messages):
+        assert err == f"error [certificate-budget]: {message}\n"
 
 
 def test_huge_budgets_are_refused_before_anything_is_built(tmp_path):

@@ -1,3 +1,4 @@
+import gc
 import importlib
 import json
 import random
@@ -1147,6 +1148,128 @@ def test_non_canonical_recorded_conjugate_fails(f2_wr_z2):
     res = verify_infinite_certificate(G, Forged(G, g, "g_d", point=0), N=10)
     assert not res and res.reason == "recorded conjugate does not match recomputation"
     assert res.counterexample == (h, unsorted, conj)
+
+
+# ---------------------------------------------------------------------------
+# the verifier pauses the cyclic garbage collector
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector(request):
+    """The cyclic collector switched on or off for the test, and switched
+    back as it was after it."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+def _recorded(change):
+    """f2-wr-z2, and a g_d family on its base whose members are the first
+    10 of its own, changed by `change` (list -> list)."""
+    G = load_instance("f2-wr-z2").group
+    g = WreathElement(G.zeta((1,), 1), 1)
+    prefix = change(InfiniteFamilyCertificate(G, g, "g_d", 0).take(10))
+
+    class Recorded(InfiniteFamilyCertificate):
+        def members(self, count):
+            yield from prefix[:count]
+
+    return G, Recorded(G, g, "g_d", point=0)
+
+
+def _other_group(monkeypatch):
+    G = load_instance("lamplighter").group
+    fam = witness(G, decide_icc(G), G.parse_element("{0:1}@0"))
+    return load_instance("f2-wr-z2").group, fam
+
+
+def _repeating_stream(monkeypatch):
+    G = _family_group("z2-wr-free2")
+    g = G.parse_element("{}@a")
+    pairs = InfiniteFamilyCertificate(G, g, "q-translation").take(2)
+    monkeypatch.setitem(witness_module._KINDS, "q-translation", _stream_of(pairs + pairs[:1]))
+    return G, InfiniteFamilyCertificate(G, g, "q-translation")
+
+
+def _failing_multiply(monkeypatch):
+    G, cert = _recorded(list)
+
+    def fail(x, y):
+        raise RuntimeError("multiply failed")
+
+    monkeypatch.setattr(G, "_multiply", fail)
+    return G, cert
+
+
+# each way the verifier ends: outcome -> (G and a family, given
+# monkeypatch; the reason, or None for an exception that escapes it)
+VERIFIER_OUTCOMES = {
+    "pass": (lambda mp: _recorded(list), "ok"),
+    "other-group": (_other_group, "certificate is over another group"),
+    "stream-failed": (
+        _repeating_stream,
+        "stream failed: q-translation: unexpected duplicate conjugate",
+    ),
+    "exhausted": (lambda mp: _recorded(lambda p: p[:9]), "stream exhausted after 9 members"),
+    "mismatch": (
+        lambda mp: _recorded(lambda p: [*p[:3], (p[3][0], p[4][1]), *p[4:]]),
+        "recorded conjugate does not match recomputation",
+    ),
+    "duplicate": (
+        lambda mp: _recorded(lambda p: p[:9] + p[:1]),
+        "duplicate conjugate in the prefix",
+    ),
+    "escapes": (_failing_multiply, None),
+}
+
+
+@pytest.mark.parametrize("outcome", VERIFIER_OUTCOMES)
+def test_the_verifier_restores_the_collector(monkeypatch, collector, outcome):
+    # on or off, the caller's setting holds after every return and after an
+    # exception that escapes the loop
+    make, reason = VERIFIER_OUTCOMES[outcome]
+    G, cert = make(monkeypatch)
+    if reason is None:
+        with pytest.raises(RuntimeError, match="^multiply failed$"):
+            verify_infinite_certificate(G, cert, N=10)
+    else:
+        assert verify_infinite_certificate(G, cert, N=10).reason == reason
+    assert gc.isenabled() is collector
+
+
+def test_members_are_drawn_with_the_collector_paused(monkeypatch, collector):
+    G = _family_group("z2-wr-free2")
+    row = witness_module._KINDS["q-translation"]
+    paused = []
+
+    def spied(*args):
+        for pair in row[3](*args):
+            paused.append(not gc.isenabled())
+            yield pair
+
+    monkeypatch.setitem(witness_module._KINDS, "q-translation", (*row[:3], spied))
+    fam = InfiniteFamilyCertificate(G, G.parse_element("{}@a"), "q-translation")
+    assert verify_infinite_certificate(G, fam, N=50)
+    assert paused == [True] * 50
+    assert gc.isenabled() is collector
+
+
+@pytest.mark.parametrize("name, literal, kind, point", [
+    ("f2-wr-z2", "{0:a, 1:b}@0", "value-conjugation", 0),
+    ("z2-wr-free2", "{1:1}@a*b", "q-translation", None),
+    ("f2-wr-z2", "{0:a*b}@1", "g_d", 0),
+    ("lamplighter", "{0:1, 3:1}@5", "lambda-translation", None),
+])
+def test_a_verified_prefix_leaves_no_cycle(name, literal, kind, point):
+    # the premise of the pause: members, conjugators and products hold no
+    # reference cycle, so reference counting frees them all
+    G = _family_group(name)
+    fam = InfiniteFamilyCertificate(G, G.parse_element(literal), kind, point)
+    gc.collect()
+    assert verify_infinite_certificate(G, fam, N=2000)
+    assert gc.collect() == 0
 
 
 # ---------------------------------------------------------------------------
