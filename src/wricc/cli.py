@@ -25,7 +25,7 @@ from .instances import InstanceSpec, parse_instance
 from .oracle import enumerate_class
 from .tri import Tri
 from .verify import check_budgets, verify_instance
-from .witness import FiniteClassCertificate, OrbitMaps, check_prefix, witness
+from .witness import FiniteClassCertificate, OrbitMaps, check_prefix, format_size, witness
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -110,21 +110,21 @@ def cmd_witness(args) -> int:
         "answer": str(v.answer),
     }
     if isinstance(cert, FiniteClassCertificate):
-        # S(O, xi) lists in the group's order; an explicit set is sorted
+        # S(O, xi) is walked in the group's order; an explicit set is sorted
         S = cert.elements
         elems = S if isinstance(S, OrbitMaps) else sorted(S, key=G.sort_key)
         record.update(
             {
                 "certificate": "finite-class",
                 "provenance": cert.provenance,
-                "size": cert.size,
+                "size": format_size(cert.size),
                 "size_formula": cert.size_formula,
                 "base": G.format_element(cert.base),
                 "elements": [G.format_element(e) for e in itertools.islice(elems, 20)],
             }
         )
         if cert.size > 20:
-            record["elements_truncated"] = cert.size - 20
+            record["elements_truncated"] = format_size(cert.size - 20)
     else:
         # the family was checked against its kind when `witness` made it
         prefix = list(cert.members(args.prefix))

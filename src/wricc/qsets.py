@@ -122,10 +122,11 @@ class QSet(ABC):
     def is_free_action(self) -> Tri:
         ...
 
+    @abstractmethod
     def kernel_description(self):
         """The kernel of the action, as a tuple described above, or None
         when no rule knows it."""
-        return None
+        ...
 
     def fixes_all_points(self, q) -> Tri:
         """Does q act trivially?  Read off `kernel_description`."""

@@ -35,14 +35,14 @@ from .groups import finite_class
 from .tri import Tri
 from .wreath import WreathElement, WreathProduct, support
 
-# sizes of more bits are written without their value; by default Python
-# refuses to convert an int of more than 4,300 digits to a string
+# sizes of more bits are printed as a bound: by default Python, and so
+# `json`, refuses to convert an int of more than 4,300 digits to a string
 _PRINTED_SIZE_BITS = 128
 
 
-def format_size(n: int) -> str:
-    """n in decimal, or a lower bound when n is too long to print."""
-    return str(n) if n.bit_length() <= _PRINTED_SIZE_BITS else f"at least 2^{n.bit_length() - 1}"
+def format_size(n: int) -> int | str:
+    """n itself, or a lower bound in words when n is too long to print."""
+    return n if n.bit_length() <= _PRINTED_SIZE_BITS else f"at least 2^{n.bit_length() - 1}"
 
 
 class OrbitMaps:
@@ -51,8 +51,8 @@ class OrbitMaps:
     elements of D.  It is a value: the group, O and xi are its data, which
     `==` and `hash` read without listing a member.  It owns its size, read
     off the formula (|xi|+1)^|O| - 1, a membership test in O(|supp phi|)
-    and its listing, which builds each map canonical with no sort and
-    refuses more than `groups._FINITE_SET_CAP` members before it builds one.
+    and its listing, which builds each map canonical with no sort, one at
+    a time, so a reader takes as many as it needs.
 
     Invariance lemma.  Let O be closed under every generator of Q, and xi
     under conjugation by every generator of D.  Then S(O, xi) is closed
@@ -123,15 +123,10 @@ class OrbitMaps:
         return all(a < b for a, b in zip(keys, keys[1:]))
 
     def __iter__(self):
-        """The members in the group's `sort_key` order, refused past the cap
-        before any is built: a depth-first walk over O in `point_key` order,
-        each point taking xi in `sort_key` order, so that a map comes
-        before its extensions."""
-        if self.size > groups._FINITE_SET_CAP:
-            raise CertificateBudget(
-                f"certificate would have {self.formula} elements, "
-                f"more than {groups._FINITE_SET_CAP}"
-            )
+        """The members in the group's `sort_key` order, built as they are
+        read: a depth-first walk over O in `point_key` order, each point
+        taking xi in `sort_key` order, so that a map comes before its
+        extensions."""
         one = self._one
         pts = sorted(self.orbit, key=self.group.omega.point_key)
         values = sorted(self.xi, key=self.group.D.sort_key)

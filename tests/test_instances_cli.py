@@ -338,18 +338,32 @@ class TestWitnessCommand:
         if json.loads(plain[1])["answer"] == "no":
             assert given == plain
 
-    @pytest.mark.parametrize("n", [20, 100000])
-    def test_finite_orbit_over_budget(self, tmp_path, capsys, n):
-        # `wricc witness` lists the members, and 2^20 - 1 is just over the
-        # listing cap; 2^100000 - 1 has more digits than Python converts to
-        # a string, and the message never prints it
-        text = f"{{D: cyclic 2; Q: cyclic {n}; omega: regular}}"
-        path = write_instance(tmp_path, "huge-orbit", text)
-        assert main(["witness", "-i", path]) == EXIT_USAGE
+    @pytest.mark.parametrize(
+        "q, omega, size",
+        [
+            ("cyclic 20", "regular", 2**20 - 1),
+            ("cyclic 100000", "regular", "at least 2^99999"),
+            ("symmetric 25", "natural", 2**25 - 1),
+        ],
+        ids=["20", "100000", "natural-25"],
+    )
+    def test_finite_orbit_over_budget(self, tmp_path, capsys, q, omega, size):
+        # 2^20 - 1 and 2^25 - 1 members are over the 10^6 listing cap, and
+        # 2^100000 - 1 has more digits than Python converts to a string:
+        # `witness` walks S(O, xi) only as far as the 20 members it prints,
+        # and prints a size that is too long as a bound; xi is {1}, so
+        # those 20 are 1 on the first k points of O, k = 1, ..., 20
+        path = write_instance(tmp_path, "huge-orbit", f"{{D: cyclic 2; Q: {q}; omega: {omega}}}")
+        assert main(["witness", "--json", "-i", path]) == EXIT_OK
         captured = capsys.readouterr()
-        assert captured.err.startswith("error [certificate-budget]: ")
-        assert f"(1+1)^{n} - 1 elements" in captured.err
         assert "Traceback" not in captured.out + captured.err
+        rec = json.loads(captured.out)
+        n = int(q.split()[1])
+        one = "0" if omega == "regular" else "[" + ",".join(map(str, range(n))) + "]"
+        chain = ["{" + ", ".join(f"{y}:1" for y in range(k)) + "}@" + one for k in range(1, 21)]
+        assert rec["elements"] == chain
+        truncated = size - 20 if isinstance(size, int) else size
+        assert (rec["size"], rec["elements_truncated"]) == (size, truncated)
 
 
 class TestClassCommand:

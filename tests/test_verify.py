@@ -298,17 +298,16 @@ def test_huge_finite_orbits_are_refused_before_they_are_listed(tmp_path):
 def test_a_natural_orbit_past_the_containment_budget_exits_3(tmp_path):
     # the 900000 points are listed, but their 2^900000 - 1 maps are not,
     # and the oracle, which used to run out of memory conjugating the
-    # base's 900000 conjugates, is refused before it starts
+    # base's 900000 conjugates, is refused before it starts; `witness`
+    # exits 0 on this input, printing 21 elements of 900000 points each
+    # in about 5 s (CI runs it under the same memory limit)
     path = tmp_path / "natural-900000.wri"
     path.write_text("{D: cyclic 2; Q: symmetric 900000; omega: natural}")
-    argvs = [[command, "-i", str(path)] for command in ("witness", "verify")]
-    messages = [
-        "certificate would have (1+1)^900000 - 1 elements, more than 1000000",
-        "oracle-containment: the class of the base has more than 131072 conjugates, "
-        "the oracle's budget",
-    ]
-    for (argv, code, err, seconds), message in zip(_run_limited(argvs), messages):
-        assert err == f"error [certificate-budget]: {message}\n"
+    [(argv, code, err, seconds)] = _run_limited([["verify", "-i", str(path)]])
+    assert err == (
+        "error [certificate-budget]: oracle-containment: the class of the base has "
+        "more than 131072 conjugates, the oracle's budget\n"
+    )
 
 
 def test_huge_budgets_are_refused_before_anything_is_built(tmp_path):
