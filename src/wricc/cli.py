@@ -148,22 +148,17 @@ def cmd_class(args) -> int:
     spec = _load(args.instance)
     G = spec.group
     g = G.parse_element(args.element)
-    # a flag overrides the instance file, which overrides the default; a
-    # zero budget, or a max_size past the listing cap, reaches
+    # a zero budget, or a max_size past the listing cap, reaches
     # enumerate_class, which refuses it
-    radius = args.radius if args.radius is not None else spec.budgets.get("radius", 8)
-    max_size = (
-        args.max_size if args.max_size is not None else spec.budgets.get("max_size", 10000)
-    )
-    rep = enumerate_class(G, g, radius, max_size)
+    rep = enumerate_class(G, g, args.radius, args.max_size)
     record = {
         "command": "class",
         "instance_hash": spec.instance_hash(),
         "element": G.format_element(g),
         "status": rep.status,
         "count": rep.count,
-        "radius": radius,
-        "max_size": max_size,
+        "radius": args.radius,
+        "max_size": args.max_size,
         "rounds_used": rep.rounds_used,
         "stopped_by": rep.stopped_by,
     }
@@ -178,11 +173,9 @@ def cmd_class(args) -> int:
 def cmd_verify(args) -> int:
     check_budgets(args.elements, args.prefix, args.oracle_target)
     spec = _load(args.instance)
-    # a flag overrides the instance file, which overrides the default
-    seed = args.seed if args.seed is not None else spec.budgets.get("seed", 0)
     report = verify_instance(
         spec.group,
-        seed=seed,
+        seed=args.seed,
         elements=args.elements,
         prefix=args.prefix,
         oracle_target=args.oracle_target,
@@ -241,13 +234,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("class", help="bounded conjugacy-class enumeration")
     common(p)
     p.add_argument("-g", "--element", required=True, help="element literal")
-    p.add_argument("--radius", type=int, default=None)
-    p.add_argument("--max-size", dest="max_size", type=int, default=None)
+    p.add_argument("--radius", type=int, default=8)
+    p.add_argument("--max-size", dest="max_size", type=int, default=10000)
     p.set_defaults(func=cmd_class)
 
     p = sub.add_parser("verify", help="full decide/certify/cross-check run")
     common(p)
-    p.add_argument("--seed", type=int, default=None, help="random seed (default 0)")
+    p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     p.add_argument("--elements", type=int, default=5, help="sampled elements (Yes verdicts)")
     p.add_argument("--prefix", type=int, default=100, help="verified family prefix")
     p.add_argument(

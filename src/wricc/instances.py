@@ -7,7 +7,10 @@ Example::
     Q: integers
     omega: regular
 
-Also accepted in one line: ``{D: cyclic 2; Q: integers; omega: regular}``.
+The keys are ``D``, ``Q`` and ``omega``, each exactly once, in any order
+and any case; any other key is refused.  A ``#`` starts a comment that runs
+to the end of its line.  Also accepted in one line, with comment lines
+before or after it: ``{D: cyclic 2; Q: integers; omega: regular}``.
 Group descriptors: ``integers``, ``cyclic N``, ``symmetric N``, ``free N``,
 ``product(G, G, ...)``, ``wreath(G; G; OMEGA)``.  Carrier descriptors:
 ``regular``, ``trivial N``, ``int-mod N``, ``natural``,
@@ -18,9 +21,7 @@ unions and wreaths nest at most `_MAX_NESTING` levels deep.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from functools import cache
-from types import MappingProxyType
 from typing import NamedTuple
 
 from ._parsing import head_and_args, split_top
@@ -114,18 +115,13 @@ def build_wreath(D: Group, Q: Group, omega_text: str, depth: int = 0) -> WreathP
 
 
 class InstanceSpec(NamedTuple):
-    """A parsed instance: its group, the three descriptors it was written
-    with and its budgets, a read-only mapping.  It compares and hashes by
-    its data."""
+    """A parsed instance: its group and the three descriptors it was
+    written with."""
 
     group: WreathProduct
     d_text: str
     q_text: str
     omega_text: str
-    budgets: Mapping[str, int] = MappingProxyType({})
-
-    def __hash__(self):
-        return hash((*self[:4], frozenset(self.budgets.items())))
 
     def instance_hash(self) -> str:
         # the empty last field stood for a key that no longer exists; it
@@ -154,47 +150,37 @@ def _sha256():
     return sha256
 
 
-# a tuple, so that budgets are read in a fixed order
-_BUDGET_KEYS = ("radius", "max_size", "seed")
-
-
 def parse_instance(text: str) -> InstanceSpec:
+    # comments go before the form is chosen, so that a one-liner may have
+    # comment lines around it; a line without `#` is kept as it is, with
+    # its line break, so no descriptor text (and no hash) moves
+    text = "".join(
+        line.split("#", 1)[0] + "\n" if "#" in line else line
+        for line in text.splitlines(keepends=True)
+    )
     stripped = text.strip()
     if stripped.startswith("{") and stripped.endswith("}"):
         entries = split_top(stripped[1:-1], ";")
     else:
-        entries = []
-        for line in stripped.splitlines():
-            line = line.split("#", 1)[0].strip()
-            if line:
-                entries.append(line)
+        entries = [line.strip() for line in stripped.splitlines() if line.strip()]
     fields: dict[str, str] = {}
     for entry in entries:
         if ":" not in entry:
             raise ParseError(f"expected 'key: value', got {entry!r}")
         key, value = entry.split(":", 1)
         key = key.strip().lower()
-        if key == "max-size":  # both spellings name one budget: giving both is a duplicate
-            key = "max_size"
         value = value.strip()
         if key in fields:
             raise ParseError(f"duplicate key {key!r}")
         fields[key] = value
-    for required in ("d", "q", "omega"):
+    keys = ("d", "q", "omega")
+    for required in keys:
         if required not in fields:
             raise ParseError(f"missing required key {required!r}")
-    known = {"d", "q", "omega", *_BUDGET_KEYS}
     for key in fields:
-        if key not in known:
+        if key not in keys:
             raise ParseError(f"unknown key {key!r}")
     Q = parse_group(fields["q"])
     D = parse_group(fields["d"])
     group = build_wreath(D, Q, fields["omega"])
-    budgets = {key: _int_arg(key, fields[key]) for key in _BUDGET_KEYS if key in fields}
-    return InstanceSpec(
-        group=group,
-        d_text=fields["d"],
-        q_text=fields["q"],
-        omega_text=fields["omega"],
-        budgets=MappingProxyType(budgets),
-    )
+    return InstanceSpec(group, fields["d"], fields["q"], fields["omega"])

@@ -1,5 +1,5 @@
 """Check `InstanceSpec.instance_hash` against `hashlib`'s SHA-256 on the 8
-shipped instances and the 14 that `pinned.CI_INSTANCES` adds.
+shipped instances and the 15 that `pinned.CI_INSTANCES` adds.
 
     python3 tests/check_digests.py            # the interpreter's own module
     python3 tests/check_digests.py --hashlib  # hide it: the hashlib fallback

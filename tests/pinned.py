@@ -6,13 +6,13 @@ through `cli.main` on one instance.  Long outputs are stored as a sha256
 digest.  The six `witness --prefix 300` records, one or two per family
 kind, also pin the digest of the 300 lines "conjugator -> conjugate" that
 the library lists for the family.  The instances CI runs beyond the
-shipped ones, and three whose D or Q is a direct product, get
-`decide --json`, `witness --json` and `verify --json --seed 42` records,
-refusals included.  `class --json` is pinned on one element of each of
-five shipped instances: an open class (`--max-size 201`) on each icc
-instance and a closed one, listed in sorted order, on each finite one.
-`test_records.py` runs every command again and
-compares the whole file, byte for byte.
+shipped ones, three whose D or Q is a direct product, and a union of two
+infinite orbits, get `decide --json`, `witness --json` and
+`verify --json --seed 42` records, refusals included.  `class --json` is
+pinned on one element of each of five shipped instances: an open class
+(`--max-size 201`) on each icc instance and a closed one, listed in
+sorted order, on each finite one.  `test_records.py` runs every command
+again and compares the whole file, byte for byte.
 
 A change that alters an output on purpose regenerates the files from the
 root of the checkout, and the diff of `tests/records/` shows each change:
@@ -89,7 +89,9 @@ CLASS_PINS = {
 
 # instances that are not shipped: name -> text.  The three product-*
 # instances reach the direct product's arithmetic, which no shipped
-# instance and no other record does
+# instance and no other record does; union-regular-regular is the one
+# union whose orbits are all infinite, so its lambda-translation premise
+# asks the union whether an orbit is infinite
 CI_INSTANCES = {
     "nested-19": "{D: wreath(cyclic 2; integers; union(regular, int-mod 19)); Q: cyclic 2; omega: regular}",
     "nested-25": "{D: wreath(cyclic 2; integers; union(regular, int-mod 25)); Q: cyclic 2; omega: regular}",
@@ -105,6 +107,7 @@ CI_INSTANCES = {
     "trivial-20000": "{D: cyclic 2; Q: cyclic 3; omega: trivial 20000}",
     "trivial-huge": "{D: cyclic 2; Q: cyclic 3; omega: trivial 99999999999}",
     "union-int-mod-19": "{D: cyclic 2; Q: integers; omega: union(regular, int-mod 19)}",
+    "union-regular-regular": "{D: cyclic 2; Q: integers; omega: union(regular, regular)}",
 }
 CI_COMMANDS = ("decide-json", "witness-json", "verify-json-seed42")
 

@@ -52,11 +52,41 @@ class TestParseInstance:
         spec = parse_instance("{D: cyclic 2; Q: integers; omega: regular}")
         assert spec.group.kind == load_instance("lamplighter").group.kind
 
-    def test_comments_and_budgets(self):
-        spec = parse_instance(
-            "# a comment\nD: free 2\nQ: integers\nomega: regular\nradius: 5\nseed: 9\n"
-        )
-        assert spec.budgets == {"radius": 5, "seed": 9}
+    def test_comments(self):
+        spec = parse_instance("# a comment\nD: free 2 # the base\nQ: integers\nomega: regular\n")
+        assert spec.group.D.kind == "free(2)" and spec.d_text == "free 2"
+
+    ONE_LINER = "{D: cyclic 2; Q: integers; omega: regular}"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            f"# lamplighter\n{ONE_LINER}",
+            f"{ONE_LINER}\n# a note\n",
+            f"\n  # lamplighter\n\n{ONE_LINER}  # a note\n# and another\n",
+        ],
+    )
+    def test_comment_lines_around_a_one_liner(self, text):
+        # comments are stripped before the form is chosen, so a one-liner
+        # reads the same with the shipped files' comment header
+        bare, commented = parse_instance(self.ONE_LINER), parse_instance(text)
+        assert commented.group.kind == bare.group.kind
+        assert commented[1:] == bare[1:]
+        assert commented.instance_hash() == bare.instance_hash() == "ebe001051010"
+
+    @pytest.mark.parametrize(
+        "text, digest",
+        [
+            # a line break inside a descriptor is part of its text
+            ("{D: product(cyclic 2,\r\n  integers); Q: integers; omega: regular}", "8967ebae5bfa"),
+            ("D: cyclic 2\r\nQ: integers  \r\n\r\nomega: union(regular,\tregular)\n", "a868b311116f"),
+            ("{D: cyclic 2;\nQ: integers;\nomega: regular}", "ebe001051010"),
+        ],
+    )
+    def test_hashes_of_texts_without_comments_stay(self, text, digest):
+        # the digests these texts had before comments were stripped first;
+        # the shipped files' hashes are pinned in tests/records/
+        assert parse_instance(text).instance_hash() == digest
 
     def test_nested_wreath_base(self):
         spec = parse_instance(
@@ -167,6 +197,11 @@ class TestParseInstance:
         with pytest.raises(ParseError):
             parse_instance("D: cyclic 2\nomega: regular\n")
 
+    def test_duplicate_key_rejected(self):
+        # keys are read in any case, so `D` and `d` are one key
+        with pytest.raises(ParseError, match="^duplicate key 'd'$"):
+            parse_instance("{D: cyclic 2; Q: integers; d: cyclic 3; omega: regular}")
+
     def test_symmetric_natural(self):
         spec = parse_instance("D: cyclic 2\nQ: symmetric 3\nomega: natural\n")
         assert isinstance(spec.group.Q, SymmetricGroup)
@@ -190,24 +225,20 @@ class TestParseInstance:
         assert captured.err == "error [precondition]: natural action requires a symmetric group\n"
         assert "Traceback" not in captured.out + captured.err
 
-    def test_both_max_size_spellings_rejected(self, tmp_path, capsys):
-        # the two spellings name one budget; which one won used to depend on
-        # the hash seed, so the pair is a duplicate key
-        text = instance_text("lamplighter") + "max-size: 5\nmax_size: 7\n"
-        with pytest.raises(ParseError, match="duplicate key 'max_size'"):
-            parse_instance(text)
-        path = write_instance(tmp_path, "two-max-sizes", text)
-        assert main(["class", "-i", path, "-g", "{0:1}@0"]) == EXIT_USAGE
-        assert capsys.readouterr().err.startswith("error [parse-error]: ")
-
     # the generators cover every orbit and the finite check is exact, so
-    # no instance chooses a window of points or a sample count
-    @pytest.mark.parametrize("key", ["window: 0", "samples: 3"])
-    def test_removed_keys_rejected(self, tmp_path, capsys, key):
-        path = write_instance(tmp_path, "old-key", instance_text("lamplighter") + key + "\n")
-        assert main(["decide", "-i", path]) == EXIT_USAGE
-        name = key.split(":")[0]
-        assert capsys.readouterr().err == f"error [parse-error]: unknown key {name!r}\n"
+    # no instance chooses a window of points or a sample count; the flags
+    # alone set the budgets and the seed
+    @pytest.mark.parametrize(
+        "key", ["window", "samples", "radius", "max-size", "max_size", "seed"]
+    )
+    @pytest.mark.parametrize(
+        "command", [["decide"], ["witness"], ["class", "-g", "{0:1}@0"], ["verify"]]
+    )
+    def test_removed_keys_rejected(self, tmp_path, capsys, command, key):
+        path = write_instance(tmp_path, "old-key", instance_text("lamplighter") + f"{key}: 3\n")
+        code, out, err = outcome([*command, "-i", path], capsys)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"error [parse-error]: unknown key {key!r}\n"
 
     def test_hash_is_stable(self):
         a = parse_instance(instance_text("lamplighter")).instance_hash()
@@ -394,20 +425,13 @@ class TestClassCommand:
 
     @pytest.mark.parametrize("flag", ["--radius", "--max-size"])
     def test_zero_budget_flag_rejected(self, tmp_path, capsys, flag):
-        # a zero flag must not fall back to the file or default budget
+        # a zero flag must not fall back to the default budget
         path = write_instance(tmp_path, "lamplighter")
         code = main(["class", "--json", "-i", path, "-g", "{0:1}@0", flag, "0"])
         assert code == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error [precondition]: ")
-
-    def test_budgets_from_file(self, tmp_path, capsys):
-        text = instance_text("lamplighter") + "radius: 3\nmax-size: 50\n"
-        path = write_instance(tmp_path, "lamp-budget", text)
-        assert main(["class", "--json", "-i", path, "-g", "{0:1}@0"]) == EXIT_OK
-        rec = json.loads(capsys.readouterr().out)
-        assert rec["radius"] == 3 and rec["max_size"] == 50
 
 
 class TestVerifyCommand:
@@ -440,17 +464,6 @@ class TestVerifyCommand:
         assert "on {}@-15;" in checks[2]
         assert checks[3].startswith("PASS oracle-growth[1]: ")
         assert checks[3].endswith("distinct conjugates within radius 32")
-
-    def test_seed_and_samples_from_file(self, tmp_path, capsys):
-        text = instance_text("lamplighter") + "seed: 7\n"
-        path = write_instance(tmp_path, "lamp-seeded", text)
-        quick = ["--elements", "1", "--prefix", "10", "--oracle-target", "50"]
-        assert main(["verify", "--json", "-i", path, *quick]) == EXIT_OK
-        rec = json.loads(capsys.readouterr().out)
-        assert rec["seed"] == 7 and "samples" not in rec
-        # the flag overrides the file
-        assert main(["verify", "--json", "-i", path, "--seed", "0", *quick]) == EXIT_OK
-        assert json.loads(capsys.readouterr().out)["seed"] == 0
 
     @pytest.mark.parametrize(
         "flag, value", [("--elements", "0"), ("--elements", "-3"),
@@ -685,19 +698,17 @@ def outcome(argv, capsys):
 
 
 def test_cached_parser_carries_nothing_between_calls(tmp_path, capsys):
-    # each call that leaves a flag out follows one that gave it; the file
-    # with budgets gives the seed and radius that a flag overrides
+    # each call that leaves a flag out follows one that gave it
     lamp = write_instance(tmp_path, "lamplighter")
-    budgets = write_instance(tmp_path, "budgets", instance_text("lamplighter") + "radius: 3\nseed: 9\n")
     sequence = [
         ["verify", "--json", "-i", lamp, "--seed", "7", "--elements", "2"],
         ["verify", "--json", "-i", lamp],
-        ["verify", "--json", "-i", budgets, "--seed", "7", "--elements", "2"],
-        ["verify", "--json", "-i", budgets],
+        ["verify", "--json", "-i", lamp, "--seed", "9"],
+        ["verify", "--json", "-i", lamp, "--elements", "2"],
         ["witness", "--json", "-i", lamp, "-g", "{0:1}@5"],
         ["witness", "--json", "-i", lamp],
-        ["class", "--json", "-i", budgets, "-g", "{0:1}@0", "--radius", "6"],
-        ["class", "--json", "-i", budgets, "-g", "{0:1}@0"],
+        ["class", "--json", "-i", lamp, "-g", "{0:1}@0", "--radius", "3", "--max-size", "50"],
+        ["class", "--json", "-i", lamp, "-g", "{0:1}@0"],
         ["decide", "--json", "-i", lamp],
         ["verify", "--json", "-i", lamp, "--elements", "x"],
         ["decide", "--json", "-i", lamp],
@@ -710,12 +721,12 @@ def test_cached_parser_carries_nothing_between_calls(tmp_path, capsys):
     assert in_sequence == fresh
 
     records = [json.loads(out) if out else None for _, out, _ in in_sequence]
-    assert [r["seed"] for r in records[:4]] == [7, 0, 7, 9]
-    assert [len(r["checks"]) for r in records[:4]] == [4, 10, 4, 10]
+    assert [r["seed"] for r in records[:4]] == [7, 0, 9, 0]
+    assert [len(r["checks"]) for r in records[:4]] == [4, 10, 10, 4]
     G = load_instance("lamplighter").group
     assert records[4]["base"] == "{0:1}@5"
     assert records[5]["base"] == G.format_element(G.first_nontrivial())
-    assert [r["radius"] for r in records[6:8]] == [6, 3]
+    assert [(r["radius"], r["max_size"]) for r in records[6:8]] == [(3, 50), (8, 10000)]
     code, out, err = in_sequence[9]
     assert (code, out) == (EXIT_USAGE, "")
     assert err.startswith("usage: wricc verify")

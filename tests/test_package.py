@@ -14,7 +14,7 @@ import pytest
 import wricc
 from wricc.decision import IccVerdict, decide_icc
 from wricc.groups import EXACT_FINITE, ClassReport, IccStatus
-from wricc.instances import InstanceSpec, parse_instance
+from wricc.instances import parse_instance
 from wricc.tri import Tri
 from wricc.verify import VerifyReport
 from wricc.witness import FiniteClassCertificate, VerificationResult, witness
@@ -66,7 +66,7 @@ def test_digest_check_covers_the_shipped_and_ci_instances():
     # read from pinned.py's source, as imported
     assert sorted(INSTANCES) == sorted(SHIPPED + list(CI_INSTANCES))
     assert {name: INSTANCES[name] for name in CI_INSTANCES} == CI_INSTANCES
-    assert len(SHIPPED) == 8 and len(CI_INSTANCES) == 14
+    assert len(SHIPPED) == 8 and len(CI_INSTANCES) == 15
 
 
 @pytest.mark.parametrize("name", INSTANCES)
@@ -92,7 +92,7 @@ def test_hashlib_fallback_gives_the_same_digests():
     own, fallback = runs
     assert own["served"] in (["_sha256"], ["_sha2"]) and fallback["served"] == ["hashlib"]
     assert own["wrong"] == fallback["wrong"] == []
-    assert own["digests"] == fallback["digests"] and len(own["digests"]) == 22
+    assert own["digests"] == fallback["digests"] and len(own["digests"]) == 23
     assert own["digests"]["lamplighter"] == "ebe001051010"
 
 
@@ -103,13 +103,12 @@ VERDICT_TEXT = (
     "corollary_used=False)"
 )
 
-SPEC = parse_instance("{D: cyclic 2; Q: integers; omega: regular; seed: 3}")
+SPEC = parse_instance("{D: cyclic 2; Q: integers; omega: regular}")
 G = SPEC.group
 ONE = WreathElement((), 1)
 
 # record, its fields in order, its defaults, and its repr: the text these
-# records printed when they were dataclasses, but for the budgets of an
-# instance, which are read-only
+# records printed when they were dataclasses
 RECORDS = [
     (
         IccStatus(Tri.NO, "declared", "finite group"),
@@ -161,10 +160,10 @@ RECORDS = [
     ),
     (
         SPEC,
-        ("group", "d_text", "q_text", "omega_text", "budgets"),
-        {"budgets": {}},
+        ("group", "d_text", "q_text", "omega_text"),
+        {},
         f"InstanceSpec(group={G!r}, d_text='cyclic 2', q_text='integers', "
-        "omega_text='regular', budgets=mappingproxy({'seed': 3}))",
+        "omega_text='regular')",
     ),
 ]
 
@@ -194,18 +193,6 @@ def test_result_record_truth():
     assert VerifyReport(VERDICT, 0, {"a": VerificationResult(True)}).ok is True
     assert VerifyReport(VERDICT, 0, {"a": VerificationResult(False)}).ok is False
     assert VerifyReport(VERDICT, 0, {}).ok is False
-
-
-def test_instance_budgets_are_read_only():
-    # every spec made without budgets shares one empty mapping, so it must
-    # refuse a write, as a parsed spec's budgets do
-    bare = InstanceSpec(G, "cyclic 2", "integers", "regular")
-    assert bare.budgets == {} and SPEC.budgets == {"seed": 3}
-    for spec in (bare, SPEC):
-        with pytest.raises(TypeError):
-            spec.budgets["radius"] = 1
-    assert bare.budgets == {} and SPEC.budgets == {"seed": 3}
-    assert bare != SPEC and bare == SPEC._replace(budgets={})
 
 
 MODULES = sorted(path.stem for path in (SRC / "wricc").glob("*.py"))

@@ -16,4 +16,4 @@ def test_record_unchanged(record, tmp_path):
 def test_records_are_exactly_the_pinned_commands():
     # a file no record names would never be compared
     assert sorted(p.name for p in RECORDS_DIR.iterdir()) == sorted(r.filename for r in RECORDS)
-    assert len(RECORDS) == 8 * 8 + 6 + 5 + 14 * 3
+    assert len(RECORDS) == 8 * 8 + 6 + 5 + 15 * 3
